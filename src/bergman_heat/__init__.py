@@ -8,11 +8,10 @@ identities, off/near-diagonal probes and the flat Bargmann-Fock model.
 
 from .bench import (ComparisonResult, FormReport, OperatorMatrix,
                     comparison_norms, matrix_free_norm, multiplication_matrix,
-                    operator_matrix, rate_fit, spectral_norm, sweep_form,
-                    uniformity_sweep)
-from .bergman import (DecayProbe, DensityKernel, NearDiagonalProbe,
-                      SmoothingOperator, near_diagonal_residual,
-                      off_diagonal_sup, rank_ratio, weight_change_residuals)
+                    operator_matrix, rate_fit, spectral_norm, sweep_form)
+from .bergman import (DecayProbe, NearDiagonalProbe, SmoothingOperator,
+                      near_diagonal_residual, off_diagonal_sup, rank_ratio,
+                      weight_change_residuals)
 from .errors import (ConfigError, DifferentiationError,
                      IllConditionedGramError, InvalidRunError)
 from .flat_model import (FlatPoint, bargmann_kernel, bargmann_kernel_expr,
@@ -21,10 +20,10 @@ from .flat_model import (FlatPoint, bargmann_kernel, bargmann_kernel_expr,
 from .geometry import (INJECTIVITY_RADIUS, RADIUS, QuadratureGrid,
                        SpherePoint, VolumeForm, build_grid, exp_map,
                        fubini_study_form, geodesic_distance, integrate,
-                       load_grid_config, log_map, normal_volume_density)
+                       log_map, normal_volume_density)
 from .harmonics import real_sph_harm
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
-                   heat_diagonal, laplacian_apply, sh_analyze, sh_synthesize,
+                   heat_diagonal, laplacian_apply, sh_analyze,
                    semigroup_derivative_residual)
 from .sections import (BergmanEvaluator, GramMatrix, SectionBasis,
                        bergman_evaluator, gram_matrix, section_basis,

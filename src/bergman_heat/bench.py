@@ -16,7 +16,6 @@ from scipy.linalg import eigh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
-from .fourier import set_batch_diagonal
 from .heat import heat_apply
 from .sections import bergman_evaluator
 
@@ -32,10 +31,20 @@ class OperatorMatrix:
     column_kept_sq: np.ndarray
 
 
-def _tail_residual(column_norm_sq, column_kept_sq, floor=1e-300):
-    leak = np.maximum(column_norm_sq - column_kept_sq, 0.0)
-    scale = max(float(column_norm_sq.max(initial=0.0)), floor)
-    return float(leak.max(initial=0.0) / scale)
+def _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound=None):
+    """Wrap columns and their Parseval data; raise if the tail is over bound.
+
+    The tail residual is the largest per-column leakage past the truncation
+    relative to the largest column norm.
+    """
+    leak = np.maximum(col_norm - col_kept, 0.0)
+    scale = max(float(col_norm.max(initial=0.0)), 1e-300)
+    tail = float(leak.max(initial=0.0) / scale)
+    if tail_bound is not None and tail > tail_bound:
+        raise InvalidRunError(
+            f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
+            "raise l_max")
+    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
 
 
 def operator_matrix(op, sht, tail_bound=None):
@@ -57,12 +66,7 @@ def operator_matrix(op, sht, tail_bound=None):
             col_norm[idx] = sht.grid_norm_sq(values)
             col_kept[idx] = coeffs.norm_sq()
             idx += 1
-    tail = _tail_residual(col_norm, col_kept)
-    if tail_bound is not None and tail > tail_bound:
-        raise InvalidRunError(
-            f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
-            "raise l_max")
-    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
+    return _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound)
 
 
 def multiplication_matrix(values, sht, tail_bound=None):
@@ -96,12 +100,13 @@ def _column_input_modes(sht, mode_table, chunk_lm, d_count):
     return out
 
 
-def _modes_to_coeff_block(sht, dmodes, mu_weight_nyquist=False):
+def _modes_to_coeff_block(sht, dmodes):
     """Harmonic coefficients and quadrature norms of mode-space columns.
 
     ``dmodes`` has shape (n_cols, n_theta, n_modes) holding the nonnegative
     longitude modes of real functions.  Returns ``(block, norm_sq)`` with
-    the coefficient block of shape (n_coeffs, n_cols).
+    the coefficient block of shape (n_coeffs, n_cols).  A Nyquist mode, if
+    present, counts once in the norm.
     """
     grid = sht.grid
     w = grid.w_theta
@@ -109,8 +114,7 @@ def _modes_to_coeff_block(sht, dmodes, mu_weight_nyquist=False):
     mode_sq = np.abs(dmodes) ** 2
     weights = np.full(n_modes, 2.0)
     weights[0] = 1.0
-    if mu_weight_nyquist and n_modes - 1 == grid.n_phi // 2 \
-            and grid.n_phi % 2 == 0:
+    if n_modes - 1 == grid.n_phi // 2 and grid.n_phi % 2 == 0:
         weights[-1] = 1.0
     norm_sq = w @ (mode_sq @ weights).T
     block = np.zeros((sht.n_coeffs, n_cols))
@@ -125,74 +129,44 @@ def _modes_to_coeff_block(sht, dmodes, mu_weight_nyquist=False):
     return block, norm_sq
 
 
-def _lm_chunks(l_max, chunk):
-    lm_list = [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-    for start in range(0, len(lm_list), chunk):
-        yield start, lm_list[start:start + chunk]
+def _assemble_columns(sht, chunk, column_modes, tail_bound):
+    """Operator matrix from the output longitude modes of basis columns.
+
+    ``column_modes(chunk_lm)`` returns the (n_cols, n_theta, n_modes) output
+    modes for a chunk of (l, m) basis columns.
+    """
+    lm_list = [(l, m) for l in range(sht.l_max + 1) for m in range(-l, l + 1)]
+    n = sht.n_coeffs
+    matrix = np.zeros((n, n))
+    col_norm = np.zeros(n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block, norms = _modes_to_coeff_block(
+            sht, column_modes(lm_list[start:stop]))
+        matrix[:, start:stop] = block
+        col_norm[start:stop] = norms
+    col_kept = np.sum(matrix ** 2, axis=0)
+    return _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound)
 
 
-def smoothing_operator_matrix(smoother, sht, tail_bound=None, chunk=96,
-                              mode_tol=1e-16):
+def smoothing_operator_matrix(smoother, sht, tail_bound=None, chunk=96):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
-    Assembles whole chunks of basis columns at once so the per-column small
-    matrix products run as batched BLAS calls; works in longitude-mode space
-    throughout (no per-column grids).  Matches the generic path to roundoff.
+    Each chunk of basis columns goes through ``smoother.apply_modes`` as one
+    batch, so the per-column small matrix products run as batched BLAS
+    calls; works in longitude-mode space throughout (no per-column grids).
+    Matches the generic path to roundoff.
     """
     grid = sht.grid
     if grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
-    p = smoother.p
-    profiles = smoother._profiles
-    M = smoother.evaluator.kernel_matrix
-    w = grid.w_theta
-    d_count = min(p, grid.n_phi // 2) + 1
-    mu_cap = smoother._mu_cap
-    products = [profiles[:, d:] * profiles[:, :p + 1 - d]
-                for d in range(max(d_count, mu_cap + 1))]
-    # padded stack SP[mu, k, i] for the batched diagonal contraction
-    padded = np.zeros((mu_cap + 1, p + 1, grid.n_theta))
-    for mu in range(mu_cap + 1):
-        padded[mu, :p + 1 - mu, :] = products[mu].T
-    n = sht.n_coeffs
-    matrix = np.zeros((n, n))
-    col_norm = np.zeros(n)
-    col_kept = np.zeros(n)
-    for start, chunk_lm in _lm_chunks(sht.l_max, chunk):
-        stop = start + len(chunk_lm)
-        n_cols = len(chunk_lm)
-        hmodes = _column_input_modes(sht, smoother.form.density_modes,
-                                     chunk_lm, d_count)
-        mags = np.abs(hmodes).max(axis=(0, 1))
-        cut = mode_tol * mags.max() if mags.max() > 0 else 0.0
-        T = np.zeros((n_cols, p + 1, p + 1), dtype=complex)
-        for d in range(d_count):
-            if d > 0 and mags[d] <= cut:
-                continue
-            weighted = hmodes[:, :, d] * w[None, :]
-            diag = weighted.real @ products[d] + 1j * (weighted.imag @ products[d])
-            set_batch_diagonal(T, d, diag)
-            if d > 0:
-                set_batch_diagonal(T, d, np.conj(diag), upper=True)
-        T /= smoother.rank_ratio
-        A = np.matmul(np.matmul(M, T), M)
-        diags = np.zeros((mu_cap + 1, n_cols, p + 1), dtype=complex)
-        for mu in range(mu_cap + 1):
-            diags[mu, :, :p + 1 - mu] = np.diagonal(A, offset=-mu,
-                                                    axis1=1, axis2=2)
-        stacked = (np.matmul(np.ascontiguousarray(diags.real), padded)
-                   + 1j * np.matmul(np.ascontiguousarray(diags.imag), padded))
-        dmodes = stacked.transpose(1, 2, 0)
-        block, norms = _modes_to_coeff_block(sht, dmodes)
-        matrix[:, start:stop] = block
-        col_norm[start:stop] = norms
-        col_kept[start:stop] = np.sum(block ** 2, axis=0)
-    tail = _tail_residual(col_norm, col_kept)
-    if tail_bound is not None and tail > tail_bound:
-        raise InvalidRunError(
-            f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
-            "raise l_max")
-    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
+    d_count = min(smoother.p, grid.n_phi // 2) + 1
+
+    def column_modes(chunk_lm):
+        return smoother.apply_modes(_column_input_modes(
+            sht, smoother.form.density_modes, chunk_lm, d_count))
+
+    return _assemble_columns(sht, chunk, column_modes, tail_bound)
 
 
 def fast_multiplication_matrix(values, sht, tail_bound=None, chunk=256):
@@ -203,24 +177,11 @@ def fast_multiplication_matrix(values, sht, tail_bound=None, chunk=256):
     grid = sht.grid
     mode_table = np.fft.fft(np.asarray(values, dtype=float), axis=1) / grid.n_phi
     d_count = grid.n_phi // 2 + 1
-    n = sht.n_coeffs
-    matrix = np.zeros((n, n))
-    col_norm = np.zeros(n)
-    col_kept = np.zeros(n)
-    for start, chunk_lm in _lm_chunks(sht.l_max, chunk):
-        stop = start + len(chunk_lm)
-        dmodes = _column_input_modes(sht, mode_table, chunk_lm, d_count)
-        block, norms = _modes_to_coeff_block(sht, dmodes,
-                                             mu_weight_nyquist=True)
-        matrix[:, start:stop] = block
-        col_norm[start:stop] = norms
-        col_kept[start:stop] = np.sum(block ** 2, axis=0)
-    tail = _tail_residual(col_norm, col_kept)
-    if tail_bound is not None and tail > tail_bound:
-        raise InvalidRunError(
-            f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
-            "raise l_max")
-    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
+
+    def column_modes(chunk_lm):
+        return _column_input_modes(sht, mode_table, chunk_lm, d_count)
+
+    return _assemble_columns(sht, chunk, column_modes, tail_bound)
 
 
 def spectral_norm(matrix, dense_cutoff=600):
@@ -281,8 +242,7 @@ def heat_side_matrix(mult, sht, p):
     matrix = mult.matrix * factors[None, :]
     col_norm = mult.column_norm_sq * factors ** 2
     col_kept = mult.column_kept_sq * factors ** 2
-    tail = _tail_residual(col_norm, col_kept)
-    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
+    return _checked_matrix(sht, matrix, col_norm, col_kept)
 
 
 def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3,
@@ -333,12 +293,6 @@ def rate_fit(p_values, norms):
 
 
 @dataclass
-class SweepCell:
-    p: int
-    result: ComparisonResult
-
-
-@dataclass
 class FormReport:
     """Rate report of one volume form over the p grid."""
 
@@ -375,32 +329,6 @@ def sweep_form(form, p_values, sht, tail_bound=1e-3):
         report.tails.append(cell.tail_residual)
         report.argmax_degrees.append(cell.argmax_degree)
     return report.finalize()
-
-
-def uniformity_sweep(forms, p_values, sht, tail_bound=1e-3,
-                     density_floor=0.0):
-    """Benchmark a family of volume forms and summarize bound constants.
-
-    Rejects family members whose density dips below ``density_floor``.
-    Returns ``(reports, summary)`` where the summary holds the max/min
-    ratios of the fitted constants across the family.
-    """
-    reports = []
-    for form in forms:
-        if form.density_inf < density_floor:
-            raise ConfigError(
-                f"form {form.form_id} density {form.density_inf:.3e} below "
-                f"floor {density_floor:.3e}")
-        reports.append(sweep_form(form, p_values, sht, tail_bound=tail_bound))
-    c1 = [r.c_hat1 for r in reports]
-    c2 = [r.c_hat2 for r in reports]
-    summary = {
-        "c_hat1": c1,
-        "c_hat2": c2,
-        "ratio1": max(c1) / min(c1),
-        "ratio2": max(c2) / min(c2),
-    }
-    return reports, summary
 
 
 def matrix_free_norm(p, form, sht, n_iter=300, tol=1e-12):

@@ -18,29 +18,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
-                      padded_profile_products)
+                      moment_matrices)
 from .geometry import INJECTIVITY_RADIUS, exp_map, pairwise_distances, unit_vectors
-
-
-@dataclass(frozen=True)
-class DensityKernel:
-    """Accessor bundle for the nonnegative smoothing density K(x, y)."""
-
-    evaluator: object
-
-    @property
-    def p(self):
-        return self.evaluator.p
-
-    @property
-    def form(self):
-        return self.evaluator.form
-
-    def __call__(self, theta_x, phi_x, theta_y, phi_y):
-        return self.evaluator.density(theta_x, phi_x, theta_y, phi_y)
-
-    def diagonal_on_grid(self):
-        return self.evaluator.diagonal_on_grid() ** 2
 
 
 def rank_ratio(p, form):
@@ -60,78 +39,28 @@ class SmoothingOperator:
         self.mode_tol = mode_tol
         self._profiles = evaluator.basis.theta_profiles(self.grid.theta)
         self._mu_cap = min(self.p, self.grid.n_phi // 2 - 1)
-        self._products = padded_profile_products(self._profiles, self._mu_cap)
 
-    def _moment_matrix(self, weighted):
-        """T[k, k'] = sum_nodes w * weighted * conj(s_k) s_k', via modes."""
-        p = self.p
-        grid = self.grid
-        modes = grid_to_modes(weighted, grid.n_phi // 2)
-        mags = np.abs(modes).max(axis=0)
-        cut = self.mode_tol * mags.max() if mags.max() > 0 else 0.0
-        T = np.zeros((p + 1, p + 1), dtype=complex)
-        idx_all = np.arange(p + 1)
-        for d in range(0, min(p, grid.n_phi // 2) + 1):
-            if mags[d] <= cut and d > 0:
-                continue
-            weights = self.grid.w_theta * modes[:, d]
-            diag = np.einsum("i,ik,ik->k", weights,
-                             self._profiles[:, d:], self._profiles[:, :p + 1 - d])
-            idx = idx_all[:p + 1 - d]
-            T[idx + d, idx] = diag
-            if d > 0:
-                T[idx, idx + d] = np.conj(diag)
-        return T
+    def apply_modes(self, modes):
+        """Apply the operator to a batch of inputs in longitude-mode space.
+
+        ``modes`` has shape (n, n_theta, n_modes) and holds the nonnegative
+        longitude modes of ``density * f`` for each input f.  The inputs are
+        folded into section moment matrices, conjugated by the inverse Gram,
+        and taken back to their longitude modes, shape (n, n_theta, mu_cap+1).
+        """
+        T = moment_matrices(modes, self.grid.w_theta, self._profiles,
+                            self.mode_tol)
+        M = self.evaluator.kernel_matrix
+        A = M @ T @ M
+        return diagonal_modes(A, self._profiles, self._mu_cap) / self.rank_ratio
 
     def apply(self, values):
-        """Apply the operator to real grid values; returns real grid values.
-
-        Uses the factorized route: the density and the input are folded into
-        a section moment matrix, conjugated by the inverse Gram, and the
-        resulting quadratic form is synthesized back through its longitude
-        modes.
-        """
+        """Apply the operator to real grid values; returns real grid values."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ConfigError("input values do not match the grid")
-        T = self._moment_matrix(self.form.density * values)
-        M = self.evaluator.kernel_matrix
-        A = M @ T @ M
-        modes = diagonal_modes(A, self._profiles, self._mu_cap,
-                               products=self._products)
-        return modes_to_grid(modes, self.grid.n_phi) / self.rank_ratio
-
-    def apply_pointwise_direct(self, values, max_nodes=6000):
-        """Reference route: quadrature of the density accessor against d nu.
-
-        O(N^2) in grid nodes; intended for identity checks on small grids.
-        """
-        return self._apply_pointwise(values, factored=False, max_nodes=max_nodes)
-
-    def apply_pointwise_factored(self, values, max_nodes=6000):
-        """Reference route through the metric-volume factorization:
-        eta(x) prefactor outside, metric-convention density against dv_X."""
-        return self._apply_pointwise(values, factored=True, max_nodes=max_nodes)
-
-    def _apply_pointwise(self, values, factored, max_nodes):
-        grid = self.grid
-        n_nodes = grid.n_theta * grid.n_phi
-        if n_nodes > max_nodes:
-            raise ConfigError(
-                f"pointwise route limited to {max_nodes} nodes, grid has {n_nodes}")
-        tt = grid.theta_mesh.ravel()
-        pp = grid.phi_mesh.ravel()
-        f = np.asarray(values, dtype=float).ravel()
-        if factored:
-            kernel = self.evaluator.omega_density(tt, pp, tt, pp)
-            w = grid.node_weights.ravel()
-            eta_x = self.form.eta.ravel()
-            out = eta_x * (kernel @ (w * f)) / self.rank_ratio
-        else:
-            kernel = self.evaluator.density(tt, pp, tt, pp)
-            w_nu = (grid.node_weights * self.form.density).ravel()
-            out = (kernel @ (w_nu * f)) / self.rank_ratio
-        return out.reshape(grid.n_theta, grid.n_phi)
+        modes = grid_to_modes(self.form.density * values, self.grid.n_phi // 2)
+        return modes_to_grid(self.apply_modes(modes[None])[0], self.grid.n_phi)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Each subcommand runs one probe family from a JSON config, writes a CSV
 table plus a JSON summary with every threshold next to its measured value,
 and exits 0 (pass), 2 (usage/config error), 3 (invalid numerical run) or
-4 (acceptance failure).  Same config and build give byte-identical output.
+4 (acceptance failure).  Same config, build and BLAS thread count give
+byte-identical output.
 """
 
 import argparse
@@ -79,6 +80,11 @@ def cmd_converge(cfg, out_dir):
     missing = [fid for fid in family_ids if fid not in by_id]
     if missing:
         raise ConfigError(f"uniformity family members missing: {missing}")
+    for fid in family_ids:
+        if by_id[fid].density_inf < cfg["density_floor"]:
+            raise ConfigError(
+                f"form {fid} density {by_id[fid].density_inf:.3e} below "
+                f"floor {cfg['density_floor']:.3e}")
 
     reports = {}
     rows = []

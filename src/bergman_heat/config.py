@@ -93,7 +93,7 @@ def default_l_max(p_max):
     return max(40, math.ceil(4.0 * math.sqrt(p_max)))
 
 
-def default_grid_sizes(p_max, band_margin=16):
+def default_grid_sizes(p_max):
     n_theta = p_max + 24
     return n_theta, 2 * n_theta
 
@@ -123,6 +123,20 @@ def load_config(command, path=None, overrides=None):
 
 
 def _validate(command, cfg):
+    # scalar keys: float defaults take any real, int and auto (None) ones ints
+    for key, default in DEFAULTS[command].items():
+        value = cfg[key]
+        if isinstance(default, float):
+            kinds, what = (int, float), "a finite number"
+        elif isinstance(default, int) or (default is None and value is not None):
+            kinds, what = int, "an integer"
+        else:
+            continue
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or not math.isfinite(value)):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if command == "heat-check" and cfg["n_u"] < 3:
+        raise ConfigError("insufficient points: heat-check needs n_u >= 3")
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps

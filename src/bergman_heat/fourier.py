@@ -2,7 +2,10 @@
 
 Functions on the product grid are handled as colatitude profiles of their
 longitude modes; quadratic section expressions reduce to sums along the
-diagonals of a coefficient matrix.
+diagonals of a coefficient matrix.  ``moment_matrices`` folds weight
+functions into section moment matrices (the Gram, and the input side of the
+smoothing operator); ``diagonal_modes`` takes coefficient matrices back to
+longitude modes (the kernel diagonal, and the output side).
 """
 
 import numpy as np
@@ -29,58 +32,72 @@ def grid_to_modes(values, n_modes):
     return f[:, :n_modes + 1] / n_phi
 
 
-def padded_profile_products(profiles, mu_cap):
-    """Stack SP[mu, i, k] = a_{k+mu}(theta_i) a_k(theta_i), zero padded.
+def _set_diagonal(T, d, values):
+    """Write ``values`` onto diagonal -d of every matrix in a (n, P, P) batch,
+    and their conjugates onto diagonal +d.
 
-    Shape (mu_cap+1, n_theta, dim); entries with k+mu >= dim are zero.
-    """
-    n_theta, dim = profiles.shape
-    out = np.zeros((mu_cap + 1, n_theta, dim))
-    for mu in range(mu_cap + 1):
-        out[mu, :, :dim - mu] = profiles[:, mu:] * profiles[:, :dim - mu]
-    return out
-
-
-def set_batch_diagonal(T, d, values, upper=False):
-    """Write ``values`` onto diagonal d of every matrix in a (n, P, P) batch.
-
-    Lower diagonal holds entries [k+d, k]; ``upper`` writes [k, k+d].  Uses
-    flat strided views, which beats advanced indexing for many small writes.
+    Lower diagonal holds entries [k+d, k].  Uses flat strided views, which
+    beats advanced indexing for many small writes.
     """
     n, P, _ = T.shape
     flat = T.reshape(n, P * P)
-    start = d if upper else d * P
-    flat[:, start::P + 1][:, :P - d] = values
+    flat[:, d * P::P + 1][:, :P - d] = values
+    if d > 0:
+        flat[:, d::P + 1][:, :P - d] = np.conj(values)
 
 
-def padded_diagonals(matrix, mu_cap):
-    """D[mu, k] = matrix[k+mu, k], zero padded to a rectangular stack."""
-    dim = matrix.shape[0]
-    out = np.zeros((mu_cap + 1, dim), dtype=matrix.dtype)
-    for mu in range(mu_cap + 1):
-        out[mu, :dim - mu] = np.diagonal(matrix, offset=-mu)
-    return out
+def _profile_product(profiles, d):
+    """a_{k+d}(theta_i) a_k(theta_i), shape (n_theta, dim-d)."""
+    dim = profiles.shape[1]
+    return profiles[:, d:] * profiles[:, :dim - d]
 
 
-def diagonal_modes(matrix, profiles, mu_cap, products=None, clip_tol=1e-8):
-    """Longitude modes of x -> sigma(x)^T @ matrix @ conj(sigma(x)).
+def moment_matrices(modes, w_theta, profiles, mode_tol):
+    """Section moment matrices of a batch of weight functions.
 
-    Returns d with shape (n_theta, mu_cap+1); the mu < 0 modes are the
-    conjugates because the matrix is Hermitian.  Raises if diagonals beyond
-    ``mu_cap`` carry non-negligible weight (the longitude grid would alias).
+    ``modes[b, i, d]`` holds longitude mode d >= 0 of weight function b at
+    colatitude node i.  Returns the Hermitian batch T of shape (n, P, P) with
+
+        T[b, k+d, k] = sum_i w_theta[i] modes[b, i, d] a_{k+d}(theta_i) a_k(theta_i),
+
+    i.e. the quadrature of weight b against conj(s_{k+d}) s_k.  Diagonals
+    whose mode is at most ``mode_tol`` times the largest mode, over the whole
+    batch, are skipped (``mode_tol=0`` skips exact zeros only).
     """
-    dim = matrix.shape[0]
+    n, _, n_modes = modes.shape
+    dim = profiles.shape[1]
+    mags = np.abs(modes).max(axis=(0, 1))
+    cut = mode_tol * mags.max()
+    T = np.zeros((n, dim, dim), dtype=complex)
+    for d in range(min(dim, n_modes)):
+        if d > 0 and mags[d] <= cut:
+            continue
+        weighted = modes[:, :, d] * w_theta[None, :]
+        prod = _profile_product(profiles, d)
+        _set_diagonal(T, d, weighted.real @ prod + 1j * (weighted.imag @ prod))
+    return T
+
+
+def diagonal_modes(A, profiles, mu_cap):
+    """Longitude modes of x -> sigma(x)^T @ A[b] @ conj(sigma(x)) per batch item.
+
+    ``A`` is a (n, P, P) batch of Hermitian matrices.  Returns shape
+    (n, n_theta, mu_cap+1); the mu < 0 modes are the conjugates.  Raises if
+    diagonals beyond ``mu_cap`` carry non-negligible weight (the longitude
+    grid would alias).
+    """
+    n, dim, _ = A.shape
     if mu_cap < dim - 1:
-        tail = max(np.max(np.abs(np.diagonal(matrix, offset=-mu)))
+        tail = max(np.abs(np.diagonal(A, offset=-mu, axis1=1, axis2=2)).max()
                    for mu in range(mu_cap + 1, dim))
-        scale = np.max(np.abs(matrix))
-        if scale > 0 and tail > clip_tol * scale:
+        scale = np.abs(A).max()
+        if scale > 0 and tail > 1e-8 * scale:
             raise InvalidRunError(
                 f"longitude modes beyond {mu_cap} carry relative weight "
                 f"{tail / scale:.2e}; raise n_phi")
-    if products is None:
-        products = padded_profile_products(profiles, mu_cap)
-    diags = padded_diagonals(matrix, mu_cap)
-    real = np.matmul(products, diags.real[:, :, None]).squeeze(-1)
-    imag = np.matmul(products, diags.imag[:, :, None]).squeeze(-1)
-    return (real + 1j * imag).T
+    out = np.empty((mu_cap + 1, n, profiles.shape[0]), dtype=complex)
+    for mu in range(mu_cap + 1):
+        diag = np.diagonal(A, offset=-mu, axis1=1, axis2=2)
+        prod = _profile_product(profiles, mu).T
+        out[mu] = diag.real @ prod + 1j * (diag.imag @ prod)
+    return out.transpose(1, 2, 0)

@@ -8,7 +8,6 @@ declared polynomial exactness degree, geodesic geometry in normal
 coordinates, and strictly positive reference volume forms.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -186,13 +185,6 @@ class QuadratureGrid:
     def node(self, i, j):
         return SpherePoint(float(self.theta[i]), float(self.phi[j]))
 
-    def unit_vector_table(self, theta_stride=1, phi_stride=1):
-        """Flattened unit vectors of a (possibly decimated) node set."""
-        th = self.theta[::theta_stride]
-        ph = self.phi[::phi_stride]
-        tt, pp = np.meshgrid(th, ph, indexing="ij")
-        return unit_vectors(tt.ravel(), pp.ravel())
-
 
 def build_grid(n_theta, n_phi):
     """Construct a quadrature grid; rejects node counts below 2."""
@@ -281,50 +273,3 @@ class VolumeForm:
 def fubini_study_form(grid):
     """The metric volume form itself (density identically 1)."""
     return VolumeForm(grid, {}, form_id="fs")
-
-
-def load_grid_config(path):
-    """Read grid sizes and volume-form coefficients from a config file.
-
-    Accepts JSON (``{"n_theta": ..., "n_phi": ..., "volume_form": {"l,m": c}}``)
-    or plain ``key = value`` lines where coefficient keys look like
-    ``coeff:l,m``.  Returns ``(n_theta, n_phi, coefficients)``.
-    """
-    text = open(path).read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(text)
-        coeffs = {_parse_lm(k): float(v)
-                  for k, v in (data.get("volume_form") or {}).items()}
-        try:
-            return int(data["n_theta"]), int(data["n_phi"]), coeffs
-        except KeyError as exc:
-            raise ConfigError(f"missing grid field {exc}") from exc
-    n_theta = n_phi = None
-    coeffs = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"cannot parse config line: {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "n_theta":
-            n_theta = int(value)
-        elif key == "n_phi":
-            n_phi = int(value)
-        elif key.startswith("coeff:"):
-            coeffs[_parse_lm(key[len("coeff:"):])] = float(value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if n_theta is None or n_phi is None:
-        raise ConfigError("config must set n_theta and n_phi")
-    return n_theta, n_phi, coeffs
-
-
-def _parse_lm(key):
-    try:
-        l_str, m_str = str(key).split(",")
-        return int(l_str), int(m_str)
-    except ValueError as exc:
-        raise ConfigError(f"bad harmonic key {key!r}, expected 'l,m'") from exc

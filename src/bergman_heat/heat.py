@@ -132,10 +132,6 @@ def sh_analyze(values, grid, l_max):
     return SphericalHarmonicTransform(grid, l_max).analyze(values)
 
 
-def sh_synthesize(coeffs, grid):
-    return SphericalHarmonicTransform(grid, coeffs.l_max).synthesize(coeffs)
-
-
 def laplacian_apply(coeffs):
     """Positive Laplacian: degree-l slots scale by 4*pi*l*(l+1)."""
     degs = degree_vector(coeffs.l_max)

@@ -20,6 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .errors import ConfigError, IllConditionedGramError
+from .fourier import diagonal_modes, modes_to_grid, moment_matrices
 
 
 class SectionBasis:
@@ -98,20 +99,8 @@ def gram_matrix(basis, form, grid, cond_limit=1e12):
         raise ConfigError(
             f"grid exactness {grid.exactness_degree} below 2p+band ="
             f" {2 * p + form.phi_band}")
-    profiles = basis.theta_profiles(grid.theta)
-    modes = form.density_modes
-    H = np.zeros((p + 1, p + 1), dtype=complex)
-    for d in range(0, p + 1):
-        mode = modes[:, d % grid.n_phi]
-        if d > 0 and np.max(np.abs(mode)) == 0.0:
-            continue
-        weights = grid.w_theta * mode
-        diag = np.einsum("i,ik,ik->k", weights,
-                         profiles[:, d:], profiles[:, :p + 1 - d])
-        idx = np.arange(p + 1 - d)
-        H[idx + d, idx] = diag
-        if d > 0:
-            H[idx, idx + d] = np.conj(diag)
+    H = moment_matrices(form.density_modes[None], grid.w_theta,
+                        basis.theta_profiles(grid.theta), mode_tol=0.0)[0]
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
         raise IllConditionedGramError(
@@ -196,10 +185,9 @@ class BergmanEvaluator:
 
     def diagonal_on_grid(self):
         """P(x, x) over the full grid, shape (n_theta, n_phi); real positive."""
-        from .fourier import diagonal_modes, modes_to_grid
         mu_cap = min(self.p, self.grid.n_phi // 2 - 1)
         profiles = self.basis.theta_profiles(self.grid.theta)
-        modes = diagonal_modes(self.kernel_matrix, profiles, mu_cap)
+        modes = diagonal_modes(self.kernel_matrix[None], profiles, mu_cap)[0]
         return modes_to_grid(modes, self.grid.n_phi)
 
     def reproduce_sections(self, theta, phi):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
                           matrix_free_norm, operator_matrix, rate_fit,
-                          spectral_norm, sweep_form, uniformity_sweep)
+                          spectral_norm, sweep_form)
+from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
@@ -163,13 +165,26 @@ class TestRateFit:
 
 
 class TestUniformity:
-    def test_singleton_family_matches_single_fit(self, bench_grid, bench_sht):
-        form = fubini_study_form(bench_grid)
-        reports, summary = uniformity_sweep([form], [8, 16, 24, 32],
-                                            bench_sht)
-        single = sweep_form(form, [8, 16, 24, 32], bench_sht)
-        assert reports[0].c_hat1 == pytest.approx(single.c_hat1, rel=1e-12)
-        assert summary["ratio1"] == 1.0
+    def test_singleton_family_matches_single_fit(self, bench_grid, bench_sht,
+                                                 tmp_path):
+        # a one-member family reports that member's own rate fit, ratio 1
+        p_list = [8, 16, 24, 32]
+        cfg = {"p_list": p_list, "n_theta": bench_grid.n_theta,
+               "n_phi": bench_grid.n_phi, "l_max": bench_sht.l_max,
+               "volume_forms": [{"id": "fs", "coefficients": {}}],
+               "uniformity_family": ["fs"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["converge", "--config", str(path),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        summary = json.loads(
+            (tmp_path / "converge_summary.json").read_text())
+        single = sweep_form(fubini_study_form(bench_grid), p_list, bench_sht)
+        uniformity = summary["uniformity"]
+        assert uniformity["c_hat1"] == [pytest.approx(single.c_hat1,
+                                                      rel=1e-12)]
+        assert uniformity["ratio1"] == 1.0
 
     def test_amplitude_continuity(self, bench_grid, bench_sht):
         # shrinking the family amplitude pulls the constant to the baseline
@@ -183,8 +198,3 @@ class TestUniformity:
         assert abs(c_hats[1] - base) < abs(c_hats[0] - base)
         assert abs(c_hats[1] - base) < 0.25 * abs(base)
 
-    def test_density_floor_enforced(self, bench_grid, bench_sht):
-        form = VolumeForm(bench_grid, {(1, 0): -1.5}, "deep")
-        with pytest.raises(ConfigError):
-            uniformity_sweep([form], [8, 16, 24, 32], bench_sht,
-                             density_floor=0.5)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bergman_heat import (RADIUS, ConfigError, DensityKernel,
-                          SmoothingOperator, SpherePoint, bergman_evaluator,
+from bergman_heat import (RADIUS, ConfigError, SmoothingOperator,
+                          SpherePoint, bergman_evaluator,
                           near_diagonal_residual, off_diagonal_sup,
                           rank_ratio, weight_change_residuals)
 
@@ -78,10 +78,9 @@ class TestSmoothingOperator:
 
     def test_density_kernel_accessor(self, grid, zonal_form):
         ev = bergman_evaluator(4, zonal_form, grid)
-        kernel = DensityKernel(ev)
         t = np.array([0.5, 1.5])
         ph = np.array([0.3, 2.0])
-        vals = kernel(t, ph, t, ph)
+        vals = ev.density(t, ph, t, ph)
         assert np.all(vals >= 0)
         assert np.abs(vals - vals.T).max() < 1e-10
         assert np.abs(np.diag(vals)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bergman_heat.bench import rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
 from bergman_heat.config import DEFAULTS, default_l_max, load_config
@@ -72,6 +73,29 @@ class TestExitCodes:
         assert summary["exit_code"] == EXIT_INVALID_RUN
         assert "tail residual" in summary["error"]
 
+    def test_density_floor_is_config_error(self, tmp_path):
+        # zonal-full dips to density 0.595, below the floor
+        cfg = dict(SMALL_CONVERGE, density_floor=0.9)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["converge", "--config", str(path),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "converge.csv").exists()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("converge", {"tail_bound": "x"}),
+        ("converge", {"slope_threshold": None}),
+        ("heat-check", {"n_u": 1}),
+    ])
+    def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
+                                                     command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_CONFIG
+
     def test_acceptance_failure_exit(self, tmp_path):
         cfg = dict(SMALL_CONVERGE)
         cfg["slope_threshold"] = -5.0  # unattainable on purpose
@@ -96,6 +120,18 @@ class TestCommands:
         assert summary["exit_code"] == EXIT_OK
         for crit in summary["criteria"]:
             assert {"name", "measured", "threshold", "pass"} <= set(crit)
+        # the uniformity summary holds each family member's own rate fit
+        rows = [line.split(",") for line in csv_lines[1:]]
+        uniformity = summary["uniformity"]
+        for line, col in (("1", 2), ("2", 3)):
+            c_hats = []
+            for fid in uniformity["family"]:
+                norms = [float(r[col]) for r in rows if r[1] == fid]
+                c_hats.append(rate_fit(SMALL_CONVERGE["p_list"], norms)[1])
+            assert uniformity["c_hat" + line] == pytest.approx(c_hats,
+                                                               rel=1e-15)
+            assert uniformity["ratio" + line] == pytest.approx(
+                max(c_hats) / min(c_hats), rel=1e-15)
 
     def test_heat_check(self, tmp_path):
         assert run(["heat-check", "--out", str(tmp_path)]) == EXIT_OK

@@ -1,0 +1,92 @@
+import numpy as np
+import pytest
+
+from bergman_heat import section_basis
+from bergman_heat.errors import InvalidRunError
+from bergman_heat.fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
+                                  moment_matrices)
+from bergman_heat.harmonics import real_sph_harm
+
+# float64 roundoff on O(1) sums over a few thousand nodes
+TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def weights(grid):
+    """Constant, zonal and non-zonal weight functions on the grid."""
+    tt, pp = grid.theta_mesh, grid.phi_mesh
+    return np.stack([
+        np.full((grid.n_theta, grid.n_phi), 0.7),
+        1.0 + 0.4 * real_sph_harm(2, 0, tt, pp),
+        np.exp(0.2 * real_sph_harm(1, 1, tt, pp)
+               - 0.1 * real_sph_harm(3, -2, tt, pp)),
+    ])
+
+
+def node_sum(basis, grid, f):
+    """sum over all nodes of w * f * conj(s_k) s_k', one longitude at a time."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    w_f = grid.node_weights * f
+    for j in range(grid.n_phi):
+        sigma = basis.values(grid.theta, np.full(grid.n_theta, grid.phi[j]))
+        out += (sigma.conj() * w_f[:, j:j + 1]).T @ sigma
+    return out
+
+
+class TestMomentMatrices:
+    def test_batch_matches_node_sum(self, grid, weights):
+        basis = section_basis(9)
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in weights])
+        batch = moment_matrices(modes, grid.w_theta,
+                                basis.theta_profiles(grid.theta), 1e-16)
+        for f, T in zip(weights, batch):
+            assert np.abs(T - node_sum(basis, grid, f)).max() < TOL
+
+    def test_batch_matches_per_item_calls(self, grid, weights):
+        # the mode cut is batch-wide, so batching keeps some modes that a
+        # single constant weight would drop; they are roundoff either way
+        profiles = section_basis(9).theta_profiles(grid.theta)
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in weights])
+        batch = moment_matrices(modes, grid.w_theta, profiles, 1e-16)
+        for item, T in zip(modes, batch):
+            single = moment_matrices(item[None], grid.w_theta, profiles,
+                                     1e-16)[0]
+            assert np.abs(T - single).max() < TOL
+
+    def test_mode_cut_is_relative_to_largest_mode(self, grid):
+        profiles = section_basis(5).theta_profiles(grid.theta)
+        modes = np.zeros((1, grid.n_theta, 6), dtype=complex)
+        modes[0, :, 0] = 1.0
+        modes[0, :, 3] = 1e-30
+        kept = moment_matrices(modes, grid.w_theta, profiles, 0.0)[0]
+        cut = moment_matrices(modes, grid.w_theta, profiles, 1e-16)[0]
+        assert np.all(np.diagonal(kept, offset=-3) != 0.0)
+        assert np.all(np.diagonal(cut, offset=-3) == 0.0)
+        assert np.array_equal(kept, kept.conj().T)
+
+
+class TestDiagonalModes:
+    def test_matches_pointwise_quadratic_form(self, grid, rng):
+        basis = section_basis(7)
+        dim = basis.dim
+        raw = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+        A = raw + raw.conj().transpose(0, 2, 1)
+        modes = diagonal_modes(A, basis.theta_profiles(grid.theta), dim - 1)
+        for item, mat in zip(modes, A):
+            values = modes_to_grid(item, grid.n_phi)
+            for j in (0, 5, 31):
+                sigma = basis.values(grid.theta,
+                                     np.full(grid.n_theta, grid.phi[j]))
+                direct = np.einsum("ik,kl,il->i", sigma, mat, sigma.conj())
+                assert np.abs(direct.imag).max() < TOL * np.abs(A).max()
+                assert np.abs(values[:, j] - direct.real).max() \
+                    < TOL * np.abs(A).max()
+
+    def test_clipped_diagonals_raise(self, grid):
+        profiles = section_basis(4).theta_profiles(grid.theta)
+        A = np.eye(5, dtype=complex)[None].copy()
+        A[0, 4, 0] = A[0, 0, 4] = 0.5
+        with pytest.raises(InvalidRunError):
+            diagonal_modes(A, profiles, 2)
+        assert diagonal_modes(np.eye(5, dtype=complex)[None], profiles,
+                              2).shape == (1, grid.n_theta, 3)

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from bergman_heat import (INJECTIVITY_RADIUS, RADIUS, ConfigError, SpherePoint,
                           VolumeForm, build_grid, exp_map, geodesic_distance,
-                          integrate, load_grid_config, log_map,
-                          normal_volume_density, real_sph_harm)
+                          integrate, log_map, normal_volume_density,
+                          real_sph_harm)
 
 
 def test_radius_normalization():
@@ -212,26 +212,3 @@ class TestVolumeForm:
     def test_rejects_bad_index(self, grid):
         with pytest.raises(ConfigError):
             VolumeForm(grid, {(1, 2): 0.1})
-
-
-class TestConfigFile(object):
-    def test_json_config(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_text('{"n_theta": 12, "n_phi": 24,'
-                        ' "volume_form": {"1,0": -0.25}}')
-        n_theta, n_phi, coeffs = load_grid_config(path)
-        assert (n_theta, n_phi) == (12, 24)
-        assert coeffs == {(1, 0): -0.25}
-
-    def test_key_value_config(self, tmp_path):
-        path = tmp_path / "grid.cfg"
-        path.write_text("# grid\nn_theta = 12\nn_phi = 24\ncoeff:2,-1 = 0.5\n")
-        n_theta, n_phi, coeffs = load_grid_config(path)
-        assert (n_theta, n_phi) == (12, 24)
-        assert coeffs == {(2, -1): 0.5}
-
-    def test_bad_config_rejected(self, tmp_path):
-        path = tmp_path / "grid.cfg"
-        path.write_text("n_theta = 12\nunknown = 3\n")
-        with pytest.raises(ConfigError):
-            load_grid_config(path)
