@@ -25,7 +25,7 @@ from .harmonics import real_sph_harm
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
                    heat_diagonal, laplacian_apply, sh_analyze,
                    semigroup_derivative_residual)
-from .sections import (BergmanEvaluator, GramMatrix, SectionBasis,
+from .sections import (BergmanEvaluator, GramMatrix, KernelBlock, SectionBasis,
                        bergman_evaluator, gram_matrix, section_basis,
                        write_kernel_slice)
 

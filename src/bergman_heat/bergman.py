@@ -21,6 +21,9 @@ from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
                       moment_matrices)
 from .geometry import INJECTIVITY_RADIUS, exp_map, pairwise_distances, unit_vectors
 
+# smoothing-input longitude modes at most this fraction of the largest are skipped
+MODE_TOL = 1e-16
+
 
 def rank_ratio(p, form):
     """Section count over reference volume: (p+1) / Vol(nu)."""
@@ -30,13 +33,12 @@ def rank_ratio(p, form):
 class SmoothingOperator:
     """Normalized kernel smoothing operator bound to a Bergman evaluator."""
 
-    def __init__(self, evaluator, mode_tol=1e-16):
+    def __init__(self, evaluator):
         self.evaluator = evaluator
         self.grid = evaluator.grid
         self.form = evaluator.form
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
-        self.mode_tol = mode_tol
         self._profiles = evaluator.basis.theta_profiles(self.grid.theta)
         self._mu_cap = min(self.p, self.grid.n_phi // 2 - 1)
 
@@ -48,8 +50,7 @@ class SmoothingOperator:
         folded into section moment matrices, conjugated by the inverse Gram,
         and taken back to their longitude modes, shape (n, n_theta, mu_cap+1).
         """
-        T = moment_matrices(modes, self.grid.w_theta, self._profiles,
-                            self.mode_tol)
+        T = moment_matrices(modes, self.grid.w_theta, self._profiles, MODE_TOL)
         M = self.evaluator.kernel_matrix
         A = M @ T @ M
         return diagonal_modes(A, self._profiles, self._mu_cap) / self.rank_ratio
@@ -72,8 +73,7 @@ class DecayProbe:
     n_pairs: int
 
 
-def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1,
-                     block=1024):
+def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
     """Supremum over decimated node pairs at geodesic distance >= eps of
 
         p^{-1} * eta(x) eta(y) * sqrt(K_metric(x, y)),
@@ -85,26 +85,18 @@ def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1,
     if not 0.0 < eps < INJECTIVITY_RADIUS:
         raise ConfigError(f"eps must lie in (0, {INJECTIVITY_RADIUS:.6f})")
     grid = evaluator.grid
-    theta = grid.theta[::theta_stride]
-    phi = grid.phi[::phi_stride]
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    tt = tt.ravel()
-    pp = pp.ravel()
+    tt, pp = (mesh.ravel() for mesh in np.meshgrid(
+        grid.theta[::theta_stride], grid.phi[::phi_stride], indexing="ij"))
     vecs = unit_vectors(tt, pp)
-    eta = evaluator.form.eta_at(tt, pp)
-    sigma = evaluator.section_matrix(tt, pp)
-    half = sigma @ evaluator.kernel_matrix
     sup = 0.0
     min_dist = math.inf
     n_pairs = 0
-    for start in range(0, len(tt), block):
-        stop = min(start + block, len(tt))
-        dist = pairwise_distances(vecs[start:stop], vecs)
+    for rows, blk in evaluator.kernel_rows(tt, pp):
+        dist = pairwise_distances(vecs[rows], vecs)
         mask = dist >= eps
         if not mask.any():
             continue
-        mod = np.abs(half[start:stop] @ sigma.conj().T)
-        vals = mod * np.sqrt(np.outer(eta[start:stop], eta))
+        vals = np.outer(blk.eta_x, blk.eta_y) * blk.omega_modulus
         sup = max(sup, float(vals[mask].max() / evaluator.p))
         min_dist = min(min_dist, float(dist[mask].min()))
         n_pairs += int(mask.sum())
@@ -152,7 +144,7 @@ def near_diagonal_residual(evaluator, x0, window_constant=3.0,
     points = [exp_map(x0, z) for z in Z]
     theta = np.array([pt.theta for pt in points])
     phi = np.array([pt.phi for pt in points])
-    mod = evaluator.omega_modulus(theta, phi, theta, phi)
+    mod = evaluator.kernel(theta, phi, theta, phi).omega_modulus
     diff = Z[:, None, :] - Z[None, :, :]
     gauss = np.exp(-0.5 * math.pi * p * np.sum(diff * diff, axis=-1))
     resid = np.abs(mod / p - gauss)
@@ -164,17 +156,17 @@ def near_diagonal_residual(evaluator, x0, window_constant=3.0,
     )
 
 
-def weight_change_residuals(evaluator, n_probe_functions=4, block=768,
-                            seed=20240811):
+def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
     """Max residuals of the reference/metric convention identities.
 
-    One blocked pass over all node pairs of the full grid feeds every check:
+    One pass over the kernel blocks of all node pairs of the full grid feeds
+    every check, each through the ``KernelBlock`` conventions it names:
 
-    - ``kernel_eta``:   | |P_ref(x,y)| - eta(y) |P_metric(x,y)| | over all pairs
-    - ``density_eta``:  | K(x,y) - eta(x) eta(y) K_metric(x,y) | over all pairs
-    - ``metric_symmetry``: | K_metric(x,y) - K_metric(y,x) | (frame factors cancel)
+    - ``kernel_eta``:   | |P_ref(x,y)| - eta(y) |P_metric_coef(x,y)| |
+    - ``density_eta``:  | K(x,y) - eta(x) eta(y) K_metric(x,y) |
+    - ``metric_symmetry``: | K_metric(x,y) - K_metric(y,x) |
     - ``frame_factor``: | |P_metric|^2 - |P_metric_coef|^2 * eta(y)/eta(x) |
-    - ``hermitian_symmetry``: | P(x,y) - conj(P(y,x)) | over all pairs
+    - ``hermitian_symmetry``: | P(x,y) - conj(P(y,x)) |
     - ``operator_factorization``: direct vs eta-factored vs fast smoothing
       application on random band-limited probes
     - ``reproducing``: full-grid quadrature reproduction of basis sections
@@ -184,46 +176,34 @@ def weight_change_residuals(evaluator, n_probe_functions=4, block=768,
     form = evaluator.form
     tt = grid.theta_mesh.ravel()
     pp = grid.phi_mesh.ravel()
-    eta = form.eta.ravel()
-    rho = form.density.ravel()
-    w = grid.node_weights.ravel()
-    sigma = evaluator.section_matrix(tt, pp)
-    half = sigma @ evaluator.kernel_matrix
     op = SmoothingOperator(evaluator)
     rng = np.random.default_rng(seed)
     probes = np.stack([_random_band_limited(grid, rng, l_max=6).ravel()
                        for _ in range(n_probe_functions)], axis=1)
+    w_probes = grid.node_weights.reshape(-1, 1) * probes / op.rank_ratio
+    w_nu_probes = form.density.reshape(-1, 1) * w_probes
     direct = np.empty_like(probes)
     factored = np.empty_like(probes)
-    out = {"kernel_eta": 0.0, "density_eta": 0.0, "metric_symmetry": 0.0,
-           "frame_factor": 0.0, "hermitian_symmetry": 0.0}
-    for start in range(0, len(tt), block):
-        stop = min(start + block, len(tt))
-        rows = slice(start, stop)
-        coef = half[rows] @ sigma.conj().T
-        coef_t = (half @ sigma[rows].conj().T).T
-        mod_ref = np.abs(coef)
-        omega_coef = coef * rho[None, :]
-        gauge_sq = eta[None, :] / eta[rows, None]
-        k_metric = np.abs(omega_coef) ** 2 * gauge_sq
-        out["kernel_eta"] = max(out["kernel_eta"], float(
-            np.abs(mod_ref - eta[None, :] * np.abs(omega_coef)).max()))
-        out["density_eta"] = max(out["density_eta"], float(
-            np.abs(mod_ref ** 2
-                   - eta[rows, None] * eta[None, :] * k_metric).max()))
-        swapped = np.abs(coef_t * rho[rows, None]) ** 2 / gauge_sq
-        out["metric_symmetry"] = max(out["metric_symmetry"], float(
-            np.abs(k_metric - swapped).max()))
-        mod_metric_sq = (np.abs(omega_coef) * np.sqrt(gauge_sq)) ** 2
-        out["frame_factor"] = max(out["frame_factor"], float(
-            np.abs(mod_metric_sq - np.abs(omega_coef) ** 2 * gauge_sq).max()))
-        out["hermitian_symmetry"] = max(out["hermitian_symmetry"], float(
-            np.abs(coef - np.conj(coef_t)).max()))
+    out = {}
+
+    def track(key, residual):
+        out[key] = max(out.get(key, 0.0), float(np.abs(residual).max()))
+
+    for rows, blk in evaluator.kernel_rows(tt, pp):
+        swapped = evaluator.kernel(tt, pp, tt[rows], pp[rows])
+        k_ref = blk.modulus ** 2
+        k_metric = blk.omega_modulus ** 2
+        omega_abs = np.abs(blk.omega_coefficient)
+        track("kernel_eta", blk.modulus - blk.eta_y * omega_abs)
+        track("density_eta", k_ref - np.outer(blk.eta_x, blk.eta_y) * k_metric)
+        track("metric_symmetry", k_metric - swapped.omega_modulus.T ** 2)
+        track("frame_factor",
+              k_metric - omega_abs ** 2 * np.outer(1.0 / blk.eta_x, blk.eta_y))
+        track("hermitian_symmetry",
+              blk.coefficient - swapped.coefficient.T.conj())
         # the two quadrature routes of the smoothing operator share the blocks
-        direct[rows] = (mod_ref ** 2) @ (w[:, None] * rho[:, None] * probes)
-        factored[rows] = eta[rows, None] * (k_metric @ (w[:, None] * probes))
-    direct /= op.rank_ratio
-    factored /= op.rank_ratio
+        direct[rows] = k_ref @ w_nu_probes
+        factored[rows] = blk.eta_x[:, None] * (k_metric @ w_probes)
     resid = float(np.abs(direct - factored).max())
     for j in range(n_probe_functions):
         fast = op.apply(probes[:, j].reshape(grid.n_theta, grid.n_phi))

@@ -10,6 +10,7 @@ byte-identical output.
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -51,7 +52,12 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
-def _criterion(name, measured, threshold, passed, comparison):
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+                "in": lambda measured, bounds: bounds[0] <= measured <= bounds[1]}
+
+
+def _criterion(name, measured, threshold, comparison):
+    passed = _COMPARISONS[comparison](measured, threshold)
     return {"name": name, "measured": measured, "threshold": threshold,
             "comparison": comparison, "pass": bool(passed)}
 
@@ -104,12 +110,10 @@ def cmd_converge(cfg, out_dir):
         for line, slope, norms in (("line1", rep.slope1, rep.norms1),
                                    ("line2", rep.slope2, rep.norms2)):
             criteria.append(_criterion(
-                f"slope-{line}-{form_id}", slope, slope_thr,
-                slope <= slope_thr, "<="))
+                f"slope-{line}-{form_id}", slope, slope_thr, "<="))
             ratio = rep.bounded_ratio(norms)
             criteria.append(_criterion(
-                f"bounded-{line}-{form_id}", ratio, ratio_thr,
-                ratio <= ratio_thr, "<="))
+                f"bounded-{line}-{form_id}", ratio, ratio_thr, "<="))
     fam_reports = [reports[fid] for fid in family_ids]
     fs_rep = reports["fs"]
     factor = cfg["uniformity_max_factor"]
@@ -117,8 +121,7 @@ def cmd_converge(cfg, out_dir):
                              ("line2", fs_rep.c_hat2, lambda r: r.c_hat2)):
         worst = max(pick(r) for r in fam_reports)
         criteria.append(_criterion(
-            f"uniformity-{line}", worst / base, factor,
-            worst <= factor * base, "<="))
+            f"uniformity-{line}", worst / base, factor, "<="))
     extra = {
         "p_list": p_list,
         "l_max": l_max,
@@ -166,13 +169,11 @@ def cmd_decay(cfg, out_dir):
     r2 = 1.0 - ss_res / ss_tot
     weighted = np.asarray(p_list, dtype=float) ** cfg["power_weight"] \
         * np.asarray(sups)
-    decreasing = bool(np.all(np.diff(weighted) < 0.0))
     criteria = [
-        _criterion("decay-slope-negative", float(slope), 0.0, slope < 0.0, "<"),
-        _criterion("decay-linear-in-sqrt-p-r2", r2, cfg["r2_threshold"],
-                   r2 >= cfg["r2_threshold"], ">="),
+        _criterion("decay-slope-negative", float(slope), 0.0, "<"),
+        _criterion("decay-linear-in-sqrt-p-r2", r2, cfg["r2_threshold"], ">="),
         _criterion(f"p{cfg['power_weight']}-weighted-decreasing",
-                   float(np.max(np.diff(weighted))), 0.0, decreasing, "<"),
+                   float(np.max(np.diff(weighted))), 0.0, "<"),
     ]
     extra = {"p_list": p_list, "sups": sups, "slope_vs_sqrt_p": float(slope),
              "r2": r2, "weighted": [float(w) for w in weighted]}
@@ -195,9 +196,8 @@ def cmd_near_diagonal(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "near_diagonal.csv"),
                ["p", "residual"], rows)
     slope, _ = rate_fit(p_list, residuals)
-    lo, hi = cfg["slope_range"]
-    criteria = [_criterion("near-diagonal-slope", slope, [lo, hi],
-                           lo <= slope <= hi, "in")]
+    criteria = [_criterion("near-diagonal-slope", slope, cfg["slope_range"],
+                           "in")]
     extra = {"p_list": p_list, "residuals": residuals,
              "window_constant": cfg["window_constant"]}
     return _finish(out_dir, "near-diagonal", criteria, extra)
@@ -237,17 +237,13 @@ def cmd_model_check(cfg, out_dir):
         computed, closed = flat_model.gaussian_laplacian_identity(4, 0.3 * w)
         lap = max(lap, abs(computed - closed))
     criteria = [
-        _criterion("reproducing-residual", repro, cfg["reproducing_tol"],
-                   repro <= cfg["reproducing_tol"], "<="),
-        _criterion("modulus-law", modulus, cfg["modulus_tol"],
-                   modulus <= cfg["modulus_tol"], "<="),
+        _criterion("reproducing-residual", repro, cfg["reproducing_tol"], "<="),
+        _criterion("modulus-law", modulus, cfg["modulus_tol"], "<="),
         _criterion("annihilation-symbolic", sym_resid,
-                   cfg["annihilation_tol"],
-                   sym_resid <= cfg["annihilation_tol"], "<="),
+                   cfg["annihilation_tol"], "<="),
         _criterion("annihilation-fd", fd_resid, cfg["annihilation_fd_tol"],
-                   fd_resid <= cfg["annihilation_fd_tol"], "<="),
-        _criterion("gaussian-laplacian", lap, cfg["laplacian_tol"],
-                   lap <= cfg["laplacian_tol"], "<="),
+                   "<="),
+        _criterion("gaussian-laplacian", lap, cfg["laplacian_tol"], "<="),
     ]
     return _finish(out_dir, "model-check", criteria)
 
@@ -291,15 +287,12 @@ def cmd_heat_check(cfg, out_dir):
     tol = cfg["invariant_tol"]
     criteria = [
         _criterion("heat-trace-linear-coefficient", rel_err,
-                   cfg["coefficient_rtol"], rel_err <= cfg["coefficient_rtol"],
-                   "<="),
-        _criterion("semigroup-law", float(semi), tol, semi <= tol, "<="),
-        _criterion("self-adjointness", self_adj, tol, self_adj <= tol, "<="),
-        _criterion("mass-conservation", mass, tol, mass <= tol, "<="),
-        _criterion("l2-contraction", contraction, 1e-12,
-                   contraction <= 1e-12, "<="),
-        _criterion("derivative-identity", deriv / norm_f, 1e-6,
-                   deriv <= 1e-6 * norm_f, "<="),
+                   cfg["coefficient_rtol"], "<="),
+        _criterion("semigroup-law", float(semi), tol, "<="),
+        _criterion("self-adjointness", self_adj, tol, "<="),
+        _criterion("mass-conservation", mass, tol, "<="),
+        _criterion("l2-contraction", contraction, 1e-12, "<="),
+        _criterion("derivative-identity", deriv / norm_f, 1e-6, "<="),
     ]
     extra = {"linear_coefficient": linear, "target": target}
     return _finish(out_dir, "heat-check", criteria, extra)
@@ -323,8 +316,7 @@ def cmd_identities(cfg, out_dir):
                     first_violation = f"{form.form_id}/p={p}/{key}"
     _write_csv(os.path.join(out_dir, "identities.csv"),
                ["form_id", "p", "identity", "residual"], rows)
-    criteria = [_criterion("weight-change-identities", worst, tol,
-                           worst <= tol, "<=")]
+    criteria = [_criterion("weight-change-identities", worst, tol, "<=")]
     extra = {"first_violation": first_violation}
     return _finish(out_dir, "identities", criteria, extra)
 

@@ -122,6 +122,11 @@ def load_config(command, path=None, overrides=None):
     return cfg
 
 
+def _is_number(value, kinds=(int, float)):
+    return (not isinstance(value, bool) and isinstance(value, kinds)
+            and math.isfinite(value))
+
+
 def _validate(command, cfg):
     # scalar keys: float defaults take any real, int and auto (None) ones ints
     for key, default in DEFAULTS[command].items():
@@ -132,9 +137,18 @@ def _validate(command, cfg):
             kinds, what = int, "an integer"
         else:
             continue
-        if (isinstance(value, bool) or not isinstance(value, kinds)
-                or not math.isfinite(value)):
+        if not _is_number(value, kinds):
             raise ConfigError(f"{key} must be {what}, got {value!r}")
+    for key in [k for k in ("x0", "slope_range") if k in cfg]:
+        pair = cfg[key]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_number(v) for v in pair)):
+            raise ConfigError(f"{key} must be two finite numbers, got {pair!r}")
+    for key in [k for k in ("volume_forms", "uniformity_family") if k in cfg]:
+        if not isinstance(cfg[key], list) or not cfg[key]:
+            raise ConfigError(f"{key} must be a nonempty list, got {cfg[key]!r}")
+    if not all(isinstance(fid, str) for fid in cfg.get("uniformity_family", [])):
+        raise ConfigError("uniformity_family must list form ids")
     if command == "heat-check" and cfg["n_u"] < 3:
         raise ConfigError("insufficient points: heat-check needs n_u >= 3")
     if "p_list" in cfg:
@@ -156,15 +170,19 @@ def _validate(command, cfg):
 
 
 def parse_form_spec(spec, grid):
-    if not isinstance(spec, dict) or "coefficients" not in spec:
+    if not (isinstance(spec, dict)
+            and isinstance(spec.get("coefficients"), dict)):
         raise ConfigError("volume form spec needs a 'coefficients' map")
     coeffs = {}
     for key, value in spec["coefficients"].items():
         try:
             l_str, m_str = str(key).split(",")
-            coeffs[(int(l_str), int(m_str))] = float(value)
+            index = (int(l_str), int(m_str))
         except ValueError as exc:
             raise ConfigError(f"bad coefficient key {key!r}") from exc
+        if not _is_number(value):
+            raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
+        coeffs[index] = float(value)
     return VolumeForm(grid, coeffs, form_id=spec.get("id", "custom"))
 
 

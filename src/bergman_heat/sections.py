@@ -22,6 +22,9 @@ from scipy.special import gammaln
 from .errors import ConfigError, IllConditionedGramError
 from .fourier import diagonal_modes, modes_to_grid, moment_matrices
 
+# x points per band of the node-pair passes (39 MB complex at the 40 x 80 grid)
+PAIR_BLOCK_ROWS = 768
+
 
 class SectionBasis:
     """The p+1 monomial sections of the degree-p bundle, pre-orthonormalized."""
@@ -123,15 +126,37 @@ def gram_matrix_bruteforce(basis, form, grid):
     return H
 
 
-class BergmanEvaluator:
-    """Evaluates the Bergman projection kernel of a (basis, form, grid) triple.
+class KernelBlock:
+    """Bergman kernel over point pairs (x_i, y_j), in both volume conventions.
 
-    ``kernel_coefficient`` is the kernel of the projection acting against the
-    reference form; the ``omega_*`` accessors expose the same projection in
-    its metric-volume-form convention, where the change of Hermitian
-    structure contributes explicit eta factors.  Only kernel moduli are
-    contractually meaningful across gauges.
+    ``coefficient`` is P(x, y) against the reference form, ``modulus`` is |P|.
+    The ``omega_*`` properties give the metric-volume-form convention, whose
+    ``eta = dv_X / d nu`` factors are taken at ``eta_x`` and ``eta_y``.  Only
+    kernel moduli are contractually meaningful across gauges.
     """
+
+    def __init__(self, coefficient, eta_x, eta_y):
+        self.coefficient = coefficient
+        self.modulus = np.abs(coefficient)
+        self.eta_x = eta_x
+        self.eta_y = eta_y
+
+    @property
+    def omega_coefficient(self):
+        """P(x, y) / eta(y): the density folded into the second slot makes
+        plain metric-volume integration reproduce holomorphic sections."""
+        return self.coefficient * (1.0 / self.eta_y)
+
+    @property
+    def omega_modulus(self):
+        """Metric-convention kernel norm |P| / sqrt(eta(x) eta(y)): the twisted
+        Hermitian structure weighs the slots of |omega_coefficient| by
+        1/sqrt(eta(x)) and sqrt(eta(y))."""
+        return self.modulus * np.outer(self.eta_x ** -0.5, self.eta_y ** -0.5)
+
+
+class BergmanEvaluator:
+    """Evaluates the Bergman projection kernel of a (basis, form, grid) triple."""
 
     def __init__(self, basis, form, grid, cond_limit=1e12):
         self.basis = basis
@@ -147,41 +172,24 @@ class BergmanEvaluator:
     def section_matrix(self, theta, phi):
         return self.basis.values(theta, phi)
 
-    def kernel_coefficient(self, theta_x, phi_x, theta_y, phi_y):
-        """Kernel values P(x, y) against the reference form, (n_x, n_y)."""
-        sx = self.section_matrix(theta_x, phi_x)
-        sy = self.section_matrix(theta_y, phi_y)
-        return sx @ self.kernel_matrix @ sy.conj().T
+    def kernel(self, theta_x, phi_x, theta_y, phi_y):
+        """Kernel block over all pairs of two point sets, (n_x, n_y)."""
+        half = self.section_matrix(theta_x, phi_x) @ self.kernel_matrix
+        coef = half @ self.section_matrix(theta_y, phi_y).conj().T
+        return KernelBlock(coef, self.form.eta_at(theta_x, phi_x),
+                           self.form.eta_at(theta_y, phi_y))
 
-    def kernel_modulus(self, theta_x, phi_x, theta_y, phi_y):
-        return np.abs(self.kernel_coefficient(theta_x, phi_x, theta_y, phi_y))
-
-    def density(self, theta_x, phi_x, theta_y, phi_y):
-        """Squared kernel modulus (the smoothing-operator density)."""
-        return self.kernel_modulus(theta_x, phi_x, theta_y, phi_y) ** 2
-
-    def omega_coefficient(self, theta_x, phi_x, theta_y, phi_y):
-        """Kernel of the same projection taken against the metric volume form.
-
-        Folding the density into the second slot makes plain metric-volume
-        integration reproduce holomorphic sections.
-        """
-        rho_y = self.form.density_at(theta_y, phi_y)
-        return self.kernel_coefficient(theta_x, phi_x, theta_y, phi_y) * rho_y[None, :]
-
-    def omega_modulus(self, theta_x, phi_x, theta_y, phi_y):
-        """Pointwise norm of the metric-convention kernel.
-
-        The twisted Hermitian structure weighs the two slots by
-        ``1/sqrt(eta(x))`` and ``sqrt(eta(y))`` respectively.
-        """
-        eta_x = self.form.eta_at(theta_x, phi_x)
-        eta_y = self.form.eta_at(theta_y, phi_y)
-        mod = np.abs(self.omega_coefficient(theta_x, phi_x, theta_y, phi_y))
-        return mod * np.sqrt(eta_y[None, :] / eta_x[:, None])
-
-    def omega_density(self, theta_x, phi_x, theta_y, phi_y):
-        return self.omega_modulus(theta_x, phi_x, theta_y, phi_y) ** 2
+    def kernel_rows(self, theta, phi):
+        """Yield ``(rows, block)`` over all pairs of one point set: bands of
+        ``PAIR_BLOCK_ROWS`` x points against every point, from sections and
+        eta evaluated once."""
+        sigma = self.section_matrix(theta, phi)
+        half = sigma @ self.kernel_matrix
+        sigma_h = sigma.conj().T
+        eta = self.form.eta_at(theta, phi)
+        for start in range(0, len(eta), PAIR_BLOCK_ROWS):
+            rows = slice(start, min(start + PAIR_BLOCK_ROWS, len(eta)))
+            yield rows, KernelBlock(half[rows] @ sigma_h, eta[rows], eta)
 
     def diagonal_on_grid(self):
         """P(x, x) over the full grid, shape (n_theta, n_phi); real positive."""
@@ -212,7 +220,7 @@ def write_kernel_slice(path, evaluator, x_points, y_points):
     px = np.array([pt.phi for pt in x_points])
     ty = np.array([pt.theta for pt in y_points])
     py = np.array([pt.phi for pt in y_points])
-    mod = evaluator.kernel_modulus(tx, px, ty, py)
+    mod = evaluator.kernel(tx, px, ty, py).modulus
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x_index", "y_index", "kernel_modulus"])

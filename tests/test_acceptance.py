@@ -100,7 +100,7 @@ def test_criterion_3_closed_form_oracles():
         offdiag = max(offdiag, float(np.abs(mat - np.diag(np.diag(mat))).max()))
         theta = np.array([0.4, 1.3, 2.4])
         phi = np.array([0.1, 2.0, 5.1])
-        density_diag = ev.kernel_modulus(theta, phi, theta, phi).diagonal() ** 2
+        density_diag = ev.kernel(theta, phi, theta, phi).modulus.diagonal() ** 2
         diag_err = max(diag_err, float(np.abs(density_diag
                                               - (p + 1.0) ** 2).max()))
         rank_err = max(rank_err, abs(rank_ratio(p, form) - (p + 1.0)))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bergman_heat import (RADIUS, ConfigError, SmoothingOperator,
-                          SpherePoint, bergman_evaluator,
+from bergman_heat import (RADIUS, ConfigError, KernelBlock,
+                          SmoothingOperator, SpherePoint, bergman_evaluator,
                           near_diagonal_residual, off_diagonal_sup,
                           rank_ratio, weight_change_residuals)
 
@@ -80,11 +80,12 @@ class TestSmoothingOperator:
         ev = bergman_evaluator(4, zonal_form, grid)
         t = np.array([0.5, 1.5])
         ph = np.array([0.3, 2.0])
-        vals = ev.density(t, ph, t, ph)
+        blk = ev.kernel(t, ph, t, ph)
+        vals = blk.modulus ** 2
         assert np.all(vals >= 0)
         assert np.abs(vals - vals.T).max() < 1e-10
         assert np.abs(np.diag(vals)
-                      - ev.kernel_modulus(t, ph, t, ph).diagonal() ** 2).max() < 1e-10
+                      - np.diag(blk.coefficient).real ** 2).max() < 1e-10
 
 
 class TestOffDiagonal:
@@ -160,3 +161,18 @@ class TestWeightChange:
                 bergman_evaluator(p, form, grid), n_probe_functions=2)
             for key, value in res.items():
                 assert value < 1e-8, f"{form.form_id}/{key} = {value}"
+
+    @pytest.mark.parametrize("name,broken,key", [
+        # frame factor eta(x)^(+1/2) in place of eta(x)^(-1/2)
+        ("omega_modulus", lambda blk: blk.modulus * np.outer(
+            blk.eta_x ** 0.5, blk.eta_y ** -0.5), "density_eta"),
+        # density eta(y) in place of 1/eta(y) in the second slot
+        ("omega_coefficient", lambda blk: blk.coefficient * blk.eta_y,
+         "kernel_eta"),
+    ], ids=["omega_modulus", "omega_coefficient"])
+    def test_broken_convention_is_detected(self, grid, tilted_form,
+                                           monkeypatch, name, broken, key):
+        monkeypatch.setattr(KernelBlock, name, property(broken))
+        res = weight_change_residuals(bergman_evaluator(4, tilted_form, grid),
+                                      n_probe_functions=1)
+        assert res[key] > 1e-8

@@ -96,6 +96,33 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("near-diagonal", {"x0": "ab"}, "x0 must be two finite numbers"),
+        ("near-diagonal", {"x0": [1.0]}, "x0 must be two finite numbers"),
+        ("near-diagonal", {"slope_range": 3},
+         "slope_range must be two finite numbers"),
+        ("converge", {"volume_forms": "fs"},
+         "volume_forms must be a nonempty list"),
+        ("identities", {"volume_forms": []},
+         "volume_forms must be a nonempty list"),
+        ("converge", {"uniformity_family": "fs"},
+         "uniformity_family must be a nonempty list"),
+        ("converge", {"uniformity_family": []},
+         "uniformity_family must be a nonempty list"),
+        ("identities", {"volume_forms": [{"coefficients": {"1,0": "x"}}]},
+         "bad coefficient value 'x' for '1,0'"),
+    ])
+    def test_malformed_list_value_is_config_error(self, tmp_path, capsys,
+                                                  command, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_acceptance_failure_exit(self, tmp_path):
         cfg = dict(SMALL_CONVERGE)
         cfg["slope_threshold"] = -5.0  # unattainable on purpose

@@ -9,7 +9,7 @@ from bergman_heat import (ConfigError, IllConditionedGramError, SectionBasis,
                           build_grid, gram_matrix, section_basis,
                           write_kernel_slice)
 from bergman_heat.geometry import unit_vectors
-from bergman_heat.sections import gram_matrix_bruteforce
+from bergman_heat.sections import PAIR_BLOCK_ROWS, gram_matrix_bruteforce
 
 
 def monomial_norm_sq(p, j):
@@ -107,7 +107,7 @@ class TestBergmanEvaluator:
         ev = bergman_evaluator(8, fs_form, grid)
         theta = np.array([0.3, 1.2, 2.6])
         phi = np.array([0.0, 2.0, 4.0])
-        diag = ev.kernel_modulus(theta, phi, theta, phi).diagonal()
+        diag = ev.kernel(theta, phi, theta, phi).modulus.diagonal()
         assert np.abs(diag - 9.0).max() < 1e-12
 
     def test_modulus_closed_form(self, grid, fs_form, rng):
@@ -117,7 +117,7 @@ class TestBergmanEvaluator:
         px = rng.uniform(0, 6.0, 5)
         ty = rng.uniform(0.1, 3.0, 4)
         py = rng.uniform(0, 6.0, 4)
-        mod_sq = ev.kernel_modulus(tx, px, ty, py) ** 2
+        mod_sq = ev.kernel(tx, px, ty, py).modulus ** 2
         cosg = unit_vectors(tx, px) @ unit_vectors(ty, py).T
         target = (p + 1) ** 2 * ((1.0 + cosg) / 2.0) ** p
         assert np.abs(mod_sq - target).max() < 1e-10
@@ -134,8 +134,8 @@ class TestBergmanEvaluator:
         ev = bergman_evaluator(5, zonal_form, grid)
         t1, p1 = np.array([0.5, 1.5]), np.array([0.2, 3.0])
         t2, p2 = np.array([1.0, 2.5]), np.array([1.2, 4.4])
-        k12 = ev.kernel_coefficient(t1, p1, t2, p2)
-        k21 = ev.kernel_coefficient(t2, p2, t1, p1)
+        k12 = ev.kernel(t1, p1, t2, p2).coefficient
+        k21 = ev.kernel(t2, p2, t1, p1).coefficient
         assert np.abs(k12 - k21.conj().T).max() < 1e-12
 
     def test_projection_trace_is_dimension(self, grid, tilted_form):
@@ -149,9 +149,28 @@ class TestBergmanEvaluator:
         ev = bergman_evaluator(5, tilted_form, grid)
         diag = ev.diagonal_on_grid()
         i, j = 7, 11
-        val = ev.kernel_modulus(grid.theta[i:i + 1], grid.phi[j:j + 1],
-                                grid.theta[i:i + 1], grid.phi[j:j + 1])[0, 0]
+        val = ev.kernel(grid.theta[i:i + 1], grid.phi[j:j + 1],
+                        grid.theta[i:i + 1], grid.phi[j:j + 1]).modulus[0, 0]
         assert diag[i, j] == pytest.approx(val, rel=1e-12)
+
+    def test_kernel_rows_match_kernel(self, grid, tilted_form):
+        # more points than one band, so the last band is short
+        n = PAIR_BLOCK_ROWS + 37
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0.05, 3.1, n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        ev = bergman_evaluator(6, tilted_form, grid)
+        bands = list(ev.kernel_rows(theta, phi))
+        assert [(rows.start, rows.stop) for rows, _ in bands] \
+            == [(0, PAIR_BLOCK_ROWS), (PAIR_BLOCK_ROWS, n)]
+        full = ev.kernel(theta, phi, theta, phi)
+        for _, blk in bands:
+            np.testing.assert_array_equal(blk.eta_y, full.eta_y)
+        for name in ("coefficient", "modulus", "eta_x", "omega_coefficient",
+                     "omega_modulus"):
+            joined = np.concatenate([getattr(blk, name) for _, blk in bands])
+            np.testing.assert_allclose(joined, getattr(full, name),
+                                       rtol=1e-13, atol=1e-13, err_msg=name)
 
 
 def test_kernel_slice_export(tmp_path, grid, fs_form):
