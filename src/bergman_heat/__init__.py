@@ -23,7 +23,7 @@ from .geometry import (INJECTIVITY_RADIUS, RADIUS, QuadratureGrid,
                        log_map, normal_volume_density)
 from .harmonics import real_sph_harm
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
-                   heat_diagonal, laplacian_apply, sh_analyze,
+                   heat_diagonal, laplacian_apply,
                    semigroup_derivative_residual)
 from .sections import (BergmanEvaluator, GramMatrix, KernelBlock, SectionBasis,
                        bergman_evaluator, gram_matrix, section_basis,

@@ -20,31 +20,35 @@ from .heat import heat_apply
 from .sections import bergman_evaluator
 
 
+# basis columns per batch of the Q and multiplication assembly
+Q_CHUNK = 96
+MULT_CHUNK = 256
+
+
 @dataclass
 class OperatorMatrix:
     """Matrix of an operator on the truncated harmonic basis."""
 
-    l_max: int
     matrix: np.ndarray
     tail_residual: float
     column_norm_sq: np.ndarray
-    column_kept_sq: np.ndarray
 
 
-def _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound=None):
-    """Wrap columns and their Parseval data; raise if the tail is over bound.
+def _checked_matrix(matrix, col_norm, tail_bound=None):
+    """Wrap columns and their quadrature norms; raise if the tail is over bound.
 
     The tail residual is the largest per-column leakage past the truncation
-    relative to the largest column norm.
+    (quadrature norm minus the column's kept coefficient mass) relative to
+    the largest column norm.
     """
-    leak = np.maximum(col_norm - col_kept, 0.0)
+    leak = np.maximum(col_norm - np.sum(matrix ** 2, axis=0), 0.0)
     scale = max(float(col_norm.max(initial=0.0)), 1e-300)
     tail = float(leak.max(initial=0.0) / scale)
     if tail_bound is not None and tail > tail_bound:
         raise InvalidRunError(
             f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
             "raise l_max")
-    return OperatorMatrix(sht.l_max, matrix, tail, col_norm, col_kept)
+    return OperatorMatrix(matrix, tail, col_norm)
 
 
 def operator_matrix(op, sht, tail_bound=None):
@@ -56,17 +60,14 @@ def operator_matrix(op, sht, tail_bound=None):
     n = sht.n_coeffs
     matrix = np.zeros((n, n))
     col_norm = np.zeros(n)
-    col_kept = np.zeros(n)
     idx = 0
     for l in range(sht.l_max + 1):
         for m in range(-l, l + 1):
             values = op(sht.basis_function(l, m))
-            coeffs = sht.analyze(values)
-            matrix[:, idx] = coeffs.values
+            matrix[:, idx] = sht.analyze(values).values
             col_norm[idx] = sht.grid_norm_sq(values)
-            col_kept[idx] = coeffs.norm_sq()
             idx += 1
-    return _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound)
+    return _checked_matrix(matrix, col_norm, tail_bound)
 
 
 def multiplication_matrix(values, sht, tail_bound=None):
@@ -86,47 +87,12 @@ def _column_input_modes(sht, mode_table, chunk_lm, d_count):
     out = np.empty((len(chunk_lm), grid.n_theta, d_count), dtype=complex)
     ds = np.arange(d_count)
     for row, (l, m) in enumerate(chunk_lm):
-        prof = sht.tables[abs(m)][l - abs(m)]
-        if m == 0:
-            modes = mode_table[:, ds % n_phi]
-        else:
-            plus = mode_table[:, (ds - abs(m)) % n_phi]
-            minus = mode_table[:, (ds + abs(m)) % n_phi]
-            if m > 0:
-                modes = (plus + minus) / math.sqrt(2.0)
-            else:
-                modes = (-1j * plus + 1j * minus) / math.sqrt(2.0)
-        out[row] = prof[:, None] * modes
+        factor = sht.mode_factor(m)
+        modes = factor * mode_table[:, (ds - abs(m)) % n_phi]
+        if m != 0:
+            modes += factor.conjugate() * mode_table[:, (ds + abs(m)) % n_phi]
+        out[row] = sht.tables[abs(m)][l - abs(m)][:, None] * modes
     return out
-
-
-def _modes_to_coeff_block(sht, dmodes):
-    """Harmonic coefficients and quadrature norms of mode-space columns.
-
-    ``dmodes`` has shape (n_cols, n_theta, n_modes) holding the nonnegative
-    longitude modes of real functions.  Returns ``(block, norm_sq)`` with
-    the coefficient block of shape (n_coeffs, n_cols).  A Nyquist mode, if
-    present, counts once in the norm.
-    """
-    grid = sht.grid
-    w = grid.w_theta
-    n_cols, _, n_modes = dmodes.shape
-    mode_sq = np.abs(dmodes) ** 2
-    weights = np.full(n_modes, 2.0)
-    weights[0] = 1.0
-    if n_modes - 1 == grid.n_phi // 2 and grid.n_phi % 2 == 0:
-        weights[-1] = 1.0
-    norm_sq = w @ (mode_sq @ weights).T
-    block = np.zeros((sht.n_coeffs, n_cols))
-    ls = np.arange(sht.l_max + 1)
-    block[ls * (ls + 1), :] = sht.tables[0] @ (w[:, None] * dmodes[:, :, 0].real.T)
-    top = min(sht.l_max, n_modes - 1)
-    for m in range(1, top + 1):
-        ls = np.arange(m, sht.l_max + 1)
-        wd = w[:, None] * dmodes[:, :, m].T
-        block[ls * (ls + 1) + m, :] = math.sqrt(2.0) * (sht.tables[m] @ wd.real)
-        block[ls * (ls + 1) - m, :] = -math.sqrt(2.0) * (sht.tables[m] @ wd.imag)
-    return block, norm_sq
 
 
 def _assemble_columns(sht, chunk, column_modes, tail_bound):
@@ -141,15 +107,12 @@ def _assemble_columns(sht, chunk, column_modes, tail_bound):
     col_norm = np.zeros(n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block, norms = _modes_to_coeff_block(
-            sht, column_modes(lm_list[start:stop]))
-        matrix[:, start:stop] = block
-        col_norm[start:stop] = norms
-    col_kept = np.sum(matrix ** 2, axis=0)
-    return _checked_matrix(sht, matrix, col_norm, col_kept, tail_bound)
+        matrix[:, start:stop], col_norm[start:stop] = sht.analyze_modes(
+            column_modes(lm_list[start:stop]))
+    return _checked_matrix(matrix, col_norm, tail_bound)
 
 
-def smoothing_operator_matrix(smoother, sht, tail_bound=None, chunk=96):
+def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
     Each chunk of basis columns goes through ``smoother.apply_modes`` as one
@@ -166,10 +129,10 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None, chunk=96):
         return smoother.apply_modes(_column_input_modes(
             sht, smoother.form.density_modes, chunk_lm, d_count))
 
-    return _assemble_columns(sht, chunk, column_modes, tail_bound)
+    return _assemble_columns(sht, Q_CHUNK, column_modes, tail_bound)
 
 
-def fast_multiplication_matrix(values, sht, tail_bound=None, chunk=256):
+def fast_multiplication_matrix(values, sht, tail_bound=None):
     """Batched multiplication-operator matrix via longitude-mode convolution.
 
     Matches ``multiplication_matrix`` to roundoff at a fraction of the cost.
@@ -181,24 +144,22 @@ def fast_multiplication_matrix(values, sht, tail_bound=None, chunk=256):
     def column_modes(chunk_lm):
         return _column_input_modes(sht, mode_table, chunk_lm, d_count)
 
-    return _assemble_columns(sht, chunk, column_modes, tail_bound)
+    return _assemble_columns(sht, MULT_CHUNK, column_modes, tail_bound)
 
 
-def spectral_norm(matrix, dense_cutoff=600):
-    """Largest singular value.
+def _top_singular_pair(matrix):
+    """Largest singular value and its right singular vector, from the top
+    eigenpair of the normal matrix (LAPACK subset eigensolver); robust when
+    the top singular value is degenerate, as for rotation-invariant data."""
+    n = matrix.shape[1]
+    vals, vecs = eigh(matrix.T @ matrix, subset_by_index=[n - 1, n - 1],
+                      driver="evr")
+    return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
 
-    Small matrices go through the full SVD; larger ones through the top
-    eigenvalue of the normal matrix (LAPACK subset driver), which stays
-    robust when the top singular value is degenerate, as happens for
-    rotation-invariant data.
-    """
-    n = matrix.shape[0]
-    if n <= dense_cutoff:
-        return float(np.linalg.norm(matrix, 2))
-    normal = matrix.T @ matrix
-    top = eigh(normal, subset_by_index=[n - 1, n - 1], eigvals_only=True,
-               driver="evr")
-    return float(math.sqrt(max(top[0], 0.0)))
+
+def spectral_norm(matrix):
+    """Largest singular value."""
+    return _top_singular_pair(matrix)[0]
 
 
 def spectral_norm_with_mode(matrix):
@@ -207,11 +168,8 @@ def spectral_norm_with_mode(matrix):
     The index locates the dominant entry of the top right singular vector,
     i.e. the input slot where the operator-norm bound is attained.
     """
-    n = matrix.shape[0]
-    normal = matrix.T @ matrix
-    vals, vecs = eigh(normal, subset_by_index=[n - 1, n - 1], driver="evr")
-    return (float(math.sqrt(max(vals[0], 0.0))),
-            int(np.argmax(np.abs(vecs[:, 0]))))
+    sigma, vec = _top_singular_pair(matrix)
+    return sigma, int(np.argmax(np.abs(vec)))
 
 
 @dataclass
@@ -231,22 +189,19 @@ class ComparisonResult:
         return max(self.tail_smoothing, self.tail_heat)
 
 
-def heat_side_matrix(mult, sht, p):
+def heat_side_matrix(mult, sht, p, tail_bound=None):
     """Matrix of f -> eta * heat(f, 1/(4 pi p)) from a multiplication matrix.
 
     Smoothing acts first (column scaling), then the pointwise factor; the
-    composed tail reuses the multiplication columns' Parseval data.
+    composed tail reuses the multiplication columns' quadrature norms.
     """
     degs = sht.degrees
     factors = np.exp(-degs * (degs + 1.0) / p)
-    matrix = mult.matrix * factors[None, :]
-    col_norm = mult.column_norm_sq * factors ** 2
-    col_kept = mult.column_kept_sq * factors ** 2
-    return _checked_matrix(sht, matrix, col_norm, col_kept)
+    return _checked_matrix(mult.matrix * factors[None, :],
+                           mult.column_norm_sq * factors ** 2, tail_bound)
 
 
-def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3,
-                     cond_limit=1e12):
+def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
@@ -254,16 +209,12 @@ def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3,
     be passed in (it is p-independent and reusable across a sweep).
     """
     grid = sht.grid
-    evaluator = bergman_evaluator(p, form, grid, cond_limit=cond_limit)
+    evaluator = bergman_evaluator(p, form, grid)
     smoother = SmoothingOperator(evaluator)
     q_mat = smoothing_operator_matrix(smoother, sht, tail_bound=tail_bound)
     if mult is None:
         mult = fast_multiplication_matrix(form.eta, sht)
-    h_mat = heat_side_matrix(mult, sht, p)
-    if h_mat.tail_residual > tail_bound:
-        raise InvalidRunError(
-            f"heat-side tail residual {h_mat.tail_residual:.3e} exceeds "
-            f"{tail_bound:.3e}; raise l_max")
+    h_mat = heat_side_matrix(mult, sht, p, tail_bound)
     ratio = form.volume
     diff = q_mat.matrix - ratio * h_mat.matrix
     norm1, mode = spectral_norm_with_mode(diff)

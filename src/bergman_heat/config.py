@@ -87,6 +87,12 @@ DEFAULTS = {
 }
 
 
+# smallest accepted value of each count-valued key (one radius is the
+# window's centre alone; heat-check fits a quadratic through the n_u points)
+_MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
+             "n_angular": 1, "n_radial": 2, "n_u": 3}
+
+
 def default_l_max(p_max):
     """Truncation default: spectral content of the smoothing operator sits
     at degrees of order sqrt(p), with heat damping beyond."""
@@ -149,8 +155,9 @@ def _validate(command, cfg):
             raise ConfigError(f"{key} must be a nonempty list, got {cfg[key]!r}")
     if not all(isinstance(fid, str) for fid in cfg.get("uniformity_family", [])):
         raise ConfigError("uniformity_family must list form ids")
-    if command == "heat-check" and cfg["n_u"] < 3:
-        raise ConfigError("insufficient points: heat-check needs n_u >= 3")
+    for key, minimum in _MINIMUMS.items():
+        if cfg.get(key) is not None and cfg[key] < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {cfg[key]}")
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps

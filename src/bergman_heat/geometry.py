@@ -231,8 +231,6 @@ class VolumeForm:
         self.density_modes = np.fft.fft(self.density, axis=1) / grid.n_phi
         self.phi_band = self._measure_phi_band()
         self.density_inf = float(self.density.min())
-        self.density_sup = float(self.density.max())
-        self.c_s_bound = self._derivative_bounds()
 
     def _measure_phi_band(self):
         mags = np.abs(self.density_modes).max(axis=0)
@@ -245,25 +243,12 @@ class VolumeForm:
                 band = m
         return band
 
-    def _derivative_bounds(self):
-        # sup-norm bounds for rho and two derivatives, from the explicit
-        # log-density expansion (upper bounds, not tight sups)
-        sums = [sum(abs(c) * math.sqrt(2.0 * l + 1.0)
-                    * (4.0 * math.pi * l * (l + 1.0)) ** (0.5 * s)
-                    for (l, m), c in self.coefficients.items())
-                for s in range(3)]
-        sup = math.exp(sums[0])
-        return (sup, sup * sums[1], sup * (sums[2] + sums[1] ** 2))
-
     def log_density_at(self, theta, phi):
         out = np.zeros(np.broadcast(np.asarray(theta, dtype=float),
                                     np.asarray(phi, dtype=float)).shape)
         for (l, m), c in sorted(self.coefficients.items()):
             out = out + c * real_sph_harm(l, m, theta, phi)
         return out
-
-    def density_at(self, theta, phi):
-        return np.exp(self.log_density_at(theta, phi))
 
     def eta_at(self, theta, phi):
         """Pointwise ``dv_X / d nu`` off the grid, from the closed form."""

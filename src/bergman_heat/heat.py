@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fourier import grid_to_modes, modes_to_grid
 from .harmonics import legendre_profile
+
+_HALF_SQRT2 = math.sqrt(0.5)
+
 
 def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l on the unit-area round sphere."""
@@ -77,59 +81,70 @@ class SphericalHarmonicTransform:
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
 
+    @staticmethod
+    def mode_factor(m):
+        """Factor of the exp(i|m|phi) mode of Y_lm over its Legendre profile:
+        1 for m = 0, 1/sqrt(2) for cosine (m > 0), -i/sqrt(2) for sine
+        (m < 0).  The exp(-i|m|phi) mode carries the conjugate factor."""
+        if m == 0:
+            return complex(1.0)
+        return complex(_HALF_SQRT2) if m > 0 else -1j * _HALF_SQRT2
+
+    def analyze_modes(self, dmodes):
+        """Coefficients and quadrature norms of real functions given by modes.
+
+        ``dmodes`` has shape (n_cols, n_theta, n_modes) holding the
+        nonnegative longitude modes of each function.  Returns
+        ``(block, norm_sq)`` with the coefficient block of shape
+        (n_coeffs, n_cols).  A Nyquist mode, if present, counts once in the
+        norm.
+        """
+        grid = self.grid
+        w = grid.w_theta
+        n_cols, _, n_modes = dmodes.shape
+        # modes +-mu both count, except mode 0 and a Nyquist mode
+        mu = np.arange(n_modes)
+        weights = np.where((mu == 0) | (2 * mu == grid.n_phi), 1.0, 2.0)
+        norm_sq = w @ (np.abs(dmodes) ** 2 @ weights).T
+        block = np.zeros((self.n_coeffs, n_cols))
+        for m in range(min(self.l_max, n_modes - 1) + 1):
+            ls = np.arange(m, self.l_max + 1)
+            wd = w[:, None] * dmodes[:, :, m].T
+            re, im = self.tables[m] @ wd.real, self.tables[m] @ wd.imag
+            # <f, Y_lk> sums Re(conj(factor) * mode) over the conjugate modes
+            # +-m: twice the +m term unless m = 0
+            for k in {m, -m}:
+                f = (2.0 if m else 1.0) * self.mode_factor(k)
+                block[coeff_index(ls, k)] = f.real * re + f.imag * im
+        return block, norm_sq
+
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""
-        grid = self.grid
-        F = np.fft.rfft(np.asarray(values, dtype=float), axis=1)
-        out = np.zeros(self.n_coeffs)
-        w = grid.w_theta
-        ls = np.arange(self.l_max + 1)
-        out[ls * (ls + 1)] = self.tables[0] @ (w * F[:, 0].real / grid.n_phi)
-        scale = math.sqrt(2.0) / grid.n_phi
-        for m in range(1, self.l_max + 1):
-            ls = np.arange(m, self.l_max + 1)
-            cos_part = self.tables[m] @ (w * F[:, m].real) * scale
-            sin_part = self.tables[m] @ (w * -F[:, m].imag) * scale
-            out[ls * (ls + 1) + m] = cos_part
-            out[ls * (ls + 1) - m] = sin_part
-        return HarmonicCoeffs(self.l_max, out)
+        block, _ = self.analyze_modes(grid_to_modes(values, self.l_max)[None])
+        return HarmonicCoeffs(self.l_max, block[:, 0])
 
     def synthesize(self, coeffs):
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
         if coeffs.l_max != self.l_max:
             raise ConfigError("coefficient band does not match the transform")
-        grid = self.grid
         c = coeffs.values
-        F = np.zeros((grid.n_theta, grid.n_phi // 2 + 1), dtype=complex)
-        ls = np.arange(self.l_max + 1)
-        F[:, 0] = grid.n_phi * (self.tables[0].T @ c[ls * (ls + 1)])
-        fac = grid.n_phi / math.sqrt(2.0)
-        top = min(self.l_max, grid.n_phi // 2)
-        for m in range(1, top + 1):
+        modes = np.zeros((self.grid.n_theta, self.l_max + 1), dtype=complex)
+        for m in range(self.l_max + 1):
             ls = np.arange(m, self.l_max + 1)
-            cos_c = c[ls * (ls + 1) + m]
-            sin_c = c[ls * (ls + 1) - m]
-            F[:, m] = fac * (self.tables[m].T @ (cos_c - 1j * sin_c))
-        return np.fft.irfft(F, n=grid.n_phi, axis=1)
+            amp = sum(self.mode_factor(k) * c[coeff_index(ls, k)]
+                      for k in {m, -m})
+            modes[:, m] = self.tables[m].T @ amp
+        return modes_to_grid(modes, self.grid.n_phi)
 
     def basis_function(self, l, m):
         """Grid values of the (l, m) harmonic, from the cached tables."""
-        prof = self.tables[abs(m)][l - abs(m)]
-        if m == 0:
-            return np.repeat(prof[:, None], self.grid.n_phi, axis=1)
-        if m > 0:
-            trig = np.cos(m * self.grid.phi)
-        else:
-            trig = np.sin(-m * self.grid.phi)
-        return math.sqrt(2.0) * prof[:, None] * trig[None, :]
+        modes = np.zeros((self.grid.n_theta, abs(m) + 1), dtype=complex)
+        modes[:, abs(m)] = self.mode_factor(m) * self.tables[abs(m)][l - abs(m)]
+        return modes_to_grid(modes, self.grid.n_phi)
 
     def grid_norm_sq(self, values):
         """Quadrature of f^2 against the metric volume form."""
         return float(np.sum(self.grid.node_weights * np.square(values)))
-
-
-def sh_analyze(values, grid, l_max):
-    return SphericalHarmonicTransform(grid, l_max).analyze(values)
 
 
 def laplacian_apply(coeffs):

@@ -25,6 +25,9 @@ from .fourier import diagonal_modes, modes_to_grid, moment_matrices
 # x points per band of the node-pair passes (39 MB complex at the 40 x 80 grid)
 PAIR_BLOCK_ROWS = 768
 
+# largest accepted Gram condition estimate
+COND_LIMIT = 1e12
+
 
 class SectionBasis:
     """The p+1 monomial sections of the degree-p bundle, pre-orthonormalized."""
@@ -90,7 +93,7 @@ class GramMatrix:
         return 0.5 * (inv + inv.conj().T)
 
 
-def gram_matrix(basis, form, grid, cond_limit=1e12):
+def gram_matrix(basis, form, grid):
     """Assemble G[j,k] = <s_j, s_k> under the form, via longitude modes.
 
     The longitude quadrature collapses to the density's Fourier modes, so
@@ -109,9 +112,9 @@ def gram_matrix(basis, form, grid, cond_limit=1e12):
         raise IllConditionedGramError(
             f"Gram not positive definite (min eigenvalue {eigs[0]:.3e})")
     cond = float(eigs[-1] / eigs[0])
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise IllConditionedGramError(
-            f"Gram condition estimate {cond:.3e} exceeds {cond_limit:.1e}")
+            f"Gram condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
     return GramMatrix(H, cond)
 
 
@@ -158,11 +161,11 @@ class KernelBlock:
 class BergmanEvaluator:
     """Evaluates the Bergman projection kernel of a (basis, form, grid) triple."""
 
-    def __init__(self, basis, form, grid, cond_limit=1e12):
+    def __init__(self, basis, form, grid):
         self.basis = basis
         self.form = form
         self.grid = grid
-        self.gram = gram_matrix(basis, form, grid, cond_limit=cond_limit)
+        self.gram = gram_matrix(basis, form, grid)
         self.kernel_matrix = self.gram.inverse()
 
     @property
@@ -210,8 +213,8 @@ class BergmanEvaluator:
         return sx @ self.kernel_matrix @ moments
 
 
-def bergman_evaluator(p, form, grid, cond_limit=1e12):
-    return BergmanEvaluator(SectionBasis(p), form, grid, cond_limit=cond_limit)
+def bergman_evaluator(p, form, grid):
+    return BergmanEvaluator(SectionBasis(p), form, grid)
 
 
 def write_kernel_slice(path, evaluator, x_points, y_points):

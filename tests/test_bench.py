@@ -81,6 +81,14 @@ class TestOperatorMatrix:
         with pytest.raises(InvalidRunError):
             comparison_norms(32, form, tiny, tail_bound=1e-9)
 
+    def test_heat_side_tail_bound_flags_invalid_run(self, bench_grid):
+        # at p = l_max the smoothing side stays inside the truncation, while
+        # eta * heat(Y_lm) leaks past it
+        form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
+        tiny = SphericalHarmonicTransform(bench_grid, 8)
+        with pytest.raises(InvalidRunError, match="tail residual"):
+            comparison_norms(8, form, tiny, tail_bound=1e-10)
+
 
 class TestSpectralNorm:
     def test_matches_dense_svd(self, rng):
@@ -91,8 +99,7 @@ class TestSpectralNorm:
     def test_large_path_with_degenerate_top(self):
         vals = np.repeat([3.0, 2.0, 1.0], [23, 300, 478])
         d = np.diag(vals)
-        assert spectral_norm(d, dense_cutoff=10) == pytest.approx(3.0,
-                                                                  rel=1e-12)
+        assert spectral_norm(d) == pytest.approx(3.0, rel=1e-12)
 
 
 class TestComparisonNorms:

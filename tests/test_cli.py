@@ -87,6 +87,13 @@ class TestExitCodes:
         ("converge", {"tail_bound": "x"}),
         ("converge", {"slope_threshold": None}),
         ("heat-check", {"n_u": 1}),
+        ("decay", {"max_sample_per_axis": 0}),
+        ("decay", {"max_sample_per_axis": -4}),
+        ("model-check", {"n_random": 0}),
+        ("converge", {"l_max": -3}),
+        ("heat-check", {"l_max": -1}),
+        ("near-diagonal", {"n_radial": 0}),
+        ("near-diagonal", {"n_angular": 0}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -94,7 +101,9 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         code = run([command, "--config", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["exit_code"] == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["exit_code"] == EXIT_CONFIG
 
     @pytest.mark.parametrize("command,cfg,message", [
         ("near-diagonal", {"x0": "ab"}, "x0 must be two finite numbers"),

@@ -198,16 +198,12 @@ class TestVolumeForm:
         assert np.abs(tilted_form.density * tilted_form.eta - 1.0).max() < 1e-14
 
     def test_off_grid_matches_grid(self, grid, tilted_form):
-        vals = tilted_form.density_at(grid.theta_mesh, grid.phi_mesh)
-        assert np.abs(vals - tilted_form.density).max() < 1e-14
+        vals = tilted_form.eta_at(grid.theta_mesh, grid.phi_mesh)
+        assert np.abs(vals - tilted_form.eta).max() < 1e-14
 
     def test_phi_band_measurement(self, grid, zonal_form, tilted_form):
         assert zonal_form.phi_band == 0
         assert tilted_form.phi_band >= 1
-
-    def test_c_s_bounds_recorded(self, tilted_form):
-        assert len(tilted_form.c_s_bound) == 3
-        assert tilted_form.c_s_bound[0] >= tilted_form.density_sup
 
     def test_rejects_bad_index(self, grid):
         with pytest.raises(ConfigError):

@@ -6,7 +6,8 @@ import pytest
 from bergman_heat import (ConfigError, HarmonicCoeffs,
                           SphericalHarmonicTransform, build_grid, heat_apply,
                           heat_diagonal, laplacian_apply, real_sph_harm,
-                          semigroup_derivative_residual, sh_analyze)
+                          semigroup_derivative_residual)
+from bergman_heat.fourier import grid_to_modes
 from bergman_heat.heat import coeff_index, degree_vector
 
 
@@ -42,10 +43,19 @@ class TestTransform:
         with pytest.raises(ConfigError):
             SphericalHarmonicTransform(g, 10)
 
-    def test_module_level_wrapper(self, grid):
-        f = real_sph_harm(2, 1, grid.theta_mesh, grid.phi_mesh)
-        c = sh_analyze(f, grid, 6)
-        assert c.values[coeff_index(2, 1)] == pytest.approx(1.0, abs=1e-12)
+    def test_analyze_modes_matches_per_column_analyze(self, grid, sht, rng):
+        # the last column carries the Nyquist mode, which only the norm sees
+        nyquist = np.cos(0.5 * grid.n_phi * grid.phi_mesh)
+        columns = [rng.normal(size=(grid.n_theta, grid.n_phi)),
+                   sht.basis_function(7, -5) + 0.5,
+                   nyquist * (1.0 + grid.cos_theta[:, None])]
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in columns])
+        block, norm_sq = sht.analyze_modes(modes)
+        for col, f in enumerate(columns):
+            assert np.abs(block[:, col] - sht.analyze(f).values).max() < 1e-13
+            assert norm_sq[col] == pytest.approx(sht.grid_norm_sq(f),
+                                                 rel=1e-13)
+        assert np.abs(modes[2, :, -1]).max() > 0.5
 
 
 class TestLaplacian:

@@ -8,6 +8,7 @@ from bergman_heat import (ConfigError, IllConditionedGramError, SectionBasis,
                           SpherePoint, VolumeForm, bergman_evaluator,
                           build_grid, gram_matrix, section_basis,
                           write_kernel_slice)
+from bergman_heat import sections
 from bergman_heat.geometry import unit_vectors
 from bergman_heat.sections import PAIR_BLOCK_ROWS, gram_matrix_bruteforce
 
@@ -97,9 +98,10 @@ class TestGramMatrix:
         with pytest.raises(ConfigError):
             gram_matrix(section_basis(12), form, small)
 
-    def test_condition_limit_enforced(self, grid, zonal_form):
+    def test_condition_limit_enforced(self, grid, zonal_form, monkeypatch):
+        monkeypatch.setattr(sections, "COND_LIMIT", 1.0001)
         with pytest.raises(IllConditionedGramError):
-            gram_matrix(section_basis(8), zonal_form, grid, cond_limit=1.0001)
+            gram_matrix(section_basis(8), zonal_form, grid)
 
 
 class TestBergmanEvaluator:
