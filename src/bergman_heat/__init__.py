@@ -14,19 +14,18 @@ from .bergman import (DecayProbe, NearDiagonalProbe, SmoothingOperator,
                       weight_change_residuals)
 from .errors import (ConfigError, DifferentiationError,
                      IllConditionedGramError, InvalidRunError)
-from .flat_model import (FlatPoint, bargmann_kernel, bargmann_kernel_expr,
+from .flat_model import (bargmann_kernel, bargmann_kernel_expr,
                          gaussian_laplacian_identity, landau_operator_apply,
                          landau_operator_symbolic, reproducing_residual)
 from .geometry import (INJECTIVITY_RADIUS, RADIUS, QuadratureGrid,
                        SpherePoint, VolumeForm, build_grid, exp_map,
                        fubini_study_form, geodesic_distance, integrate,
-                       log_map, normal_volume_density)
+                       log_map)
 from .harmonics import real_sph_harm
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
-                   heat_diagonal, laplacian_apply,
+                   heat_diagonal, laplace_eigenvalue,
                    semigroup_derivative_residual)
 from .sections import (BergmanEvaluator, GramMatrix, KernelBlock, SectionBasis,
-                       bergman_evaluator, gram_matrix, section_basis,
-                       write_kernel_slice)
+                       bergman_evaluator, gram_matrix, section_basis)
 
 __version__ = "0.1.0"

@@ -120,14 +120,13 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     calls; works in longitude-mode space throughout (no per-column grids).
     Matches the generic path to roundoff.
     """
-    grid = sht.grid
-    if grid is not smoother.grid:
+    if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
-    d_count = min(smoother.p, grid.n_phi // 2) + 1
 
+    # no mode clipping: the Gram exactness check forces n_phi >= 2p + 1
     def column_modes(chunk_lm):
         return smoother.apply_modes(_column_input_modes(
-            sht, smoother.form.density_modes, chunk_lm, d_count))
+            sht, smoother.form.density_modes, chunk_lm, smoother.p + 1))
 
     return _assemble_columns(sht, Q_CHUNK, column_modes, tail_bound)
 
@@ -180,13 +179,8 @@ class ComparisonResult:
     form_id: str
     norm1: float
     norm2: float
-    tail_smoothing: float
-    tail_heat: float
+    tail_residual: float
     argmax_degree: int
-
-    @property
-    def tail_residual(self):
-        return max(self.tail_smoothing, self.tail_heat)
 
 
 def heat_side_matrix(mult, sht, p, tail_bound=None):
@@ -221,8 +215,9 @@ def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
     lam_over_p = sht.eigenvalues / p
     norm2 = spectral_norm(lam_over_p[:, None] * diff)
     return ComparisonResult(p=p, form_id=form.form_id, norm1=norm1,
-                            norm2=norm2, tail_smoothing=q_mat.tail_residual,
-                            tail_heat=h_mat.tail_residual,
+                            norm2=norm2,
+                            tail_residual=max(q_mat.tail_residual,
+                                              h_mat.tail_residual),
                             argmax_degree=int(sht.degrees[mode]))
 
 

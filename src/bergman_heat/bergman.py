@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
                       moment_matrices)
-from .geometry import INJECTIVITY_RADIUS, exp_map, pairwise_distances, unit_vectors
+from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
+                       pairwise_distances, unit_vectors)
 
 # smoothing-input longitude modes at most this fraction of the largest are skipped
 MODE_TOL = 1e-16
@@ -70,7 +71,6 @@ class DecayProbe:
 
     sup: float
     min_distance: float
-    n_pairs: int
 
 
 def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
@@ -90,7 +90,6 @@ def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
     vecs = unit_vectors(tt, pp)
     sup = 0.0
     min_dist = math.inf
-    n_pairs = 0
     for rows, blk in evaluator.kernel_rows(tt, pp):
         dist = pairwise_distances(vecs[rows], vecs)
         mask = dist >= eps
@@ -99,10 +98,9 @@ def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
         vals = np.outer(blk.eta_x, blk.eta_y) * blk.omega_modulus
         sup = max(sup, float(vals[mask].max() / evaluator.p))
         min_dist = min(min_dist, float(dist[mask].min()))
-        n_pairs += int(mask.sum())
-    if n_pairs == 0:
+    if min_dist == math.inf:
         raise ConfigError("no node pairs at the requested separation")
-    return DecayProbe(sup=sup, min_distance=min_dist, n_pairs=n_pairs)
+    return DecayProbe(sup=sup, min_distance=min_dist)
 
 
 @dataclass
@@ -111,8 +109,6 @@ class NearDiagonalProbe:
 
     sup_residual: float
     center_residual: float
-    window: float
-    n_samples: int
 
 
 def tangent_window(radius, n_radial=17, n_angular=17):
@@ -148,12 +144,8 @@ def near_diagonal_residual(evaluator, x0, window_constant=3.0,
     diff = Z[:, None, :] - Z[None, :, :]
     gauss = np.exp(-0.5 * math.pi * p * np.sum(diff * diff, axis=-1))
     resid = np.abs(mod / p - gauss)
-    return NearDiagonalProbe(
-        sup_residual=float(resid.max()),
-        center_residual=float(resid[0, 0]),
-        window=radius,
-        n_samples=len(Z),
-    )
+    return NearDiagonalProbe(sup_residual=float(resid.max()),
+                             center_residual=float(resid[0, 0]))
 
 
 def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
@@ -212,8 +204,7 @@ def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
     repro = evaluator.reproduce_sections(tt[::97], pp[::97])
     target = evaluator.section_matrix(tt[::97], pp[::97])
     out["reproducing"] = float(np.abs(repro - target).max())
-    diag = evaluator.diagonal_on_grid()
-    trace = np.sum(grid.node_weights * form.density * diag).item()
+    trace = integrate(evaluator.diagonal_on_grid(), grid, form)
     out["projection_trace"] = abs(trace - (evaluator.p + 1))
     return out
 

@@ -21,7 +21,8 @@ from . import flat_model
 from .bench import rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
-from .config import default_l_max, grid_for, load_config, parse_form_spec
+from .config import (DEFAULTS, default_l_max, grid_for, load_config,
+                     parse_form_spec)
 from .errors import ConfigError, IllConditionedGramError, InvalidRunError
 from .geometry import SpherePoint
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
@@ -340,10 +341,13 @@ def build_parser():
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config path")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--p", type=int, nargs="+", default=None,
-                         help="override p_list")
-        cmd.add_argument("--lmax", type=int, default=None,
-                         help="override harmonic truncation")
+        # an override is offered only to the commands that read its key
+        if "p_list" in DEFAULTS[name]:
+            cmd.add_argument("--p", type=int, nargs="+", default=None,
+                             help="override p_list")
+        if "l_max" in DEFAULTS[name]:
+            cmd.add_argument("--lmax", type=int, default=None,
+                             help="override harmonic truncation")
     return parser
 
 
@@ -352,11 +356,8 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    overrides = {}
-    if args.p is not None:
-        overrides["p_list"] = args.p
-    if args.lmax is not None:
-        overrides["l_max"] = args.lmax
+    overrides = {"p_list": getattr(args, "p", None),
+                 "l_max": getattr(args, "lmax", None)}
     try:
         cfg = load_config(args.command, args.config, overrides)
     except ConfigError as exc:

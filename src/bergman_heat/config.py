@@ -90,7 +90,11 @@ DEFAULTS = {
 # smallest accepted value of each count-valued key (one radius is the
 # window's centre alone; heat-check fits a quadratic through the n_u points)
 _MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
-             "n_angular": 1, "n_radial": 2, "n_u": 3}
+             "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0}
+
+# fewest p values of each fitting command (a line through two points always
+# has R^2 = 1, so decay's R^2 criterion needs three)
+_MIN_P_VALUES = {"converge": 4, "near-diagonal": 4, "decay": 3}
 
 
 def default_l_max(p_max):
@@ -163,17 +167,19 @@ def _validate(command, cfg):
         if (not isinstance(ps, list) or not ps
                 or any((not isinstance(p, int)) or p < 1 for p in ps)):
             raise ConfigError("p_list must be a nonempty list of positive ints")
-        if sorted(ps) != ps:
-            raise ConfigError("p_list must be sorted ascending")
-    for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol",
+        if any(a >= b for a, b in zip(ps, ps[1:])):
+            raise ConfigError("p_list must be strictly increasing")
+        if len(ps) < _MIN_P_VALUES.get(command, 1):
+            raise ConfigError(
+                f"insufficient points: {command} needs >= "
+                f"{_MIN_P_VALUES[command]} p values")
+    for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
                 "invariant_tol", "modulus_tol", "annihilation_fd_tol"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive")
-    if command == "converge" and len(cfg["p_list"]) < 4:
-        raise ConfigError("insufficient points: converge needs >= 4 p values")
-    if command == "near-diagonal" and len(cfg["p_list"]) < 4:
-        raise ConfigError("insufficient points: need >= 4 p values for a fit")
+    if "u_min" in cfg and not cfg["u_min"] < cfg["u_max"]:
+        raise ConfigError("u_min must be below u_max")
 
 
 def parse_form_spec(spec, grid):

@@ -8,32 +8,11 @@ with a Richardson residual estimate.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .errors import ConfigError, DifferentiationError
-
-
-@dataclass(frozen=True)
-class FlatPoint:
-    """Point of the real plane carrying the complex coordinate z = Z1 + i Z2."""
-
-    Z1: float
-    Z2: float
-
-    @classmethod
-    def from_complex(cls, z):
-        z = complex(z)
-        return cls(z.real, z.imag)
-
-    @property
-    def z(self):
-        return complex(self.Z1, self.Z2)
-
-    def norm_sq(self):
-        return self.Z1 ** 2 + self.Z2 ** 2
 
 
 def bargmann_kernel(z, w):

@@ -27,8 +27,7 @@ INJECTIVITY_RADIUS = math.pi * RADIUS
 class SpherePoint:
     """Point on the sphere: colatitude ``theta`` in [0, pi], longitude ``phi``.
 
-    ``phi`` is normalized into [0, 2*pi).  The affine chart coordinate is
-    ``z = tan(theta/2) * exp(i*phi)`` (the chart excludes the south pole).
+    ``phi`` is normalized into [0, 2*pi).
     """
 
     theta: float
@@ -38,18 +37,6 @@ class SpherePoint:
         if not 0.0 <= self.theta <= math.pi:
             raise ConfigError(f"colatitude out of range: {self.theta}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-
-    @classmethod
-    def from_affine(cls, z):
-        """Inverse chart map; ``z`` is a complex affine coordinate."""
-        z = complex(z)
-        return cls(2.0 * math.atan(abs(z)), math.atan2(z.imag, z.real))
-
-    def to_affine(self):
-        if self.theta >= math.pi:
-            raise ConfigError("south pole is not in the affine chart")
-        return math.tan(0.5 * self.theta) * complex(math.cos(self.phi),
-                                                    math.sin(self.phi))
 
     def unit_vector(self):
         st = math.sin(self.theta)
@@ -138,19 +125,6 @@ def log_map(x0, x):
     return np.array([r * float(np.dot(tang, e1)), r * float(np.dot(tang, e2))])
 
 
-def normal_volume_density(x0, Z):
-    """Ratio of the metric volume form to the flat tangent one at ``exp(Z)``.
-
-    Depends only on |Z| on the round sphere: ``sin(r/R) / (r/R)``.
-    """
-    Z = np.asarray(Z, dtype=float)
-    r = np.sqrt(np.sum(np.square(Z), axis=-1))
-    if np.any(r >= INJECTIVITY_RADIUS):
-        raise ConfigError("tangent vector beyond the injectivity radius")
-    t = r / RADIUS
-    return np.where(t < 1e-8, 1.0 - t * t / 6.0, np.sin(np.maximum(t, 1e-300)) / np.maximum(t, 1e-300))
-
-
 class QuadratureGrid:
     """Gauss-Legendre x uniform-longitude product quadrature.
 
@@ -181,9 +155,6 @@ class QuadratureGrid:
     @property
     def phi_mesh(self):
         return np.broadcast_to(self.phi[None, :], (self.n_theta, self.n_phi))
-
-    def node(self, i, j):
-        return SpherePoint(float(self.theta[i]), float(self.phi[j]))
 
 
 def build_grid(n_theta, n_phi):
@@ -220,13 +191,10 @@ class VolumeForm:
         for (l, m), _ in self.coefficients.items():
             if l < 0 or abs(m) > l:
                 raise ConfigError(f"bad harmonic index ({l},{m})")
-        if self.coefficients:
-            u = self.log_density_at(grid.theta_mesh, grid.phi_mesh)
-            self.density = np.exp(u)
-        else:
-            self.density = np.ones((grid.n_theta, grid.n_phi))
+        self.density = np.exp(self.log_density_at(grid.theta_mesh,
+                                                  grid.phi_mesh))
         self.eta = 1.0 / self.density
-        self.volume = np.sum(grid.node_weights * self.density).item()
+        self.volume = integrate(self.density, grid)
         # longitude Fourier modes of the density, one row per theta node
         self.density_modes = np.fft.fft(self.density, axis=1) / grid.n_phi
         self.phi_band = self._measure_phi_band()
@@ -234,12 +202,11 @@ class VolumeForm:
 
     def _measure_phi_band(self):
         mags = np.abs(self.density_modes).max(axis=0)
-        cut = 1e-13 * mags[0] if mags[0] > 0 else 0.0
+        # mode 0 of a positive density is positive
+        cut = 1e-13 * mags[0]
         band = 0
         for m in range(1, self.grid.n_phi // 2 + 1):
-            lo = mags[m]
-            hi = mags[-m] if m < self.grid.n_phi else 0.0
-            if max(lo, hi) > cut:
+            if max(mags[m], mags[-m]) > cut:
                 band = m
         return band
 

@@ -19,7 +19,8 @@ _HALF_SQRT2 = math.sqrt(0.5)
 
 
 def laplace_eigenvalue(l):
-    """Laplace eigenvalue of degree l on the unit-area round sphere."""
+    """Laplace eigenvalue of degree l (scalar or array) on the unit-area
+    round sphere."""
     return 4.0 * math.pi * l * (l + 1.0)
 
 
@@ -75,7 +76,7 @@ class SphericalHarmonicTransform:
             for m in range(self.l_max + 1)
         ]
         self.degrees = degree_vector(self.l_max)
-        self.eigenvalues = 4.0 * np.pi * self.degrees * (self.degrees + 1.0)
+        self.eigenvalues = laplace_eigenvalue(self.degrees)
 
     @property
     def n_coeffs(self):
@@ -147,26 +148,19 @@ class SphericalHarmonicTransform:
         return float(np.sum(self.grid.node_weights * np.square(values)))
 
 
-def laplacian_apply(coeffs):
-    """Positive Laplacian: degree-l slots scale by 4*pi*l*(l+1)."""
-    degs = degree_vector(coeffs.l_max)
-    return coeffs.copy_with(laplace_eigenvalue(degs) * coeffs.values)
-
-
 def heat_apply(coeffs, u):
     """Heat semigroup at time u >= 0: slots scale by exp(-4*pi*l*(l+1)*u)."""
     if u < 0:
         raise ConfigError("heat time must be nonnegative")
-    degs = degree_vector(coeffs.l_max)
-    return coeffs.copy_with(np.exp(-4.0 * np.pi * degs * (degs + 1.0) * u)
-                            * coeffs.values)
+    lam = laplace_eigenvalue(degree_vector(coeffs.l_max))
+    return coeffs.copy_with(np.exp(-lam * u) * coeffs.values)
 
 
-def heat_diagonal(u, tail_rel=1e-16):
+def heat_diagonal(u):
     """On-diagonal heat kernel value, constant over the unit-area sphere.
 
     Spectral sum ``sum_l (2l+1) exp(-4 pi l (l+1) u)`` truncated once terms
-    drop below ``tail_rel`` of the partial sum.  Supported for u >= 1e-4.
+    drop below 1e-16 of the partial sum.  Supported for u >= 1e-4.
     """
     if u <= 0:
         raise ConfigError("heat time must be positive")
@@ -175,9 +169,9 @@ def heat_diagonal(u, tail_rel=1e-16):
     total = 0.0
     l = 0
     while True:
-        term = (2 * l + 1) * math.exp(-4.0 * math.pi * l * (l + 1.0) * u)
+        term = (2 * l + 1) * math.exp(-laplace_eigenvalue(l) * u)
         total += term
-        if l > 0 and term < tail_rel * total:
+        if l > 0 and term < 1e-16 * total:
             break
         l += 1
         if l > 100000:  # pragma: no cover - unreachable for supported u
@@ -193,8 +187,7 @@ def semigroup_derivative_residual(coeffs, u, h=1e-4):
     """
     if u <= 0:
         raise ConfigError("heat time must be positive")
-    degs = degree_vector(coeffs.l_max)
-    lam = 4.0 * np.pi * degs * (degs + 1.0)
+    lam = laplace_eigenvalue(degree_vector(coeffs.l_max))
     exact = lam * np.exp(-lam * u) * coeffs.values
     fd = (np.exp(-lam * (u + h)) - np.exp(-lam * (u - h))) / (2.0 * h) * coeffs.values
     return float(np.sqrt(np.sum((exact + fd) ** 2)))

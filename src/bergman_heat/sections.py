@@ -12,7 +12,6 @@ makes the basis orthonormal for the metric volume form, which keeps Gram
 matrices of nearby reference forms well conditioned at large p.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -24,6 +23,10 @@ from .fourier import diagonal_modes, modes_to_grid, moment_matrices
 
 # x points per band of the node-pair passes (39 MB complex at the 40 x 80 grid)
 PAIR_BLOCK_ROWS = 768
+
+# largest accepted point count squared of one all-pairs pass: 10^4 points,
+# where one complex band stays under 123 MB
+MAX_PAIRS = 10 ** 8
 
 # largest accepted Gram condition estimate
 COND_LIMIT = 1e12
@@ -185,7 +188,12 @@ class BergmanEvaluator:
     def kernel_rows(self, theta, phi):
         """Yield ``(rows, block)`` over all pairs of one point set: bands of
         ``PAIR_BLOCK_ROWS`` x points against every point, from sections and
-        eta evaluated once."""
+        eta evaluated once.  Refuses more than ``MAX_PAIRS`` pairs."""
+        n = len(theta)
+        if n * n > MAX_PAIRS:
+            raise ConfigError(
+                f"{n} points make {n * n:.3e} node pairs, above the limit "
+                f"{MAX_PAIRS:.0e}; use fewer points")
         sigma = self.section_matrix(theta, phi)
         half = sigma @ self.kernel_matrix
         sigma_h = sigma.conj().T
@@ -215,18 +223,3 @@ class BergmanEvaluator:
 
 def bergman_evaluator(p, form, grid):
     return BergmanEvaluator(SectionBasis(p), form, grid)
-
-
-def write_kernel_slice(path, evaluator, x_points, y_points):
-    """Export kernel moduli over a point-pair block as CSV rows (i, j, |P|)."""
-    tx = np.array([pt.theta for pt in x_points])
-    px = np.array([pt.phi for pt in x_points])
-    ty = np.array([pt.theta for pt in y_points])
-    py = np.array([pt.phi for pt in y_points])
-    mod = evaluator.kernel(tx, px, ty, py).modulus
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x_index", "y_index", "kernel_modulus"])
-        for i in range(mod.shape[0]):
-            for j in range(mod.shape[1]):
-                writer.writerow([i, j, f"{mod[i, j]:.17g}"])

@@ -94,6 +94,12 @@ class TestExitCodes:
         ("heat-check", {"l_max": -1}),
         ("near-diagonal", {"n_radial": 0}),
         ("near-diagonal", {"n_angular": 0}),
+        ("decay", {"p_list": [64]}),
+        ("decay", {"p_list": [64, 64, 96]}),
+        ("heat-check", {"u_min": 0.0}),
+        ("heat-check", {"u_min": 0.02}),
+        ("model-check", {"seed": -1}),
+        ("decay", {"max_sample_per_axis": 100000}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -104,6 +110,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["exit_code"] == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["model-check", "--lmax", "5"],
+        ["model-check", "--p", "3"],
+        ["decay", "--lmax", "5"],
+        ["heat-check", "--p", "8"],
+    ])
+    def test_override_of_unread_key_is_config_error(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command,cfg,message", [
         ("near-diagonal", {"x0": "ab"}, "x0 must be two finite numbers"),

@@ -4,20 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bergman_heat import (ConfigError, DifferentiationError, FlatPoint,
+from bergman_heat import (ConfigError, DifferentiationError,
                           bargmann_kernel, bargmann_kernel_expr,
                           gaussian_laplacian_identity, landau_operator_apply,
                           landau_operator_symbolic, reproducing_residual)
-
-
-class TestFlatPoint:
-    def test_complex_coordinate(self):
-        pt = FlatPoint(0.3, -0.4)
-        assert pt.z == 0.3 - 0.4j
-        assert pt.norm_sq() == pytest.approx(abs(pt.z) ** 2, abs=1e-16)
-
-    def test_from_complex(self):
-        assert FlatPoint.from_complex(1 + 2j) == FlatPoint(1.0, 2.0)
 
 
 class TestBargmannKernel:

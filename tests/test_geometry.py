@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from bergman_heat import (INJECTIVITY_RADIUS, RADIUS, ConfigError, SpherePoint,
                           VolumeForm, build_grid, exp_map, geodesic_distance,
-                          integrate, log_map, normal_volume_density,
-                          real_sph_harm)
+                          integrate, log_map, real_sph_harm)
 
 
 def test_radius_normalization():
@@ -26,17 +25,6 @@ class TestSpherePoint:
     def test_phi_wraps(self):
         pt = SpherePoint(1.0, 2.0 * math.pi + 0.5)
         assert pt.phi == pytest.approx(0.5, abs=1e-15)
-
-    def test_affine_round_trip(self):
-        for theta, phi in [(0.3, 1.1), (1.9, 5.2), (2.9, 0.01)]:
-            pt = SpherePoint(theta, phi)
-            back = SpherePoint.from_affine(pt.to_affine())
-            assert back.theta == pytest.approx(theta, abs=1e-12)
-            assert back.phi == pytest.approx(phi, abs=1e-12)
-
-    def test_south_pole_excluded_from_chart(self):
-        with pytest.raises(ConfigError):
-            SpherePoint(math.pi, 0.0).to_affine()
 
 
 class TestGrid:
@@ -132,36 +120,6 @@ class TestNormalCoordinates:
     def test_rejects_beyond_injectivity(self):
         with pytest.raises(ConfigError):
             exp_map(SpherePoint(1.0, 0.0), np.array([INJECTIVITY_RADIUS, 0.0]))
-
-
-class TestNormalVolumeDensity:
-    def test_origin(self):
-        assert normal_volume_density(SpherePoint(1.0, 0.0),
-                                     np.zeros(2)) == pytest.approx(1.0)
-
-    def test_closed_form_and_quadratic_coefficient(self):
-        x0 = SpherePoint(0.9, 2.0)
-        r = 0.05
-        val = normal_volume_density(x0, np.array([r, 0.0]))
-        # quartic remainder of the expansion is (r/R)^4 / 120 ~ 8e-6
-        assert val == pytest.approx(1.0 - (2.0 * math.pi / 3.0) * r * r,
-                                    abs=1e-5)
-        # quadratic fit of the radial profile recovers -2*pi/3 within 1%
-        rs = np.linspace(1e-3, 1e-1, 40)
-        vals = np.array([normal_volume_density(x0, np.array([s, 0.0]))
-                         for s in rs])
-        coeff = np.polyfit(rs * rs, vals - 1.0, 2)[1]
-        assert coeff == pytest.approx(-2.0 * math.pi / 3.0, rel=0.01)
-
-    def test_depends_only_on_radius(self, rng):
-        x0 = SpherePoint(1.4, 0.3)
-        r = 0.2
-        angles = rng.uniform(0, 2 * math.pi, 8)
-        vals = [normal_volume_density(
-            x0, np.array([r * math.cos(a), r * math.sin(a)]))
-            for a in angles]
-        target = math.sin(r / RADIUS) / (r / RADIUS)
-        assert np.allclose(vals, target, atol=1e-12)
 
 
 class TestIntegrate:

@@ -5,7 +5,7 @@ import pytest
 
 from bergman_heat import (ConfigError, HarmonicCoeffs,
                           SphericalHarmonicTransform, build_grid, heat_apply,
-                          heat_diagonal, laplacian_apply, real_sph_harm,
+                          heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
 from bergman_heat.fourier import grid_to_modes
 from bergman_heat.heat import coeff_index, degree_vector
@@ -59,20 +59,20 @@ class TestTransform:
 
 
 class TestLaplacian:
-    def test_kills_constants(self):
-        c = HarmonicCoeffs(2, np.array([3.0, 0, 0, 0, 0, 0, 0, 0, 0]))
-        assert np.abs(laplacian_apply(c).values).max() == 0.0
+    def test_kills_constants(self, sht):
+        assert laplace_eigenvalue(0) == 0.0
+        assert sht.eigenvalues[coeff_index(0, 0)] == 0.0
 
-    def test_degree_one_eigenvalue(self):
-        values = np.zeros(9)
-        values[coeff_index(1, -1)] = 1.0
-        out = laplacian_apply(HarmonicCoeffs(2, values))
-        assert out.values[coeff_index(1, -1)] == pytest.approx(8 * math.pi,
-                                                               rel=1e-15)
+    def test_degree_one_eigenvalue(self, sht):
+        assert laplace_eigenvalue(1) == pytest.approx(8 * math.pi, rel=1e-15)
+        for m in (-1, 0, 1):
+            assert sht.eigenvalues[coeff_index(1, m)] == pytest.approx(
+                8 * math.pi, rel=1e-15)
 
     def test_positive_quadratic_form(self, rng):
-        c = HarmonicCoeffs(6, rng.normal(size=49))
-        assert float(c.values @ laplacian_apply(c).values) >= 0.0
+        values = rng.normal(size=49)
+        lam = laplace_eigenvalue(degree_vector(6))
+        assert float(values @ (lam * values)) >= 0.0
 
 
 class TestHeatFlow:
@@ -171,7 +171,8 @@ class TestSemigroupDerivative:
         values = np.zeros(16)
         values[coeff_index(2, 1)] = 1.0
         c = HarmonicCoeffs(3, values)
-        lhs = laplacian_apply(heat_apply(c, u)).values / p
+        lam_slots = laplace_eigenvalue(degree_vector(3))
+        lhs = lam_slots * heat_apply(c, u).values / p
         lam = 4 * math.pi * 2 * 3
         rhs = (lam / p) * math.exp(-lam * u) * values
         assert np.abs(lhs - rhs).max() == 0.0

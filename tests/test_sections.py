@@ -5,9 +5,8 @@ import pytest
 from scipy.special import gammaln
 
 from bergman_heat import (ConfigError, IllConditionedGramError, SectionBasis,
-                          SpherePoint, VolumeForm, bergman_evaluator,
-                          build_grid, gram_matrix, section_basis,
-                          write_kernel_slice)
+                          VolumeForm, bergman_evaluator, build_grid,
+                          gram_matrix, section_basis)
 from bergman_heat import sections
 from bergman_heat.geometry import unit_vectors
 from bergman_heat.sections import PAIR_BLOCK_ROWS, gram_matrix_bruteforce
@@ -173,15 +172,3 @@ class TestBergmanEvaluator:
             joined = np.concatenate([getattr(blk, name) for _, blk in bands])
             np.testing.assert_allclose(joined, getattr(full, name),
                                        rtol=1e-13, atol=1e-13, err_msg=name)
-
-
-def test_kernel_slice_export(tmp_path, grid, fs_form):
-    ev = bergman_evaluator(4, fs_form, grid)
-    pts = [SpherePoint(0.5, 0.1), SpherePoint(1.1, 2.0)]
-    path = tmp_path / "slice.csv"
-    write_kernel_slice(path, ev, pts, pts)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x_index,y_index,kernel_modulus"
-    assert len(lines) == 5
-    first = float(lines[1].split(",")[2])
-    assert first == pytest.approx(5.0, abs=1e-10)
