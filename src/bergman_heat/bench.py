@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
+from .fourier import phi_band
 from .heat import heat_apply
 from .sections import bergman_evaluator
 
@@ -23,6 +25,23 @@ from .sections import bergman_evaluator
 # basis columns per batch of the Q and multiplication assembly
 Q_CHUNK = 96
 MULT_CHUNK = 256
+
+# largest accepted converge sweep, checked before any table is built: one
+# operator matrix on the harmonic basis holds (l_max+1)^4 doubles (200 MB at
+# the limit; the default l_max 46 needs 4.9e6), and one Q assembly costs
+# about (p+1)^3 (l_max+1)^2 flops (4.7e9, about 6 s on 2 cores, at the
+# default p = 128)
+MAX_MATRIX_ENTRIES = 25 * 10 ** 6
+MAX_Q_FLOPS = 10 ** 11
+
+# ARPACK settings of the top-eigenpair solve: Lanczos basis size, relative
+# residual tolerance and restart bound.  The metric form's top singular value
+# is a (2l+1)-fold cluster split at rounding level, which ARPACK does not
+# resolve at tolerances near machine precision; the restart bound keeps a
+# solve that cannot converge short before it takes the dense path.
+ARPACK_NCV = 20
+ARPACK_TOL = 1e-10
+ARPACK_MAXITER = 300
 
 
 @dataclass
@@ -32,6 +51,20 @@ class OperatorMatrix:
     matrix: np.ndarray
     tail_residual: float
     column_norm_sq: np.ndarray
+
+
+def check_sweep_cost(p_max, l_max):
+    """Refuse a sweep whose matrices or Q assembly exceed the budgets."""
+    entries = (l_max + 1) ** 4
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ConfigError(
+            f"l_max {l_max} needs {entries:.2e} doubles per operator matrix, "
+            f"over the limit {MAX_MATRIX_ENTRIES:.1e}; lower l_max")
+    flops = (p_max + 1) ** 3 * (l_max + 1) ** 2
+    if flops > MAX_Q_FLOPS:
+        raise ConfigError(
+            f"p {p_max} at l_max {l_max} needs about {flops:.2e} flops per Q "
+            f"assembly, over the limit {MAX_Q_FLOPS:.1e}; lower p or l_max")
 
 
 def _checked_matrix(matrix, col_norm, tail_bound=None):
@@ -135,10 +168,13 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
     """Batched multiplication-operator matrix via longitude-mode convolution.
 
     Matches ``multiplication_matrix`` to roundoff at a fraction of the cost.
+    The product of the function with a degree-l_max harmonic has no
+    longitude modes beyond l_max plus the function's own band, so only
+    those are carried.
     """
     grid = sht.grid
     mode_table = np.fft.fft(np.asarray(values, dtype=float), axis=1) / grid.n_phi
-    d_count = grid.n_phi // 2 + 1
+    d_count = min(sht.l_max + phi_band(mode_table) + 1, grid.n_phi // 2 + 1)
 
     def column_modes(chunk_lm):
         return _column_input_modes(sht, mode_table, chunk_lm, d_count)
@@ -146,13 +182,38 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
     return _assemble_columns(sht, MULT_CHUNK, column_modes, tail_bound)
 
 
-def _top_singular_pair(matrix):
+def _dense_top_singular_pair(matrix):
     """Largest singular value and its right singular vector, from the top
-    eigenpair of the normal matrix (LAPACK subset eigensolver); robust when
-    the top singular value is degenerate, as for rotation-invariant data."""
+    eigenpair of the assembled normal matrix (LAPACK subset eigensolver);
+    robust when the top singular value is degenerate, as for
+    rotation-invariant data.  The fallback and test oracle of
+    ``_top_singular_pair``."""
     n = matrix.shape[1]
     vals, vecs = eigh(matrix.T @ matrix, subset_by_index=[n - 1, n - 1],
                       driver="evr")
+    return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
+
+
+def _top_singular_pair(matrix):
+    """Largest singular value and its right singular vector.
+
+    ARPACK's Lanczos iteration finds the top eigenpair of the normal
+    operator ``x -> A^T A x`` without forming ``A^T A``, from a fixed seeded
+    start vector, so reruns are deterministic.  Small matrices, and runs
+    that do not converge within ``ARPACK_MAXITER`` restarts, take the dense
+    solve.
+    """
+    n = matrix.shape[1]
+    if n <= ARPACK_NCV:
+        return _dense_top_singular_pair(matrix)
+    normal = LinearOperator((n, n), matvec=lambda x: matrix.T @ (matrix @ x),
+                            dtype=float)
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        vals, vecs = eigsh(normal, k=1, which="LA", v0=start, ncv=ARPACK_NCV,
+                           tol=ARPACK_TOL, maxiter=ARPACK_MAXITER)
+    except ArpackNoConvergence:
+        return _dense_top_singular_pair(matrix)
     return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 
 from . import flat_model
-from .bench import rate_fit, sweep_form
+from .bench import check_sweep_cost, rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
 from .config import (DEFAULTS, default_l_max, grid_for, load_config,
@@ -77,6 +77,7 @@ def _finish(out_dir, name, criteria, extra=None, exit_code=None):
 def cmd_converge(cfg, out_dir):
     p_list = cfg["p_list"]
     l_max = cfg.get("l_max") or default_l_max(max(p_list))
+    check_sweep_cost(max(p_list), l_max)
     grid = grid_for(cfg, max(p_list), l_max)
     sht = SphericalHarmonicTransform(grid, l_max)
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]

@@ -175,7 +175,8 @@ def _validate(command, cfg):
                 f"{_MIN_P_VALUES[command]} p values")
     for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
-                "invariant_tol", "modulus_tol", "annihilation_fd_tol"):
+                "invariant_tol", "modulus_tol", "annihilation_fd_tol",
+                "window_constant", "window"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive")
     if "u_min" in cfg and not cfg["u_min"] < cfg["u_max"]:

@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import InvalidRunError
 
+# longitude modes at most this fraction of the largest mode lie outside a
+# function's band
+BAND_TOL = 1e-13
+
 
 def modes_to_grid(modes, n_phi):
     """Real grid values of ``sum_mu d_mu exp(i mu phi)`` with Hermitian modes.
@@ -30,6 +34,20 @@ def grid_to_modes(values, n_modes):
     f = np.fft.rfft(np.asarray(values, dtype=float), axis=1)
     n_phi = values.shape[1]
     return f[:, :n_modes + 1] / n_phi
+
+
+def phi_band(modes):
+    """Longitude band of a real grid function from its full DFT table.
+
+    ``modes`` has shape (n_theta, n_phi), as from ``np.fft.fft`` along phi.
+    Returns the largest order m whose +m or -m mode, at some colatitude
+    node, exceeds ``BAND_TOL`` times the largest mode (mode 0, for a
+    positive function).
+    """
+    mags = np.abs(modes).max(axis=0)
+    ms = np.arange(1, modes.shape[1] // 2 + 1)
+    inside = np.maximum(mags[ms], mags[-ms]) > BAND_TOL * mags.max()
+    return int(ms[inside].max(initial=0))
 
 
 def _set_diagonal(T, d, values):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fourier import phi_band
 from .harmonics import real_sph_harm
 
 #: Sphere radius forced by unit total area.
@@ -197,18 +198,8 @@ class VolumeForm:
         self.volume = integrate(self.density, grid)
         # longitude Fourier modes of the density, one row per theta node
         self.density_modes = np.fft.fft(self.density, axis=1) / grid.n_phi
-        self.phi_band = self._measure_phi_band()
+        self.phi_band = phi_band(self.density_modes)
         self.density_inf = float(self.density.min())
-
-    def _measure_phi_band(self):
-        mags = np.abs(self.density_modes).max(axis=0)
-        # mode 0 of a positive density is positive
-        cut = 1e-13 * mags[0]
-        band = 0
-        for m in range(1, self.grid.n_phi // 2 + 1):
-            if max(mags[m], mags[-m]) > cut:
-                band = m
-        return band
 
     def log_density_at(self, theta, phi):
         out = np.zeros(np.broadcast(np.asarray(theta, dtype=float),

@@ -8,6 +8,7 @@ from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
                           matrix_free_norm, operator_matrix, rate_fit,
                           spectral_norm, sweep_form)
+from bergman_heat import bench
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
@@ -64,6 +65,10 @@ class TestOperatorMatrix:
         mf = fast_multiplication_matrix(form.eta, bench_sht)
         ms = multiplication_matrix(form.eta, bench_sht)
         assert np.abs(mf.matrix - ms.matrix).max() < 1e-12
+        # the norms see every longitude mode the fast path carries, so a
+        # mode cut inside eta's band shows here and not in the matrix
+        assert np.abs(mf.column_norm_sq - ms.column_norm_sq).max() < 1e-12
+        assert mf.tail_residual == pytest.approx(ms.tail_residual, rel=1e-12)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -100,6 +105,51 @@ class TestSpectralNorm:
         vals = np.repeat([3.0, 2.0, 1.0], [23, 300, 478])
         d = np.diag(vals)
         assert spectral_norm(d) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "degenerate", "jittered"])
+    def test_lanczos_matches_dense_oracle(self, monkeypatch, kind):
+        rng = np.random.default_rng(5)
+        if kind == "random":
+            a = rng.normal(size=(300, 300))
+        elif kind == "degenerate":
+            a = np.diag(np.repeat([3.0, 2.0, 1.0], [23, 300, 478]))
+        else:
+            # the metric form's top singular value: a cluster split only at
+            # rounding level
+            top = 3.0 * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, 29))
+            a = np.diag(rng.permutation(
+                np.concatenate([top, rng.uniform(0.0, 2.9, 400)])))
+        oracle = bench._dense_top_singular_pair
+        sigma_ref, _ = oracle(a)
+
+        def no_fallback(matrix):
+            raise AssertionError("dense fallback ran")
+
+        monkeypatch.setattr(bench, "_dense_top_singular_pair", no_fallback)
+        sigma, vec = bench._top_singular_pair(a)
+        assert sigma == pytest.approx(sigma_ref, rel=1e-11)
+        assert np.linalg.norm(a @ vec) == pytest.approx(sigma_ref, rel=1e-11)
+
+    def test_small_matrix_takes_dense_path(self):
+        # ARPACK needs more columns than its Lanczos basis
+        a = np.random.default_rng(5).normal(size=(12, 12))
+        assert spectral_norm(a) == bench._dense_top_singular_pair(a)[0]
+        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2),
+                                                 rel=1e-12)
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        a = np.random.default_rng(5).normal(size=(300, 300))
+        oracle = bench._dense_top_singular_pair
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return oracle(matrix)
+
+        monkeypatch.setattr(bench, "ARPACK_MAXITER", 1)
+        monkeypatch.setattr(bench, "_dense_top_singular_pair", counted)
+        assert spectral_norm(a) == oracle(a)[0]
+        assert len(calls) == 1
 
 
 class TestComparisonNorms:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from bergman_heat.bench import rate_fit
+from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
 from bergman_heat.config import DEFAULTS, default_l_max, load_config
@@ -100,6 +104,10 @@ class TestExitCodes:
         ("heat-check", {"u_min": 0.02}),
         ("model-check", {"seed": -1}),
         ("decay", {"max_sample_per_axis": 100000}),
+        ("near-diagonal", {"window_constant": 0.0}),
+        ("near-diagonal", {"window_constant": -1.0}),
+        ("model-check", {"window": 0.0}),
+        ("model-check", {"window": -1.0}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -119,6 +127,22 @@ class TestExitCodes:
     ])
     def test_override_of_unread_key_is_config_error(self, tmp_path, argv):
         assert run(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--lmax", "400"],
+        ["converge", "--p", "100", "200", "400", "800", "--lmax", "46"],
+    ])
+    def test_oversized_sweep_is_refused_up_front(self, tmp_path, capsys,
+                                                 argv):
+        check_sweep_cost(128, default_l_max(128))  # the defaults still run
+        start = time.monotonic()
+        code = run(argv + ["--out", str(tmp_path)])
+        assert time.monotonic() - start < 10.0
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "over the limit" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command,cfg,message", [
         ("near-diagonal", {"x0": "ab"}, "x0 must be two finite numbers"),
@@ -224,6 +248,39 @@ class TestCommands:
         path.write_text(json.dumps(cfg))
         assert run(["near-diagonal", "--config", str(path),
                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
+        # byte-identical reruns hold at a fixed BLAS thread count only; the
+        # reduction order of 1 and 2 threads differs
+        cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
+                   + [{"id": "tilted", "coefficients": {"1,1": 0.1,
+                                                        "2,1": 0.05}}])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables, summaries = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "bergman_heat.cli", "converge",
+                 "--config", str(path), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode in (EXIT_OK, EXIT_ACCEPTANCE), proc.stderr
+            lines = (out / "converge.csv").read_text().splitlines()[1:]
+            tables.append([line.split(",") for line in lines])
+            summaries.append(_read_summary(out, "converge"))
+        one, two = tables
+        assert [row[:2] for row in one] == [row[:2] for row in two]
+        for a, b in zip(one, two):
+            for col in (2, 3):
+                assert float(a[col]) == pytest.approx(float(b[col]), rel=1e-11)
+        for fid, form in summaries[0]["forms"].items():
+            assert (form["argmax_degrees"]
+                    == summaries[1]["forms"][fid]["argmax_degrees"])
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a"
