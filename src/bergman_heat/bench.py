@@ -54,7 +54,10 @@ class OperatorMatrix:
 
 
 def check_sweep_cost(p_max, l_max):
-    """Refuse a sweep whose matrices or Q assembly exceed the budgets."""
+    """Refuse a sweep whose matrices or Q assembly exceed the budgets, or
+    whose truncation holds only constants, where norm2 is 0 at every p."""
+    if l_max < 1:
+        raise ConfigError(f"converge needs l_max >= 1, got {l_max}")
     entries = (l_max + 1) ** 4
     if entries > MAX_MATRIX_ENTRIES:
         raise ConfigError(

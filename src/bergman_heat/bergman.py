@@ -21,6 +21,7 @@ from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
                       moment_matrices)
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
+from .sections import check_pair_count
 
 # smoothing-input longitude modes at most this fraction of the largest are skipped
 MODE_TOL = 1e-16
@@ -40,8 +41,6 @@ class SmoothingOperator:
         self.form = evaluator.form
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
-        self._profiles = evaluator.basis.theta_profiles(self.grid.theta)
-        self._mu_cap = min(self.p, self.grid.n_phi // 2 - 1)
 
     def apply_modes(self, modes):
         """Apply the operator to a batch of inputs in longitude-mode space.
@@ -51,10 +50,10 @@ class SmoothingOperator:
         folded into section moment matrices, conjugated by the inverse Gram,
         and taken back to their longitude modes, shape (n, n_theta, mu_cap+1).
         """
-        T = moment_matrices(modes, self.grid.w_theta, self._profiles, MODE_TOL)
-        M = self.evaluator.kernel_matrix
-        A = M @ T @ M
-        return diagonal_modes(A, self._profiles, self._mu_cap) / self.rank_ratio
+        ev = self.evaluator
+        T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL)
+        A = ev.kernel_matrix @ T @ ev.kernel_matrix
+        return diagonal_modes(A, ev.profiles, ev.mu_cap) / self.rank_ratio
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""
@@ -131,6 +130,7 @@ def near_diagonal_residual(evaluator, x0, window_constant=3.0,
     metric-convention kernel modulus and the flat Gaussian
     ``exp(-(pi/2) p |Z - Z'|^2)``.  Moduli only; no phase comparison.
     """
+    check_pair_count(1 + (n_radial - 1) * n_angular)
     p = evaluator.p
     radius = window_constant / math.sqrt(p)
     if radius >= INJECTIVITY_RADIUS:

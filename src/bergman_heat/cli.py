@@ -15,7 +15,6 @@ import os
 import sys
 
 import numpy as np
-import sympy as sp
 
 from . import flat_model
 from .bench import check_sweep_cost, rate_fit, sweep_form
@@ -76,7 +75,9 @@ def _finish(out_dir, name, criteria, extra=None, exit_code=None):
 
 def cmd_converge(cfg, out_dir):
     p_list = cfg["p_list"]
-    l_max = cfg.get("l_max") or default_l_max(max(p_list))
+    l_max = cfg["l_max"]
+    if l_max is None:
+        l_max = default_l_max(max(p_list))
     check_sweep_cost(max(p_list), l_max)
     grid = grid_for(cfg, max(p_list), l_max)
     sht = SphericalHarmonicTransform(grid, l_max)
@@ -220,20 +221,13 @@ def cmd_model_check(cfg, out_dir):
         abs(abs(flat_model.bargmann_kernel(z, w)) ** 2
             - math.exp(-math.pi * abs(z - w) ** 2))
         for z, w in zip(zs, ws))
-    sym_resid = 0.0
     probe = np.linspace(-1.0, 1.0, 5)
     probe_z = (probe[:, None] + 1j * probe[None, :]).ravel()
-    for w in ws:
-        expr, (x, y) = flat_model.bargmann_kernel_expr(w)
-        applied = sp.expand(flat_model.landau_operator_symbolic(expr, x, y))
-        func = sp.lambdify((x, y), applied, modules="numpy")
-        vals = np.asarray(func(probe_z.real, probe_z.imag), dtype=complex)
-        sym_resid = max(sym_resid, float(np.abs(vals).max()))
-    fd_resid = 0.0
-    for w in ws[:5]:
-        vals, _ = flat_model.landau_operator_apply(
-            lambda z, w=w: flat_model.bargmann_kernel(z, w), probe_z)
-        fd_resid = max(fd_resid, float(np.abs(vals).max()))
+    sym_resid = flat_model.landau_kernel_residual(probe_z, ws)
+    vals, _ = flat_model.landau_operator_apply(
+        lambda z: flat_model.bargmann_kernel(z, ws[None, :5]),
+        probe_z[:, None])
+    fd_resid = float(np.abs(vals).max())
     lap = 0.0
     for w in ws:
         computed, closed = flat_model.gaussian_laplacian_identity(4, 0.3 * w)
@@ -251,6 +245,8 @@ def cmd_model_check(cfg, out_dir):
 
 
 def cmd_heat_check(cfg, out_dir):
+    grid = grid_for(cfg, 16)
+    sht = SphericalHarmonicTransform(grid, cfg["l_max"])
     us = np.exp(np.linspace(math.log(cfg["u_min"]), math.log(cfg["u_max"]),
                             cfg["n_u"]))
     diag = np.array([heat_diagonal(u) for u in us])
@@ -264,8 +260,6 @@ def cmd_heat_check(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "heat_check.csv"),
                ["u", "heat_diag", "scaled_minus_one"], rows)
 
-    grid = grid_for({"n_theta": cfg["n_theta"], "n_phi": cfg["n_phi"]}, 16)
-    sht = SphericalHarmonicTransform(grid, cfg["l_max"])
     rng = np.random.default_rng(3)
     c = HarmonicCoeffs(cfg["l_max"],
                        rng.normal(size=(cfg["l_max"] + 1) ** 2)
@@ -361,12 +355,7 @@ def run(argv=None):
                  "l_max": getattr(args, "lmax", None)}
     try:
         cfg = load_config(args.command, args.config, overrides)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}),
-              file=sys.stderr)
-        return EXIT_CONFIG
-    os.makedirs(args.out, exist_ok=True)
-    try:
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}),
@@ -374,9 +363,7 @@ def run(argv=None):
         return EXIT_CONFIG
     except (InvalidRunError, IllConditionedGramError) as exc:
         payload = {"error": str(exc), "exit_code": EXIT_INVALID_RUN}
-        _write_json(os.path.join(
-            args.out, f"{args.command.replace('-', '_')}_summary.json"),
-            {"command": args.command, "criteria": [], **payload})
+        _finish(args.out, args.command, [], payload, EXIT_INVALID_RUN)
         print(json.dumps(payload), file=sys.stderr)
         return EXIT_INVALID_RUN
 

@@ -11,6 +11,7 @@ import math
 
 from .errors import ConfigError
 from .geometry import VolumeForm, build_grid
+from .sections import MAX_GRID_AXIS
 
 _BASE_FORMS = [
     {"id": "fs", "coefficients": {}},
@@ -88,9 +89,11 @@ DEFAULTS = {
 
 
 # smallest accepted value of each count-valued key (one radius is the
-# window's centre alone; heat-check fits a quadratic through the n_u points)
+# window's centre alone; heat-check fits a quadratic through the n_u points;
+# a quadrature grid needs two nodes per axis)
 _MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
-             "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0}
+             "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0,
+             "n_theta": 2, "n_phi": 2}
 
 # fewest p values of each fitting command (a line through two points always
 # has R^2 = 1, so decay's R^2 criterion needs three)
@@ -201,13 +204,20 @@ def parse_form_spec(spec, grid):
 
 
 def grid_for(cfg, p_max, l_max=None):
-    """Build the run grid, auto-sizing from the largest p when not pinned."""
+    """Build the run grid, auto-sizing from the largest p when not pinned.
+
+    Refuses a grid with more than ``MAX_GRID_AXIS`` nodes along an axis.
+    """
     n_theta, n_phi = default_grid_sizes(p_max)
     if l_max is not None:
         n_theta = max(n_theta, 2 * l_max + 10)
         n_phi = max(n_phi, 4 * l_max + 20)
-    if cfg.get("n_theta"):
+    if cfg.get("n_theta") is not None:
         n_theta = int(cfg["n_theta"])
-    if cfg.get("n_phi"):
+    if cfg.get("n_phi") is not None:
         n_phi = int(cfg["n_phi"])
+    if max(n_theta, n_phi) > MAX_GRID_AXIS:
+        raise ConfigError(
+            f"grid {n_theta}x{n_phi} is over the limit of {MAX_GRID_AXIS} "
+            f"nodes per axis; pin a smaller grid or lower p")
     return build_grid(n_theta, n_phi)

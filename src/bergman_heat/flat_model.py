@@ -4,13 +4,13 @@ Laplacian closed form used by the rescaling analysis.
 
 Differentiation of closed-form test functions is available symbolically
 (exact); arbitrary callables go through fourth-order central differences
-with a Richardson residual estimate.
+with a Richardson residual estimate.  Sympy is imported only inside the
+symbolic functions, so importing the package does not load it.
 """
 
 import math
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError, DifferentiationError
 
@@ -28,12 +28,14 @@ def bargmann_kernel(z, w):
 
 
 def bargmann_kernel_expr(w):
-    """Sympy expression of the kernel z -> K(z, w) in real symbols (x, y)."""
+    """Sympy expression of the kernel z -> K(z, w) in real symbols (x, y);
+    w is a number or an expression in real symbols such as u + I*v."""
+    import sympy as sp
     x, y = sp.symbols("x y", real=True)
-    w = complex(w)
-    wc = sp.Float(w.real, 17) - sp.I * sp.Float(w.imag, 17)
+    w = sp.sympify(w)
+    wc = sp.conjugate(w)
     z = x + sp.I * y
-    expo = -sp.pi / 2 * (x ** 2 + y ** 2 + sp.Float(abs(w) ** 2, 17) - 2 * z * wc)
+    expo = -sp.pi / 2 * (x ** 2 + y ** 2 + w * wc - 2 * z * wc)
     return sp.exp(expo), (x, y)
 
 
@@ -42,13 +44,26 @@ def landau_operator_symbolic(expr, x, y):
 
     ``expr`` is a sympy expression in the real symbols x, y with z = x + i y.
     """
+    import sympy as sp
     z = x + sp.I * y
     zbar = x - sp.I * y
-    dz = (sp.diff(expr, x) - sp.I * sp.diff(expr, y)) / 2
     dzbar = (sp.diff(expr, x) + sp.I * sp.diff(expr, y)) / 2
     inner = 2 * dzbar + sp.pi * z * expr
     dz_inner = (sp.diff(inner, x) - sp.I * sp.diff(inner, y)) / 2
     return -2 * dz_inner + sp.pi * zbar * inner
+
+
+def landau_kernel_residual(z, ws):
+    """Max |L K(., w)| at points z over kernel points ws, from one exact
+    derivation with w = u + i v symbolic, evaluated by broadcasting."""
+    import sympy as sp
+    u, v = sp.symbols("u v", real=True)
+    expr, (x, y) = bargmann_kernel_expr(u + sp.I * v)
+    applied = sp.expand(landau_operator_symbolic(expr, x, y))
+    func = sp.lambdify((x, y, u, v), applied, modules="numpy")
+    z = np.asarray(z, dtype=complex)[:, None]
+    w = np.asarray(ws, dtype=complex)[None, :]
+    return float(np.abs(func(z.real, z.imag, w.real, w.imag)).max())
 
 
 _D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -57,7 +72,6 @@ _D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 def _fd_parts(f, z, h):
     """Fourth-order f_x, f_y, f_xx, f_yy at complex points z."""
-    z = np.asarray(z, dtype=complex)
     offsets = np.arange(-2, 3)
     fx = sum(c * f(z + k * h) for k, c in zip(offsets, _D1_STENCIL)) / h
     fy = sum(c * f(z + 1j * k * h) for k, c in zip(offsets, _D1_STENCIL)) / h
@@ -127,9 +141,7 @@ def gaussian_laplacian_identity(p, w, h=None):
         z = np.asarray(z, dtype=complex)
         return np.exp(-math.pi * p * np.abs(z - w) ** 2)
 
-    offsets = np.arange(-2, 3)
-    fxx = sum(c * f(k * h) for k, c in zip(offsets, _D2_STENCIL)) / h ** 2
-    fyy = sum(c * f(1j * k * h) for k, c in zip(offsets, _D2_STENCIL)) / h ** 2
+    _, _, fxx, fyy = _fd_parts(f, 0.0, h)
     computed = float((-(fxx + fyy)).real)
     closed = 4.0 * math.pi * p * (1.0 - math.pi * p * abs(w) ** 2) \
         * math.exp(-math.pi * p * abs(w) ** 2)

@@ -28,6 +28,11 @@ PAIR_BLOCK_ROWS = 768
 # where one complex band stays under 123 MB
 MAX_PAIRS = 10 ** 8
 
+# largest accepted node count along either grid axis: the Gauss-Legendre
+# nodes come from a dense n x n eigenproblem, cubic in n (0.64 s at 2048 on
+# 2 cores), and one float array over a 2048 x 2048 grid holds 34 MB
+MAX_GRID_AXIS = 2048
+
 # largest accepted Gram condition estimate
 COND_LIMIT = 1e12
 
@@ -132,6 +137,14 @@ def gram_matrix_bruteforce(basis, form, grid):
     return H
 
 
+def check_pair_count(n):
+    """Refuse an all-pairs pass over ``n`` points above ``MAX_PAIRS`` pairs."""
+    if n * n > MAX_PAIRS:
+        raise ConfigError(
+            f"{n} points make {n * n} node pairs, over the limit "
+            f"{MAX_PAIRS:.0e}; use fewer points")
+
+
 class KernelBlock:
     """Bergman kernel over point pairs (x_i, y_j), in both volume conventions.
 
@@ -170,6 +183,10 @@ class BergmanEvaluator:
         self.grid = grid
         self.gram = gram_matrix(basis, form, grid)
         self.kernel_matrix = self.gram.inverse()
+        # section profiles at the grid colatitudes, and the highest longitude
+        # mode kept: p, capped below the grid's Nyquist mode
+        self.profiles = basis.theta_profiles(grid.theta)
+        self.mu_cap = min(basis.p, grid.n_phi // 2 - 1)
 
     @property
     def p(self):
@@ -189,11 +206,7 @@ class BergmanEvaluator:
         """Yield ``(rows, block)`` over all pairs of one point set: bands of
         ``PAIR_BLOCK_ROWS`` x points against every point, from sections and
         eta evaluated once.  Refuses more than ``MAX_PAIRS`` pairs."""
-        n = len(theta)
-        if n * n > MAX_PAIRS:
-            raise ConfigError(
-                f"{n} points make {n * n:.3e} node pairs, above the limit "
-                f"{MAX_PAIRS:.0e}; use fewer points")
+        check_pair_count(len(theta))
         sigma = self.section_matrix(theta, phi)
         half = sigma @ self.kernel_matrix
         sigma_h = sigma.conj().T
@@ -204,9 +217,8 @@ class BergmanEvaluator:
 
     def diagonal_on_grid(self):
         """P(x, x) over the full grid, shape (n_theta, n_phi); real positive."""
-        mu_cap = min(self.p, self.grid.n_phi // 2 - 1)
-        profiles = self.basis.theta_profiles(self.grid.theta)
-        modes = diagonal_modes(self.kernel_matrix[None], profiles, mu_cap)[0]
+        modes = diagonal_modes(self.kernel_matrix[None], self.profiles,
+                               self.mu_cap)[0]
         return modes_to_grid(modes, self.grid.n_phi)
 
     def reproduce_sections(self, theta, phi):

@@ -34,3 +34,16 @@ def sht(grid):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def landau_without_field_term():
+    """The model operator with the ``pi * z * expr`` term of its inner factor
+    dropped: a broken operator that does not annihilate the kernel."""
+    import sympy as sp
+
+    def operator(expr, x, y):
+        inner = sp.diff(expr, x) + sp.I * sp.diff(expr, y)
+        dz_inner = (sp.diff(inner, x) - sp.I * sp.diff(inner, y)) / 2
+        return -2 * dz_inner + sp.pi * (x - sp.I * y) * inner
+    return operator

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bergman_heat import flat_model
 from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
@@ -16,6 +17,13 @@ from bergman_heat.errors import ConfigError
 
 def _read_summary(out_dir, name):
     return json.loads((Path(out_dir) / f"{name}_summary.json").read_text())
+
+
+def _subprocess_env(**extra):
+    """The environment plus this checkout's ``src`` on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 SMALL_CONVERGE = {
@@ -53,6 +61,16 @@ class TestConfig:
     def test_l_max_default_tracks_p(self):
         assert default_l_max(128) == max(40, 46)
         assert default_l_max(16) == 40
+
+    def test_import_leaves_sympy_unloaded(self):
+        # only model-check's symbolic criterion needs sympy
+        code = ("import sys, bergman_heat; a = 'sympy' in sys.modules; "
+                "import bergman_heat.cli; print(a, 'sympy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_subprocess_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestExitCodes:
@@ -108,6 +126,9 @@ class TestExitCodes:
         ("near-diagonal", {"window_constant": -1.0}),
         ("model-check", {"window": 0.0}),
         ("model-check", {"window": -1.0}),
+        ("converge", {"l_max": 0}),
+        ("converge", dict(SMALL_CONVERGE, n_theta=0)),
+        ("identities", {"n_theta": 0, "n_phi": 0}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -137,6 +158,27 @@ class TestExitCodes:
         check_sweep_cost(128, default_l_max(128))  # the defaults still run
         start = time.monotonic()
         code = run(argv + ["--out", str(tmp_path)])
+        assert time.monotonic() - start < 10.0
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "over the limit" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("converge", {"n_theta": 20000, "n_phi": 40000}),
+        ("decay", {"n_theta": 20000}),
+        ("decay", {"p_list": [64, 96, 4000]}),
+        ("heat-check", {"n_phi": 10 ** 9}),
+        ("near-diagonal", {"n_radial": 101, "n_angular": 100}),
+        ("identities", {"n_theta": 120, "n_phi": 240}),
+    ])
+    def test_oversized_grid_or_pair_pass_is_refused_up_front(
+            self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        start = time.monotonic()
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
         assert time.monotonic() - start < 10.0
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -193,6 +235,8 @@ class TestCommands:
         assert len(csv_lines) == 1 + 4 * 3
         summary = _read_summary(tmp_path, "converge")
         assert summary["exit_code"] == EXIT_OK
+        assert summary["l_max"] == 12
+        assert summary["grid"] == [48, 96]
         for crit in summary["criteria"]:
             assert {"name", "measured", "threshold", "pass"} <= set(crit)
         # the uniformity summary holds each family member's own rate fit
@@ -219,6 +263,28 @@ class TestCommands:
         assert run(["model-check", "--out", str(tmp_path)]) == EXIT_OK
         summary = _read_summary(tmp_path, "model_check")
         assert all(c["pass"] for c in summary["criteria"])
+
+    def test_model_check_derives_once(self, tmp_path, monkeypatch):
+        calls = []
+        derive = flat_model.landau_operator_symbolic
+        monkeypatch.setattr(flat_model, "landau_operator_symbolic",
+                            lambda *args: calls.append(1) or derive(*args))
+        for n_random in (1, 20):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"n_random": n_random}))
+            assert run(["model-check", "--config", str(path),
+                        "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 2
+
+    def test_broken_landau_operator_fails_model_check(
+            self, tmp_path, monkeypatch, landau_without_field_term):
+        monkeypatch.setattr(flat_model, "landau_operator_symbolic",
+                            landau_without_field_term)
+        code = run(["model-check", "--out", str(tmp_path)])
+        assert code == EXIT_ACCEPTANCE
+        summary = _read_summary(tmp_path, "model_check")
+        assert [c["name"] for c in summary["criteria"] if not c["pass"]] \
+            == ["annihilation-symbolic"]
 
     def test_identities_small(self, tmp_path):
         cfg = {"p_list": [4, 8], "n_theta": 32, "n_phi": 64,
@@ -257,14 +323,12 @@ class TestCommands:
                                                         "2,1": 0.05}}])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        src = str(Path(__file__).resolve().parents[1] / "src")
         tables, summaries = [], []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = _subprocess_env(OPENBLAS_NUM_THREADS=threads,
+                                  OMP_NUM_THREADS=threads,
+                                  MKL_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "bergman_heat.cli", "converge",
                  "--config", str(path), "--out", str(out)],

@@ -8,6 +8,7 @@ from bergman_heat import (ConfigError, DifferentiationError,
                           bargmann_kernel, bargmann_kernel_expr,
                           gaussian_laplacian_identity, landau_operator_apply,
                           landau_operator_symbolic, reproducing_residual)
+from bergman_heat import flat_model
 
 
 class TestBargmannKernel:
@@ -26,6 +27,20 @@ class TestBargmannKernel:
         z, w = 0.4 + 0.2j, -1.1 + 0.7j
         assert bargmann_kernel(z, w) == pytest.approx(
             np.conj(bargmann_kernel(w, z)), abs=1e-16)
+
+    def test_expression_matches_numeric_kernel(self, rng):
+        zs = rng.normal(size=6) + 1j * rng.normal(size=6)
+        ws = rng.normal(size=6) + 1j * rng.normal(size=6)
+        u, v = sp.symbols("u v", real=True)
+        expr, (x, y) = bargmann_kernel_expr(u + sp.I * v)
+        func = sp.lambdify((x, y, u, v), expr, modules="numpy")
+        target = bargmann_kernel(zs, ws)
+        assert np.abs(func(zs.real, zs.imag, ws.real, ws.imag)
+                      - target).max() < 1e-12
+        for z, w, k in zip(zs, ws, target):
+            expr, (x, y) = bargmann_kernel_expr(w)
+            assert complex(expr.subs({x: z.real, y: z.imag})) \
+                == pytest.approx(k, abs=1e-12)
 
     def test_modulus_depends_only_on_separation(self, rng):
         base = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -65,6 +80,30 @@ class TestLandauOperator:
             vals = np.asarray(func(probe[:, None], probe[None, :]),
                               dtype=complex)
             assert np.abs(vals).max() < 1e-8
+
+    def test_one_derivation_matches_per_w_route(
+            self, rng, monkeypatch, landau_without_field_term):
+        # a broken operator leaves an O(1) residual, so agreement checks that
+        # the symbolic kernel point reproduces each numeric one
+        probe = np.linspace(-1.2, 1.2, 5)
+        zs = (probe[:, None] + 1j * probe[None, :]).ravel()
+        ws = rng.uniform(-1.5, 1.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
+        for operator in (landau_operator_symbolic, landau_without_field_term):
+            monkeypatch.setattr(flat_model, "landau_operator_symbolic",
+                                operator)
+            per_w = []
+            for w in ws:
+                expr, (x, y) = bargmann_kernel_expr(w)
+                func = sp.lambdify((x, y), sp.expand(operator(expr, x, y)),
+                                   modules="numpy")
+                per_w.append(np.abs(np.asarray(func(zs.real, zs.imag),
+                                               dtype=complex)).max())
+                assert flat_model.landau_kernel_residual(zs, [w]) \
+                    == pytest.approx(per_w[-1], rel=1e-10, abs=1e-8)
+            for batch in (ws, ws[::-1]):
+                assert flat_model.landau_kernel_residual(zs, batch) \
+                    == pytest.approx(max(per_w), rel=1e-10, abs=1e-8)
+        assert min(per_w) > 1.0
 
     def test_annihilates_kernel_columns_fd(self, rng):
         zs = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12))
