@@ -89,8 +89,8 @@ def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
     vecs = unit_vectors(tt, pp)
     sup = 0.0
     min_dist = math.inf
-    for rows, blk in evaluator.kernel_rows(tt, pp):
-        dist = pairwise_distances(vecs[rows], vecs)
+    for rows, cols, blk, _ in evaluator.kernel_tiles(tt, pp):
+        dist = pairwise_distances(vecs[rows], vecs[cols])
         mask = dist >= eps
         if not mask.any():
             continue
@@ -140,18 +140,21 @@ def near_diagonal_residual(evaluator, x0, window_constant=3.0,
     points = [exp_map(x0, z) for z in Z]
     theta = np.array([pt.theta for pt in points])
     phi = np.array([pt.phi for pt in points])
-    mod = evaluator.kernel(theta, phi, theta, phi).omega_modulus
-    diff = Z[:, None, :] - Z[None, :, :]
-    gauss = np.exp(-0.5 * math.pi * p * np.sum(diff * diff, axis=-1))
-    resid = np.abs(mod / p - gauss)
-    return NearDiagonalProbe(sup_residual=float(resid.max()),
-                             center_residual=float(resid[0, 0]))
+    sup = 0.0
+    for rows, cols, blk, _ in evaluator.kernel_tiles(theta, phi):
+        diff = Z[rows, None, :] - Z[None, cols, :]
+        gauss = np.exp(-0.5 * math.pi * p * np.sum(diff * diff, axis=-1))
+        resid = np.abs(blk.omega_modulus / p - gauss)
+        sup = max(sup, float(resid.max()))
+        if rows.start == cols.start == 0:
+            center = float(resid[0, 0])
+    return NearDiagonalProbe(sup_residual=sup, center_residual=center)
 
 
 def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
     """Max residuals of the reference/metric convention identities.
 
-    One pass over the kernel blocks of all node pairs of the full grid feeds
+    One pass over the kernel tiles of all node pairs of the full grid feeds
     every check, each through the ``KernelBlock`` conventions it names:
 
     - ``kernel_eta``:   | |P_ref(x,y)| - eta(y) |P_metric_coef(x,y)| |
@@ -174,28 +177,27 @@ def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
                        for _ in range(n_probe_functions)], axis=1)
     w_probes = grid.node_weights.reshape(-1, 1) * probes / op.rank_ratio
     w_nu_probes = form.density.reshape(-1, 1) * w_probes
-    direct = np.empty_like(probes)
-    factored = np.empty_like(probes)
+    direct = np.zeros_like(probes)
+    factored = np.zeros_like(probes)
     out = {}
 
     def track(key, residual):
         out[key] = max(out.get(key, 0.0), float(np.abs(residual).max()))
 
-    for rows, blk in evaluator.kernel_rows(tt, pp):
-        swapped = evaluator.kernel(tt, pp, tt[rows], pp[rows])
+    for rows, cols, blk, mirror in evaluator.kernel_tiles(tt, pp):
         k_ref = blk.modulus ** 2
         k_metric = blk.omega_modulus ** 2
         omega_abs = np.abs(blk.omega_coefficient)
         track("kernel_eta", blk.modulus - blk.eta_y * omega_abs)
         track("density_eta", k_ref - np.outer(blk.eta_x, blk.eta_y) * k_metric)
-        track("metric_symmetry", k_metric - swapped.omega_modulus.T ** 2)
+        track("metric_symmetry", k_metric - mirror.omega_modulus.T ** 2)
         track("frame_factor",
               k_metric - omega_abs ** 2 * np.outer(1.0 / blk.eta_x, blk.eta_y))
         track("hermitian_symmetry",
-              blk.coefficient - swapped.coefficient.T.conj())
-        # the two quadrature routes of the smoothing operator share the blocks
-        direct[rows] = k_ref @ w_nu_probes
-        factored[rows] = blk.eta_x[:, None] * (k_metric @ w_probes)
+              blk.coefficient - mirror.coefficient.T.conj())
+        # the two quadrature routes of the smoothing operator share the tiles
+        direct[rows] += k_ref @ w_nu_probes[cols]
+        factored[rows] += blk.eta_x[:, None] * (k_metric @ w_probes[cols])
     resid = float(np.abs(direct - factored).max())
     for j in range(n_probe_functions):
         fast = op.apply(probes[:, j].reshape(grid.n_theta, grid.n_phi))

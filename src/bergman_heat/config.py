@@ -160,6 +160,11 @@ def _validate(command, cfg):
     for key in [k for k in ("volume_forms", "uniformity_family") if k in cfg]:
         if not isinstance(cfg[key], list) or not cfg[key]:
             raise ConfigError(f"{key} must be a nonempty list, got {cfg[key]!r}")
+    ids = [_form_id(spec) for spec in cfg.get("volume_forms", [])
+           if isinstance(spec, dict)]
+    repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
+    if repeated:
+        raise ConfigError(f"volume_forms repeat the form id(s) {repeated}")
     if not all(isinstance(fid, str) for fid in cfg.get("uniformity_family", [])):
         raise ConfigError("uniformity_family must list form ids")
     for key, minimum in _MINIMUMS.items():
@@ -186,6 +191,10 @@ def _validate(command, cfg):
         raise ConfigError("u_min must be below u_max")
 
 
+def _form_id(spec):
+    return str(spec.get("id", "custom"))
+
+
 def parse_form_spec(spec, grid):
     if not (isinstance(spec, dict)
             and isinstance(spec.get("coefficients"), dict)):
@@ -200,7 +209,7 @@ def parse_form_spec(spec, grid):
         if not _is_number(value):
             raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
         coeffs[index] = float(value)
-    return VolumeForm(grid, coeffs, form_id=spec.get("id", "custom"))
+    return VolumeForm(grid, coeffs, form_id=_form_id(spec))
 
 
 def grid_for(cfg, p_max, l_max=None):

@@ -179,9 +179,10 @@ class VolumeForm:
     """Strictly positive reference volume form ``d nu = rho * dv_X``.
 
     The density is ``exp`` of a real, low-degree spherical-harmonic
-    combination, so positivity is automatic and the longitude Fourier
-    content stays narrow.  ``eta = 1/rho`` is the derived density of
-    ``dv_X`` against ``d nu``.
+    combination, so positivity is automatic unless ``exp`` overflows or
+    underflows, which is refused, and the longitude Fourier content stays
+    narrow.  ``eta = 1/rho`` is the derived density of ``dv_X`` against
+    ``d nu``.
     """
 
     def __init__(self, grid, coefficients=None, form_id="custom"):
@@ -192,8 +193,12 @@ class VolumeForm:
         for (l, m), _ in self.coefficients.items():
             if l < 0 or abs(m) > l:
                 raise ConfigError(f"bad harmonic index ({l},{m})")
-        self.density = np.exp(self.log_density_at(grid.theta_mesh,
-                                                  grid.phi_mesh))
+        with np.errstate(over="ignore"):
+            self.density = np.exp(self.log_density_at(grid.theta_mesh,
+                                                      grid.phi_mesh))
+        if not (np.isfinite(self.density).all() and self.density.min() > 0.0):
+            raise ConfigError(f"form {self.form_id}: density is not finite "
+                              "and positive at every node")
         self.eta = 1.0 / self.density
         self.volume = integrate(self.density, grid)
         # longitude Fourier modes of the density, one row per theta node

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bergman_heat import (RADIUS, ConfigError, KernelBlock,
-                          SmoothingOperator, SpherePoint, bergman_evaluator,
+from bergman_heat import (RADIUS, BergmanEvaluator, ConfigError,
+                          KernelBlock, SmoothingOperator, SpherePoint,
+                          VolumeForm, bergman_evaluator, build_grid,
                           near_diagonal_residual, off_diagonal_sup,
                           rank_ratio, weight_change_residuals)
+from bergman_heat.sections import PAIR_BLOCK_ROWS
 
 
 def funk_hecke_eigenvalue(p, l):
@@ -162,17 +164,50 @@ class TestWeightChange:
             for key, value in res.items():
                 assert value < 1e-8, f"{form.form_id}/{key} = {value}"
 
-    @pytest.mark.parametrize("name,broken,key", [
+    @pytest.mark.parametrize("breaks,key", [
         # frame factor eta(x)^(+1/2) in place of eta(x)^(-1/2)
-        ("omega_modulus", lambda blk: blk.modulus * np.outer(
-            blk.eta_x ** 0.5, blk.eta_y ** -0.5), "density_eta"),
+        (lambda mp, ev: mp.setattr(KernelBlock, "omega_modulus", property(
+            lambda blk: blk.modulus * np.outer(blk.eta_x ** 0.5,
+                                               blk.eta_y ** -0.5))),
+         "density_eta"),
         # density eta(y) in place of 1/eta(y) in the second slot
-        ("omega_coefficient", lambda blk: blk.coefficient * blk.eta_y,
-         "kernel_eta"),
-    ], ids=["omega_modulus", "omega_coefficient"])
+        (lambda mp, ev: mp.setattr(KernelBlock, "omega_coefficient", property(
+            lambda blk: blk.coefficient * blk.eta_y)), "kernel_eta"),
+        # an anti-Hermitian part in the kernel matrix: P(x, y) then differs
+        # from conj(P(y, x)), across tiles as well as within one
+        (lambda mp, ev: mp.setattr(ev, "kernel_matrix", ev.kernel_matrix
+                                   + 1e-6j * np.eye(ev.p + 1)),
+         "hermitian_symmetry"),
+    ], ids=["omega_modulus", "omega_coefficient", "kernel_matrix"])
     def test_broken_convention_is_detected(self, grid, tilted_form,
-                                           monkeypatch, name, broken, key):
-        monkeypatch.setattr(KernelBlock, name, property(broken))
-        res = weight_change_residuals(bergman_evaluator(4, tilted_form, grid),
-                                      n_probe_functions=1)
+                                           monkeypatch, breaks, key):
+        # the 48 x 96 grid spans six tiles a side
+        assert grid.n_theta * grid.n_phi > 2 * PAIR_BLOCK_ROWS
+        ev = bergman_evaluator(4, tilted_form, grid)
+        breaks(monkeypatch, ev)
+        res = weight_change_residuals(ev, n_probe_functions=1)
         assert res[key] > 1e-8
+
+
+class TestPairTiles:
+    @pytest.mark.parametrize("probe", [
+        lambda ev: off_diagonal_sup(ev, 0.2),
+        # 1 + 29 * 30 = 871 window points
+        lambda ev: near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 1.0,
+                                          n_radial=30, n_angular=30),
+        lambda ev: weight_change_residuals(ev, n_probe_functions=1),
+    ], ids=["off_diagonal", "near_diagonal", "weight_change"])
+    def test_kernel_is_evaluated_once_per_tile(self, monkeypatch, probe):
+        sides = []
+        kernel = BergmanEvaluator.kernel
+
+        def recording(self, theta_x, phi_x, theta_y, phi_y):
+            sides.append((len(theta_x), len(theta_y)))
+            return kernel(self, theta_x, phi_x, theta_y, phi_y)
+
+        monkeypatch.setattr(BergmanEvaluator, "kernel", recording)
+        # 24 x 48 = 1152 nodes: two tiles a side, as for the window
+        small = build_grid(24, 48)
+        probe(bergman_evaluator(4, VolumeForm(small, {(1, 1): 0.2}), small))
+        assert len(sides) == 4
+        assert max(max(pair) for pair in sides) <= PAIR_BLOCK_ROWS

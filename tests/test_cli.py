@@ -201,6 +201,21 @@ class TestExitCodes:
          "uniformity_family must be a nonempty list"),
         ("identities", {"volume_forms": [{"coefficients": {"1,0": "x"}}]},
          "bad coefficient value 'x' for '1,0'"),
+        ("converge", dict(SMALL_CONVERGE, uniformity_family=["fs"],
+                          volume_forms=[
+                              {"id": "fs", "coefficients": {}},
+                              {"id": "fs", "coefficients": {"1,0": -0.3}}]),
+         "volume_forms repeat the form id(s) ['fs']"),
+        ("identities", {"volume_forms": [{"coefficients": {}},
+                                         {"coefficients": {"1,0": -0.3}}]},
+         "volume_forms repeat the form id(s) ['custom']"),
+        # exp of the density overflows to inf, or underflows to 0
+        ("identities", {"volume_forms": [{"coefficients": {"1,0": 800}}]},
+         "density is not finite and positive"),
+        ("identities", {"volume_forms": [{"coefficients": {"1,0": -800}}]},
+         "density is not finite and positive"),
+        ("decay", {"form": {"coefficients": {"1,0": 800}}},
+         "density is not finite and positive"),
     ])
     def test_malformed_list_value_is_config_error(self, tmp_path, capsys,
                                                   command, cfg, message):

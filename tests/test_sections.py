@@ -154,21 +154,26 @@ class TestBergmanEvaluator:
                         grid.theta[i:i + 1], grid.phi[j:j + 1]).modulus[0, 0]
         assert diag[i, j] == pytest.approx(val, rel=1e-12)
 
-    def test_kernel_rows_match_kernel(self, grid, tilted_form):
-        # more points than one band, so the last band is short
-        n = PAIR_BLOCK_ROWS + 37
+    def test_kernel_tiles_cover_every_pair_once(self, grid, tilted_form):
+        # more points than two tiles, so the last tile is short
+        n = 2 * PAIR_BLOCK_ROWS + 37
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.05, 3.1, n)
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         ev = bergman_evaluator(6, tilted_form, grid)
-        bands = list(ev.kernel_rows(theta, phi))
-        assert [(rows.start, rows.stop) for rows, _ in bands] \
-            == [(0, PAIR_BLOCK_ROWS), (PAIR_BLOCK_ROWS, n)]
         full = ev.kernel(theta, phi, theta, phi)
-        for _, blk in bands:
-            np.testing.assert_array_equal(blk.eta_y, full.eta_y)
-        for name in ("coefficient", "modulus", "eta_x", "omega_coefficient",
-                     "omega_modulus"):
-            joined = np.concatenate([getattr(blk, name) for _, blk in bands])
-            np.testing.assert_allclose(joined, getattr(full, name),
-                                       rtol=1e-13, atol=1e-13, err_msg=name)
+        seen = np.zeros((n, n), dtype=int)
+        for rows, cols, blk, mirror in ev.kernel_tiles(theta, phi):
+            assert max(rows.stop - rows.start,
+                       cols.stop - cols.start) <= PAIR_BLOCK_ROWS
+            seen[rows, cols] += 1
+            for name in ("coefficient", "modulus", "omega_coefficient",
+                         "omega_modulus"):
+                for tile, a, b in ((blk, rows, cols), (mirror, cols, rows)):
+                    np.testing.assert_allclose(
+                        getattr(tile, name), getattr(full, name)[a, b],
+                        rtol=1e-13, atol=1e-13, err_msg=name)
+            np.testing.assert_array_equal(blk.eta_x, full.eta_x[rows])
+            np.testing.assert_array_equal(blk.eta_y, full.eta_y[cols])
+            np.testing.assert_array_equal(mirror.eta_x, full.eta_x[cols])
+        assert (seen == 1).all()
