@@ -18,13 +18,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
 from .fourier import phi_band
-from .heat import heat_apply
+from .heat import HarmonicCoeffs, coeff_index, heat_apply
 from .sections import bergman_evaluator
-
-
-# basis columns per batch of the Q and multiplication assembly
-Q_CHUNK = 96
-MULT_CHUNK = 256
 
 # largest accepted converge sweep, checked before any table is built: one
 # operator matrix on the harmonic basis holds (l_max+1)^4 doubles (200 MB at
@@ -111,60 +106,44 @@ def multiplication_matrix(values, sht, tail_bound=None):
     return operator_matrix(lambda f: values * f, sht, tail_bound=tail_bound)
 
 
-def _column_input_modes(sht, mode_table, chunk_lm, d_count):
-    """Longitude modes of (grid function) * Y_lm for a chunk of basis columns.
-
-    ``mode_table`` holds the function's full DFT modes per colatitude node.
-    Output shape (n_cols, n_theta, d_count); mode d of a grid product is the
-    wrapped convolution of the table with the two harmonic modes.
-    """
-    grid = sht.grid
-    n_phi = grid.n_phi
-    out = np.empty((len(chunk_lm), grid.n_theta, d_count), dtype=complex)
-    ds = np.arange(d_count)
-    for row, (l, m) in enumerate(chunk_lm):
-        factor = sht.mode_factor(m)
-        modes = factor * mode_table[:, (ds - abs(m)) % n_phi]
-        if m != 0:
-            modes += factor.conjugate() * mode_table[:, (ds + abs(m)) % n_phi]
-        out[row] = sht.tables[abs(m)][l - abs(m)][:, None] * modes
-    return out
-
-
-def _assemble_columns(sht, chunk, column_modes, tail_bound):
+def _assemble_columns(sht, column_modes, tail_bound):
     """Operator matrix from the output longitude modes of basis columns.
 
-    ``column_modes(chunk_lm)`` returns the (n_cols, n_theta, n_modes) output
-    modes for a chunk of (l, m) basis columns.
+    The columns go in one batch per longitude order |m|: its cosine and
+    sine harmonics, whose span a rotation about the pole keeps, together.
+    ``column_modes(ms)`` returns the (n_cols, n_theta, n_modes) output modes
+    of the columns Y_lm for the orders m in ``ms`` in turn, l = |m|..l_max.
     """
-    lm_list = [(l, m) for l in range(sht.l_max + 1) for m in range(-l, l + 1)]
     n = sht.n_coeffs
-    matrix = np.zeros((n, n))
+    # one order's columns sit 2l+1 apart; column-major storage keeps each
+    # column write contiguous
+    matrix = np.zeros((n, n), order="F")
     col_norm = np.zeros(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        matrix[:, start:stop], col_norm[start:stop] = sht.analyze_modes(
-            column_modes(lm_list[start:stop]))
+    for k in range(sht.l_max + 1):
+        ms = (k, -k) if k else (0,)
+        cols = np.concatenate([coeff_index(np.arange(k, sht.l_max + 1), m)
+                               for m in ms])
+        matrix[:, cols], col_norm[cols] = sht.analyze_modes(column_modes(ms))
     return _checked_matrix(matrix, col_norm, tail_bound)
 
 
 def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
-    Each chunk of basis columns goes through ``smoother.apply_modes`` as one
-    batch, so the per-column small matrix products run as batched BLAS
-    calls; works in longitude-mode space throughout (no per-column grids).
-    Matches the generic path to roundoff.
+    The basis columns of one longitude order go through
+    ``smoother.apply_modes`` as one batch, so the per-column small matrix
+    products run as batched BLAS calls; works in longitude-mode space
+    throughout (no per-column grids).  Matches the generic path to roundoff.
     """
     if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
-
     # no mode clipping: the Gram exactness check forces n_phi >= 2p + 1
-    def column_modes(chunk_lm):
-        return smoother.apply_modes(_column_input_modes(
-            sht, smoother.form.density_modes, chunk_lm, smoother.p + 1))
-
-    return _assemble_columns(sht, Q_CHUNK, column_modes, tail_bound)
+    density_modes = smoother.form.density_modes
+    return _assemble_columns(
+        sht, lambda ms: smoother.apply_modes(np.concatenate(
+            [sht.order_products(density_modes, m, smoother.p + 1)
+             for m in ms])),
+        tail_bound)
 
 
 def fast_multiplication_matrix(values, sht, tail_bound=None):
@@ -178,11 +157,10 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
     grid = sht.grid
     mode_table = np.fft.fft(np.asarray(values, dtype=float), axis=1) / grid.n_phi
     d_count = min(sht.l_max + phi_band(mode_table) + 1, grid.n_phi // 2 + 1)
-
-    def column_modes(chunk_lm):
-        return _column_input_modes(sht, mode_table, chunk_lm, d_count)
-
-    return _assemble_columns(sht, MULT_CHUNK, column_modes, tail_bound)
+    return _assemble_columns(
+        sht, lambda ms: np.concatenate(
+            [sht.order_products(mode_table, m, d_count) for m in ms]),
+        tail_bound)
 
 
 def _dense_top_singular_pair(matrix):
@@ -253,8 +231,8 @@ def heat_side_matrix(mult, sht, p, tail_bound=None):
     Smoothing acts first (column scaling), then the pointwise factor; the
     composed tail reuses the multiplication columns' quadrature norms.
     """
-    degs = sht.degrees
-    factors = np.exp(-degs * (degs + 1.0) / p)
+    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
+    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
     return _checked_matrix(mult.matrix * factors[None, :],
                            mult.column_norm_sq * factors ** 2, tail_bound)
 

@@ -21,6 +21,7 @@ from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
                       moment_matrices)
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
+from .heat import HarmonicCoeffs, SphericalHarmonicTransform
 from .sections import check_pair_count
 
 # smoothing-input longitude modes at most this fraction of the largest are skipped
@@ -172,9 +173,13 @@ def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
     tt = grid.theta_mesh.ravel()
     pp = grid.phi_mesh.ravel()
     op = SmoothingOperator(evaluator)
+    # probes of degree at most 6, capped so that a coarse grid stays exact
+    sht = SphericalHarmonicTransform(grid, min(6, grid.exactness_degree // 2))
     rng = np.random.default_rng(seed)
-    probes = np.stack([_random_band_limited(grid, rng, l_max=6).ravel()
-                       for _ in range(n_probe_functions)], axis=1)
+    probes = np.stack([
+        sht.synthesize(HarmonicCoeffs(
+            sht.l_max, rng.normal(scale=1.0 / (1 + sht.degrees)))).ravel()
+        for _ in range(n_probe_functions)], axis=1)
     w_probes = grid.node_weights.reshape(-1, 1) * probes / op.rank_ratio
     w_nu_probes = form.density.reshape(-1, 1) * w_probes
     direct = np.zeros_like(probes)
@@ -210,12 +215,3 @@ def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
     out["projection_trace"] = abs(trace - (evaluator.p + 1))
     return out
 
-
-def _random_band_limited(grid, rng, l_max=6):
-    from .harmonics import real_sph_harm
-    values = np.zeros((grid.n_theta, grid.n_phi))
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            values += rng.normal(scale=1.0 / (1 + l)) * real_sph_harm(
-                l, m, grid.theta_mesh, grid.phi_mesh)
-    return values

@@ -90,10 +90,17 @@ DEFAULTS = {
 
 # smallest accepted value of each count-valued key (one radius is the
 # window's centre alone; heat-check fits a quadratic through the n_u points;
-# a quadrature grid needs two nodes per axis)
+# a quadrature grid needs two nodes per axis; the flat model's Gauss-Hermite
+# rule needs order 40)
 _MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
              "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0,
-             "n_theta": 2, "n_phi": 2}
+             "n_theta": 2, "n_phi": 2, "quad_order": 40}
+
+# largest accepted Gauss-Hermite order of model-check: the smallest weight
+# falls as exp(-x_max^2) with x_max ~ sqrt(2 n); at 256 it is 5e-211, while
+# numpy's hermgauss loses its smallest weight to underflow at 371 and returns
+# non-finite nodes from 372 on
+MAX_QUAD_ORDER = 256
 
 # fewest p values of each fitting command (a line through two points always
 # has R^2 = 1, so decay's R^2 criterion needs three)
@@ -170,6 +177,9 @@ def _validate(command, cfg):
     for key, minimum in _MINIMUMS.items():
         if cfg.get(key) is not None and cfg[key] < minimum:
             raise ConfigError(f"{key} must be at least {minimum}, got {cfg[key]}")
+    if cfg.get("quad_order", 0) > MAX_QUAD_ORDER:
+        raise ConfigError(
+            f"quad_order must be at most {MAX_QUAD_ORDER}, got {cfg['quad_order']}")
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps

@@ -15,8 +15,6 @@ from .errors import ConfigError
 from .fourier import grid_to_modes, modes_to_grid
 from .harmonics import legendre_profile
 
-_HALF_SQRT2 = math.sqrt(0.5)
-
 
 def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l (scalar or array) on the unit-area
@@ -68,28 +66,45 @@ class SphericalHarmonicTransform:
                 f"{grid.exactness_degree}")
         self.grid = grid
         self.l_max = int(l_max)
-        x = grid.cos_theta
-        # tables[m][r, i] = normalized Legendre profile of degree m+r at node i
-        self.tables = [
-            np.vstack([legendre_profile(l, m, x)
-                       for l in range(m, self.l_max + 1)])
-            for m in range(self.l_max + 1)
-        ]
+        # legendre[m, l, i] = normalized Legendre profile of degree l, order
+        # m at node i; zero for l < m
+        size = self.l_max + 1
+        self.legendre = np.zeros((size, size, grid.n_theta))
+        for m in range(size):
+            for l in range(m, size):
+                self.legendre[m, l] = legendre_profile(l, m, grid.cos_theta)
+        # degree and order of every packed coefficient slot, and the factor
+        # of the exp(i|m|phi) mode of Y_lm over its Legendre profile: 1 for
+        # m = 0, 1/sqrt(2) for cosine (m > 0), -i/sqrt(2) for sine (m < 0);
+        # the exp(-i|m|phi) mode carries the conjugate factor
         self.degrees = degree_vector(self.l_max)
+        self.orders = np.arange(self.n_coeffs) - coeff_index(self.degrees, 0)
+        self.factors = np.select([self.orders > 0, self.orders < 0],
+                                 [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
         self.eigenvalues = laplace_eigenvalue(self.degrees)
 
     @property
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
 
-    @staticmethod
-    def mode_factor(m):
-        """Factor of the exp(i|m|phi) mode of Y_lm over its Legendre profile:
-        1 for m = 0, 1/sqrt(2) for cosine (m > 0), -i/sqrt(2) for sine
-        (m < 0).  The exp(-i|m|phi) mode carries the conjugate factor."""
-        if m == 0:
-            return complex(1.0)
-        return complex(_HALF_SQRT2) if m > 0 else -1j * _HALF_SQRT2
+    def order_products(self, mode_table, m, n_modes):
+        """Longitude modes of (grid function) * Y_lm for every degree l of
+        order m, l = |m|..l_max.
+
+        ``mode_table`` holds the function's full DFT modes per colatitude
+        node, shape (n_theta, n_phi).  Returns shape
+        (l_max+1-|m|, n_theta, n_modes): mode d of a grid product is the
+        wrapped convolution of the table with the harmonic's two modes +-|m|,
+        which every degree of the order shares.
+        """
+        n_phi = self.grid.n_phi
+        ds = np.arange(n_modes)
+        k = abs(m)
+        factor = self.factors[coeff_index(k, m)]
+        modes = factor * mode_table[:, (ds - k) % n_phi]
+        if m != 0:
+            modes += factor.conjugate() * mode_table[:, (ds + k) % n_phi]
+        return self.legendre[k, k:, :, None] * modes
 
     def analyze_modes(self, dmodes):
         """Coefficients and quadrature norms of real functions given by modes.
@@ -101,23 +116,24 @@ class SphericalHarmonicTransform:
         norm.
         """
         grid = self.grid
-        w = grid.w_theta
         n_cols, _, n_modes = dmodes.shape
         # modes +-mu both count, except mode 0 and a Nyquist mode
         mu = np.arange(n_modes)
         weights = np.where((mu == 0) | (2 * mu == grid.n_phi), 1.0, 2.0)
-        norm_sq = w @ (np.abs(dmodes) ** 2 @ weights).T
-        block = np.zeros((self.n_coeffs, n_cols))
-        for m in range(min(self.l_max, n_modes - 1) + 1):
-            ls = np.arange(m, self.l_max + 1)
-            wd = w[:, None] * dmodes[:, :, m].T
-            re, im = self.tables[m] @ wd.real, self.tables[m] @ wd.imag
-            # <f, Y_lk> sums Re(conj(factor) * mode) over the conjugate modes
-            # +-m: twice the +m term unless m = 0
-            for k in {m, -m}:
-                f = (2.0 if m else 1.0) * self.mode_factor(k)
-                block[coeff_index(ls, k)] = f.real * re + f.imag * im
-        return block, norm_sq
+        norm_sq = grid.w_theta @ (np.abs(dmodes) ** 2 @ weights).T
+        # wd[m, i, col]: weighted mode m; its float view interleaves real
+        # and imaginary parts, so one real batched product projects every
+        # order onto its Legendre profiles; orders the input lacks stay zero
+        cut = min(self.l_max + 1, n_modes)
+        wd = np.ascontiguousarray(
+            (grid.w_theta[:, None] * dmodes[:, :, :cut]).transpose(2, 1, 0))
+        proj = np.zeros((self.l_max + 1, self.l_max + 1, n_cols), dtype=complex)
+        proj[:cut] = (self.legendre[:cut] @ wd.view(float)).view(complex)
+        # <f, Y_lm> is Re(conj(factor) * mode) summed over the conjugate
+        # modes +-|m|: twice the +|m| term unless m = 0
+        scale = np.where(self.orders == 0, 1.0, 2.0) * self.factors.conj()
+        block = scale[:, None] * proj[np.abs(self.orders), self.degrees]
+        return block.real, norm_sq
 
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""
@@ -128,19 +144,17 @@ class SphericalHarmonicTransform:
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
         if coeffs.l_max != self.l_max:
             raise ConfigError("coefficient band does not match the transform")
-        c = coeffs.values
-        modes = np.zeros((self.grid.n_theta, self.l_max + 1), dtype=complex)
-        for m in range(self.l_max + 1):
-            ls = np.arange(m, self.l_max + 1)
-            amp = sum(self.mode_factor(k) * c[coeff_index(ls, k)]
-                      for k in {m, -m})
-            modes[:, m] = self.tables[m].T @ amp
+        amp = np.zeros((self.l_max + 1, self.l_max + 1), dtype=complex)
+        np.add.at(amp, (np.abs(self.orders), self.degrees),
+                  self.factors * coeffs.values)
+        modes = np.einsum("mli,ml->im", self.legendre, amp)
         return modes_to_grid(modes, self.grid.n_phi)
 
     def basis_function(self, l, m):
-        """Grid values of the (l, m) harmonic, from the cached tables."""
-        modes = np.zeros((self.grid.n_theta, abs(m) + 1), dtype=complex)
-        modes[:, abs(m)] = self.mode_factor(m) * self.tables[abs(m)][l - abs(m)]
+        """Grid values of the (l, m) harmonic, from the cached profiles."""
+        k = abs(m)
+        modes = np.zeros((self.grid.n_theta, k + 1), dtype=complex)
+        modes[:, k] = self.factors[coeff_index(l, m)] * self.legendre[k, l]
         return modes_to_grid(modes, self.grid.n_phi)
 
     def grid_norm_sq(self, values):

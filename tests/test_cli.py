@@ -129,6 +129,8 @@ class TestExitCodes:
         ("converge", {"l_max": 0}),
         ("converge", dict(SMALL_CONVERGE, n_theta=0)),
         ("identities", {"n_theta": 0, "n_phi": 0}),
+        ("model-check", {"quad_order": 39}),
+        ("model-check", {"quad_order": 400}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -139,6 +141,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert json.loads(err)["exit_code"] == EXIT_CONFIG
+        assert not list(tmp_path.glob("*_summary.json"))
 
     @pytest.mark.parametrize("argv", [
         ["model-check", "--lmax", "5"],
@@ -302,15 +305,21 @@ class TestCommands:
             == ["annihilation-symbolic"]
 
     def test_identities_small(self, tmp_path):
-        cfg = {"p_list": [4, 8], "n_theta": 32, "n_phi": 64,
-               "volume_forms": [{"id": "fs", "coefficients": {}},
-                                {"id": "z", "coefficients": {"1,0": -0.3}}]}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert run(["identities", "--config", str(path),
-                    "--out", str(tmp_path)]) == EXIT_OK
-        rows = (tmp_path / "identities.csv").read_text().splitlines()
-        assert rows[0] == "form_id,p,identity,residual"
+        small = {"p_list": [4, 8], "n_theta": 32, "n_phi": 64,
+                 "volume_forms": [{"id": "fs", "coefficients": {}},
+                                  {"id": "z", "coefficients": {"1,0": -0.3}}]}
+        # exact only to degree 9: the probes drop to degree 4
+        coarse = {"p_list": [2, 4], "n_theta": 5, "n_phi": 10,
+                  "volume_forms": [{"id": "fs", "coefficients": {}}]}
+        for name, cfg in (("small", small), ("coarse", coarse)):
+            out = tmp_path / name
+            out.mkdir()
+            path = out / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            assert run(["identities", "--config", str(path),
+                        "--out", str(out)]) == EXIT_OK
+            rows = (out / "identities.csv").read_text().splitlines()
+            assert rows[0] == "form_id,p,identity,residual"
 
     def test_decay_small(self, tmp_path):
         # wider separation so the weighted-decrease regime starts early

@@ -7,7 +7,7 @@ from bergman_heat import (ConfigError, HarmonicCoeffs,
                           SphericalHarmonicTransform, build_grid, heat_apply,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
-from bergman_heat.fourier import grid_to_modes
+from bergman_heat.fourier import grid_to_modes, modes_to_grid
 from bergman_heat.heat import coeff_index, degree_vector
 
 
@@ -44,18 +44,40 @@ class TestTransform:
             SphericalHarmonicTransform(g, 10)
 
     def test_analyze_modes_matches_per_column_analyze(self, grid, sht, rng):
-        # the last column carries the Nyquist mode, which only the norm sees
+        # the last column carries the Nyquist mode, which only the norm sees;
+        # with 8 modes, fewer than the l_max + 1 orders, the orders past the
+        # input's modes must come out zero
         nyquist = np.cos(0.5 * grid.n_phi * grid.phi_mesh)
         columns = [rng.normal(size=(grid.n_theta, grid.n_phi)),
                    sht.basis_function(7, -5) + 0.5,
                    nyquist * (1.0 + grid.cos_theta[:, None])]
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in columns])
-        block, norm_sq = sht.analyze_modes(modes)
-        for col, f in enumerate(columns):
-            assert np.abs(block[:, col] - sht.analyze(f).values).max() < 1e-13
-            assert norm_sq[col] == pytest.approx(sht.grid_norm_sq(f),
-                                                 rel=1e-13)
-        assert np.abs(modes[2, :, -1]).max() > 0.5
+        for n_modes in (grid.n_phi // 2 + 1, 8):
+            modes = np.stack([grid_to_modes(f, n_modes - 1) for f in columns])
+            block, norm_sq = sht.analyze_modes(modes)
+            for col, mode_col in enumerate(modes):
+                # the grid function the kept modes describe
+                f = modes_to_grid(mode_col, grid.n_phi)
+                assert np.abs(block[:, col]
+                              - sht.analyze(f).values).max() < 1e-13
+                assert norm_sq[col] == pytest.approx(sht.grid_norm_sq(f),
+                                                     rel=1e-13)
+        assert np.abs(block[np.abs(sht.orders) >= 8]).max() == 0.0
+        assert block[coeff_index(7, -5), 1] == pytest.approx(1.0)
+        nyquist_mode = grid_to_modes(columns[2], grid.n_phi // 2)[:, -1]
+        assert np.abs(nyquist_mode).max() > 0.5
+
+    @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
+    def test_order_products_match_grid_products(self, grid, sht, tilted_form,
+                                                m):
+        # every degree of order m against the product formed on the grid
+        values = tilted_form.density
+        table = np.fft.fft(values, axis=1) / grid.n_phi
+        n = 30
+        out = sht.order_products(table, m, n + 1)
+        assert out.shape == (sht.l_max + 1 - abs(m), grid.n_theta, n + 1)
+        for l in range(abs(m), sht.l_max + 1):
+            oracle = grid_to_modes(values * sht.basis_function(l, m), n)
+            assert np.abs(out[l - abs(m)] - oracle).max() < 1e-14
 
 
 class TestLaplacian:
