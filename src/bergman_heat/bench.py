@@ -137,7 +137,7 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     """
     if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
-    # no mode clipping: the Gram exactness check forces n_phi >= 2p + 1
+    # modes 0..p fit the grid: the Gram exactness check forces n_phi >= 2p + 1
     density_modes = smoother.form.density_modes
     return _assemble_columns(
         sht, lambda ms: smoother.apply_modes(np.concatenate(

@@ -49,12 +49,12 @@ class SmoothingOperator:
         ``modes`` has shape (n, n_theta, n_modes) and holds the nonnegative
         longitude modes of ``density * f`` for each input f.  The inputs are
         folded into section moment matrices, conjugated by the inverse Gram,
-        and taken back to their longitude modes, shape (n, n_theta, mu_cap+1).
+        and taken back to their longitude modes, shape (n, n_theta, p+1).
         """
         ev = self.evaluator
         T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL)
         A = ev.kernel_matrix @ T @ ev.kernel_matrix
-        return diagonal_modes(A, ev.profiles, ev.mu_cap) / self.rank_ratio
+        return diagonal_modes(A, ev.profiles) / self.rank_ratio
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""

@@ -10,6 +10,7 @@ import json
 import math
 
 from .errors import ConfigError
+from .flat_model import MAX_QUAD_ORDER
 from .geometry import VolumeForm, build_grid
 from .sections import MAX_GRID_AXIS
 
@@ -96,11 +97,10 @@ _MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
              "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0,
              "n_theta": 2, "n_phi": 2, "quad_order": 40}
 
-# largest accepted Gauss-Hermite order of model-check: the smallest weight
-# falls as exp(-x_max^2) with x_max ~ sqrt(2 n); at 256 it is 5e-211, while
-# numpy's hermgauss loses its smallest weight to underflow at 371 and returns
-# non-finite nodes from 372 on
-MAX_QUAD_ORDER = 256
+# largest accepted value of each work-sizing key: at the bound model-check runs
+# 13 s (1.3 ms per random pair) and heat-check 3 s (25 us per heat time) on 2
+# cores; quad_order bounds the flat model's Gauss-Hermite rule
+_MAXIMUMS = {"n_random": 10 ** 4, "n_u": 10 ** 5, "quad_order": MAX_QUAD_ORDER}
 
 # fewest p values of each fitting command (a line through two points always
 # has R^2 = 1, so decay's R^2 criterion needs three)
@@ -111,11 +111,6 @@ def default_l_max(p_max):
     """Truncation default: spectral content of the smoothing operator sits
     at degrees of order sqrt(p), with heat damping beyond."""
     return max(40, math.ceil(4.0 * math.sqrt(p_max)))
-
-
-def default_grid_sizes(p_max):
-    n_theta = p_max + 24
-    return n_theta, 2 * n_theta
 
 
 def load_config(command, path=None, overrides=None):
@@ -177,9 +172,9 @@ def _validate(command, cfg):
     for key, minimum in _MINIMUMS.items():
         if cfg.get(key) is not None and cfg[key] < minimum:
             raise ConfigError(f"{key} must be at least {minimum}, got {cfg[key]}")
-    if cfg.get("quad_order", 0) > MAX_QUAD_ORDER:
-        raise ConfigError(
-            f"quad_order must be at most {MAX_QUAD_ORDER}, got {cfg['quad_order']}")
+    for key, maximum in _MAXIMUMS.items():
+        if key in cfg and cfg[key] > maximum:
+            raise ConfigError(f"{key} must be at most {maximum}, got {cfg[key]}")
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps
@@ -223,14 +218,12 @@ def parse_form_spec(spec, grid):
 
 
 def grid_for(cfg, p_max, l_max=None):
-    """Build the run grid, auto-sizing from the largest p when not pinned.
-
-    Refuses a grid with more than ``MAX_GRID_AXIS`` nodes along an axis.
+    """Build the run grid: pinned sizes, else n_theta = max(p_max + 24,
+    2 l_max + 10) and n_phi = 2 n_theta.  Refuses more than ``MAX_GRID_AXIS``
+    nodes along an axis.
     """
-    n_theta, n_phi = default_grid_sizes(p_max)
-    if l_max is not None:
-        n_theta = max(n_theta, 2 * l_max + 10)
-        n_phi = max(n_phi, 4 * l_max + 20)
+    n_theta = max(p_max + 24, 2 * (l_max or 0) + 10)
+    n_phi = 2 * n_theta
     if cfg.get("n_theta") is not None:
         n_theta = int(cfg["n_theta"])
     if cfg.get("n_phi") is not None:

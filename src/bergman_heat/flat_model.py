@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import ConfigError, DifferentiationError
 
+# largest accepted Gauss-Hermite order: its smallest weight is 5e-211, while
+# numpy's hermgauss loses that weight to underflow at 371 and returns
+# non-finite nodes from 372 on
+MAX_QUAD_ORDER = 256
+
 
 def bargmann_kernel(z, w):
     """Reproducing kernel exp(-(pi/2)(|z|^2 + |w|^2 - 2 z conj(w))).
@@ -109,8 +114,9 @@ def landau_operator_apply(f, z, h=1e-3, tol=None):
 
 def reproducing_residual(z, w, quad_order=48):
     """|integral of K(z, .) K(., w) - K(z, w)| by Gauss-Hermite quadrature."""
-    if quad_order < 40:
-        raise ConfigError("Gauss-Hermite order must be at least 40")
+    if not 40 <= quad_order <= MAX_QUAD_ORDER:
+        raise ConfigError(
+            f"Gauss-Hermite order must lie in [40, {MAX_QUAD_ORDER}]")
     nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
     # substitute u = sqrt(pi) * Re(v), etc.: the plane integral becomes
     # (1/pi) * double Gauss-Hermite sum of the Gaussian-free factor

@@ -10,7 +10,7 @@ longitude modes (the kernel diagonal, and the output side).
 
 import numpy as np
 
-from .errors import InvalidRunError
+from .errors import ConfigError
 
 # longitude modes at most this fraction of the largest mode lie outside a
 # function's band
@@ -23,9 +23,12 @@ def modes_to_grid(modes, n_phi):
     ``modes[:, mu]`` holds d_mu for mu >= 0; d_{-mu} is its conjugate.
     """
     n_half = n_phi // 2 + 1
+    n_modes = modes.shape[1]
+    if n_modes > n_half:
+        raise ConfigError(
+            f"{n_modes} longitude modes do not fit {n_phi} longitude nodes")
     buf = np.zeros((modes.shape[0], n_half), dtype=complex)
-    cols = min(modes.shape[1], n_half)
-    buf[:, :cols] = modes[:, :cols] * n_phi
+    buf[:, :n_modes] = modes * n_phi
     return np.fft.irfft(buf, n=n_phi, axis=1)
 
 
@@ -96,25 +99,15 @@ def moment_matrices(modes, w_theta, profiles, mode_tol):
     return T
 
 
-def diagonal_modes(A, profiles, mu_cap):
+def diagonal_modes(A, profiles):
     """Longitude modes of x -> sigma(x)^T @ A[b] @ conj(sigma(x)) per batch item.
 
     ``A`` is a (n, P, P) batch of Hermitian matrices.  Returns shape
-    (n, n_theta, mu_cap+1); the mu < 0 modes are the conjugates.  Raises if
-    diagonals beyond ``mu_cap`` carry non-negligible weight (the longitude
-    grid would alias).
+    (n, n_theta, P), modes 0..P-1; the mu < 0 modes are the conjugates.
     """
     n, dim, _ = A.shape
-    if mu_cap < dim - 1:
-        tail = max(np.abs(np.diagonal(A, offset=-mu, axis1=1, axis2=2)).max()
-                   for mu in range(mu_cap + 1, dim))
-        scale = np.abs(A).max()
-        if scale > 0 and tail > 1e-8 * scale:
-            raise InvalidRunError(
-                f"longitude modes beyond {mu_cap} carry relative weight "
-                f"{tail / scale:.2e}; raise n_phi")
-    out = np.empty((mu_cap + 1, n, profiles.shape[0]), dtype=complex)
-    for mu in range(mu_cap + 1):
+    out = np.empty((dim, n, profiles.shape[0]), dtype=complex)
+    for mu in range(dim):
         diag = np.diagonal(A, offset=-mu, axis1=1, axis2=2)
         prod = _profile_product(profiles, mu).T
         out[mu] = diag.real @ prod + 1j * (diag.imag @ prod)

@@ -15,6 +15,11 @@ from .errors import ConfigError
 from .fourier import grid_to_modes, modes_to_grid
 from .harmonics import legendre_profile
 
+# largest accepted Legendre table, (l_max+1)^2 n_theta doubles (160 MB),
+# filled at up to 1 us per entry on 2 cores (17 s at l_max 200 on 402 nodes);
+# the default converge and heat-check tables hold 3.4e5 and 2.3e5
+MAX_TABLE_ENTRIES = 2 * 10 ** 7
+
 
 def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l (scalar or array) on the unit-area
@@ -64,6 +69,10 @@ class SphericalHarmonicTransform:
             raise ConfigError(
                 f"l_max {l_max} needs exactness >= {2 * l_max}, grid has "
                 f"{grid.exactness_degree}")
+        entries = (l_max + 1) ** 2 * grid.n_theta
+        if entries > MAX_TABLE_ENTRIES:
+            raise ConfigError(f"Legendre table of {entries:.2e} doubles is over "
+                              f"the limit {MAX_TABLE_ENTRIES:.1e}; lower l_max")
         self.grid = grid
         self.l_max = int(l_max)
         # legendre[m, l, i] = normalized Legendre profile of degree l, order

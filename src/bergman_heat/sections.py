@@ -106,7 +106,7 @@ def gram_matrix(basis, form, grid):
 
     The longitude quadrature collapses to the density's Fourier modes, so
     only 1-D colatitude sums remain; the result is bitwise Hermitian.
-    Requires grid exactness at least ``2p + phi_band``.
+    Requires grid exactness at least ``2p + phi_band``, so n_phi >= 2p + 1.
     """
     p = basis.p
     if grid.exactness_degree < 2 * p + form.phi_band:
@@ -183,10 +183,8 @@ class BergmanEvaluator:
         self.grid = grid
         self.gram = gram_matrix(basis, form, grid)
         self.kernel_matrix = self.gram.inverse()
-        # section profiles at the grid colatitudes, and the highest longitude
-        # mode kept: p, capped below the grid's Nyquist mode
+        # section profiles at the grid colatitudes
         self.profiles = basis.theta_profiles(grid.theta)
-        self.mu_cap = min(basis.p, grid.n_phi // 2 - 1)
 
     @property
     def p(self):
@@ -225,8 +223,7 @@ class BergmanEvaluator:
 
     def diagonal_on_grid(self):
         """P(x, x) over the full grid, shape (n_theta, n_phi); real positive."""
-        modes = diagonal_modes(self.kernel_matrix[None], self.profiles,
-                               self.mu_cap)[0]
+        modes = diagonal_modes(self.kernel_matrix[None], self.profiles)[0]
         return modes_to_grid(modes, self.grid.n_phi)
 
     def reproduce_sections(self, theta, phi):

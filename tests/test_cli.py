@@ -131,6 +131,10 @@ class TestExitCodes:
         ("identities", {"n_theta": 0, "n_phi": 0}),
         ("model-check", {"quad_order": 39}),
         ("model-check", {"quad_order": 400}),
+        ("model-check", {"n_random": 20000}),
+        ("heat-check", {"n_u": 2000000}),
+        # a 1001^2 x 2048 Legendre table would hold 16 GB
+        ("heat-check", {"l_max": 1000, "n_theta": 2048, "n_phi": 2048}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):
@@ -338,6 +342,37 @@ class TestCommands:
         path.write_text(json.dumps(cfg))
         assert run(["near-diagonal", "--config", str(path),
                     "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_odd_longitude_grid_resolves_every_mode(self, tmp_path):
+        # n_phi = 2p + 1 is the smallest grid the Gram exactness check
+        # accepts for a zonal form; it resolves longitude modes 0..p
+        cfg = {"p_list": [4, 6, 8, 10], "n_theta": 24, "l_max": 10,
+               "volume_forms": [{"id": "fs", "coefficients": {}}],
+               "uniformity_family": ["fs"]}
+        norms = {}
+        for n_phi in (21, 22):
+            out = tmp_path / str(n_phi)
+            out.mkdir()
+            path = out / "cfg.json"
+            path.write_text(json.dumps(dict(cfg, n_phi=n_phi)))
+            assert run(["converge", "--config", str(path),
+                        "--out", str(out)]) == EXIT_OK
+            rows = (out / "converge.csv").read_text().splitlines()[1:]
+            norms[n_phi] = [[float(v) for v in row.split(",")[2:4]]
+                            for row in rows]
+        assert len(norms[21]) == 4
+        for odd, even in zip(norms[21], norms[22]):
+            assert odd == pytest.approx(even, rel=1e-12)
+
+        path = tmp_path / "identities.json"
+        path.write_text(json.dumps({
+            "p_list": [4], "n_theta": 16, "n_phi": 9,
+            "volume_forms": [{"id": "fs", "coefficients": {}}]}))
+        assert run(["identities", "--config", str(path),
+                    "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "identities.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
 
     def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
         # byte-identical reruns hold at a fixed BLAS thread count only; the

@@ -67,6 +67,14 @@ class TestReproducing:
         with pytest.raises(ConfigError):
             reproducing_residual(0.0, 0.0, quad_order=20)
 
+    def test_order_bound(self):
+        # numpy's Gauss-Hermite nodes turn non-finite above order 371
+        z, w = 0.3 + 0.2j, -0.1 + 0.4j
+        top = reproducing_residual(z, w, flat_model.MAX_QUAD_ORDER)
+        assert math.isfinite(top) and top < 1e-8
+        with pytest.raises(ConfigError):
+            reproducing_residual(z, w, 400)
+
 
 class TestLandauOperator:
     def test_annihilates_kernel_columns_symbolically(self, rng):
