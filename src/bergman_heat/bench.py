@@ -1,11 +1,16 @@
 """Operator-norm benchmark: smoothing operator vs damped heat flow.
 
-Both sides of the comparison are assembled as matrices on the truncated
-real-harmonic basis (columns are transforms of the operator applied to each
-basis function).  The top singular value of the difference is a lower bound
-of the true L2 operator norm; per-matrix tail residuals record how much
-column mass escapes the truncation, normalized by the largest column so
-that structurally-zero columns cannot poison the validity flag.
+Both sides of the comparison are matrices on the truncated real-harmonic
+basis (columns are transforms of the operator applied to each basis
+function).  The top singular value of the difference is a lower bound of the
+true L2 operator norm; per-matrix tail residuals record how much column mass
+escapes the truncation, normalized by the largest column so that
+structurally-zero columns cannot poison the validity flag.
+
+A zonal form's difference commutes with rotation about the pole, so it
+splits into one block per longitude order, the same for cosine and sine;
+those blocks are built directly from the section-harmonic moment tables.
+Other forms are assembled column by column, one longitude order at a time.
 """
 
 import math
@@ -17,7 +22,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
-from .fourier import phi_band
+from .fourier import phi_band, product_grams
 from .heat import HarmonicCoeffs, coeff_index, heat_apply
 from .sections import bergman_evaluator
 
@@ -65,21 +70,29 @@ def check_sweep_cost(p_max, l_max):
             f"assembly, over the limit {MAX_Q_FLOPS:.1e}; lower p or l_max")
 
 
-def _checked_matrix(matrix, col_norm, tail_bound=None):
-    """Wrap columns and their quadrature norms; raise if the tail is over bound.
+def _tail(kept, col_norm, tail_bound=None):
+    """Tail residual of an operator's columns; raise if it is over bound.
 
     The tail residual is the largest per-column leakage past the truncation
-    (quadrature norm minus the column's kept coefficient mass) relative to
-    the largest column norm.
+    (quadrature norm ``col_norm`` minus the column's kept coefficient mass
+    ``kept``) relative to the largest column norm.
     """
-    leak = np.maximum(col_norm - np.sum(matrix ** 2, axis=0), 0.0)
+    leak = np.maximum(col_norm - kept, 0.0)
     scale = max(float(col_norm.max(initial=0.0)), 1e-300)
     tail = float(leak.max(initial=0.0) / scale)
     if tail_bound is not None and tail > tail_bound:
         raise InvalidRunError(
             f"tail residual {tail:.3e} exceeds bound {tail_bound:.3e}; "
             "raise l_max")
-    return OperatorMatrix(matrix, tail, col_norm)
+    return tail
+
+
+def _checked_matrix(matrix, col_norm, tail_bound=None):
+    """Wrap columns and their quadrature norms; raise if the tail is over
+    bound (``_tail``)."""
+    return OperatorMatrix(
+        matrix, _tail(np.sum(matrix ** 2, axis=0), col_norm, tail_bound),
+        col_norm)
 
 
 def operator_matrix(op, sht, tail_bound=None):
@@ -106,12 +119,12 @@ def multiplication_matrix(values, sht, tail_bound=None):
     return operator_matrix(lambda f: values * f, sht, tail_bound=tail_bound)
 
 
-def _assemble_columns(sht, column_modes, tail_bound):
-    """Operator matrix from the output longitude modes of basis columns.
+def _assemble_columns(sht, analyze_order, tail_bound):
+    """Operator matrix assembled one longitude order of columns at a time.
 
     The columns go in one batch per longitude order |m|: its cosine and
     sine harmonics, whose span a rotation about the pole keeps, together.
-    ``column_modes(ms)`` returns the (n_cols, n_theta, n_modes) output modes
+    ``analyze_order(ms)`` returns the coefficient block and quadrature norms
     of the columns Y_lm for the orders m in ``ms`` in turn, l = |m|..l_max.
     """
     n = sht.n_coeffs
@@ -123,7 +136,7 @@ def _assemble_columns(sht, column_modes, tail_bound):
         ms = (k, -k) if k else (0,)
         cols = np.concatenate([coeff_index(np.arange(k, sht.l_max + 1), m)
                                for m in ms])
-        matrix[:, cols], col_norm[cols] = sht.analyze_modes(column_modes(ms))
+        matrix[:, cols], col_norm[cols] = analyze_order(ms)
     return _checked_matrix(matrix, col_norm, tail_bound)
 
 
@@ -131,18 +144,27 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
     The basis columns of one longitude order go through
-    ``smoother.apply_modes`` as one batch, so the per-column small matrix
-    products run as batched BLAS calls; works in longitude-mode space
-    throughout (no per-column grids).  Matches the generic path to roundoff.
+    ``smoother.coefficient_matrices`` as one batch, so the per-column small
+    matrix products run as batched BLAS calls, and their section coefficient
+    matrices A = M T M / R go straight to harmonic coefficients and
+    quadrature norms through the section-harmonic moment tables
+    (``sht.analyze_diagonals``): no output longitude modes and no per-column
+    grids.  Matches the generic path to roundoff.
     """
     if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
+    profiles = smoother.evaluator.profiles
+    w_theta = sht.grid.w_theta
+    moments = sht.section_moments(profiles, w_theta)
+    grams = product_grams(profiles, w_theta)
     # modes 0..p fit the grid: the Gram exactness check forces n_phi >= 2p + 1
     density_modes = smoother.form.density_modes
     return _assemble_columns(
-        sht, lambda ms: smoother.apply_modes(np.concatenate(
-            [sht.order_products(density_modes, m, smoother.p + 1)
-             for m in ms])),
+        sht, lambda ms: sht.analyze_diagonals(
+            smoother.coefficient_matrices(np.concatenate(
+                [sht.order_products(density_modes, m, smoother.p + 1)
+                 for m in ms], axis=2)),
+            moments, grams),
         tail_bound)
 
 
@@ -158,8 +180,9 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
     mode_table = np.fft.fft(np.asarray(values, dtype=float), axis=1) / grid.n_phi
     d_count = min(sht.l_max + phi_band(mode_table) + 1, grid.n_phi // 2 + 1)
     return _assemble_columns(
-        sht, lambda ms: np.concatenate(
-            [sht.order_products(mode_table, m, d_count) for m in ms]),
+        sht, lambda ms: sht.analyze_modes(np.concatenate(
+            [sht.order_products(mode_table, m, d_count) for m in ms],
+            axis=2)),
         tail_bound)
 
 
@@ -225,41 +248,129 @@ class ComparisonResult:
     argmax_degree: int
 
 
+def _heat_factors(sht, p):
+    """Per-slot factors of the heat flow at time 1/(4 pi p)."""
+    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
+    return heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
+
+
 def heat_side_matrix(mult, sht, p, tail_bound=None):
     """Matrix of f -> eta * heat(f, 1/(4 pi p)) from a multiplication matrix.
 
     Smoothing acts first (column scaling), then the pointwise factor; the
     composed tail reuses the multiplication columns' quadrature norms.
     """
-    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
-    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
+    factors = _heat_factors(sht, p)
     return _checked_matrix(mult.matrix * factors[None, :],
                            mult.column_norm_sq * factors ** 2, tail_bound)
+
+
+def _zonal_q_blocks(smoother, sht):
+    """Q's blocks for a zonal form, one per order m = 0..min(p, l_max), with
+    their columns' quadrature norms.
+
+    A zonal form has a diagonal Gram (up to the rounding of its density's
+    longitude modes past 0), so Q maps the degrees l' of one order m to the
+    degrees l of the same order, alike for cosine and sine:
+
+        Q_m = Lambda_m diag(M_{k+m} M_k / R) (Lambda^rho_m)^T,
+
+    with M the inverse Gram, R the rank ratio and Lambda_m, Lambda^rho_m the
+    section-harmonic moment tables at the weights w and w * rho.  Column l'
+    has output mode sum_k d_k a_{k+m} a_k with d = diag(...) Lambda^rho_m[l'],
+    whose quadrature ``sum_i w_i (sum_k d_k a_{k+m} a_k)^2`` is its norm.
+    Orders m > p have Q_m = 0.
+    """
+    ev = smoother.evaluator
+    w_theta = sht.grid.w_theta
+    m_diag = np.diag(ev.kernel_matrix).real
+    grams = product_grams(ev.profiles, w_theta)
+    blocks = []
+    for m, (lam, lam_rho) in enumerate(zip(
+            sht.section_moments(ev.profiles, w_theta),
+            sht.section_moments(ev.profiles,
+                                w_theta * smoother.form.density[:, 0]))):
+        scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
+        d = scale[:, None] * lam_rho.T
+        blocks.append((lam @ d, np.sum(d * (grams[m] @ d), axis=0)))
+    return blocks
+
+
+def _zonal_comparison(smoother, sht, tail_bound):
+    """Both norms of a zonal form's cell from one block per longitude order.
+
+    Order m's block of the difference is Q_m - Vol * E_m diag(h), with
+    E_m = P^m diag(w eta) (P^m)^T the eta multiplication between the
+    degrees of order m and h the heat factors of those degrees.  The
+    cosine and sine columns of an order have the same block, so the norms
+    are the largest over the blocks' dense SVDs, which are at most
+    (l_max+1)-square, and the tails follow ``_tail`` over one copy of each
+    block's columns.  Orders m > p have an eta-heat block only.
+    """
+    p = smoother.p
+    w_theta = sht.grid.w_theta
+    eta = smoother.form.eta[:, 0]
+    heat_factors = _heat_factors(sht, p)
+    q_blocks = _zonal_q_blocks(smoother, sht)
+    q_kept, q_norm, h_kept, h_norm = [], [], [], []
+    norm1 = norm2 = -1.0
+    for m in range(sht.l_max + 1):
+        legendre = sht.legendre[m, m:]
+        degrees = np.arange(m, sht.l_max + 1)
+        slots = coeff_index(degrees, 0)
+        h = heat_factors[slots]
+        h_block = (legendre * (w_theta * eta)) @ legendre.T * h
+        h_kept.append(np.sum(h_block ** 2, axis=0))
+        h_norm.append(legendre ** 2 @ (w_theta * eta ** 2) * h ** 2)
+        diff = -smoother.form.volume * h_block
+        if m < len(q_blocks):
+            q_block, norm_sq = q_blocks[m]
+            q_kept.append(np.sum(q_block ** 2, axis=0))
+            q_norm.append(norm_sq)
+            diff += q_block
+        _, sigma, vt = np.linalg.svd(diff)
+        if sigma[0] > norm1:
+            norm1 = float(sigma[0])
+            argmax_degree = int(degrees[np.argmax(np.abs(vt[0]))])
+        lam_over_p = sht.eigenvalues[slots] / p
+        norm2 = max(norm2, float(np.linalg.svd(lam_over_p[:, None] * diff,
+                                               compute_uv=False)[0]))
+    tail_q = _tail(np.concatenate(q_kept), np.concatenate(q_norm), tail_bound)
+    tail_h = _tail(np.concatenate(h_kept), np.concatenate(h_norm), tail_bound)
+    return ComparisonResult(p=p, form_id=smoother.form.form_id, norm1=norm1,
+                            norm2=norm2, tail_residual=max(tail_q, tail_h),
+                            argmax_degree=argmax_degree)
+
+
+def _assembled_difference(smoother, sht, mult, tail_bound):
+    """The difference matrix ``Q - Vol * eta * heat`` assembled on the whole
+    harmonic basis, and its tail residual."""
+    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound=tail_bound)
+    h_mat = heat_side_matrix(mult, sht, smoother.p, tail_bound)
+    diff = q_mat.matrix - smoother.form.volume * h_mat.matrix
+    return diff, max(q_mat.tail_residual, h_mat.tail_residual)
 
 
 def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
-    difference with ``Laplacian / p``.  The multiplication-by-eta matrix may
-    be passed in (it is p-independent and reusable across a sweep).
+    difference with ``Laplacian / p``.  A zonal form takes one block per
+    longitude order (``_zonal_comparison``); any other form assembles both
+    matrices, and its multiplication-by-eta matrix may be passed in (it is
+    p-independent and reusable across a sweep).
     """
-    grid = sht.grid
-    evaluator = bergman_evaluator(p, form, grid)
-    smoother = SmoothingOperator(evaluator)
-    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound=tail_bound)
+    smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
+    if form.is_zonal:
+        return _zonal_comparison(smoother, sht, tail_bound)
     if mult is None:
         mult = fast_multiplication_matrix(form.eta, sht)
-    h_mat = heat_side_matrix(mult, sht, p, tail_bound)
-    ratio = form.volume
-    diff = q_mat.matrix - ratio * h_mat.matrix
+    diff, tail = _assembled_difference(smoother, sht, mult, tail_bound)
     norm1, mode = spectral_norm_with_mode(diff)
     lam_over_p = sht.eigenvalues / p
     norm2 = spectral_norm(lam_over_p[:, None] * diff)
     return ComparisonResult(p=p, form_id=form.form_id, norm1=norm1,
-                            norm2=norm2,
-                            tail_residual=max(q_mat.tail_residual,
-                                              h_mat.tail_residual),
+                            norm2=norm2, tail_residual=tail,
                             argmax_degree=int(sht.degrees[mode]))
 
 
@@ -306,8 +417,9 @@ class FormReport:
 
 
 def sweep_form(form, p_values, sht, tail_bound=1e-3):
-    """Run the benchmark over a p grid for one form; reuses the eta matrix."""
-    mult = fast_multiplication_matrix(form.eta, sht)
+    """Run the benchmark over a p grid for one form; reuses the eta matrix
+    of a non-zonal form."""
+    mult = None if form.is_zonal else fast_multiplication_matrix(form.eta, sht)
     report = FormReport(form_id=form.form_id, p_values=list(p_values),
                         norms1=[], norms2=[], tails=[], argmax_degrees=[])
     for p in p_values:

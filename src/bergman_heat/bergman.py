@@ -43,18 +43,21 @@ class SmoothingOperator:
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
 
-    def apply_modes(self, modes):
-        """Apply the operator to a batch of inputs in longitude-mode space.
+    def coefficient_matrices(self, modes):
+        """Section coefficient matrices of the operator's outputs for a batch
+        of inputs.
 
-        ``modes`` has shape (n, n_theta, n_modes) and holds the nonnegative
+        ``modes`` has shape (n_modes, n_theta, n) and holds the nonnegative
         longitude modes of ``density * f`` for each input f.  The inputs are
-        folded into section moment matrices, conjugated by the inverse Gram,
-        and taken back to their longitude modes, shape (n, n_theta, p+1).
+        folded into section moment matrices and conjugated by the inverse
+        Gram; output b is x -> sigma(x)^T A[b] conj(sigma(x)) for the
+        returned (n, p+1, p+1) batch A.
         """
         ev = self.evaluator
         T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL)
-        A = ev.kernel_matrix @ T @ ev.kernel_matrix
-        return diagonal_modes(A, ev.profiles) / self.rank_ratio
+        # T is not read again, so the product reuses its pages
+        return np.matmul((ev.kernel_matrix / self.rank_ratio) @ T,
+                         ev.kernel_matrix, out=T)
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""
@@ -62,7 +65,9 @@ class SmoothingOperator:
         if values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ConfigError("input values do not match the grid")
         modes = grid_to_modes(self.form.density * values, self.grid.n_phi // 2)
-        return modes_to_grid(self.apply_modes(modes[None])[0], self.grid.n_phi)
+        A = self.coefficient_matrices(modes.T[:, :, None])
+        return modes_to_grid(diagonal_modes(A, self.evaluator.profiles)[0],
+                             self.grid.n_phi)
 
 
 @dataclass

@@ -5,7 +5,10 @@ longitude modes; quadratic section expressions reduce to sums along the
 diagonals of a coefficient matrix.  ``moment_matrices`` folds weight
 functions into section moment matrices (the Gram, and the input side of the
 smoothing operator); ``diagonal_modes`` takes coefficient matrices back to
-longitude modes (the kernel diagonal, and the output side).
+longitude modes (the kernel diagonal, and the output side of a single
+application).  ``product_grams`` gives the quadrature norms of such modes
+without forming them.  The weight functions' modes going into
+``moment_matrices`` are laid out as (mode, node, batch item).
 """
 
 import numpy as np
@@ -67,7 +70,7 @@ def _set_diagonal(T, d, values):
         flat[:, d::P + 1][:, :P - d] = np.conj(values)
 
 
-def _profile_product(profiles, d):
+def profile_product(profiles, d):
     """a_{k+d}(theta_i) a_k(theta_i), shape (n_theta, dim-d)."""
     dim = profiles.shape[1]
     return profiles[:, d:] * profiles[:, :dim - d]
@@ -76,26 +79,28 @@ def _profile_product(profiles, d):
 def moment_matrices(modes, w_theta, profiles, mode_tol):
     """Section moment matrices of a batch of weight functions.
 
-    ``modes[b, i, d]`` holds longitude mode d >= 0 of weight function b at
+    ``modes[d, i, b]`` holds longitude mode d >= 0 of weight function b at
     colatitude node i.  Returns the Hermitian batch T of shape (n, P, P) with
 
-        T[b, k+d, k] = sum_i w_theta[i] modes[b, i, d] a_{k+d}(theta_i) a_k(theta_i),
+        T[b, k+d, k] = sum_i w_theta[i] modes[d, i, b] a_{k+d}(theta_i) a_k(theta_i),
 
     i.e. the quadrature of weight b against conj(s_{k+d}) s_k.  Diagonals
     whose mode is at most ``mode_tol`` times the largest mode, over the whole
     batch, are skipped (``mode_tol=0`` skips exact zeros only).
     """
-    n, _, n_modes = modes.shape
+    n_modes, _, n = modes.shape
     dim = profiles.shape[1]
-    mags = np.abs(modes).max(axis=(0, 1))
+    mags = np.abs(modes).max(axis=(1, 2))
     cut = mode_tol * mags.max()
     T = np.zeros((n, dim, dim), dtype=complex)
     for d in range(min(dim, n_modes)):
         if d > 0 and mags[d] <= cut:
             continue
-        weighted = modes[:, :, d] * w_theta[None, :]
-        prod = _profile_product(profiles, d)
-        _set_diagonal(T, d, weighted.real @ prod + 1j * (weighted.imag @ prod))
+        # the complex array's float view interleaves real and imaginary
+        # parts, so one real product folds both
+        weighted = np.ascontiguousarray(modes[d] * w_theta[:, None])
+        prod = profile_product(profiles, d)
+        _set_diagonal(T, d, (prod.T @ weighted.view(float)).view(complex).T)
     return T
 
 
@@ -109,6 +114,22 @@ def diagonal_modes(A, profiles):
     out = np.empty((dim, n, profiles.shape[0]), dtype=complex)
     for mu in range(dim):
         diag = np.diagonal(A, offset=-mu, axis1=1, axis2=2)
-        prod = _profile_product(profiles, mu).T
+        prod = profile_product(profiles, mu).T
         out[mu] = diag.real @ prod + 1j * (diag.imag @ prod)
     return out.transpose(1, 2, 0)
+
+
+def product_grams(profiles, w_theta):
+    """Quadrature Grams of the profile products, one per mode mu = 0..P-1:
+
+        G_mu[k, k'] = sum_i w_theta[i] a_{k+mu} a_k a_{k'+mu} a_{k'} (theta_i),
+
+    so a mode sum_k d_k a_{k+mu}(theta) a_k(theta), as ``diagonal_modes``
+    forms from diagonal -mu of a coefficient matrix, has colatitude
+    quadrature d^H G_mu d of its squared modulus.
+    """
+    grams = []
+    for mu in range(profiles.shape[1]):
+        prod = profile_product(profiles, mu)
+        grams.append(prod.T @ (w_theta[:, None] * prod))
+    return grams

@@ -206,6 +206,13 @@ class VolumeForm:
         self.phi_band = phi_band(self.density_modes)
         self.density_inf = float(self.density.min())
 
+    @property
+    def is_zonal(self):
+        """True when every nonzero coefficient has order m = 0: the density
+        then depends on the colatitude alone, bit for bit."""
+        return all(m == 0 for (_, m), c in self.coefficients.items()
+                   if c != 0.0)
+
     def log_density_at(self, theta, phi):
         out = np.zeros(np.broadcast(np.asarray(theta, dtype=float),
                                     np.asarray(phi, dtype=float)).shape)

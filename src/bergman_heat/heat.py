@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import grid_to_modes, modes_to_grid
+from .fourier import grid_to_modes, modes_to_grid, profile_product
 from .harmonics import legendre_profile
 
 # largest accepted Legendre table, (l_max+1)^2 n_theta doubles (160 MB),
@@ -102,9 +102,9 @@ class SphericalHarmonicTransform:
 
         ``mode_table`` holds the function's full DFT modes per colatitude
         node, shape (n_theta, n_phi).  Returns shape
-        (l_max+1-|m|, n_theta, n_modes): mode d of a grid product is the
-        wrapped convolution of the table with the harmonic's two modes +-|m|,
-        which every degree of the order shares.
+        (n_modes, n_theta, l_max+1-|m|), mode by node by degree: mode d of a
+        grid product is the wrapped convolution of the table with the
+        harmonic's two modes +-|m|, which every degree of the order shares.
         """
         n_phi = self.grid.n_phi
         ds = np.arange(n_modes)
@@ -113,40 +113,93 @@ class SphericalHarmonicTransform:
         modes = factor * mode_table[:, (ds - k) % n_phi]
         if m != 0:
             modes += factor.conjugate() * mode_table[:, (ds + k) % n_phi]
-        return self.legendre[k, k:, :, None] * modes
+        return (np.ascontiguousarray(modes.T)[:, :, None]
+                * np.ascontiguousarray(self.legendre[k, k:].T))
+
+    def _packed(self, proj):
+        """Real coefficient block from the projections ``proj[|m|, l, col]``
+        of each column's +|m| longitude mode on the order-|m| Legendre
+        profiles.
+
+        <f, Y_lm> is Re(conj(factor) * mode) summed over the conjugate modes
+        +-|m|: twice the +|m| term unless m = 0.
+        """
+        scale = np.where(self.orders == 0, 1.0, 2.0) * self.factors.conj()
+        return (scale[:, None] * proj[np.abs(self.orders), self.degrees]).real
 
     def analyze_modes(self, dmodes):
         """Coefficients and quadrature norms of real functions given by modes.
 
-        ``dmodes`` has shape (n_cols, n_theta, n_modes) holding the
+        ``dmodes`` has shape (n_modes, n_theta, n_cols) holding the
         nonnegative longitude modes of each function.  Returns
         ``(block, norm_sq)`` with the coefficient block of shape
         (n_coeffs, n_cols).  A Nyquist mode, if present, counts once in the
         norm.
         """
         grid = self.grid
-        n_cols, _, n_modes = dmodes.shape
+        n_modes, _, n_cols = dmodes.shape
         # modes +-mu both count, except mode 0 and a Nyquist mode
         mu = np.arange(n_modes)
         weights = np.where((mu == 0) | (2 * mu == grid.n_phi), 1.0, 2.0)
-        norm_sq = grid.w_theta @ (np.abs(dmodes) ** 2 @ weights).T
+        norm_sq = grid.w_theta @ np.tensordot(weights, np.abs(dmodes) ** 2, 1)
         # wd[m, i, col]: weighted mode m; its float view interleaves real
         # and imaginary parts, so one real batched product projects every
         # order onto its Legendre profiles; orders the input lacks stay zero
         cut = min(self.l_max + 1, n_modes)
-        wd = np.ascontiguousarray(
-            (grid.w_theta[:, None] * dmodes[:, :, :cut]).transpose(2, 1, 0))
+        wd = np.ascontiguousarray(grid.w_theta[:, None] * dmodes[:cut])
         proj = np.zeros((self.l_max + 1, self.l_max + 1, n_cols), dtype=complex)
         proj[:cut] = (self.legendre[:cut] @ wd.view(float)).view(complex)
-        # <f, Y_lm> is Re(conj(factor) * mode) summed over the conjugate
-        # modes +-|m|: twice the +|m| term unless m = 0
-        scale = np.where(self.orders == 0, 1.0, 2.0) * self.factors.conj()
-        block = scale[:, None] * proj[np.abs(self.orders), self.degrees]
-        return block.real, norm_sq
+        return self._packed(proj), norm_sq
+
+    def section_moments(self, profiles, weights):
+        """Section-harmonic moment tables of the section profiles a_k.
+
+        One table per order mu = 0..min(l_max, P-1), P = ``profiles.shape[1]``:
+
+            table[mu][l - mu, k]
+                = sum_i weights[i] P_l^mu(theta_i) a_{k+mu}(theta_i) a_k(theta_i)
+
+        for the degrees l = mu..l_max.  A longitude mode
+        sum_k d_k a_{k+mu}(theta) a_k(theta) projects on the order-mu Legendre
+        profiles as ``table[mu] @ d`` (weights ``w_theta``); with weights
+        ``w_theta * rho`` the table folds a colatitude density in.
+        """
+        return [(self.legendre[mu, mu:] * weights)
+                @ profile_product(profiles, mu)
+                for mu in range(min(self.l_max + 1, profiles.shape[1]))]
+
+    def analyze_diagonals(self, A, moments, grams):
+        """Coefficients and quadrature norms of real functions given by their
+        section coefficient matrices, without their longitude modes.
+
+        ``A`` is a (n, P, P) Hermitian batch; item b is the function
+        x -> sigma(x)^T A[b] conj(sigma(x)), whose longitude mode mu is
+        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.diagonal_modes``).
+        Diagonal -mu, d, gives the order-mu projections ``moments[mu] @ d``
+        (``section_moments`` at weights ``w_theta``) and the mode's
+        quadrature d^H G_mu d (``grams[mu]``, ``fourier.product_grams``).
+        Returns ``(block, norm_sq)`` as :meth:`analyze_modes`.
+        """
+        n, dim, _ = A.shape
+        proj = np.zeros((self.l_max + 1, self.l_max + 1, n), dtype=complex)
+        norm_sq = np.zeros(n)
+        for mu in range(dim):
+            # d[k, b] = A[b, k+mu, k]; the float view holds real and
+            # imaginary parts side by side, so each real product serves both
+            d = np.ascontiguousarray(
+                np.diagonal(A, offset=-mu, axis1=1, axis2=2).T).view(float)
+            # modes +-mu both count, except mode 0; modes 0..P-1 stay below
+            # Nyquist, since the Gram's exactness check forces n_phi >= 2P - 1
+            quad = np.sum(d * (grams[mu] @ d), axis=0).reshape(n, 2).sum(1)
+            norm_sq += quad if mu == 0 else 2.0 * quad
+            if mu < len(moments):
+                proj[mu, mu:] = (moments[mu] @ d).view(complex)
+        return self._packed(proj), norm_sq
 
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""
-        block, _ = self.analyze_modes(grid_to_modes(values, self.l_max)[None])
+        block, _ = self.analyze_modes(
+            grid_to_modes(values, self.l_max).T[:, :, None])
         return HarmonicCoeffs(self.l_max, block[:, 0])
 
     def synthesize(self, coeffs):

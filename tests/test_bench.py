@@ -204,6 +204,69 @@ class TestComparisonNorms:
             assert est == pytest.approx(res.norm1, rel=1e-5)
 
 
+def _assembled_oracle(p, form, sht):
+    """Both norms, the argmax degree and the tail of the assembled
+    difference, from the dense top-singular-pair oracle."""
+    smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
+    mult = fast_multiplication_matrix(form.eta, sht)
+    diff, tail = bench._assembled_difference(smoother, sht, mult, None)
+    norm1, vec = bench._dense_top_singular_pair(diff)
+    norm2, _ = bench._dense_top_singular_pair(
+        (sht.eigenvalues / p)[:, None] * diff)
+    return norm1, norm2, int(sht.degrees[np.argmax(np.abs(vec))]), tail
+
+
+class TestZonalBlocks:
+    @pytest.mark.parametrize("coefficients,form_id", [
+        ({}, "fs"), ({(1, 0): -0.15}, "zonal-half"),
+        ({(1, 0): -0.3}, "zonal-full")])
+    @pytest.mark.parametrize("p", [8, 24])
+    def test_blocks_match_assembled_dense_oracle(self, bench_grid, bench_sht,
+                                                 coefficients, form_id, p):
+        # p = 8 < l_max leaves the orders past p with an eta-heat block only
+        form = VolumeForm(bench_grid, coefficients, form_id)
+        res = comparison_norms(p, form, bench_sht)
+        norm1, norm2, degree, tail = _assembled_oracle(p, form, bench_sht)
+        assert res.norm1 == pytest.approx(norm1, rel=1e-13)
+        assert res.norm2 == pytest.approx(norm2, rel=1e-13)
+        assert res.argmax_degree == degree
+        assert res.tail_residual == pytest.approx(tail, rel=1e-6, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [8, 24])
+    def test_metric_form_blocks_are_funk_hecke_diagonals(self, bench_grid,
+                                                          bench_sht, p):
+        form = fubini_study_form(bench_grid)
+        op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
+        blocks = bench._zonal_q_blocks(op, bench_sht)
+        assert len(blocks) == min(p, bench_sht.l_max) + 1
+        for m, (block, _) in enumerate(blocks):
+            target = [funk_hecke_eigenvalue(p, l)
+                      for l in range(m, bench_sht.l_max + 1)]
+            assert np.abs(block - np.diag(target)).max() < 1e-13
+
+    def test_dispatch_reads_the_coefficients(self, bench_grid, bench_sht,
+                                             monkeypatch):
+        calls = {"q": 0, "eta": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench, "smoothing_operator_matrix",
+                            counted("q", smoothing_operator_matrix))
+        monkeypatch.setattr(bench, "fast_multiplication_matrix",
+                            counted("eta", fast_multiplication_matrix))
+        zonal = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 0): 0.1}, "z")
+        sweep_form(zonal, [4, 8, 12, 16], bench_sht)
+        assert calls == {"q": 0, "eta": 0}
+        # one small m != 0 coefficient makes the form non-zonal
+        tipped = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 1): 1e-9}, "t")
+        sweep_form(tipped, [4, 8, 12, 16], bench_sht)
+        assert calls == {"q": 4, "eta": 1}
+
+
 class TestRateFit:
     def test_exact_inverse_p(self):
         ps = [8, 16, 32, 64]

@@ -36,7 +36,8 @@ def node_sum(basis, grid, f):
 class TestMomentMatrices:
     def test_batch_matches_node_sum(self, grid, weights):
         basis = section_basis(9)
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in weights])
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
+                          for f in weights], axis=2)
         batch = moment_matrices(modes, grid.w_theta,
                                 basis.theta_profiles(grid.theta), 1e-16)
         for f, T in zip(weights, batch):
@@ -46,18 +47,19 @@ class TestMomentMatrices:
         # the mode cut is batch-wide, so batching keeps some modes that a
         # single constant weight would drop; they are roundoff either way
         profiles = section_basis(9).theta_profiles(grid.theta)
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in weights])
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
+                          for f in weights], axis=2)
         batch = moment_matrices(modes, grid.w_theta, profiles, 1e-16)
-        for item, T in zip(modes, batch):
-            single = moment_matrices(item[None], grid.w_theta, profiles,
-                                     1e-16)[0]
+        for b, T in enumerate(batch):
+            single = moment_matrices(modes[:, :, b:b + 1], grid.w_theta,
+                                     profiles, 1e-16)[0]
             assert np.abs(T - single).max() < TOL
 
     def test_mode_cut_is_relative_to_largest_mode(self, grid):
         profiles = section_basis(5).theta_profiles(grid.theta)
-        modes = np.zeros((1, grid.n_theta, 6), dtype=complex)
+        modes = np.zeros((6, grid.n_theta, 1), dtype=complex)
         modes[0, :, 0] = 1.0
-        modes[0, :, 3] = 1e-30
+        modes[3, :, 0] = 1e-30
         kept = moment_matrices(modes, grid.w_theta, profiles, 0.0)[0]
         cut = moment_matrices(modes, grid.w_theta, profiles, 1e-16)[0]
         assert np.all(np.diagonal(kept, offset=-3) != 0.0)

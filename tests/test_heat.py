@@ -52,9 +52,10 @@ class TestTransform:
                    sht.basis_function(7, -5) + 0.5,
                    nyquist * (1.0 + grid.cos_theta[:, None])]
         for n_modes in (grid.n_phi // 2 + 1, 8):
-            modes = np.stack([grid_to_modes(f, n_modes - 1) for f in columns])
+            modes = np.stack([grid_to_modes(f, n_modes - 1).T
+                              for f in columns], axis=2)
             block, norm_sq = sht.analyze_modes(modes)
-            for col, mode_col in enumerate(modes):
+            for col, mode_col in enumerate(modes.transpose(2, 1, 0)):
                 # the grid function the kept modes describe
                 f = modes_to_grid(mode_col, grid.n_phi)
                 assert np.abs(block[:, col]
@@ -74,10 +75,10 @@ class TestTransform:
         table = np.fft.fft(values, axis=1) / grid.n_phi
         n = 30
         out = sht.order_products(table, m, n + 1)
-        assert out.shape == (sht.l_max + 1 - abs(m), grid.n_theta, n + 1)
+        assert out.shape == (n + 1, grid.n_theta, sht.l_max + 1 - abs(m))
         for l in range(abs(m), sht.l_max + 1):
             oracle = grid_to_modes(values * sht.basis_function(l, m), n)
-            assert np.abs(out[l - abs(m)] - oracle).max() < 1e-14
+            assert np.abs(out[:, :, l - abs(m)].T - oracle).max() < 1e-14
 
 
 class TestLaplacian:

@@ -1,0 +1,80 @@
+"""Symmetry oracles of the converge norms.
+
+Q, eta and the heat flow are natural under the isometries that carry one
+volume form to another, so both norms of a form and of its image agree.  The
+maps here act on the form's real-harmonic coefficients: a rotation about the
+pole mixes each pair (l, +-m) by the angle m * alpha, the reflection
+phi -> -phi negates the sine (m < 0) coefficients, and the flip
+theta -> pi - theta multiplies (l, m) by (-1)^(l+|m|).  The two reflections
+are exact symmetries of the grid (phi_j = 2 pi j / n_phi, Gauss-Legendre
+nodes symmetric about the equator), so the top singular vector maps to the
+image's and ``argmax_degrees`` agrees too; a rotation by a generic angle is
+not, and ``argmax_degrees`` depends on the basis, so it is left out there.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bergman_heat import VolumeForm, build_grid, sweep_form
+from bergman_heat.heat import SphericalHarmonicTransform
+
+P_VALUES = [4, 8, 12, 16]
+
+FORMS = {
+    "mixed": {(1, 1): 0.1, (2, 1): 0.05, (2, -2): 0.15, (3, -1): 0.04,
+              (1, 0): -0.1},
+    "tilted": {(1, 1): 0.1, (2, 1): 0.05},
+    "zonal-full": {(1, 0): -0.3},
+}
+
+
+def rotate(coeffs, alpha=0.37):
+    out = {}
+    for (l, m), c in coeffs.items():
+        k = abs(m)
+        c_cos, c_sin = coeffs.get((l, k), 0.0), coeffs.get((l, -k), 0.0)
+        if m == 0:
+            out[(l, 0)] = c
+        else:
+            out[(l, k)] = c_cos * math.cos(k * alpha) - c_sin * math.sin(k * alpha)
+            out[(l, -k)] = c_cos * math.sin(k * alpha) + c_sin * math.cos(k * alpha)
+    return out
+
+
+def reflect_phi(coeffs):
+    return {(l, m): -c if m < 0 else c for (l, m), c in coeffs.items()}
+
+
+def flip_theta(coeffs):
+    return {(l, m): c * (-1) ** (l + abs(m)) for (l, m), c in coeffs.items()}
+
+
+MAPS = {"rotate": rotate, "reflect-phi": reflect_phi, "flip-theta": flip_theta}
+
+
+@pytest.fixture(scope="module")
+def sym_sht():
+    return SphericalHarmonicTransform(build_grid(48, 96), 12)
+
+
+@pytest.mark.parametrize("form_id,map_name", [
+    ("mixed", "rotate"), ("mixed", "reflect-phi"), ("mixed", "flip-theta"),
+    # tilted has no sine coefficients: phi -> -phi maps it to itself
+    ("tilted", "rotate"), ("tilted", "flip-theta"),
+    # a zonal form and its flip both take the per-order block path
+    ("zonal-full", "flip-theta"),
+])
+def test_norms_are_invariant(sym_sht, form_id, map_name):
+    grid = sym_sht.grid
+    coeffs = FORMS[form_id]
+    mapped = MAPS[map_name](coeffs)
+    assert mapped != coeffs
+    base = sweep_form(VolumeForm(grid, coeffs, form_id), P_VALUES, sym_sht)
+    image = sweep_form(VolumeForm(grid, mapped, form_id), P_VALUES, sym_sht)
+    for norms in ("norms1", "norms2"):
+        a, b = np.array(getattr(base, norms)), np.array(getattr(image, norms))
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+    if map_name != "rotate":
+        assert base.argmax_degrees == image.argmax_degrees

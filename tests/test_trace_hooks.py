@@ -41,8 +41,12 @@ def test_every_entry_point_resolves():
 
 
 def test_traced_run_reads_its_guards(tmp_path):
+    # zonal forms take the per-order block path, so the non-zonal form is
+    # the one that exercises Q assembly
+    cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
+               + [{"id": "tilted", "coefficients": {"1,1": 0.1, "2,1": 0.05}}])
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SMALL_CONVERGE))
+    path.write_text(json.dumps(cfg))
     untraced, traced = tmp_path / "untraced", tmp_path / "traced"
     assert run(["converge", "--config", str(path),
                 "--out", str(untraced)]) == EXIT_OK
@@ -57,8 +61,8 @@ def test_traced_run_reads_its_guards(tmp_path):
     assert code == EXIT_OK
     assert tracer.missing == []
     layers = tracer.metrics(wall)
-    # one Q assembly per (form, p) cell
-    assert layers["bench.q_assembly_calls"] == 12
+    # one Q assembly per non-zonal (form, p) cell
+    assert layers["bench.q_assembly_calls"] == len(cfg["p_list"])
     assert layers["sections.gram_cond_max"] >= 1.0
     assert layers["bench.tail_max"] <= DEFAULTS["converge"]["tail_bound"]
     assert ((traced / "converge.csv").read_bytes()
