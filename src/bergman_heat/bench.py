@@ -10,7 +10,8 @@ structurally-zero columns cannot poison the validity flag.
 A zonal form's difference commutes with rotation about the pole, so it
 splits into one block per longitude order, the same for cosine and sine;
 those blocks are built directly from the section-harmonic moment tables.
-Other forms are assembled column by column, one longitude order at a time.
+Other forms assemble Q one longitude order of columns at a time, and the
+eta multiplication as a product quadrature, one output order at a time.
 """
 
 import math
@@ -22,15 +23,15 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
-from .fourier import phi_band, product_grams
+from .fourier import product_grams
 from .heat import HarmonicCoeffs, coeff_index, heat_apply
 from .sections import bergman_evaluator
 
-# largest accepted converge sweep, checked before any table is built: one
-# operator matrix on the harmonic basis holds (l_max+1)^4 doubles (200 MB at
-# the limit; the default l_max 46 needs 4.9e6), and one Q assembly costs
-# about (p+1)^3 (l_max+1)^2 flops (4.7e9, about 6 s on 2 cores, at the
-# default p = 128)
+# largest accepted sweep with a non-zonal form, checked before any table is
+# built: one operator matrix on the harmonic basis holds (l_max+1)^4 doubles
+# (200 MB at the limit; the default l_max 46 needs 4.9e6), and one Q
+# assembly costs about (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default
+# p = 128, which took 3.5 s in a traced converge-default run on 2 cores)
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
 MAX_Q_FLOPS = 10 ** 11
 
@@ -53,11 +54,14 @@ class OperatorMatrix:
     column_norm_sq: np.ndarray
 
 
-def check_sweep_cost(p_max, l_max):
-    """Refuse a sweep whose matrices or Q assembly exceed the budgets, or
-    whose truncation holds only constants, where norm2 is 0 at every p."""
+def check_sweep_cost(p_max, l_max, forms):
+    """Refuse a sweep whose truncation holds only constants, where norm2 is
+    0 at every p, or one with a non-zonal form whose matrices or Q assembly
+    exceed the budgets; zonal forms build (l_max+1)-square blocks only."""
     if l_max < 1:
         raise ConfigError(f"converge needs l_max >= 1, got {l_max}")
+    if all(form.is_zonal for form in forms):
+        return
     entries = (l_max + 1) ** 4
     if entries > MAX_MATRIX_ENTRIES:
         raise ConfigError(
@@ -119,37 +123,16 @@ def multiplication_matrix(values, sht, tail_bound=None):
     return operator_matrix(lambda f: values * f, sht, tail_bound=tail_bound)
 
 
-def _assemble_columns(sht, analyze_order, tail_bound):
-    """Operator matrix assembled one longitude order of columns at a time.
-
-    The columns go in one batch per longitude order |m|: its cosine and
-    sine harmonics, whose span a rotation about the pole keeps, together.
-    ``analyze_order(ms)`` returns the coefficient block and quadrature norms
-    of the columns Y_lm for the orders m in ``ms`` in turn, l = |m|..l_max.
-    """
-    n = sht.n_coeffs
-    # one order's columns sit 2l+1 apart; column-major storage keeps each
-    # column write contiguous
-    matrix = np.zeros((n, n), order="F")
-    col_norm = np.zeros(n)
-    for k in range(sht.l_max + 1):
-        ms = (k, -k) if k else (0,)
-        cols = np.concatenate([coeff_index(np.arange(k, sht.l_max + 1), m)
-                               for m in ms])
-        matrix[:, cols], col_norm[cols] = analyze_order(ms)
-    return _checked_matrix(matrix, col_norm, tail_bound)
-
-
 def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
-    The basis columns of one longitude order go through
-    ``smoother.coefficient_matrices`` as one batch, so the per-column small
-    matrix products run as batched BLAS calls, and their section coefficient
-    matrices A = M T M / R go straight to harmonic coefficients and
-    quadrature norms through the section-harmonic moment tables
-    (``sht.analyze_diagonals``): no output longitude modes and no per-column
-    grids.  Matches the generic path to roundoff.
+    The columns of one longitude order |m|, cosine and sine together, go
+    through ``smoother.coefficient_matrices`` as one batch, so the
+    per-column small matrix products run as batched BLAS calls, and their
+    section coefficient matrices A = M T M / R go straight to harmonic
+    coefficients and quadrature norms through the section-harmonic moment
+    tables (``sht.analyze_diagonals``): no output longitude modes and no
+    per-column grids.  Matches the generic path to roundoff.
     """
     if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
@@ -157,33 +140,44 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     w_theta = sht.grid.w_theta
     moments = sht.section_moments(profiles, w_theta)
     grams = product_grams(profiles, w_theta)
-    # modes 0..p fit the grid: the Gram exactness check forces n_phi >= 2p + 1
-    density_modes = smoother.form.density_modes
-    return _assemble_columns(
-        sht, lambda ms: sht.analyze_diagonals(
-            smoother.coefficient_matrices(np.concatenate(
-                [sht.order_products(density_modes, m, smoother.p + 1)
-                 for m in ms], axis=2)),
-            moments, grams),
-        tail_bound)
+    n = sht.n_coeffs
+    # one order's columns sit 2l+1 apart; column-major storage keeps each
+    # column write contiguous
+    matrix = np.zeros((n, n), order="F")
+    col_norm = np.zeros(n)
+    for k in range(sht.l_max + 1):
+        cols = np.abs(sht.orders) == k
+        # modes 0..p fit the grid: the Gram exactness check forces
+        # n_phi >= 2p + 1
+        matrix[:, cols], col_norm[cols] = sht.analyze_diagonals(
+            smoother.coefficient_matrices(sht.order_products(
+                smoother.form.density_modes, k, smoother.p + 1)),
+            moments, grams)
+    return _checked_matrix(matrix, col_norm, tail_bound)
 
 
 def fast_multiplication_matrix(values, sht, tail_bound=None):
-    """Batched multiplication-operator matrix via longitude-mode convolution.
+    """Multiplication-operator matrix as a product quadrature, over longitude
+    and then over colatitude.
 
-    Matches ``multiplication_matrix`` to roundoff at a fraction of the cost.
-    The product of the function with a degree-l_max harmonic has no
-    longitude modes beyond l_max plus the function's own band, so only
-    those are carried.
+    Entry ((l, m), (l', m')) is sum_i w_i P_l^|m| P_l'^|m'| c_m[i, m'], with
+    c_m[i, m'] = (1/n_phi) sum_j f trig_m trig_m' at (theta_i, phi_j): the
+    grid quadrature of ``multiplication_matrix`` regrouped, so it matches
+    that oracle to roundoff.  The column norms come the same way from
+    f^2 trig_m'^2.
     """
-    grid = sht.grid
-    mode_table = np.fft.fft(np.asarray(values, dtype=float), axis=1) / grid.n_phi
-    d_count = min(sht.l_max + phi_band(mode_table) + 1, grid.n_phi // 2 + 1)
-    return _assemble_columns(
-        sht, lambda ms: sht.analyze_modes(np.concatenate(
-            [sht.order_products(mode_table, m, d_count) for m in ms],
-            axis=2)),
-        tail_bound)
+    trig, n_phi, l_max = sht.trig, sht.grid.n_phi, sht.l_max
+    # profiles[i, s]: the Legendre profile of slot s's harmonic at node i
+    profiles = sht.legendre[np.abs(sht.orders), sht.degrees].T
+    weighted = sht.grid.w_theta[:, None] * profiles
+    matrix = np.zeros((sht.n_coeffs, sht.n_coeffs))
+    for m in range(-l_max, l_max + 1):
+        c = (values * trig[m + l_max]) @ trig.T / n_phi
+        matrix[sht.orders == m] = (sht.legendre[abs(m), abs(m):]
+                                   @ (c[:, sht.orders + l_max] * weighted))
+    c = values ** 2 @ (trig ** 2).T / n_phi
+    col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
+    return _checked_matrix(matrix, col_norm, tail_bound)
 
 
 def _dense_top_singular_pair(matrix):

@@ -78,10 +78,10 @@ def cmd_converge(cfg, out_dir):
     l_max = cfg["l_max"]
     if l_max is None:
         l_max = default_l_max(max(p_list))
-    check_sweep_cost(max(p_list), l_max)
     grid = grid_for(cfg, max(p_list), l_max)
-    sht = SphericalHarmonicTransform(grid, l_max)
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
+    check_sweep_cost(max(p_list), l_max, forms)
+    sht = SphericalHarmonicTransform(grid, l_max)
     by_id = {form.form_id: form for form in forms}
     if "fs" not in by_id:
         raise ConfigError("converge requires the 'fs' form in volume_forms")

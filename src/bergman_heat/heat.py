@@ -90,31 +90,40 @@ class SphericalHarmonicTransform:
         self.orders = np.arange(self.n_coeffs) - coeff_index(self.degrees, 0)
         self.factors = np.select([self.orders > 0, self.orders < 0],
                                  [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
+        # trig[m + l_max, j]: the longitude factor of Y_lm at node phi_j,
+        # twice the real part of its exp(i|m|phi) mode (once for m = 0)
+        ms = np.arange(-self.l_max, self.l_max + 1)[:, None]
+        self.trig = np.where(ms == 0, 1.0, 2.0) * (
+            self.factors[coeff_index(self.l_max, ms)]
+            * np.exp(1j * np.abs(ms) * grid.phi)).real
         self.eigenvalues = laplace_eigenvalue(self.degrees)
 
     @property
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
 
-    def order_products(self, mode_table, m, n_modes):
-        """Longitude modes of (grid function) * Y_lm for every degree l of
-        order m, l = |m|..l_max.
+    def order_products(self, mode_table, k, n_modes):
+        """Longitude modes of (grid function) * Y_lm for every packed slot
+        (l, m) of the orders m = +-k, in slot order.
 
         ``mode_table`` holds the function's full DFT modes per colatitude
         node, shape (n_theta, n_phi).  Returns shape
-        (n_modes, n_theta, l_max+1-|m|), mode by node by degree: mode d of a
-        grid product is the wrapped convolution of the table with the
-        harmonic's two modes +-|m|, which every degree of the order shares.
+        (n_modes, n_theta, n_cols), mode by node by column: mode d of a grid
+        product is the wrapped convolution of the table with the harmonic's
+        two modes +-k, which every degree of the order shares.
         """
-        n_phi = self.grid.n_phi
         ds = np.arange(n_modes)
-        k = abs(m)
-        factor = self.factors[coeff_index(k, m)]
-        modes = factor * mode_table[:, (ds - k) % n_phi]
-        if m != 0:
-            modes += factor.conjugate() * mode_table[:, (ds + k) % n_phi]
-        return (np.ascontiguousarray(modes.T)[:, :, None]
-                * np.ascontiguousarray(self.legendre[k, k:].T))
+        lo, hi = (mode_table[:, (ds + s) % self.grid.n_phi] for s in (-k, k))
+        # one row of modes per sign, -k before +k as in the slots
+        factors = self.factors[coeff_index(k, np.array([-k, k] if k else [0]))]
+        modes = factors[:, None, None] * lo
+        if k:
+            modes += factors.conj()[:, None, None] * hi
+        out = np.empty((n_modes, self.grid.n_theta, self.l_max + 1 - k,
+                        len(factors)), dtype=complex)
+        np.multiply(modes.T[:, :, None], self.legendre[k, k:].T[:, :, None],
+                    out=out)
+        return out.reshape(n_modes, self.grid.n_theta, -1)
 
     def _packed(self, proj):
         """Real coefficient block from the projections ``proj[|m|, l, col]``
@@ -126,30 +135,6 @@ class SphericalHarmonicTransform:
         """
         scale = np.where(self.orders == 0, 1.0, 2.0) * self.factors.conj()
         return (scale[:, None] * proj[np.abs(self.orders), self.degrees]).real
-
-    def analyze_modes(self, dmodes):
-        """Coefficients and quadrature norms of real functions given by modes.
-
-        ``dmodes`` has shape (n_modes, n_theta, n_cols) holding the
-        nonnegative longitude modes of each function.  Returns
-        ``(block, norm_sq)`` with the coefficient block of shape
-        (n_coeffs, n_cols).  A Nyquist mode, if present, counts once in the
-        norm.
-        """
-        grid = self.grid
-        n_modes, _, n_cols = dmodes.shape
-        # modes +-mu both count, except mode 0 and a Nyquist mode
-        mu = np.arange(n_modes)
-        weights = np.where((mu == 0) | (2 * mu == grid.n_phi), 1.0, 2.0)
-        norm_sq = grid.w_theta @ np.tensordot(weights, np.abs(dmodes) ** 2, 1)
-        # wd[m, i, col]: weighted mode m; its float view interleaves real
-        # and imaginary parts, so one real batched product projects every
-        # order onto its Legendre profiles; orders the input lacks stay zero
-        cut = min(self.l_max + 1, n_modes)
-        wd = np.ascontiguousarray(grid.w_theta[:, None] * dmodes[:cut])
-        proj = np.zeros((self.l_max + 1, self.l_max + 1, n_cols), dtype=complex)
-        proj[:cut] = (self.legendre[:cut] @ wd.view(float)).view(complex)
-        return self._packed(proj), norm_sq
 
     def section_moments(self, profiles, weights):
         """Section-harmonic moment tables of the section profiles a_k.
@@ -178,7 +163,8 @@ class SphericalHarmonicTransform:
         Diagonal -mu, d, gives the order-mu projections ``moments[mu] @ d``
         (``section_moments`` at weights ``w_theta``) and the mode's
         quadrature d^H G_mu d (``grams[mu]``, ``fourier.product_grams``).
-        Returns ``(block, norm_sq)`` as :meth:`analyze_modes`.
+        Returns ``(block, norm_sq)``: the coefficient block, shape
+        (n_coeffs, n), and the quadrature norms.
         """
         n, dim, _ = A.shape
         proj = np.zeros((self.l_max + 1, self.l_max + 1, n), dtype=complex)
@@ -198,9 +184,12 @@ class SphericalHarmonicTransform:
 
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""
-        block, _ = self.analyze_modes(
-            grid_to_modes(values, self.l_max).T[:, :, None])
-        return HarmonicCoeffs(self.l_max, block[:, 0])
+        # the float view of the weighted longitude modes holds real and
+        # imaginary parts side by side, so one real product serves both
+        wd = np.ascontiguousarray(
+            self.grid.w_theta * grid_to_modes(values, self.l_max).T)
+        proj = (self.legendre @ wd[:, :, None].view(float)).view(complex)
+        return HarmonicCoeffs(self.l_max, self._packed(proj)[:, 0])
 
     def synthesize(self, coeffs):
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
@@ -214,10 +203,7 @@ class SphericalHarmonicTransform:
 
     def basis_function(self, l, m):
         """Grid values of the (l, m) harmonic, from the cached profiles."""
-        k = abs(m)
-        modes = np.zeros((self.grid.n_theta, k + 1), dtype=complex)
-        modes[:, k] = self.factors[coeff_index(l, m)] * self.legendre[k, l]
-        return modes_to_grid(modes, self.grid.n_phi)
+        return np.outer(self.legendre[abs(m), l], self.trig[m + self.l_max])
 
     def grid_norm_sq(self, values):
         """Quadrature of f^2 against the metric volume form."""

@@ -56,24 +56,33 @@ class TestOperatorMatrix:
         assert np.abs(mat.matrix - target).max() < 1e-8
 
     def test_fast_paths_match_generic(self, bench_grid, bench_sht):
-        # the second form has band-2 sine and cosine terms at p = 4 < l_max:
-        # Q's output carries modes 0..4 only, so the orders 5..l_max of
-        # every column come out zero
-        for coefficients, p in (({(1, 0): -0.3, (2, 2): 0.1}, 10),
-                                ({(2, -2): 0.15, (1, 1): 0.1}, 4)):
-            form = VolumeForm(bench_grid, coefficients, "mix")
-            op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
-            fast = smoothing_operator_matrix(op, bench_sht)
-            slow = operator_matrix(op.apply, bench_sht)
+        cases = [
+            (bench_sht, {(1, 0): -0.3, (2, 2): 0.1}, 10),
+            # band-2 sine and cosine terms at p = 4 < l_max: Q's output
+            # carries modes 0..4 only, so the orders 5..l_max of every
+            # column come out zero
+            (bench_sht, {(2, -2): 0.15, (1, 1): 0.1}, 4),
+            # an odd longitude grid, which has no Nyquist mode
+            (SphericalHarmonicTransform(build_grid(24, 47), 11),
+             {(1, 0): -0.3, (2, 2): 0.1}, 10),
+            # eta's longitude band reaches the Nyquist mode 24
+            (SphericalHarmonicTransform(build_grid(24, 48), 11),
+             {(3, 3): 1.5, (2, -1): 1.0}, 4)]
+        for sht, coefficients, p in cases:
+            form = VolumeForm(sht.grid, coefficients, "mix")
+            op = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
+            fast = smoothing_operator_matrix(op, sht)
+            slow = operator_matrix(op.apply, sht)
             assert np.abs(fast.matrix - slow.matrix).max() < 1e-12
             assert np.abs(fast.column_norm_sq
                           - slow.column_norm_sq).max() < 1e-12
-            mf = fast_multiplication_matrix(form.eta, bench_sht)
-            ms = multiplication_matrix(form.eta, bench_sht)
+            mf = fast_multiplication_matrix(form.eta, sht)
+            ms = multiplication_matrix(form.eta, sht)
             assert np.abs(mf.matrix - ms.matrix).max() < 1e-12
-            # the norms see every longitude mode the fast path carries, so
-            # a mode cut inside eta's band shows here and not in the matrix
-            assert np.abs(mf.column_norm_sq - ms.column_norm_sq).max() < 1e-12
+            # the norms see every longitude mode of the products, those
+            # past the transform's orders and a Nyquist mode included
+            assert np.abs(mf.column_norm_sq
+                          - ms.column_norm_sq).max() < 1e-12
             assert mf.tail_residual == pytest.approx(ms.tail_residual,
                                                      rel=1e-12)
 

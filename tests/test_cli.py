@@ -13,6 +13,7 @@ from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
 from bergman_heat.config import DEFAULTS, default_l_max, load_config
 from bergman_heat.errors import ConfigError
+from bergman_heat.geometry import VolumeForm, build_grid
 
 
 def _read_summary(out_dir, name):
@@ -162,7 +163,9 @@ class TestExitCodes:
     ])
     def test_oversized_sweep_is_refused_up_front(self, tmp_path, capsys,
                                                  argv):
-        check_sweep_cost(128, default_l_max(128))  # the defaults still run
+        # the defaults, which include a non-zonal form, still run
+        tilted = VolumeForm(build_grid(8, 16), {(1, 1): 0.1}, "tilted")
+        check_sweep_cost(128, default_l_max(128), [tilted])
         start = time.monotonic()
         code = run(argv + ["--out", str(tmp_path)])
         assert time.monotonic() - start < 10.0
@@ -170,6 +173,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "over the limit" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("forms", [["fs", "zonal-full"],
+                                       ["fs", "zonal-full", "tilted"]])
+    def test_sweep_budget_applies_to_non_zonal_sweeps(self, tmp_path, capsys,
+                                                      forms):
+        # l_max 71 puts one operator matrix over MAX_MATRIX_ENTRIES; zonal
+        # forms build (l_max+1)-square blocks only, so they run
+        coefficients = {"fs": {}, "zonal-full": {"1,0": -0.3},
+                        "tilted": {"1,1": 0.1, "2,1": 0.05}}
+        cfg = {"p_list": [8, 16, 32, 64], "uniformity_family": ["fs"],
+               "volume_forms": [{"id": fid, "coefficients": coefficients[fid]}
+                                for fid in forms]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        start = time.monotonic()
+        code = run(["converge", "--config", str(path), "--lmax", "71",
+                    "--out", str(tmp_path)])
+        assert time.monotonic() - start < 10.0
+        if "tilted" not in forms:
+            assert code in (EXIT_OK, EXIT_ACCEPTANCE)
+            assert (tmp_path / "converge.csv").exists()
+            return
+        assert code == EXIT_CONFIG
+        assert "per operator matrix" in json.loads(capsys.readouterr().err)[
+            "error"]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command,cfg", [

@@ -7,7 +7,7 @@ from bergman_heat import (ConfigError, HarmonicCoeffs,
                           SphericalHarmonicTransform, build_grid, heat_apply,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
-from bergman_heat.fourier import grid_to_modes, modes_to_grid
+from bergman_heat.fourier import grid_to_modes
 from bergman_heat.heat import coeff_index, degree_vector
 
 
@@ -24,14 +24,22 @@ class TestTransform:
         assert np.abs(coeffs.values[1:]).max() < 1e-13
 
     def test_round_trip_band_limited(self, grid, sht, rng):
-        c = HarmonicCoeffs(sht.l_max, rng.normal(size=sht.n_coeffs))
-        back = sht.analyze(sht.synthesize(c))
-        assert np.abs(back.values - c.values).max() < 1e-10
+        for case in ("even", "nyquist", "odd"):
+            case_sht, c, nyquist = _analyze_input(case, grid, sht, rng)
+            back = case_sht.analyze(case_sht.synthesize(c) + nyquist)
+            assert np.abs(back.values - c.values).max() < 1e-10, case
 
     def test_parseval(self, grid, sht, rng):
-        c = HarmonicCoeffs(sht.l_max, rng.normal(size=sht.n_coeffs))
-        f = sht.synthesize(c)
-        assert sht.grid_norm_sq(f) == pytest.approx(c.norm_sq(), abs=1e-10)
+        # a Nyquist term counts once in the grid norm, and not at all in the
+        # coefficients
+        for case in ("even", "nyquist", "odd"):
+            case_sht, c, nyquist = _analyze_input(case, grid, sht, rng)
+            f = case_sht.synthesize(c) + nyquist
+            assert case_sht.analyze(f).norm_sq() == pytest.approx(
+                c.norm_sq(), abs=1e-10)
+            extra = float(case_sht.grid.w_theta @ nyquist[:, 0] ** 2)
+            assert case_sht.grid_norm_sq(f) == pytest.approx(
+                c.norm_sq() + extra, abs=1e-10)
 
     def test_basis_function_matches_direct_evaluation(self, grid, sht):
         for l, m in [(0, 0), (5, 0), (4, 3), (6, -2)]:
@@ -43,42 +51,24 @@ class TestTransform:
         with pytest.raises(ConfigError):
             SphericalHarmonicTransform(g, 10)
 
-    def test_analyze_modes_matches_per_column_analyze(self, grid, sht, rng):
-        # the last column carries the Nyquist mode, which only the norm sees;
-        # with 8 modes, fewer than the l_max + 1 orders, the orders past the
-        # input's modes must come out zero
-        nyquist = np.cos(0.5 * grid.n_phi * grid.phi_mesh)
-        columns = [rng.normal(size=(grid.n_theta, grid.n_phi)),
-                   sht.basis_function(7, -5) + 0.5,
-                   nyquist * (1.0 + grid.cos_theta[:, None])]
-        for n_modes in (grid.n_phi // 2 + 1, 8):
-            modes = np.stack([grid_to_modes(f, n_modes - 1).T
-                              for f in columns], axis=2)
-            block, norm_sq = sht.analyze_modes(modes)
-            for col, mode_col in enumerate(modes.transpose(2, 1, 0)):
-                # the grid function the kept modes describe
-                f = modes_to_grid(mode_col, grid.n_phi)
-                assert np.abs(block[:, col]
-                              - sht.analyze(f).values).max() < 1e-13
-                assert norm_sq[col] == pytest.approx(sht.grid_norm_sq(f),
-                                                     rel=1e-13)
-        assert np.abs(block[np.abs(sht.orders) >= 8]).max() == 0.0
-        assert block[coeff_index(7, -5), 1] == pytest.approx(1.0)
-        nyquist_mode = grid_to_modes(columns[2], grid.n_phi // 2)[:, -1]
-        assert np.abs(nyquist_mode).max() > 0.5
-
     @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
     def test_order_products_match_grid_products(self, grid, sht, tilted_form,
                                                 m):
-        # every degree of order m against the product formed on the grid
+        # one array holds the slots of both orders +-|m|, in slot order;
+        # those of order m against the product formed on the grid
         values = tilted_form.density
         table = np.fft.fft(values, axis=1) / grid.n_phi
         n = 30
-        out = sht.order_products(table, m, n + 1)
-        assert out.shape == (n + 1, grid.n_theta, sht.l_max + 1 - abs(m))
-        for l in range(abs(m), sht.l_max + 1):
-            oracle = grid_to_modes(values * sht.basis_function(l, m), n)
-            assert np.abs(out[:, :, l - abs(m)].T - oracle).max() < 1e-14
+        k = abs(m)
+        slots = np.flatnonzero(np.abs(sht.orders) == k)
+        out = sht.order_products(table, k, n + 1)
+        assert out.shape == (n + 1, grid.n_theta, len(slots))
+        for col, slot in enumerate(slots):
+            if sht.orders[slot] != m:
+                continue
+            oracle = grid_to_modes(values * sht.basis_function(
+                sht.degrees[slot], m), n)
+            assert np.abs(out[:, :, col].T - oracle).max() < 1e-14
 
 
 class TestLaplacian:
@@ -199,6 +189,22 @@ class TestSemigroupDerivative:
         lam = 4 * math.pi * 2 * 3
         rhs = (lam / p) * math.exp(-lam * u) * values
         assert np.abs(lhs - rhs).max() == 0.0
+
+
+def _analyze_input(case, grid, sht, rng):
+    """A transform, random coefficients of its band and an extra grid term:
+    on the shared grid ("even"), the same plus a term on the Nyquist mode
+    cos(n_phi phi / 2), which no harmonic of the band sees ("nyquist"), or
+    on an odd longitude grid, which has no Nyquist mode ("odd")."""
+    if case == "odd":
+        grid = build_grid(24, 47)
+        sht = SphericalHarmonicTransform(grid, 11)
+    c = HarmonicCoeffs(sht.l_max, rng.normal(size=sht.n_coeffs))
+    nyquist = np.zeros((grid.n_theta, grid.n_phi))
+    if case == "nyquist":
+        nyquist = np.cos(0.5 * grid.n_phi * grid.phi_mesh) \
+            * (1.0 + grid.cos_theta[:, None])
+    return sht, c, nyquist
 
 
 def test_degree_vector_layout():
