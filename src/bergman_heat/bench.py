@@ -24,6 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
 from .fourier import product_grams
+from .geometry import is_zonal
 from .heat import HarmonicCoeffs, coeff_index, heat_apply
 from .sections import bergman_evaluator
 
@@ -54,13 +55,13 @@ class OperatorMatrix:
     column_norm_sq: np.ndarray
 
 
-def check_sweep_cost(p_max, l_max, forms):
+def check_sweep_cost(p_max, l_max, coefficient_maps):
     """Refuse a sweep whose truncation holds only constants, where norm2 is
     0 at every p, or one with a non-zonal form whose matrices or Q assembly
     exceed the budgets; zonal forms build (l_max+1)-square blocks only."""
     if l_max < 1:
         raise ConfigError(f"converge needs l_max >= 1, got {l_max}")
-    if all(form.is_zonal for form in forms):
+    if all(is_zonal(coefficients) for coefficients in coefficient_maps):
         return
     entries = (l_max + 1) ** 4
     if entries > MAX_MATRIX_ENTRIES:
@@ -167,8 +168,7 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
     f^2 trig_m'^2.
     """
     trig, n_phi, l_max = sht.trig, sht.grid.n_phi, sht.l_max
-    # profiles[i, s]: the Legendre profile of slot s's harmonic at node i
-    profiles = sht.legendre[np.abs(sht.orders), sht.degrees].T
+    profiles = sht.slot_profiles
     weighted = sht.grid.w_theta[:, None] * profiles
     matrix = np.zeros((sht.n_coeffs, sht.n_coeffs))
     for m in range(-l_max, l_max + 1):

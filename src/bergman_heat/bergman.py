@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
-                      moment_matrices)
+from .fourier import grid_to_modes, moment_matrices
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
 from .heat import HarmonicCoeffs, SphericalHarmonicTransform
@@ -66,8 +65,7 @@ class SmoothingOperator:
             raise ConfigError("input values do not match the grid")
         modes = grid_to_modes(self.form.density * values, self.grid.n_phi // 2)
         A = self.coefficient_matrices(modes.T[:, :, None])
-        return modes_to_grid(diagonal_modes(A, self.evaluator.profiles)[0],
-                             self.grid.n_phi)
+        return self.evaluator.hermitian_form_on_grid(A[0])
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .bench import check_sweep_cost, rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
 from .config import (DEFAULTS, default_l_max, grid_for, load_config,
-                     parse_form_spec)
+                     parse_form_spec, read_form_spec)
 from .errors import ConfigError, IllConditionedGramError, InvalidRunError
 from .geometry import SpherePoint
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
@@ -78,21 +78,23 @@ def cmd_converge(cfg, out_dir):
     l_max = cfg["l_max"]
     if l_max is None:
         l_max = default_l_max(max(p_list))
-    grid = grid_for(cfg, max(p_list), l_max)
-    forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
-    check_sweep_cost(max(p_list), l_max, forms)
-    sht = SphericalHarmonicTransform(grid, l_max)
-    by_id = {form.form_id: form for form in forms}
-    if "fs" not in by_id:
+    # checks that need no grid come before it is built
+    coefficients = dict(read_form_spec(spec) for spec in cfg["volume_forms"])
+    if "fs" not in coefficients:
         raise ConfigError("converge requires the 'fs' form in volume_forms")
     family_ids = cfg["uniformity_family"]
-    missing = [fid for fid in family_ids if fid not in by_id]
+    missing = [fid for fid in family_ids if fid not in coefficients]
     if missing:
         raise ConfigError(f"uniformity family members missing: {missing}")
-    for fid in family_ids:
-        if by_id[fid].density_inf < cfg["density_floor"]:
+    check_sweep_cost(max(p_list), l_max, coefficients.values())
+    grid = grid_for(cfg, max(p_list), l_max)
+    forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
+    sht = SphericalHarmonicTransform(grid, l_max)
+    for form in forms:
+        if (form.form_id in family_ids
+                and form.density_inf < cfg["density_floor"]):
             raise ConfigError(
-                f"form {fid} density {by_id[fid].density_inf:.3e} below "
+                f"form {form.form_id} density {form.density_inf:.3e} below "
                 f"floor {cfg['density_floor']:.3e}")
 
     reports = {}

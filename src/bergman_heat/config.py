@@ -200,7 +200,8 @@ def _form_id(spec):
     return str(spec.get("id", "custom"))
 
 
-def parse_form_spec(spec, grid):
+def read_form_spec(spec):
+    """The id and the coefficient map {(l, m): c} of a volume form spec."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("coefficients"), dict)):
         raise ConfigError("volume form spec needs a 'coefficients' map")
@@ -214,7 +215,12 @@ def parse_form_spec(spec, grid):
         if not _is_number(value):
             raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
         coeffs[index] = float(value)
-    return VolumeForm(grid, coeffs, form_id=_form_id(spec))
+    return _form_id(spec), coeffs
+
+
+def parse_form_spec(spec, grid):
+    form_id, coeffs = read_form_spec(spec)
+    return VolumeForm(grid, coeffs, form_id=form_id)
 
 
 def grid_for(cfg, p_max, l_max=None):

@@ -1,38 +1,18 @@
 """Longitude-Fourier helpers shared by the kernel and operator machinery.
 
-Functions on the product grid are handled as colatitude profiles of their
-longitude modes; quadratic section expressions reduce to sums along the
-diagonals of a coefficient matrix.  ``moment_matrices`` folds weight
-functions into section moment matrices (the Gram, and the input side of the
-smoothing operator); ``diagonal_modes`` takes coefficient matrices back to
-longitude modes (the kernel diagonal, and the output side of a single
-application).  ``product_grams`` gives the quadrature norms of such modes
-without forming them.  The weight functions' modes going into
-``moment_matrices`` are laid out as (mode, node, batch item).
+Weight functions on the product grid are handled as colatitude profiles of
+their longitude modes (``grid_to_modes``); ``moment_matrices`` folds them
+into section moment matrices (the Gram, and the input side of the smoothing
+operator), with the modes laid out as (mode, node, batch item).
+``product_grams`` gives the quadrature norms of the longitude modes of
+section quadratic forms, whose grid values are evaluated at the nodes.
 """
 
 import numpy as np
 
-from .errors import ConfigError
-
 # longitude modes at most this fraction of the largest mode lie outside a
 # function's band
 BAND_TOL = 1e-13
-
-
-def modes_to_grid(modes, n_phi):
-    """Real grid values of ``sum_mu d_mu exp(i mu phi)`` with Hermitian modes.
-
-    ``modes[:, mu]`` holds d_mu for mu >= 0; d_{-mu} is its conjugate.
-    """
-    n_half = n_phi // 2 + 1
-    n_modes = modes.shape[1]
-    if n_modes > n_half:
-        raise ConfigError(
-            f"{n_modes} longitude modes do not fit {n_phi} longitude nodes")
-    buf = np.zeros((modes.shape[0], n_half), dtype=complex)
-    buf[:, :n_modes] = modes * n_phi
-    return np.fft.irfft(buf, n=n_phi, axis=1)
 
 
 def grid_to_modes(values, n_modes):
@@ -104,29 +84,14 @@ def moment_matrices(modes, w_theta, profiles, mode_tol):
     return T
 
 
-def diagonal_modes(A, profiles):
-    """Longitude modes of x -> sigma(x)^T @ A[b] @ conj(sigma(x)) per batch item.
-
-    ``A`` is a (n, P, P) batch of Hermitian matrices.  Returns shape
-    (n, n_theta, P), modes 0..P-1; the mu < 0 modes are the conjugates.
-    """
-    n, dim, _ = A.shape
-    out = np.empty((dim, n, profiles.shape[0]), dtype=complex)
-    for mu in range(dim):
-        diag = np.diagonal(A, offset=-mu, axis1=1, axis2=2)
-        prod = profile_product(profiles, mu).T
-        out[mu] = diag.real @ prod + 1j * (diag.imag @ prod)
-    return out.transpose(1, 2, 0)
-
-
 def product_grams(profiles, w_theta):
     """Quadrature Grams of the profile products, one per mode mu = 0..P-1:
 
         G_mu[k, k'] = sum_i w_theta[i] a_{k+mu} a_k a_{k'+mu} a_{k'} (theta_i),
 
-    so a mode sum_k d_k a_{k+mu}(theta) a_k(theta), as ``diagonal_modes``
-    forms from diagonal -mu of a coefficient matrix, has colatitude
-    quadrature d^H G_mu d of its squared modulus.
+    so a mode sum_k d_k a_{k+mu}(theta) a_k(theta), which diagonal -mu of a
+    coefficient matrix A gives to x -> sigma(x)^T A conj(sigma(x)), has
+    colatitude quadrature d^H G_mu d of its squared modulus.
     """
     grams = []
     for mu in range(profiles.shape[1]):

@@ -175,6 +175,12 @@ def integrate(f, grid, form=None):
     return np.sum(weights * values).item()
 
 
+def is_zonal(coefficients):
+    """True when every nonzero coefficient of a {(l, m): c} map has order
+    m = 0: its density then depends on the colatitude alone, bit for bit."""
+    return all(m == 0 for (_, m), c in coefficients.items() if c != 0.0)
+
+
 class VolumeForm:
     """Strictly positive reference volume form ``d nu = rho * dv_X``.
 
@@ -191,8 +197,10 @@ class VolumeForm:
         self.coefficients = {(int(l), int(m)): float(c)
                              for (l, m), c in (coefficients or {}).items()}
         for (l, m), _ in self.coefficients.items():
-            if l < 0 or abs(m) > l:
-                raise ConfigError(f"bad harmonic index ({l},{m})")
+            if not abs(m) <= l <= grid.exactness_degree:
+                raise ConfigError(
+                    f"bad harmonic index ({l},{m}): needs |m| <= l <= "
+                    f"{grid.exactness_degree}, the grid's exactness degree")
         with np.errstate(over="ignore"):
             self.density = np.exp(self.log_density_at(grid.theta_mesh,
                                                       grid.phi_mesh))
@@ -205,13 +213,7 @@ class VolumeForm:
         self.density_modes = np.fft.fft(self.density, axis=1) / grid.n_phi
         self.phi_band = phi_band(self.density_modes)
         self.density_inf = float(self.density.min())
-
-    @property
-    def is_zonal(self):
-        """True when every nonzero coefficient has order m = 0: the density
-        then depends on the colatitude alone, bit for bit."""
-        return all(m == 0 for (_, m), c in self.coefficients.items()
-                   if c != 0.0)
+        self.is_zonal = is_zonal(self.coefficients)
 
     def log_density_at(self, theta, phi):
         out = np.zeros(np.broadcast(np.asarray(theta, dtype=float),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import grid_to_modes, modes_to_grid, profile_product
+from .fourier import grid_to_modes, profile_product
 from .harmonics import legendre_profile
 
 # largest accepted Legendre table, (l_max+1)^2 n_theta doubles (160 MB),
@@ -88,6 +88,8 @@ class SphericalHarmonicTransform:
         # the exp(-i|m|phi) mode carries the conjugate factor
         self.degrees = degree_vector(self.l_max)
         self.orders = np.arange(self.n_coeffs) - coeff_index(self.degrees, 0)
+        # slot_profiles[i, s]: the Legendre profile of slot s at node i
+        self.slot_profiles = self.legendre[np.abs(self.orders), self.degrees].T
         self.factors = np.select([self.orders > 0, self.orders < 0],
                                  [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
         # trig[m + l_max, j]: the longitude factor of Y_lm at node phi_j,
@@ -159,7 +161,7 @@ class SphericalHarmonicTransform:
 
         ``A`` is a (n, P, P) Hermitian batch; item b is the function
         x -> sigma(x)^T A[b] conj(sigma(x)), whose longitude mode mu is
-        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.diagonal_modes``).
+        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.profile_product``).
         Diagonal -mu, d, gives the order-mu projections ``moments[mu] @ d``
         (``section_moments`` at weights ``w_theta``) and the mode's
         quadrature d^H G_mu d (``grams[mu]``, ``fourier.product_grams``).
@@ -195,15 +197,13 @@ class SphericalHarmonicTransform:
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
         if coeffs.l_max != self.l_max:
             raise ConfigError("coefficient band does not match the transform")
-        amp = np.zeros((self.l_max + 1, self.l_max + 1), dtype=complex)
-        np.add.at(amp, (np.abs(self.orders), self.degrees),
-                  self.factors * coeffs.values)
-        modes = np.einsum("mli,ml->im", self.legendre, amp)
-        return modes_to_grid(modes, self.grid.n_phi)
+        return ((self.slot_profiles * coeffs.values)
+                @ self.trig[self.orders + self.l_max])
 
     def basis_function(self, l, m):
         """Grid values of the (l, m) harmonic, from the cached profiles."""
-        return np.outer(self.legendre[abs(m), l], self.trig[m + self.l_max])
+        return np.outer(self.slot_profiles[:, coeff_index(l, m)],
+                        self.trig[m + self.l_max])
 
     def grid_norm_sq(self, values):
         """Quadrature of f^2 against the metric volume form."""

@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
 from .errors import ConfigError, IllConditionedGramError
-from .fourier import diagonal_modes, modes_to_grid, moment_matrices
+from .fourier import moment_matrices
 
 # points per side of the square node-pair tiles (a complex 768^2 tile: 9.4 MB)
 PAIR_BLOCK_ROWS = 768
@@ -221,10 +221,16 @@ class BergmanEvaluator:
                 if cols != rows:
                     yield cols, rows, mirror, block
 
+    def hermitian_form_on_grid(self, A):
+        """x -> sigma(x)^T A conj(sigma(x)) at every grid node, shape
+        (n_theta, n_phi), for a Hermitian (p+1, p+1) matrix A; real."""
+        sigma = self.profiles[:, None, :] * np.exp(
+            1j * np.outer(self.grid.phi, np.arange(self.p + 1)))
+        return np.sum((sigma @ A) * sigma.conj(), axis=-1).real
+
     def diagonal_on_grid(self):
         """P(x, x) over the full grid, shape (n_theta, n_phi); real positive."""
-        modes = diagonal_modes(self.kernel_matrix[None], self.profiles)[0]
-        return modes_to_grid(modes, self.grid.n_phi)
+        return self.hermitian_form_on_grid(self.kernel_matrix)
 
     def reproduce_sections(self, theta, phi):
         """Quadrature of P(x, .) against every basis section, at given x.

@@ -7,13 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from bergman_heat import flat_model
+from bergman_heat import cli, flat_model
 from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
 from bergman_heat.config import DEFAULTS, default_l_max, load_config
 from bergman_heat.errors import ConfigError
-from bergman_heat.geometry import VolumeForm, build_grid
 
 
 def _read_summary(out_dir, name):
@@ -162,10 +161,14 @@ class TestExitCodes:
         ["converge", "--p", "100", "200", "400", "800", "--lmax", "46"],
     ])
     def test_oversized_sweep_is_refused_up_front(self, tmp_path, capsys,
-                                                 argv):
+                                                 monkeypatch, argv):
         # the defaults, which include a non-zonal form, still run
-        tilted = VolumeForm(build_grid(8, 16), {(1, 1): 0.1}, "tilted")
-        check_sweep_cost(128, default_l_max(128), [tilted])
+        check_sweep_cost(128, default_l_max(128), [{(1, 1): 0.1}])
+
+        # the budget reads the forms' coefficient maps, so no grid is built
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused sweep")
+        monkeypatch.setattr(cli, "grid_for", no_grid)
         start = time.monotonic()
         code = run(argv + ["--out", str(tmp_path)])
         assert time.monotonic() - start < 10.0
@@ -252,6 +255,15 @@ class TestExitCodes:
          "density is not finite and positive"),
         ("decay", {"form": {"coefficients": {"1,0": 800}}},
          "density is not finite and positive"),
+        # refused before the density is evaluated, at O(l) per node
+        ("decay", {"form": {"coefficients": {"20000,0": 0.01}}},
+         "bad harmonic index (20000,0): needs |m| <= l <= 559"),
+        ("converge", {"volume_forms": [{"id": "zonal-full",
+                                        "coefficients": {"1,0": -0.3}}],
+                      "uniformity_family": ["zonal-full"]},
+         "converge requires the 'fs' form"),
+        ("converge", {"uniformity_family": ["fs", "flat"]},
+         "uniformity family members missing: ['flat']"),
     ])
     def test_malformed_list_value_is_config_error(self, tmp_path, capsys,
                                                   command, cfg, message):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from bergman_heat import section_basis
-from bergman_heat.errors import ConfigError
-from bergman_heat.fourier import (diagonal_modes, grid_to_modes, modes_to_grid,
-                                  moment_matrices)
+from bergman_heat.fourier import grid_to_modes, moment_matrices
 from bergman_heat.harmonics import real_sph_harm
 
 # float64 roundoff on O(1) sums over a few thousand nodes
@@ -66,39 +64,3 @@ class TestMomentMatrices:
         assert np.all(np.diagonal(cut, offset=-3) == 0.0)
         assert np.array_equal(kept, kept.conj().T)
 
-
-class TestDiagonalModes:
-    def test_matches_pointwise_quadratic_form(self, grid, rng):
-        basis = section_basis(7)
-        dim = basis.dim
-        raw = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
-        A = raw + raw.conj().transpose(0, 2, 1)
-        modes = diagonal_modes(A, basis.theta_profiles(grid.theta))
-        for item, mat in zip(modes, A):
-            values = modes_to_grid(item, grid.n_phi)
-            for j in (0, 5, 31):
-                sigma = basis.values(grid.theta,
-                                     np.full(grid.n_theta, grid.phi[j]))
-                direct = np.einsum("ik,kl,il->i", sigma, mat, sigma.conj())
-                assert np.abs(direct.imag).max() < TOL * np.abs(A).max()
-                assert np.abs(values[:, j] - direct.real).max() \
-                    < TOL * np.abs(A).max()
-
-    def test_returns_every_mode(self, grid):
-        # the kernel diagonal carries modes 0..p; the Gram exactness check,
-        # not this function, makes the grid resolve them
-        profiles = section_basis(4).theta_profiles(grid.theta)
-        A = np.eye(5, dtype=complex)[None].repeat(3, axis=0)
-        A[:, 4, 0] = A[:, 0, 4] = 0.5
-        modes = diagonal_modes(A, profiles)
-        assert modes.shape == (3, grid.n_theta, 5)
-        assert np.abs(modes[:, :, 4]).max() > 0.0
-
-
-class TestModesToGrid:
-    @pytest.mark.parametrize("n_phi", [8, 9])
-    def test_refuses_modes_past_the_grid(self, n_phi):
-        fits = np.ones((2, n_phi // 2 + 1), dtype=complex)
-        assert modes_to_grid(fits, n_phi).shape == (2, n_phi)
-        with pytest.raises(ConfigError):
-            modes_to_grid(np.ones((2, n_phi // 2 + 2), dtype=complex), n_phi)

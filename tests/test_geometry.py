@@ -166,3 +166,10 @@ class TestVolumeForm:
     def test_rejects_bad_index(self, grid):
         with pytest.raises(ConfigError):
             VolumeForm(grid, {(1, 2): 0.1})
+
+    def test_degree_is_bounded_by_grid_exactness(self):
+        small = build_grid(8, 16)
+        top = small.exactness_degree
+        VolumeForm(small, {(top, 0): 0.01})
+        with pytest.raises(ConfigError, match="exactness degree"):
+            VolumeForm(small, {(top + 1, 0): 0.01})

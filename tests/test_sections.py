@@ -147,12 +147,34 @@ class TestBergmanEvaluator:
             assert trace == pytest.approx(p + 1, abs=1e-8)
 
     def test_diagonal_on_grid_matches_pointwise(self, grid, tilted_form):
+        # the kernel's own diagonal, one longitude of nodes at a time
         ev = bergman_evaluator(5, tilted_form, grid)
         diag = ev.diagonal_on_grid()
-        i, j = 7, 11
-        val = ev.kernel(grid.theta[i:i + 1], grid.phi[j:j + 1],
-                        grid.theta[i:i + 1], grid.phi[j:j + 1]).modulus[0, 0]
-        assert diag[i, j] == pytest.approx(val, rel=1e-12)
+        for j in range(grid.n_phi):
+            phi = np.full(grid.n_theta, grid.phi[j])
+            direct = np.diagonal(
+                ev.kernel(grid.theta, phi, grid.theta, phi).coefficient)
+            assert np.abs(direct.imag).max() < 1e-12 * direct.real.max()
+            np.testing.assert_allclose(diag[:, j], direct.real, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_theta,n_phi", [(48, 96), (16, 15)])
+    def test_hermitian_form_matches_pointwise_quadratic_form(
+            self, rng, n_theta, n_phi):
+        # n_phi = 15 = 2p + 1 is the smallest odd longitude grid the Gram
+        # accepts at p = 7
+        grid = build_grid(n_theta, n_phi)
+        ev = bergman_evaluator(7, VolumeForm(grid), grid)
+        dim = ev.basis.dim
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        A = raw + raw.conj().T
+        values = ev.hermitian_form_on_grid(A)
+        assert values.shape == (n_theta, n_phi)
+        for j in range(n_phi):
+            sigma = ev.basis.values(grid.theta, np.full(n_theta, grid.phi[j]))
+            direct = np.einsum("ik,kl,il->i", sigma, A, sigma.conj())
+            assert np.abs(direct.imag).max() < 1e-13 * np.abs(A).max()
+            assert np.abs(values[:, j] - direct.real).max() \
+                < 1e-13 * np.abs(A).max()
 
     def test_kernel_tiles_cover_every_pair_once(self, grid, tilted_form):
         # more points than two tiles, so the last tile is short
