@@ -98,7 +98,7 @@ def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
         mask = dist >= eps
         if not mask.any():
             continue
-        vals = np.outer(blk.eta_x, blk.eta_y) * blk.omega_modulus
+        vals = (blk.eta_x[:, None] * blk.eta_y) * blk.omega_modulus
         sup = max(sup, float(vals[mask].max() / evaluator.p))
         min_dist = min(min_dist, float(dist[mask].min()))
     if min_dist == math.inf:
@@ -197,12 +197,17 @@ def weight_change_residuals(evaluator, n_probe_functions=4, seed=20240811):
         k_metric = blk.omega_modulus ** 2
         omega_abs = np.abs(blk.omega_coefficient)
         track("kernel_eta", blk.modulus - blk.eta_y * omega_abs)
-        track("density_eta", k_ref - np.outer(blk.eta_x, blk.eta_y) * k_metric)
-        track("metric_symmetry", k_metric - mirror.omega_modulus.T ** 2)
+        track("density_eta",
+              k_ref - (blk.eta_x[:, None] * blk.eta_y) * k_metric)
         track("frame_factor",
-              k_metric - omega_abs ** 2 * np.outer(1.0 / blk.eta_x, blk.eta_y))
-        track("hermitian_symmetry",
-              blk.coefficient - mirror.coefficient.T.conj())
+              k_metric - omega_abs ** 2 * (1.0 / blk.eta_x[:, None]
+                                           * blk.eta_y))
+        # a - b = -(b - a) exactly, so the (cols, rows) tile would give the
+        # same two maxima bit for bit: one orientation is checked
+        if rows.start <= cols.start:
+            track("metric_symmetry", k_metric - mirror.omega_modulus.T ** 2)
+            track("hermitian_symmetry",
+                  blk.coefficient - mirror.coefficient.T.conj())
         # the two quadrature routes of the smoothing operator share the tiles
         direct[rows] += k_ref @ w_nu_probes[cols]
         factored[rows] += blk.eta_x[:, None] * (k_metric @ w_probes[cols])

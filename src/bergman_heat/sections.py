@@ -13,6 +13,7 @@ matrices of nearby reference forms well conditioned at large p.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,11 +22,13 @@ from scipy.special import gammaln
 from .errors import ConfigError, IllConditionedGramError
 from .fourier import moment_matrices
 
-# points per side of the square node-pair tiles (a complex 768^2 tile: 9.4 MB)
-PAIR_BLOCK_ROWS = 768
+# points per side of the square node-pair tiles: a complex 192^2 tile is
+# 0.59 MB, so a tile and its derived real arrays stay in a core's L2 cache
+PAIR_BLOCK_ROWS = 192
 
 # largest accepted point count squared of one all-pairs pass; tiles keep memory
-# flat, so it bounds run time (identities, p=16, 9800 nodes: 8.3 s on 2 cores)
+# flat, so it bounds run time (one identities pass, tilted, p=16, 9800 nodes:
+# about 4 s on 2 cores)
 MAX_PAIRS = 10 ** 8
 
 # largest accepted node count along either grid axis: the Gauss-Legendre
@@ -166,12 +169,13 @@ class KernelBlock:
         plain metric-volume integration reproduce holomorphic sections."""
         return self.coefficient * (1.0 / self.eta_y)
 
-    @property
+    @cached_property
     def omega_modulus(self):
         """Metric-convention kernel norm |P| / sqrt(eta(x) eta(y)): the twisted
         Hermitian structure weighs the slots of |omega_coefficient| by
-        1/sqrt(eta(x)) and sqrt(eta(y))."""
-        return self.modulus * np.outer(self.eta_x ** -0.5, self.eta_y ** -0.5)
+        1/sqrt(eta(x)) and sqrt(eta(y)).  Computed once per block."""
+        return self.modulus * (self.eta_x[:, None] ** -0.5
+                               * self.eta_y ** -0.5)
 
 
 class BergmanEvaluator:
@@ -193,30 +197,46 @@ class BergmanEvaluator:
     def section_matrix(self, theta, phi):
         return self.basis.values(theta, phi)
 
+    def point_factors(self, theta, phi):
+        """The per-point factors of every kernel block over the points:
+        sigma(x) M, conj(sigma(x)) and eta(x), one row per point, so the
+        factors of a subset of the points are row slices."""
+        sigma = self.section_matrix(theta, phi)
+        return (sigma @ self.kernel_matrix, sigma.conj(),
+                self.form.eta_at(theta, phi))
+
+    @staticmethod
+    def pair_block(x, y, rows=slice(None), cols=slice(None)):
+        """The one ``KernelBlock`` builder: the kernel over the points
+        ``rows`` of ``point_factors`` ``x`` against the points ``cols`` of
+        ``y``, P(x_i, y_j) = sigma(x_i) M conj(sigma(y_j)), one GEMM."""
+        (half, _, eta_x), (_, conj, eta_y) = x, y
+        return KernelBlock(half[rows] @ conj[cols].T, eta_x[rows],
+                           eta_y[cols])
+
     def kernel(self, theta_x, phi_x, theta_y, phi_y):
-        """Kernel block over all pairs of two point sets, (n_x, n_y)."""
-        half = self.section_matrix(theta_x, phi_x) @ self.kernel_matrix
-        coef = half @ self.section_matrix(theta_y, phi_y).conj().T
-        return KernelBlock(coef, self.form.eta_at(theta_x, phi_x),
-                           self.form.eta_at(theta_y, phi_y))
+        """Kernel block over all pairs of two point sets, (n_x, n_y), in one
+        piece: the untiled oracle of ``kernel_tiles``."""
+        return self.pair_block(self.point_factors(theta_x, phi_x),
+                               self.point_factors(theta_y, phi_y))
 
     def kernel_tiles(self, theta, phi):
         """Yield ``(rows, cols, block, mirror)`` over all pairs of one point
         set: the kernel on square tiles of ``PAIR_BLOCK_ROWS`` points, rows x
-        cols, and on cols x rows.  Every ordered tile is evaluated once and
-        comes once as ``block``.  Refuses more than ``MAX_PAIRS`` pairs."""
+        cols, and on cols x rows.  Sections and eta are evaluated once for
+        the whole set, so each ordered tile costs one GEMM; it is evaluated
+        once and comes once as ``block``.  Refuses more than ``MAX_PAIRS``
+        pairs."""
         n = len(theta)
         check_pair_count(n)
         tiles = [slice(start, min(start + PAIR_BLOCK_ROWS, n))
                  for start in range(0, n, PAIR_BLOCK_ROWS)]
-
-        def tile(a, b):
-            return self.kernel(theta[a], phi[a], theta[b], phi[b])
-
+        factors = self.point_factors(theta, phi)
         for i, rows in enumerate(tiles):
             for cols in tiles[i:]:
-                block = tile(rows, cols)
-                mirror = block if cols == rows else tile(cols, rows)
+                block = self.pair_block(factors, factors, rows, cols)
+                mirror = block if cols == rows else self.pair_block(
+                    factors, factors, cols, rows)
                 yield rows, cols, block, mirror
                 if cols != rows:
                     yield cols, rows, mirror, block

@@ -181,8 +181,9 @@ class TestWeightChange:
     ], ids=["omega_modulus", "omega_coefficient", "kernel_matrix"])
     def test_broken_convention_is_detected(self, grid, tilted_form,
                                            monkeypatch, breaks, key):
-        # the 48 x 96 grid spans six tiles a side
-        assert grid.n_theta * grid.n_phi > 2 * PAIR_BLOCK_ROWS
+        # the grid spans at least three tiles a side, so tiles meet their
+        # mirrors off the diagonal as well as on it
+        assert math.ceil(grid.n_theta * grid.n_phi / PAIR_BLOCK_ROWS) >= 3
         ev = bergman_evaluator(4, tilted_form, grid)
         breaks(monkeypatch, ev)
         res = weight_change_residuals(ev, n_probe_functions=1)
@@ -190,24 +191,60 @@ class TestWeightChange:
 
 
 class TestPairTiles:
-    @pytest.mark.parametrize("probe", [
-        lambda ev: off_diagonal_sup(ev, 0.2),
+    @pytest.mark.parametrize("probe,n", [
+        (lambda ev: off_diagonal_sup(ev, 0.2), 1152),
         # 1 + 29 * 30 = 871 window points
-        lambda ev: near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 1.0,
-                                          n_radial=30, n_angular=30),
-        lambda ev: weight_change_residuals(ev, n_probe_functions=1),
+        (lambda ev: near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 1.0,
+                                           n_radial=30, n_angular=30), 871),
+        (lambda ev: weight_change_residuals(ev, n_probe_functions=1), 1152),
     ], ids=["off_diagonal", "near_diagonal", "weight_change"])
-    def test_kernel_is_evaluated_once_per_tile(self, monkeypatch, probe):
-        sides = []
-        kernel = BergmanEvaluator.kernel
+    def test_kernel_is_evaluated_once_per_tile(self, monkeypatch, probe, n):
+        builds = []
+        evaluations = []
+        build = KernelBlock.__init__
+        section_matrix = BergmanEvaluator.section_matrix
+        eta_at = VolumeForm.eta_at
 
-        def recording(self, theta_x, phi_x, theta_y, phi_y):
-            sides.append((len(theta_x), len(theta_y)))
-            return kernel(self, theta_x, phi_x, theta_y, phi_y)
+        def recording_build(self, coefficient, eta_x, eta_y):
+            builds.append(coefficient.shape)
+            build(self, coefficient, eta_x, eta_y)
 
-        monkeypatch.setattr(BergmanEvaluator, "kernel", recording)
-        # 24 x 48 = 1152 nodes: two tiles a side, as for the window
+        def recording(name, method):
+            def wrapper(self, theta, phi):
+                evaluations.append((name, len(theta)))
+                return method(self, theta, phi)
+            return wrapper
+
+        monkeypatch.setattr(KernelBlock, "__init__", recording_build)
+        monkeypatch.setattr(BergmanEvaluator, "section_matrix",
+                            recording("section_matrix", section_matrix))
+        monkeypatch.setattr(VolumeForm, "eta_at", recording("eta_at", eta_at))
+        # 24 x 48 = 1152 nodes, and 871 window points
         small = build_grid(24, 48)
         probe(bergman_evaluator(4, VolumeForm(small, {(1, 1): 0.2}), small))
-        assert len(sides) == 4
-        assert max(max(pair) for pair in sides) <= PAIR_BLOCK_ROWS
+        # one block per ordered tile: a diagonal tile is its own mirror
+        assert len(builds) == math.ceil(n / PAIR_BLOCK_ROWS) ** 2
+        assert max(max(shape) for shape in builds) <= PAIR_BLOCK_ROWS
+        # sections and eta once for the whole point set; weight_change's
+        # reproducing check evaluates sections again at 12 sample nodes
+        assert sorted(e for e in evaluations if e[1] == n) \
+            == [("eta_at", n), ("section_matrix", n)]
+        assert all(size < 16 for _, size in evaluations if size != n)
+
+    def test_one_orientation_symmetry_is_the_all_pairs_max(self):
+        # residuals over one orientation of the tile pairs, against the
+        # same expressions over every ordered pair of one untiled block
+        small = build_grid(24, 48)
+        n = small.n_theta * small.n_phi
+        assert math.ceil(n / PAIR_BLOCK_ROWS) >= 3
+        tilted = VolumeForm(small, {(1, 1): 0.2, (2, 1): 0.1})
+        ev = bergman_evaluator(6, tilted, small)
+        res = weight_change_residuals(ev, n_probe_functions=1)
+        tt, pp = small.theta_mesh.ravel(), small.phi_mesh.ravel()
+        full = ev.kernel(tt, pp, tt, pp)
+        k_metric = full.omega_modulus ** 2
+        coef = full.coefficient
+        assert res["metric_symmetry"] \
+            == float(np.abs(k_metric - k_metric.T).max())
+        assert res["hermitian_symmetry"] \
+            == float(np.abs(coef - coef.T.conj()).max())

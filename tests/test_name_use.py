@@ -13,7 +13,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "bergman_heat"
 
 ALLOWED = {"multiplication_matrix", "matrix_free_norm", "log_map",
-           "geodesic_distance", "fubini_study_form", "section_basis",
+           "geodesic_distance", "BergmanEvaluator.kernel",
+           "fubini_study_form", "section_basis",
            "DecayProbe.min_distance", "NearDiagonalProbe.center_residual"}
 
 
