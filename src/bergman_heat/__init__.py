@@ -12,8 +12,7 @@ from .bench import (ComparisonResult, FormReport, OperatorMatrix,
 from .bergman import (DecayProbe, NearDiagonalProbe, SmoothingOperator,
                       near_diagonal_residual, off_diagonal_sup, rank_ratio,
                       weight_change_residuals)
-from .errors import (ConfigError, DifferentiationError,
-                     IllConditionedGramError, InvalidRunError)
+from .errors import ConfigError, InvalidRunError
 from .flat_model import (bargmann_kernel, bargmann_kernel_expr,
                          gaussian_laplacian_identity, landau_operator_apply,
                          landau_operator_symbolic, reproducing_residual)

@@ -56,11 +56,8 @@ class OperatorMatrix:
 
 
 def check_sweep_cost(p_max, l_max, coefficient_maps):
-    """Refuse a sweep whose truncation holds only constants, where norm2 is
-    0 at every p, or one with a non-zonal form whose matrices or Q assembly
+    """Refuse a sweep with a non-zonal form whose matrices or Q assembly
     exceed the budgets; zonal forms build (l_max+1)-square blocks only."""
-    if l_max < 1:
-        raise ConfigError(f"converge needs l_max >= 1, got {l_max}")
     if all(is_zonal(coefficients) for coefficients in coefficient_maps):
         return
     entries = (l_max + 1) ** 4
@@ -100,11 +97,10 @@ def _checked_matrix(matrix, col_norm, tail_bound=None):
         col_norm)
 
 
-def operator_matrix(op, sht, tail_bound=None):
+def operator_matrix(op, sht):
     """Assemble columns ``analyze(op(Y_lm))`` with Parseval tail tracking.
 
-    ``op`` maps real grid values to real grid values.  If ``tail_bound`` is
-    given, a tail residual above it raises (invalid run: raise l_max).
+    ``op`` maps real grid values to real grid values.
     """
     n = sht.n_coeffs
     matrix = np.zeros((n, n))
@@ -116,12 +112,12 @@ def operator_matrix(op, sht, tail_bound=None):
             matrix[:, idx] = sht.analyze(values).values
             col_norm[idx] = sht.grid_norm_sq(values)
             idx += 1
-    return _checked_matrix(matrix, col_norm, tail_bound)
+    return _checked_matrix(matrix, col_norm)
 
 
-def multiplication_matrix(values, sht, tail_bound=None):
+def multiplication_matrix(values, sht):
     """Matrix of pointwise multiplication by a fixed grid function."""
-    return operator_matrix(lambda f: values * f, sht, tail_bound=tail_bound)
+    return operator_matrix(lambda f: values * f, sht)
 
 
 def smoothing_operator_matrix(smoother, sht, tail_bound=None):
@@ -157,7 +153,7 @@ def smoothing_operator_matrix(smoother, sht, tail_bound=None):
     return _checked_matrix(matrix, col_norm, tail_bound)
 
 
-def fast_multiplication_matrix(values, sht, tail_bound=None):
+def fast_multiplication_matrix(values, sht):
     """Multiplication-operator matrix as a product quadrature, over longitude
     and then over colatitude.
 
@@ -177,7 +173,7 @@ def fast_multiplication_matrix(values, sht, tail_bound=None):
                                    @ (c[:, sht.orders + l_max] * weighted))
     c = values ** 2 @ (trig ** 2).T / n_phi
     col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
-    return _checked_matrix(matrix, col_norm, tail_bound)
+    return _checked_matrix(matrix, col_norm)
 
 
 def _dense_top_singular_pair(matrix):
@@ -234,8 +230,6 @@ def spectral_norm_with_mode(matrix):
 class ComparisonResult:
     """Both operator-norm gaps of the benchmark at a single (p, form) cell."""
 
-    p: int
-    form_id: str
     norm1: float
     norm2: float
     tail_residual: float
@@ -331,8 +325,8 @@ def _zonal_comparison(smoother, sht, tail_bound):
                                                compute_uv=False)[0]))
     tail_q = _tail(np.concatenate(q_kept), np.concatenate(q_norm), tail_bound)
     tail_h = _tail(np.concatenate(h_kept), np.concatenate(h_norm), tail_bound)
-    return ComparisonResult(p=p, form_id=smoother.form.form_id, norm1=norm1,
-                            norm2=norm2, tail_residual=max(tail_q, tail_h),
+    return ComparisonResult(norm1=norm1, norm2=norm2,
+                            tail_residual=max(tail_q, tail_h),
                             argmax_degree=argmax_degree)
 
 
@@ -363,8 +357,7 @@ def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
     norm1, mode = spectral_norm_with_mode(diff)
     lam_over_p = sht.eigenvalues / p
     norm2 = spectral_norm(lam_over_p[:, None] * diff)
-    return ComparisonResult(p=p, form_id=form.form_id, norm1=norm1,
-                            norm2=norm2, tail_residual=tail,
+    return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=int(sht.degrees[mode]))
 
 
@@ -425,13 +418,14 @@ def sweep_form(form, p_values, sht, tail_bound=1e-3):
     return report.finalize()
 
 
-def matrix_free_norm(p, form, sht, n_iter=300, tol=1e-12):
+def matrix_free_norm(p, form, sht):
     """Power-iteration estimate of norm1 without assembling matrices.
 
     The difference operator acts on grid functions; its adjoint for the
     metric-volume inner product follows from self-adjointness of both sides
     under the reference form: ``D*(g) = rho * D(eta * g)``.  Deterministic
-    start vector; intended as a cross-check at small p.
+    start vector; at most 300 steps, stopping once the estimate moves by at
+    most 1e-12 relative; intended as a cross-check at small p.
     """
     grid = sht.grid
     evaluator = bergman_evaluator(p, form, grid)
@@ -451,7 +445,7 @@ def matrix_free_norm(p, form, sht, n_iter=300, tol=1e-12):
         + 0.25 * sht.basis_function(3, -2) + 1.0
     u /= math.sqrt(float(np.sum(weights * u * u)))
     sigma = 0.0
-    for _ in range(n_iter):
+    for _ in range(300):
         du = apply_diff(u)
         new_sigma = math.sqrt(float(np.sum(weights * du * du)))
         v = apply_adjoint(du)
@@ -459,7 +453,7 @@ def matrix_free_norm(p, form, sht, n_iter=300, tol=1e-12):
         if norm_v == 0.0:
             return 0.0
         u = v / norm_v
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
+        if abs(new_sigma - sigma) <= 1e-12 * max(new_sigma, 1.0):
             sigma = new_sigma
             break
         sigma = new_sigma

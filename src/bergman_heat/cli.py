@@ -22,7 +22,7 @@ from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
 from .config import (DEFAULTS, default_l_max, grid_for, load_config,
                      parse_form_spec, read_form_spec)
-from .errors import ConfigError, IllConditionedGramError, InvalidRunError
+from .errors import ConfigError, InvalidRunError
 from .geometry import SpherePoint
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
                    heat_diagonal, semigroup_derivative_residual)
@@ -226,7 +226,7 @@ def cmd_model_check(cfg, out_dir):
     probe = np.linspace(-1.0, 1.0, 5)
     probe_z = (probe[:, None] + 1j * probe[None, :]).ravel()
     sym_resid = flat_model.landau_kernel_residual(probe_z, ws)
-    vals, _ = flat_model.landau_operator_apply(
+    vals = flat_model.landau_operator_apply(
         lambda z: flat_model.bargmann_kernel(z, ws[None, :5]),
         probe_z[:, None])
     fd_resid = float(np.abs(vals).max())
@@ -363,7 +363,7 @@ def run(argv=None):
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}),
               file=sys.stderr)
         return EXIT_CONFIG
-    except (InvalidRunError, IllConditionedGramError) as exc:
+    except InvalidRunError as exc:
         payload = {"error": str(exc), "exit_code": EXIT_INVALID_RUN}
         _finish(args.out, args.command, [], payload, EXIT_INVALID_RUN)
         print(json.dumps(payload), file=sys.stderr)

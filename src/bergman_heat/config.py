@@ -89,18 +89,25 @@ DEFAULTS = {
 }
 
 
-# smallest accepted value of each count-valued key (one radius is the
-# window's centre alone; heat-check fits a quadratic through the n_u points;
-# a quadrature grid needs two nodes per axis; the flat model's Gauss-Hermite
+# smallest accepted value of each count-valued key (a truncation at l_max 0
+# holds only constants, where converge's norm2 and five of heat-check's six
+# invariants are 0 whatever the code computes; one radius is the window's
+# centre alone; heat-check fits a quadratic through the n_u points; a
+# quadrature grid needs two nodes per axis; the flat model's Gauss-Hermite
 # rule needs order 40)
-_MINIMUMS = {"l_max": 0, "max_sample_per_axis": 1, "n_random": 1,
+_MINIMUMS = {"l_max": 1, "max_sample_per_axis": 1, "n_random": 1,
              "n_angular": 1, "n_radial": 2, "n_u": 3, "seed": 0,
              "n_theta": 2, "n_phi": 2, "quad_order": 40}
 
 # largest accepted value of each work-sizing key: at the bound model-check runs
 # 13 s (1.3 ms per random pair) and heat-check 3 s (25 us per heat time) on 2
-# cores; quad_order bounds the flat model's Gauss-Hermite rule
-_MAXIMUMS = {"n_random": 10 ** 4, "n_u": 10 ** 5, "quad_order": MAX_QUAD_ORDER}
+# cores; quad_order bounds the flat model's Gauss-Hermite rule.  model-check
+# draws its points from the square of half-width `window`, whose farthest
+# pair has kernel modulus squared exp(-8 pi window^2): a normal double while
+# 8 pi window^2 < 708, i.e. window < 5.3.  Past that kernel values underflow
+# and the checks pass vacuously (at window 30 every one does)
+_MAXIMUMS = {"n_random": 10 ** 4, "n_u": 10 ** 5, "quad_order": MAX_QUAD_ORDER,
+             "window": 5.0}
 
 # fewest p values of each fitting command (a line through two points always
 # has R^2 = 1, so decay's R^2 criterion needs three)

@@ -5,13 +5,6 @@ class ConfigError(ValueError):
     """Invalid configuration value or violated operation precondition."""
 
 
-class IllConditionedGramError(RuntimeError):
-    """Gram factorization broke down or its condition estimate is over the limit."""
-
-
 class InvalidRunError(RuntimeError):
-    """A numerical validity check failed; raise the resolution and rerun."""
-
-
-class DifferentiationError(RuntimeError):
-    """Finite-difference residual exceeded the requested tolerance."""
+    """A numerical validity check failed: a truncation tail over its bound
+    (raise l_max) or a Gram that is not well conditioned."""

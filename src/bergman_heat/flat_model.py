@@ -3,16 +3,16 @@ complex plane, the Landau-type operator annihilating it, and the Gaussian
 Laplacian closed form used by the rescaling analysis.
 
 Differentiation of closed-form test functions is available symbolically
-(exact); arbitrary callables go through fourth-order central differences
-with a Richardson residual estimate.  Sympy is imported only inside the
-symbolic functions, so importing the package does not load it.
+(exact); arbitrary callables go through fourth-order central differences.
+Sympy is imported only inside the symbolic functions, so importing the
+package does not load it.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, DifferentiationError
+from .errors import ConfigError
 
 # largest accepted Gauss-Hermite order: its smallest weight is 5e-211, while
 # numpy's hermgauss loses that weight to underflow at 371 and returns
@@ -85,31 +85,15 @@ def _fd_parts(f, z, h):
     return fx, fy, fxx, fyy
 
 
-def _landau_fd(f, z, h):
+def landau_operator_apply(f, z):
+    """Numeric application of the model operator to a callable f at points z,
+    by fourth-order central differences with step 5e-4."""
     z = np.asarray(z, dtype=complex)
-    fx, fy, fxx, fyy = _fd_parts(f, z, h)
+    fx, fy, fxx, fyy = _fd_parts(f, z, 5e-4)
     x, y = z.real, z.imag
     return (-(fxx + fyy) - 2.0 * math.pi * f(z)
             - 2.0 * math.pi * 1j * (y * fx - x * fy)
             + math.pi ** 2 * (x * x + y * y) * f(z))
-
-
-def landau_operator_apply(f, z, h=1e-3, tol=None):
-    """Numeric application of the model operator to a callable f at points z.
-
-    Uses fourth-order stencils; a step-halving comparison estimates the
-    differentiation residual, and ``tol`` (if given) turns an excessive
-    estimate into an error.
-    Returns ``(values, residual_estimate)``.
-    """
-    coarse = _landau_fd(f, z, h)
-    fine = _landau_fd(f, z, 0.5 * h)
-    # fourth-order: halving shrinks truncation 16x
-    residual = float(np.max(np.abs(coarse - fine)) * 16.0 / 15.0)
-    if tol is not None and residual > tol:
-        raise DifferentiationError(
-            f"differentiation residual {residual:.3e} exceeds {tol:.3e}")
-    return fine, residual
 
 
 def reproducing_residual(z, w, quad_order=48):
@@ -130,7 +114,7 @@ def reproducing_residual(z, w, quad_order=48):
     return float(abs(total - bargmann_kernel(z, w)))
 
 
-def gaussian_laplacian_identity(p, w, h=None):
+def gaussian_laplacian_identity(p, w):
     """Positive flat Laplacian of exp(-pi p |Z - Z'|^2) at Z = 0.
 
     Returns ``(computed, closed_form)`` where the computed value comes from
@@ -140,8 +124,8 @@ def gaussian_laplacian_identity(p, w, h=None):
     if p < 1:
         raise ConfigError("p must be at least 1")
     w = complex(w)
-    if h is None:
-        h = 2e-3 / math.sqrt(p)
+    # the Gaussian's width is 1/sqrt(p), so the step scales with it
+    h = 2e-3 / math.sqrt(p)
 
     def f(z):
         z = np.asarray(z, dtype=complex)

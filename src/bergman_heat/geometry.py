@@ -163,14 +163,12 @@ def build_grid(n_theta, n_phi):
     return QuadratureGrid(n_theta, n_phi)
 
 
-def integrate(f, grid, form=None):
-    """Quadrature of ``f`` against ``dv_X`` or, if given, a volume form.
+def integrate(values, grid, form=None):
+    """Quadrature of node values against ``dv_X`` or, if given, a volume form.
 
-    ``f`` may be a 2-D node-value array or a callable of (theta, phi)
-    broadcastable meshes.  Exact for band-limited integrands within the
-    grid's exactness degree; linear and monotone for positive forms.
+    Exact for band-limited integrands within the grid's exactness degree;
+    linear and monotone for positive forms.
     """
-    values = f(grid.theta_mesh, grid.phi_mesh) if callable(f) else np.asarray(f)
     weights = grid.node_weights if form is None else grid.node_weights * form.density
     return np.sum(weights * values).item()
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln
 
-from .errors import ConfigError, IllConditionedGramError
+from .errors import ConfigError, InvalidRunError
 from .fourier import moment_matrices
 
 # points per side of the square node-pair tiles: a complex 192^2 tile is
@@ -52,10 +52,6 @@ class SectionBasis:
                                     + gammaln(self.p + 1)
                                     - gammaln(k + 1) - gammaln(self.p - k + 1))
         self.scalings = np.exp(self._log_scalings)
-
-    @property
-    def dim(self):
-        return self.p + 1
 
     def theta_profiles(self, theta):
         """Real radial factors a_k(theta), shape (len(theta), p+1).
@@ -93,7 +89,7 @@ class GramMatrix:
         try:
             self._cho = cho_factor(matrix, lower=True)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond
-            raise IllConditionedGramError("Cholesky factorization failed") from exc
+            raise InvalidRunError("Cholesky factorization failed") from exc
 
     @property
     def dim(self):
@@ -120,11 +116,11 @@ def gram_matrix(basis, form, grid):
                         basis.theta_profiles(grid.theta), mode_tol=0.0)[0]
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
-        raise IllConditionedGramError(
+        raise InvalidRunError(
             f"Gram not positive definite (min eigenvalue {eigs[0]:.3e})")
     cond = float(eigs[-1] / eigs[0])
     if cond > COND_LIMIT:
-        raise IllConditionedGramError(
+        raise InvalidRunError(
             f"Gram condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e}")
     return GramMatrix(H, cond)
 

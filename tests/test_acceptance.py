@@ -119,8 +119,7 @@ def test_criterion_4_weight_change_identities():
     for form_id, coeffs in FORM_SPECS:
         form = VolumeForm(grid, coeffs, form_id)
         for p in (4, 8, 16):
-            res = weight_change_residuals(bergman_evaluator(p, form, grid),
-                                          n_probe_functions=2)
+            res = weight_change_residuals(bergman_evaluator(p, form, grid))
             for key, value in res.items():
                 if value > worst:
                     worst, worst_tag = value, f"{form_id}/p={p}/{key}"

@@ -159,8 +159,7 @@ class TestWeightChange:
     def test_identities_all_forms(self, grid, fs_form, zonal_form,
                                   tilted_form, p):
         for form in (fs_form, zonal_form, tilted_form):
-            res = weight_change_residuals(
-                bergman_evaluator(p, form, grid), n_probe_functions=2)
+            res = weight_change_residuals(bergman_evaluator(p, form, grid))
             for key, value in res.items():
                 assert value < 1e-8, f"{form.form_id}/{key} = {value}"
 
@@ -186,7 +185,7 @@ class TestWeightChange:
         assert math.ceil(grid.n_theta * grid.n_phi / PAIR_BLOCK_ROWS) >= 3
         ev = bergman_evaluator(4, tilted_form, grid)
         breaks(monkeypatch, ev)
-        res = weight_change_residuals(ev, n_probe_functions=1)
+        res = weight_change_residuals(ev)
         assert res[key] > 1e-8
 
 
@@ -196,7 +195,7 @@ class TestPairTiles:
         # 1 + 29 * 30 = 871 window points
         (lambda ev: near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 1.0,
                                            n_radial=30, n_angular=30), 871),
-        (lambda ev: weight_change_residuals(ev, n_probe_functions=1), 1152),
+        (lambda ev: weight_change_residuals(ev), 1152),
     ], ids=["off_diagonal", "near_diagonal", "weight_change"])
     def test_kernel_is_evaluated_once_per_tile(self, monkeypatch, probe, n):
         builds = []
@@ -239,7 +238,7 @@ class TestPairTiles:
         assert math.ceil(n / PAIR_BLOCK_ROWS) >= 3
         tilted = VolumeForm(small, {(1, 1): 0.2, (2, 1): 0.1})
         ev = bergman_evaluator(6, tilted, small)
-        res = weight_change_residuals(ev, n_probe_functions=1)
+        res = weight_change_residuals(ev)
         tt, pp = small.theta_mesh.ravel(), small.phi_mesh.ravel()
         full = ev.kernel(tt, pp, tt, pp)
         k_metric = full.omega_modulus ** 2

@@ -135,6 +135,12 @@ class TestExitCodes:
         ("heat-check", {"n_u": 2000000}),
         # a 1001^2 x 2048 Legendre table would hold 16 GB
         ("heat-check", {"l_max": 1000, "n_theta": 2048, "n_phi": 2048}),
+        # past window 5.3 the farthest pair's kernel underflows; at 30 every
+        # kernel value does, and every check passed vacuously
+        ("model-check", {"window": 30.0}),
+        ("model-check", {"window": 6.0}),
+        # with the constant coefficient alone five invariants are 0
+        ("heat-check", {"l_max": 0}),
     ])
     def test_malformed_numeric_value_is_config_error(self, tmp_path, capsys,
                                                      command, cfg):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from bergman_heat import (ConfigError, DifferentiationError,
-                          bargmann_kernel, bargmann_kernel_expr,
+from bergman_heat import (ConfigError, bargmann_kernel, bargmann_kernel_expr,
                           gaussian_laplacian_identity, landau_operator_apply,
                           landau_operator_symbolic, reproducing_residual)
 from bergman_heat import flat_model
@@ -116,10 +115,8 @@ class TestLandauOperator:
     def test_annihilates_kernel_columns_fd(self, rng):
         zs = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12))
         for w in (0.3 + 0.1j, -0.8j):
-            vals, resid = landau_operator_apply(
-                lambda z: bargmann_kernel(z, w), zs)
+            vals = landau_operator_apply(lambda z: bargmann_kernel(z, w), zs)
             assert np.abs(vals).max() < 1e-6
-            assert resid < 1e-6
 
     def test_ground_state_annihilated(self):
         x, y = sp.symbols("x y", real=True)
@@ -140,16 +137,9 @@ class TestLandauOperator:
                             modules="numpy")
         func = sp.lambdify((x, y), expr, modules="numpy")
         zs = np.array([0.2 + 0.1j, -0.5 + 0.4j, 0.9 - 0.3j])
-        vals, resid = landau_operator_apply(
-            lambda z: func(z.real, z.imag), zs)
+        vals = landau_operator_apply(lambda z: func(z.real, z.imag), zs)
         target = np.asarray(exact(zs.real, zs.imag), dtype=complex)
         assert np.abs(vals - target).max() < 1e-7
-
-    def test_reports_excessive_residual(self):
-        # a kink breaks the stencil; the Richardson estimate must catch it
-        with pytest.raises(DifferentiationError):
-            landau_operator_apply(lambda z: np.abs(z.real),
-                                  np.array([0.001 + 0.0j]), tol=1e-8)
 
 
 class TestGaussianLaplacian:

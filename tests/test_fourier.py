@@ -23,7 +23,7 @@ def weights(grid):
 
 def node_sum(basis, grid, f):
     """sum over all nodes of w * f * conj(s_k) s_k', one longitude at a time."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    out = np.zeros((basis.p + 1, basis.p + 1), dtype=complex)
     w_f = grid.node_weights * f
     for j in range(grid.n_phi):
         sigma = basis.values(grid.theta, np.full(grid.n_theta, grid.phi[j]))

@@ -49,12 +49,12 @@ class TestGrid:
 
     def test_integrates_harmonics_to_zero(self):
         g = build_grid(64, 128)
-        val = integrate(lambda t, p: real_sph_harm(40, 7, t, p), g)
+        val = integrate(real_sph_harm(40, 7, g.theta_mesh, g.phi_mesh), g)
         assert abs(val) < 1e-12
 
     def test_harmonic_normalization(self):
         g = build_grid(64, 128)
-        val = integrate(lambda t, p: real_sph_harm(10, 3, t, p) ** 2, g)
+        val = integrate(real_sph_harm(10, 3, g.theta_mesh, g.phi_mesh) ** 2, g)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("l,m", [(1, 0), (5, -4), (17, 2), (31, 31),
@@ -62,7 +62,8 @@ class TestGrid:
     def test_exactness_across_degrees(self, grid, l, m):
         # every harmonic through the exactness degree integrates to zero
         assert l <= grid.exactness_degree
-        val = integrate(lambda t, p: real_sph_harm(l, m, t, p), grid)
+        val = integrate(
+            real_sph_harm(l, m, grid.theta_mesh, grid.phi_mesh), grid)
         assert abs(val) < 1e-12
 
 
@@ -137,8 +138,8 @@ class TestIntegrate:
         assert zonal_form.volume == pytest.approx(target, abs=1e-12)
 
     def test_harmonic_integrates_to_zero(self, grid):
-        assert abs(integrate(lambda t, p: real_sph_harm(2, 1, t, p),
-                             grid)) < 1e-13
+        assert abs(integrate(
+            real_sph_harm(2, 1, grid.theta_mesh, grid.phi_mesh), grid)) < 1e-13
 
     def test_linearity_and_monotonicity(self, grid, zonal_form, rng):
         f = rng.normal(size=(grid.n_theta, grid.n_phi))
