@@ -30,7 +30,8 @@ from .sections import bergman_evaluator
 
 # largest accepted sweep with a non-zonal form, checked before any table is
 # built: one operator matrix on the harmonic basis holds (l_max+1)^4 doubles
-# (200 MB at the limit; the default l_max 46 needs 4.9e6), and one Q
+# (200 MB at the limit; the default l_max 46 needs 4.9e6), and a non-zonal
+# cell holds two of them live, eta and the difference; one Q
 # assembly costs about (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default
 # p = 128, which took 3.5 s in a traced converge-default run on 2 cores)
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
@@ -45,13 +46,18 @@ ARPACK_NCV = 20
 ARPACK_TOL = 1e-10
 ARPACK_MAXITER = 300
 
+# columns per in-place step of the difference (an n_coeffs x 256 temporary)
+DIFF_COLUMNS = 256
+
 
 @dataclass
 class OperatorMatrix:
-    """Matrix of an operator on the truncated harmonic basis."""
+    """Operator matrix on the harmonic basis, each column's kept and total
+    mass."""
 
     matrix: np.ndarray
     tail_residual: float
+    column_kept: np.ndarray
     column_norm_sq: np.ndarray
 
 
@@ -72,7 +78,7 @@ def check_sweep_cost(p_max, l_max, coefficient_maps):
             f"assembly, over the limit {MAX_Q_FLOPS:.1e}; lower p or l_max")
 
 
-def _tail(kept, col_norm, tail_bound=None):
+def _tail(kept, col_norm, tail_bound):
     """Tail residual of an operator's columns; raise if it is over bound.
 
     The tail residual is the largest per-column leakage past the truncation
@@ -90,11 +96,11 @@ def _tail(kept, col_norm, tail_bound=None):
 
 
 def _checked_matrix(matrix, col_norm, tail_bound=None):
-    """Wrap columns and their quadrature norms; raise if the tail is over
-    bound (``_tail``)."""
-    return OperatorMatrix(
-        matrix, _tail(np.sum(matrix ** 2, axis=0), col_norm, tail_bound),
-        col_norm)
+    """Wrap columns, their kept mass and their quadrature norms; raise if
+    the tail is over bound (``_tail``)."""
+    kept = np.einsum("ij,ij->j", matrix, matrix)
+    return OperatorMatrix(matrix, _tail(kept, col_norm, tail_bound), kept,
+                          col_norm)
 
 
 def operator_matrix(op, sht):
@@ -120,7 +126,7 @@ def multiplication_matrix(values, sht):
     return operator_matrix(lambda f: values * f, sht)
 
 
-def smoothing_operator_matrix(smoother, sht, tail_bound=None):
+def smoothing_operator_matrix(smoother, sht, tail_bound):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``.
 
     The columns of one longitude order |m|, cosine and sine together, go
@@ -161,12 +167,12 @@ def fast_multiplication_matrix(values, sht):
     c_m[i, m'] = (1/n_phi) sum_j f trig_m trig_m' at (theta_i, phi_j): the
     grid quadrature of ``multiplication_matrix`` regrouped, so it matches
     that oracle to roundoff.  The column norms come the same way from
-    f^2 trig_m'^2.
+    f^2 trig_m'^2.  Column-major, like Q, for the difference's column blocks.
     """
     trig, n_phi, l_max = sht.trig, sht.grid.n_phi, sht.l_max
     profiles = sht.slot_profiles
     weighted = sht.grid.w_theta[:, None] * profiles
-    matrix = np.zeros((sht.n_coeffs, sht.n_coeffs))
+    matrix = np.zeros((sht.n_coeffs, sht.n_coeffs), order="F")
     for m in range(-l_max, l_max + 1):
         c = (values * trig[m + l_max]) @ trig.T / n_phi
         matrix[sht.orders == m] = (sht.legendre[abs(m), abs(m):]
@@ -188,32 +194,39 @@ def _dense_top_singular_pair(matrix):
     return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
 
 
-def _top_singular_pair(matrix):
-    """Largest singular value and its right singular vector.
+def _top_singular_pair(matrix, row_scale):
+    """Largest singular value and its right singular vector of
+    ``S A``, with A = ``matrix`` and S = diag(``row_scale``), or S = I when
+    ``row_scale`` is None.
 
     ARPACK's Lanczos iteration finds the top eigenpair of the normal
-    operator ``x -> A^T A x`` without forming ``A^T A``, from a fixed seeded
-    start vector, so reruns are deterministic.  Small matrices, and runs
-    that do not converge within ``ARPACK_MAXITER`` restarts, take the dense
-    solve.
+    operator ``x -> A^T (S^2 (A x))`` without forming it or ``S A``, from a
+    fixed seeded start vector, so reruns are deterministic.  Small
+    matrices, and runs that do not converge within ``ARPACK_MAXITER``
+    restarts, take the dense solve on ``S A``.
     """
     n = matrix.shape[1]
-    if n <= ARPACK_NCV:
-        return _dense_top_singular_pair(matrix)
-    normal = LinearOperator((n, n), matvec=lambda x: matrix.T @ (matrix @ x),
-                            dtype=float)
-    start = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals, vecs = eigsh(normal, k=1, which="LA", v0=start, ncv=ARPACK_NCV,
-                           tol=ARPACK_TOL, maxiter=ARPACK_MAXITER)
-    except ArpackNoConvergence:
-        return _dense_top_singular_pair(matrix)
-    return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
+    if n > ARPACK_NCV:
+        weights = 1.0 if row_scale is None else row_scale ** 2
+        normal = LinearOperator(
+            (n, n), matvec=lambda x: matrix.T @ (weights * (matrix @ x)),
+            dtype=float)
+        start = np.random.default_rng(0).standard_normal(n)
+        try:
+            vals, vecs = eigsh(normal, k=1, which="LA", v0=start,
+                               ncv=ARPACK_NCV, tol=ARPACK_TOL,
+                               maxiter=ARPACK_MAXITER)
+            return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
+        except ArpackNoConvergence:
+            pass
+    return _dense_top_singular_pair(
+        matrix if row_scale is None else row_scale[:, None] * matrix)
 
 
-def spectral_norm(matrix):
-    """Largest singular value."""
-    return _top_singular_pair(matrix)[0]
+def spectral_norm(matrix, row_scale):
+    """Largest singular value of diag(``row_scale``) ``matrix`` (of
+    ``matrix`` when ``row_scale`` is None); only the dense path forms it."""
+    return _top_singular_pair(matrix, row_scale)[0]
 
 
 def spectral_norm_with_mode(matrix):
@@ -222,7 +235,7 @@ def spectral_norm_with_mode(matrix):
     The index locates the dominant entry of the top right singular vector,
     i.e. the input slot where the operator-norm bound is attained.
     """
-    sigma, vec = _top_singular_pair(matrix)
+    sigma, vec = _top_singular_pair(matrix, None)
     return sigma, int(np.argmax(np.abs(vec)))
 
 
@@ -242,15 +255,17 @@ def _heat_factors(sht, p):
     return heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
 
 
-def heat_side_matrix(mult, sht, p, tail_bound=None):
-    """Matrix of f -> eta * heat(f, 1/(4 pi p)) from a multiplication matrix.
+def heat_side_matrix(mult, sht, p, tail_bound):
+    """Heat side f -> eta * heat(f, 1/(4 pi p)) as a column scaling of the
+    multiplication matrix: its per-slot factors and its tail residual.
 
-    Smoothing acts first (column scaling), then the pointwise factor; the
-    composed tail reuses the multiplication columns' quadrature norms.
+    Smoothing acts first, so column j is factor j times column j of
+    ``mult``, and its kept mass and quadrature norm are those of ``mult``
+    times the factor squared; no matrix is formed.
     """
     factors = _heat_factors(sht, p)
-    return _checked_matrix(mult.matrix * factors[None, :],
-                           mult.column_norm_sq * factors ** 2, tail_bound)
+    return factors, _tail(mult.column_kept * factors ** 2,
+                          mult.column_norm_sq * factors ** 2, tail_bound)
 
 
 def _zonal_q_blocks(smoother, sht):
@@ -331,22 +346,27 @@ def _zonal_comparison(smoother, sht, tail_bound):
 
 
 def _assembled_difference(smoother, sht, mult, tail_bound):
-    """The difference matrix ``Q - Vol * eta * heat`` assembled on the whole
-    harmonic basis, and its tail residual."""
-    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound=tail_bound)
-    h_mat = heat_side_matrix(mult, sht, smoother.p, tail_bound)
-    diff = q_mat.matrix - smoother.form.volume * h_mat.matrix
-    return diff, max(q_mat.tail_residual, h_mat.tail_residual)
+    """The difference ``Q - Vol * eta * heat`` on the whole harmonic basis,
+    built in Q's buffer ``DIFF_COLUMNS`` columns at a time, and its tail
+    residual."""
+    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
+    factors, heat_tail = heat_side_matrix(mult, sht, smoother.p, tail_bound)
+    diff = q_mat.matrix
+    for start in range(0, sht.n_coeffs, DIFF_COLUMNS):
+        cols = slice(start, start + DIFF_COLUMNS)
+        diff[:, cols] -= smoother.form.volume * (mult.matrix[:, cols]
+                                                 * factors[cols])
+    return diff, max(q_mat.tail_residual, heat_tail)
 
 
-def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
+def comparison_norms(p, form, sht, mult, tail_bound):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
     difference with ``Laplacian / p``.  A zonal form takes one block per
-    longitude order (``_zonal_comparison``); any other form assembles both
-    matrices, and its multiplication-by-eta matrix may be passed in (it is
-    p-independent and reusable across a sweep).
+    longitude order (``_zonal_comparison``) and ignores ``mult``; any other
+    form assembles the difference from its eta multiplication matrix
+    ``mult`` (p-independent, so a sweep builds it once; None builds it).
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     if form.is_zonal:
@@ -355,8 +375,7 @@ def comparison_norms(p, form, sht, mult=None, tail_bound=1e-3):
         mult = fast_multiplication_matrix(form.eta, sht)
     diff, tail = _assembled_difference(smoother, sht, mult, tail_bound)
     norm1, mode = spectral_norm_with_mode(diff)
-    lam_over_p = sht.eigenvalues / p
-    norm2 = spectral_norm(lam_over_p[:, None] * diff)
+    norm2 = spectral_norm(diff, sht.eigenvalues / p)
     return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=int(sht.degrees[mode]))
 
@@ -403,14 +422,14 @@ class FormReport:
         return float(scaled.max() / np.median(scaled))
 
 
-def sweep_form(form, p_values, sht, tail_bound=1e-3):
+def sweep_form(form, p_values, sht, tail_bound):
     """Run the benchmark over a p grid for one form; reuses the eta matrix
     of a non-zonal form."""
     mult = None if form.is_zonal else fast_multiplication_matrix(form.eta, sht)
     report = FormReport(form_id=form.form_id, p_values=list(p_values),
                         norms1=[], norms2=[], tails=[], argmax_degrees=[])
     for p in p_values:
-        cell = comparison_norms(p, form, sht, mult=mult, tail_bound=tail_bound)
+        cell = comparison_norms(p, form, sht, mult, tail_bound)
         report.norms1.append(cell.norm1)
         report.norms2.append(cell.norm2)
         report.tails.append(cell.tail_residual)

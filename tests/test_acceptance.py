@@ -23,6 +23,7 @@ from bergman_heat import (SmoothingOperator, SpherePoint, VolumeForm,
                           semigroup_derivative_residual, sweep_form,
                           weight_change_residuals)
 from bergman_heat.bench import smoothing_operator_matrix
+from bergman_heat.config import DEFAULTS
 from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
 from test_bergman import funk_hecke_eigenvalue
 
@@ -50,7 +51,8 @@ def converge_data():
     start = time.time()
     for form_id, coeffs in FORM_SPECS:
         form = VolumeForm(grid, coeffs, form_id)
-        reports[form_id] = sweep_form(form, P_GRID, sht, tail_bound=1e-3)
+        reports[form_id] = sweep_form(form, P_GRID, sht,
+                                     DEFAULTS["converge"]["tail_bound"])
     return reports, time.time() - start
 
 
@@ -94,7 +96,8 @@ def test_criterion_3_closed_form_oracles():
         l_top = int(2 * math.sqrt(p))
         sht = SphericalHarmonicTransform(grid, l_top)
         ev = bergman_evaluator(p, form, grid)
-        mat = smoothing_operator_matrix(SmoothingOperator(ev), sht).matrix
+        mat = smoothing_operator_matrix(SmoothingOperator(ev), sht,
+                                        None).matrix
         target = np.array([funk_hecke_eigenvalue(p, l) for l in sht.degrees])
         eig_err = max(eig_err, float(np.abs(np.diag(mat) - target).max()))
         offdiag = max(offdiag, float(np.abs(mat - np.diag(np.diag(mat))).max()))

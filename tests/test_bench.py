@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
@@ -10,13 +12,17 @@ from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           spectral_norm, sweep_form)
 from bergman_heat import bench
 from bergman_heat.cli import EXIT_OK, run
+from bergman_heat.config import DEFAULTS
 from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
 from bergman_heat.errors import InvalidRunError
-from bergman_heat.heat import SphericalHarmonicTransform
+from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
 from bergman_heat.geometry import VolumeForm, fubini_study_form
 from test_bergman import funk_hecke_eigenvalue
+from test_symmetry import rotate
+
+TAIL_BOUND = DEFAULTS["converge"]["tail_bound"]
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +56,7 @@ class TestOperatorMatrix:
         p = 8
         form = fubini_study_form(bench_grid)
         op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
-        mat = smoothing_operator_matrix(op, bench_sht)
+        mat = smoothing_operator_matrix(op, bench_sht, None)
         degs = bench_sht.degrees
         target = np.diag([funk_hecke_eigenvalue(p, l) for l in degs])
         assert np.abs(mat.matrix - target).max() < 1e-8
@@ -71,7 +77,7 @@ class TestOperatorMatrix:
         for sht, coefficients, p in cases:
             form = VolumeForm(sht.grid, coefficients, "mix")
             op = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-            fast = smoothing_operator_matrix(op, sht)
+            fast = smoothing_operator_matrix(op, sht, None)
             slow = operator_matrix(op.apply, sht)
             assert np.abs(fast.matrix - slow.matrix).max() < 1e-12
             assert np.abs(fast.column_norm_sq
@@ -92,7 +98,7 @@ class TestOperatorMatrix:
         form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
         op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
         tiny = SphericalHarmonicTransform(bench_grid, 8)
-        mat = smoothing_operator_matrix(op, tiny)
+        mat = smoothing_operator_matrix(op, tiny, None)
         assert mat.tail_residual < 1e-12
 
     def test_tail_bound_flags_invalid_run(self, bench_grid):
@@ -100,7 +106,7 @@ class TestOperatorMatrix:
         form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError):
-            comparison_norms(32, form, tiny, tail_bound=1e-9)
+            comparison_norms(32, form, tiny, None, 1e-9)
 
     def test_heat_side_tail_bound_flags_invalid_run(self, bench_grid):
         # at p = l_max the smoothing side stays inside the truncation, while
@@ -108,19 +114,19 @@ class TestOperatorMatrix:
         form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError, match="tail residual"):
-            comparison_norms(8, form, tiny, tail_bound=1e-10)
+            comparison_norms(8, form, tiny, None, 1e-10)
 
 
 class TestSpectralNorm:
     def test_matches_dense_svd(self, rng):
         a = rng.normal(size=(80, 80))
-        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2),
-                                                 rel=1e-12)
+        assert spectral_norm(a, None) == pytest.approx(np.linalg.norm(a, 2),
+                                                       rel=1e-12)
 
     def test_large_path_with_degenerate_top(self):
         vals = np.repeat([3.0, 2.0, 1.0], [23, 300, 478])
         d = np.diag(vals)
-        assert spectral_norm(d) == pytest.approx(3.0, rel=1e-12)
+        assert spectral_norm(d, None) == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["random", "degenerate", "jittered"])
     def test_lanczos_matches_dense_oracle(self, monkeypatch, kind):
@@ -142,16 +148,16 @@ class TestSpectralNorm:
             raise AssertionError("dense fallback ran")
 
         monkeypatch.setattr(bench, "_dense_top_singular_pair", no_fallback)
-        sigma, vec = bench._top_singular_pair(a)
+        sigma, vec = bench._top_singular_pair(a, None)
         assert sigma == pytest.approx(sigma_ref, rel=1e-11)
         assert np.linalg.norm(a @ vec) == pytest.approx(sigma_ref, rel=1e-11)
 
     def test_small_matrix_takes_dense_path(self):
         # ARPACK needs more columns than its Lanczos basis
         a = np.random.default_rng(5).normal(size=(12, 12))
-        assert spectral_norm(a) == bench._dense_top_singular_pair(a)[0]
-        assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2),
-                                                 rel=1e-12)
+        assert spectral_norm(a, None) == bench._dense_top_singular_pair(a)[0]
+        assert spectral_norm(a, None) == pytest.approx(np.linalg.norm(a, 2),
+                                                       rel=1e-12)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
         a = np.random.default_rng(5).normal(size=(300, 300))
@@ -164,15 +170,40 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(bench, "ARPACK_MAXITER", 1)
         monkeypatch.setattr(bench, "_dense_top_singular_pair", counted)
-        assert spectral_norm(a) == oracle(a)[0]
+        assert spectral_norm(a, None) == oracle(a)[0]
         assert len(calls) == 1
+
+    # 30 columns take ARPACK, 12 the dense path; rows outnumber columns so
+    # that a scale applied to the wrong side cannot go unnoticed
+    @pytest.mark.parametrize("rows,cols", [(36, 30), (15, 12)])
+    def test_row_scale_matches_scaled_oracle(self, rows, cols):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(rows, cols))
+        scale = rng.uniform(0.1, 3.0, rows)
+        sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
+        assert spectral_norm(a, scale) == pytest.approx(sigma, rel=1e-12)
+
+    def test_no_convergence_falls_back_to_scaled_dense(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(36, 30))
+        scale = rng.uniform(0.1, 3.0, 36)
+        calls = []
+
+        def no_convergence(operator, **kwargs):
+            calls.append(operator.shape)
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((30, 0)))
+
+        monkeypatch.setattr(bench, "eigsh", no_convergence)
+        sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
+        assert spectral_norm(a, scale) == pytest.approx(sigma, rel=1e-12)
+        assert calls == [(30, 30)]
 
 
 class TestComparisonNorms:
     def test_metric_form_closed_form(self, bench_grid, bench_sht):
         p = 8
         form = fubini_study_form(bench_grid)
-        res = comparison_norms(p, form, bench_sht)
+        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
         ls = np.arange(bench_sht.l_max + 1)
         lam = np.array([funk_hecke_eigenvalue(p, l) for l in ls])
         heat = np.exp(-ls * (ls + 1.0) / p)
@@ -182,14 +213,14 @@ class TestComparisonNorms:
 
     def test_norm_shrinks_with_p(self, bench_grid, bench_sht):
         form = fubini_study_form(bench_grid)
-        n8 = comparison_norms(8, form, bench_sht).norm1
-        n32 = comparison_norms(32, form, bench_sht).norm1
+        n8 = comparison_norms(8, form, bench_sht, None, TAIL_BOUND).norm1
+        n32 = comparison_norms(32, form, bench_sht, None, TAIL_BOUND).norm1
         assert n32 < 0.3 * n8
 
     def test_argmax_mode_matches_diagonal_oracle(self, bench_grid, bench_sht):
         p = 8
         form = fubini_study_form(bench_grid)
-        res = comparison_norms(p, form, bench_sht)
+        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
         ls = np.arange(bench_sht.l_max + 1)
         lam = np.array([funk_hecke_eigenvalue(p, l) for l in ls])
         gaps = np.abs(lam - np.exp(-ls * (ls + 1.0) / p))
@@ -199,16 +230,16 @@ class TestComparisonNorms:
         form = VolumeForm(bench_grid, {(1, 0): -0.3}, "zonal-full")
         lo = SphericalHarmonicTransform(bench_grid, 14)
         hi = SphericalHarmonicTransform(bench_grid, 20)
-        a = comparison_norms(16, form, lo)
-        b = comparison_norms(16, form, hi)
+        a = comparison_norms(16, form, lo, None, TAIL_BOUND)
+        b = comparison_norms(16, form, hi, None, TAIL_BOUND)
         assert a.tail_residual < 1e-4
         assert abs(a.norm1 - b.norm1) < 1e-6
         assert abs(a.norm2 - b.norm2) < 1e-6
 
     def test_matrix_free_cross_check(self, bench_grid, bench_sht):
-        for coeffs in ({}, {(1, 0): -0.3}):
+        for coeffs in ({}, {(1, 0): -0.3}, {(1, 1): 0.1, (2, 1): 0.05}):
             form = VolumeForm(bench_grid, coeffs, "probe")
-            res = comparison_norms(16, form, bench_sht)
+            res = comparison_norms(16, form, bench_sht, None, TAIL_BOUND)
             est = matrix_free_norm(16, form, bench_sht)
             assert est == pytest.approx(res.norm1, rel=1e-5)
 
@@ -225,6 +256,72 @@ def _assembled_oracle(p, form, sht):
     return norm1, norm2, int(sht.degrees[np.argmax(np.abs(vec))]), tail
 
 
+def _generic_oracle(p, form, sht):
+    """Both norms, the argmax degree and the tail of an assembled cell from
+    the generic per-column operator matrices and the dense solve."""
+    smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
+    q = operator_matrix(smoother.apply, sht)
+    eta = multiplication_matrix(form.eta, sht)
+    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
+    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
+    heat = eta.matrix * factors
+    diff = q.matrix - form.volume * heat
+    norm1, vec = bench._dense_top_singular_pair(diff)
+    norm2, _ = bench._dense_top_singular_pair(
+        (sht.eigenvalues / p)[:, None] * diff)
+    heat_norm = eta.column_norm_sq * factors ** 2
+    heat_leak = np.maximum(heat_norm - np.sum(heat ** 2, axis=0), 0.0)
+    tail = max(q.tail_residual, heat_leak.max() / heat_norm.max())
+    return norm1, norm2, int(sht.degrees[np.argmax(np.abs(vec))]), tail
+
+
+class TestAssembledCells:
+    @pytest.mark.parametrize("form_id,coefficients,alpha", [
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0),
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0)])
+    @pytest.mark.parametrize("p", [8, 16])
+    @pytest.mark.parametrize("l_max", [16, 6])
+    def test_difference_buffer_matches_generic_oracle(
+            self, bench_grid, bench_sht, form_id, coefficients, alpha, p,
+            l_max):
+        sht = (bench_sht if l_max == bench_sht.l_max
+               else SphericalHarmonicTransform(bench_grid, l_max))
+        if alpha:
+            coefficients = rotate(coefficients, alpha)
+        form = VolumeForm(bench_grid, coefficients, form_id)
+        res = comparison_norms(p, form, sht, None, TAIL_BOUND)
+        norm1, norm2, degree, tail = _generic_oracle(p, form, sht)
+        assert res.norm1 == pytest.approx(norm1, rel=1e-12)
+        assert res.norm2 == pytest.approx(norm2, rel=1e-12)
+        if alpha == 0.0:
+            # the degree depends on the basis, which a rotation changes
+            assert res.argmax_degree == degree
+        if l_max == bench_sht.l_max:
+            # Q is band-limited to degree p <= l_max, and the heat side
+            # leaks below rounding: both tails are rounding-level
+            assert max(res.tail_residual, tail) < 1e-14
+        else:
+            assert res.tail_residual == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_cell_holds_one_matrix_besides_eta(self, p):
+        # numpy reports its buffers to tracemalloc; the difference is built
+        # in Q's buffer and norm2 scales rows inside the solve, so the cell
+        # allocates one full matrix and small blocks
+        grid = build_grid(64, 128)
+        sht = SphericalHarmonicTransform(grid, 30)
+        form = VolumeForm(grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
+        mult = fast_multiplication_matrix(form.eta, sht)
+        tracemalloc.start()
+        try:
+            comparison_norms(p, form, sht, mult, TAIL_BOUND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sht.n_coeffs ** 2 * 8
+
+
 class TestZonalBlocks:
     @pytest.mark.parametrize("coefficients,form_id", [
         ({}, "fs"), ({(1, 0): -0.15}, "zonal-half"),
@@ -234,7 +331,7 @@ class TestZonalBlocks:
                                                  coefficients, form_id, p):
         # p = 8 < l_max leaves the orders past p with an eta-heat block only
         form = VolumeForm(bench_grid, coefficients, form_id)
-        res = comparison_norms(p, form, bench_sht)
+        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
         norm1, norm2, degree, tail = _assembled_oracle(p, form, bench_sht)
         assert res.norm1 == pytest.approx(norm1, rel=1e-13)
         assert res.norm2 == pytest.approx(norm2, rel=1e-13)
@@ -268,11 +365,11 @@ class TestZonalBlocks:
         monkeypatch.setattr(bench, "fast_multiplication_matrix",
                             counted("eta", fast_multiplication_matrix))
         zonal = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 0): 0.1}, "z")
-        sweep_form(zonal, [4, 8, 12, 16], bench_sht)
+        sweep_form(zonal, [4, 8, 12, 16], bench_sht, TAIL_BOUND)
         assert calls == {"q": 0, "eta": 0}
         # one small m != 0 coefficient makes the form non-zonal
         tipped = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 1): 1e-9}, "t")
-        sweep_form(tipped, [4, 8, 12, 16], bench_sht)
+        sweep_form(tipped, [4, 8, 12, 16], bench_sht, TAIL_BOUND)
         assert calls == {"q": 4, "eta": 1}
 
 
@@ -296,7 +393,7 @@ class TestRateFit:
 
     def test_measured_metric_form_slope(self, bench_grid, bench_sht):
         form = fubini_study_form(bench_grid)
-        rep = sweep_form(form, [8, 16, 24, 32], bench_sht)
+        rep = sweep_form(form, [8, 16, 24, 32], bench_sht, TAIL_BOUND)
         assert rep.slope1 <= -0.75
 
 
@@ -316,7 +413,8 @@ class TestUniformity:
         assert code == EXIT_OK
         summary = json.loads(
             (tmp_path / "converge_summary.json").read_text())
-        single = sweep_form(fubini_study_form(bench_grid), p_list, bench_sht)
+        single = sweep_form(fubini_study_form(bench_grid), p_list, bench_sht,
+                            TAIL_BOUND)
         uniformity = summary["uniformity"]
         assert uniformity["c_hat1"] == [pytest.approx(single.c_hat1,
                                                       rel=1e-12)]
@@ -325,12 +423,12 @@ class TestUniformity:
     def test_amplitude_continuity(self, bench_grid, bench_sht):
         # shrinking the family amplitude pulls the constant to the baseline
         base = sweep_form(fubini_study_form(bench_grid), [8, 16, 24, 32],
-                          bench_sht).c_hat1
+                          bench_sht, TAIL_BOUND).c_hat1
         c_hats = []
         for amp in (0.2, 0.05):
             form = VolumeForm(bench_grid, {(1, 0): -amp}, f"z{amp}")
             c_hats.append(sweep_form(form, [8, 16, 24, 32],
-                                     bench_sht).c_hat1)
+                                     bench_sht, TAIL_BOUND).c_hat1)
         assert abs(c_hats[1] - base) < abs(c_hats[0] - base)
         assert abs(c_hats[1] - base) < 0.25 * abs(base)
 
