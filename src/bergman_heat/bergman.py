@@ -42,7 +42,8 @@ class SmoothingOperator:
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
 
-    def coefficient_matrices(self, modes):
+    def coefficient_matrices(self, modes, kernel_matrix=None, parity=None,
+                             out=None):
         """Section coefficient matrices of the operator's outputs for a batch
         of inputs.
 
@@ -50,13 +51,23 @@ class SmoothingOperator:
         longitude modes of ``density * f`` for each input f.  The inputs are
         folded into section moment matrices and conjugated by the inverse
         Gram; output b is x -> sigma(x)^T A[b] conj(sigma(x)) for the
-        returned (n, p+1, p+1) batch A.
+        returned (n, p+1, p+1) batch A.  ``kernel_matrix`` replaces the
+        inverse Gram, for real modes with its real form in a rotated gauge
+        (``fourier.moment_matrices`` takes real modes with their
+        ``parity``); ``out``, if given, is a pair of flat buffers that hold
+        the batch and the half product M T, so that a loop of batches reuses
+        their pages; the second may hold ``modes``, which T has consumed.
         """
         ev = self.evaluator
-        T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL)
+        if kernel_matrix is None:
+            kernel_matrix = ev.kernel_matrix
+        T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL,
+                            None if out is None else out[0], parity)
+        half = (np.empty_like(T) if out is None
+                else out[1][:T.size].reshape(T.shape))
+        np.matmul(kernel_matrix / self.rank_ratio, T, out=half)
         # T is not read again, so the product reuses its pages
-        return np.matmul((ev.kernel_matrix / self.rank_ratio) @ T,
-                         ev.kernel_matrix, out=T)
+        return np.matmul(half, kernel_matrix, out=T)
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""
@@ -76,7 +87,7 @@ class DecayProbe:
     min_distance: float
 
 
-def off_diagonal_sup(evaluator, eps, theta_stride=1, phi_stride=1):
+def off_diagonal_sup(evaluator, eps, theta_stride, phi_stride):
     """Supremum over decimated node pairs at geodesic distance >= eps of
 
         p^{-1} * eta(x) eta(y) * sqrt(K_metric(x, y)),
@@ -114,7 +125,7 @@ class NearDiagonalProbe:
     center_residual: float
 
 
-def tangent_window(radius, n_radial=17, n_angular=17):
+def tangent_window(radius, n_radial, n_angular):
     """Polar sample of tangent vectors in a disc, shape (n, 2); includes 0."""
     radii = np.linspace(0.0, radius, n_radial)
     angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -125,8 +136,8 @@ def tangent_window(radius, n_radial=17, n_angular=17):
     return np.array(pts)
 
 
-def near_diagonal_residual(evaluator, x0, window_constant=3.0,
-                           n_radial=17, n_angular=17):
+def near_diagonal_residual(evaluator, x0, window_constant, n_radial,
+                           n_angular):
     """Sup over a tangent window of the rescaled-kernel/Gaussian mismatch.
 
     Both points run over ``|Z| <= window_constant / sqrt(p)`` in normal

@@ -120,7 +120,7 @@ def default_l_max(p_max):
     return max(40, math.ceil(4.0 * math.sqrt(p_max)))
 
 
-def load_config(command, path=None, overrides=None):
+def load_config(command, path, overrides):
     """Merge defaults, an optional JSON file and CLI overrides; validate."""
     if command not in DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
@@ -137,7 +137,7 @@ def load_config(command, path=None, overrides=None):
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
             cfg[key] = value
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
     _validate(command, cfg)

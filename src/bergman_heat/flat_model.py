@@ -96,7 +96,7 @@ def landau_operator_apply(f, z):
             + math.pi ** 2 * (x * x + y * y) * f(z))
 
 
-def reproducing_residual(z, w, quad_order=48):
+def reproducing_residual(z, w, quad_order):
     """|integral of K(z, .) K(., w) - K(z, w)| by Gauss-Hermite quadrature."""
     if not 40 <= quad_order <= MAX_QUAD_ORDER:
         raise ConfigError(

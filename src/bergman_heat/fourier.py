@@ -36,9 +36,10 @@ def phi_band(modes):
     return int(ms[inside].max(initial=0))
 
 
-def _set_diagonal(T, d, values):
+def _set_diagonal(T, d, values, parity):
     """Write ``values`` onto diagonal -d of every matrix in a (n, P, P) batch,
-    and their conjugates onto diagonal +d.
+    and onto diagonal +d their conjugates, or for a real batch the values
+    times each matrix's ``parity`` (+1 symmetric, -1 antisymmetric).
 
     Lower diagonal holds entries [k+d, k].  Uses flat strided views, which
     beats advanced indexing for many small writes.
@@ -47,7 +48,8 @@ def _set_diagonal(T, d, values):
     flat = T.reshape(n, P * P)
     flat[:, d * P::P + 1][:, :P - d] = values
     if d > 0:
-        flat[:, d::P + 1][:, :P - d] = np.conj(values)
+        flat[:, d::P + 1][:, :P - d] = (np.conj(values) if parity is None
+                                        else parity[:, None] * values)
 
 
 def profile_product(profiles, d):
@@ -56,7 +58,8 @@ def profile_product(profiles, d):
     return profiles[:, d:] * profiles[:, :dim - d]
 
 
-def moment_matrices(modes, w_theta, profiles, mode_tol):
+def moment_matrices(modes, w_theta, profiles, mode_tol, out=None,
+                    parity=None):
     """Section moment matrices of a batch of weight functions.
 
     ``modes[d, i, b]`` holds longitude mode d >= 0 of weight function b at
@@ -64,15 +67,23 @@ def moment_matrices(modes, w_theta, profiles, mode_tol):
 
         T[b, k+d, k] = sum_i w_theta[i] modes[d, i, b] a_{k+d}(theta_i) a_k(theta_i),
 
-    i.e. the quadrature of weight b against conj(s_{k+d}) s_k.  Diagonals
-    whose mode is at most ``mode_tol`` times the largest mode, over the whole
-    batch, are skipped (``mode_tol=0`` skips exact zeros only).
+    i.e. the quadrature of weight b against conj(s_{k+d}) s_k.  Real
+    ``modes`` are those of functions even (``parity`` +1) or, divided by i,
+    odd (-1) in phi, whose T is real symmetric or i times real
+    antisymmetric; the real matrices are returned.  Diagonals whose mode is
+    at most ``mode_tol`` times the largest mode, over the whole batch, are
+    skipped (``mode_tol=0`` skips exact zeros only).  ``out``, if given, is
+    a flat buffer that holds the batch.
     """
     n_modes, _, n = modes.shape
     dim = profiles.shape[1]
     mags = np.abs(modes).max(axis=(1, 2))
     cut = mode_tol * mags.max()
-    T = np.zeros((n, dim, dim), dtype=complex)
+    if out is None:
+        T = np.zeros((n, dim, dim), dtype=modes.dtype)
+    else:
+        T = out[:n * dim * dim].reshape(n, dim, dim)
+        T.fill(0.0)
     for d in range(min(dim, n_modes)):
         if d > 0 and mags[d] <= cut:
             continue
@@ -80,7 +91,8 @@ def moment_matrices(modes, w_theta, profiles, mode_tol):
         # parts, so one real product folds both
         weighted = np.ascontiguousarray(modes[d] * w_theta[:, None])
         prod = profile_product(profiles, d)
-        _set_diagonal(T, d, (prod.T @ weighted.view(float)).view(complex).T)
+        _set_diagonal(T, d, (prod.T @ weighted.view(float)).view(
+            modes.dtype).T, parity)
     return T
 
 

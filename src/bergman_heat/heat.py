@@ -92,51 +92,78 @@ class SphericalHarmonicTransform:
         self.slot_profiles = self.legendre[np.abs(self.orders), self.degrees].T
         self.factors = np.select([self.orders > 0, self.orders < 0],
                                  [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
-        # trig[m + l_max, j]: the longitude factor of Y_lm at node phi_j,
-        # twice the real part of its exp(i|m|phi) mode (once for m = 0)
-        ms = np.arange(-self.l_max, self.l_max + 1)[:, None]
-        self.trig = np.where(ms == 0, 1.0, 2.0) * (
-            self.factors[coeff_index(self.l_max, ms)]
-            * np.exp(1j * np.abs(ms) * grid.phi)).real
+        # the factor with the sine slots' i taken out, for functions whose
+        # sine modes are carried as i times real numbers
+        self.real_factors = np.where(self.orders < 0, self.factors.imag,
+                                     self.factors.real)
+        self.trig = self.rotated_trig(0.0)
         self.eigenvalues = laplace_eigenvalue(self.degrees)
 
     @property
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
 
-    def order_products(self, mode_table, k, n_modes):
+    def rotated_trig(self, alpha):
+        """trig[m + l_max, j]: the longitude factor at node phi_j of Y_lm
+        rotated about the pole by ``alpha``, Y_lm(theta, phi - alpha);
+        twice the real part of its exp(i|m|phi) mode (once for m = 0)."""
+        ms = np.arange(-self.l_max, self.l_max + 1)[:, None]
+        return np.where(ms == 0, 1.0, 2.0) * (
+            self.factors[coeff_index(self.l_max, ms)]
+            * np.exp(1j * np.abs(ms) * (self.grid.phi - alpha))).real
+
+    def order_products(self, mode_table, k, n_modes, out):
         """Longitude modes of (grid function) * Y_lm for every packed slot
-        (l, m) of the orders m = +-k, in slot order.
+        (l, m) of the orders m = +-k, in slot order, written into the flat
+        buffer ``out``.
 
         ``mode_table`` holds the function's full DFT modes per colatitude
-        node, shape (n_theta, n_phi).  Returns shape
+        node, shape (n_theta, n_phi).  Returns a view of ``out`` of shape
         (n_modes, n_theta, n_cols), mode by node by column: mode d of a grid
         product is the wrapped convolution of the table with the harmonic's
-        two modes +-k, which every degree of the order shares.
+        two modes +-k, which every degree of the order shares.  A real table
+        is that of a function even in phi; a sine slot's modes are then i
+        times the real ones returned (``real_factors``).
         """
         ds = np.arange(n_modes)
         lo, hi = (mode_table[:, (ds + s) % self.grid.n_phi] for s in (-k, k))
-        # one row of modes per sign, -k before +k as in the slots
-        factors = self.factors[coeff_index(k, np.array([-k, k] if k else [0]))]
+        # one row of modes per sign, -k before +k as in the slots; a mode's
+        # +k part carries the conjugate factor, which for the sine slots'
+        # real factors is the negated one
+        orders = np.array([-k, k] if k else [0])
+        slots = coeff_index(k, orders)
+        if np.iscomplexobj(mode_table):
+            factors = self.factors[slots]
+            conjugates = factors.conj()
+        else:
+            factors = self.real_factors[slots]
+            conjugates = np.sign(orders) * factors
         modes = factors[:, None, None] * lo
         if k:
-            modes += factors.conj()[:, None, None] * hi
-        out = np.empty((n_modes, self.grid.n_theta, self.l_max + 1 - k,
-                        len(factors)), dtype=complex)
-        np.multiply(modes.T[:, :, None], self.legendre[k, k:].T[:, :, None],
-                    out=out)
-        return out.reshape(n_modes, self.grid.n_theta, -1)
+            modes += conjugates[:, None, None] * hi
+        shape = (n_modes, self.grid.n_theta, self.l_max + 1 - k, len(slots))
+        view = out[:math.prod(shape)].reshape(shape)
+        # one sign at a time keeps the degrees in the inner loop
+        for sign, sign_modes in enumerate(modes):
+            np.multiply(sign_modes.T[:, :, None], self.legendre[k, k:].T,
+                        out=view[..., sign])
+        return view.reshape(n_modes, self.grid.n_theta, -1)
 
-    def _packed(self, proj):
-        """Real coefficient block from the projections ``proj[|m|, l, col]``
-        of each column's +|m| longitude mode on the order-|m| Legendre
-        profiles.
+    def packed(self, proj, slots):
+        """Real coefficients at the packed ``slots`` from the projections
+        ``proj[|m|, l, col]`` of each column's +|m| longitude mode on the
+        order-|m| Legendre profiles.
 
         <f, Y_lm> is Re(conj(factor) * mode) summed over the conjugate modes
-        +-|m|: twice the +|m| term unless m = 0.
+        +-|m|: twice the +|m| term unless m = 0.  Real projections are those
+        of functions whose sine modes are i times real numbers, and take the
+        real factors.
         """
-        scale = np.where(self.orders == 0, 1.0, 2.0) * self.factors.conj()
-        return (scale[:, None] * proj[np.abs(self.orders), self.degrees]).real
+        scale = np.where(self.orders[slots] == 0, 1.0, 2.0)
+        rows = proj[np.abs(self.orders[slots]), self.degrees[slots]]
+        if np.iscomplexobj(proj):
+            return ((scale * self.factors[slots].conj())[:, None] * rows).real
+        return (scale * self.real_factors[slots])[:, None] * rows
 
     def section_moments(self, profiles, weights):
         """Section-harmonic moment tables of the section profiles a_k.
@@ -155,8 +182,8 @@ class SphericalHarmonicTransform:
                 @ profile_product(profiles, mu)
                 for mu in range(min(self.l_max + 1, profiles.shape[1]))]
 
-    def analyze_diagonals(self, A, moments, grams):
-        """Coefficients and quadrature norms of real functions given by their
+    def analyze_diagonals(self, A, moments, grams, proj):
+        """Projections and quadrature norms of real functions given by their
         section coefficient matrices, without their longitude modes.
 
         ``A`` is a (n, P, P) Hermitian batch; item b is the function
@@ -165,11 +192,15 @@ class SphericalHarmonicTransform:
         Diagonal -mu, d, gives the order-mu projections ``moments[mu] @ d``
         (``section_moments`` at weights ``w_theta``) and the mode's
         quadrature d^H G_mu d (``grams[mu]``, ``fourier.product_grams``).
-        Returns ``(block, norm_sq)``: the coefficient block, shape
-        (n_coeffs, n), and the quadrature norms.
+        A real batch holds symmetric matrices and antisymmetric ones, i
+        times which are Hermitian.  Fills the flat buffer ``proj`` with the
+        projections ``proj[mu, l, b]`` (``packed`` turns them into
+        coefficients) and returns that view and the quadrature norms.
         """
         n, dim, _ = A.shape
-        proj = np.zeros((self.l_max + 1, self.l_max + 1, n), dtype=complex)
+        size = (self.l_max + 1) ** 2 * n
+        proj = proj[:size].reshape(self.l_max + 1, self.l_max + 1, n)
+        proj.fill(0.0)
         norm_sq = np.zeros(n)
         for mu in range(dim):
             # d[k, b] = A[b, k+mu, k]; the float view holds real and
@@ -178,11 +209,11 @@ class SphericalHarmonicTransform:
                 np.diagonal(A, offset=-mu, axis1=1, axis2=2).T).view(float)
             # modes +-mu both count, except mode 0; modes 0..P-1 stay below
             # Nyquist, since the Gram's exactness check forces n_phi >= 2P - 1
-            quad = np.sum(d * (grams[mu] @ d), axis=0).reshape(n, 2).sum(1)
+            quad = np.sum(d * (grams[mu] @ d), axis=0).reshape(n, -1).sum(1)
             norm_sq += quad if mu == 0 else 2.0 * quad
             if mu < len(moments):
-                proj[mu, mu:] = (moments[mu] @ d).view(complex)
-        return self._packed(proj), norm_sq
+                proj[mu, mu:] = (moments[mu] @ d).view(A.dtype)
+        return proj, norm_sq
 
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""
@@ -191,7 +222,8 @@ class SphericalHarmonicTransform:
         wd = np.ascontiguousarray(
             self.grid.w_theta * grid_to_modes(values, self.l_max).T)
         proj = (self.legendre @ wd[:, :, None].view(float)).view(complex)
-        return HarmonicCoeffs(self.l_max, self._packed(proj)[:, 0])
+        return HarmonicCoeffs(self.l_max,
+                              self.packed(proj, np.arange(self.n_coeffs))[:, 0])
 
     def synthesize(self, coeffs):
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
@@ -241,7 +273,7 @@ def heat_diagonal(u):
     return total
 
 
-def semigroup_derivative_residual(coeffs, u, h=1e-4):
+def semigroup_derivative_residual(coeffs, u, h):
     """L2 residual of (Laplacian + d/du) applied to the heat flow of coeffs.
 
     The u-derivative uses a centered difference, so the residual is O(h^2)

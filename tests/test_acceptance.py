@@ -25,6 +25,7 @@ from bergman_heat import (SmoothingOperator, SpherePoint, VolumeForm,
 from bergman_heat.bench import smoothing_operator_matrix
 from bergman_heat.config import DEFAULTS
 from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
+from test_bench import dense
 from test_bergman import funk_hecke_eigenvalue
 
 P_GRID = [8, 16, 32, 64, 128]
@@ -96,8 +97,8 @@ def test_criterion_3_closed_form_oracles():
         l_top = int(2 * math.sqrt(p))
         sht = SphericalHarmonicTransform(grid, l_top)
         ev = bergman_evaluator(p, form, grid)
-        mat = smoothing_operator_matrix(SmoothingOperator(ev), sht,
-                                        None).matrix
+        mat = dense(smoothing_operator_matrix(SmoothingOperator(ev), sht,
+                                              None), sht)
         target = np.array([funk_hecke_eigenvalue(p, l) for l in sht.degrees])
         eig_err = max(eig_err, float(np.abs(np.diag(mat) - target).max()))
         offdiag = max(offdiag, float(np.abs(mat - np.diag(np.diag(mat))).max()))
@@ -135,9 +136,10 @@ def test_criterion_5_near_diagonal_rate(probe_grid):
     form = fubini_study_form(probe_grid)
     x0 = SpherePoint(1.05, 0.4)
     ps = [16, 32, 64, 128, 256]
+    cfg = DEFAULTS["near-diagonal"]
     residuals = [near_diagonal_residual(
-        bergman_evaluator(p, form, probe_grid), x0,
-        window_constant=3.0).sup_residual for p in ps]
+        bergman_evaluator(p, form, probe_grid), x0, cfg["window_constant"],
+        cfg["n_radial"], cfg["n_angular"]).sup_residual for p in ps]
     slope, _ = rate_fit(ps, residuals)
     ok = -1.4 <= slope <= -0.75
     report("5 near-diagonal-rate", ok,
@@ -201,7 +203,8 @@ def test_criterion_8_flat_model():
     rng = np.random.default_rng(11)
     repro = max(reproducing_residual(
         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(10))
+        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        DEFAULTS["model-check"]["quad_order"]) for _ in range(10))
     probe = np.linspace(-1.2, 1.2, 5)
     annihilation = 0.0
     for _ in range(20):

@@ -25,6 +25,30 @@ from test_symmetry import rotate
 TAIL_BOUND = DEFAULTS["converge"]["tail_bound"]
 
 
+def dense_matrix(blocks, rotation, sht):
+    """The matrix on the input harmonic basis of (matrix, slots) blocks on
+    the basis rotated about the pole by ``rotation``: the blocks placed on
+    their slots, then rotated back with R, whose column (l, m) holds the
+    rotated harmonic's input coefficients (Y'_lm = c Y_lm + s Y_l,-m and
+    Y'_l,-m = c Y_l,-m - s Y_lm for m > 0, (c, s) = (cos, sin)(m rotation))."""
+    n = sht.n_coeffs
+    full = np.zeros((n, n))
+    for matrix, slots in blocks:
+        full[np.ix_(slots, slots)] = matrix
+    orders = sht.orders
+    angle = np.abs(orders) * rotation
+    rot = np.diag(np.cos(angle))
+    partner = np.arange(n) - 2 * orders
+    cols = np.flatnonzero(orders != 0)
+    rot[partner[cols], cols] = np.sign(orders[cols]) * np.sin(angle[cols])
+    return rot @ full @ rot.T
+
+
+def dense(op, sht):
+    """An ``OperatorMatrix``'s matrix on the input harmonic basis."""
+    return dense_matrix(op.blocks, op.rotation, sht)
+
+
 @pytest.fixture(scope="module")
 def bench_grid():
     return build_grid(56, 112)
@@ -39,7 +63,7 @@ class TestOperatorMatrix:
     def test_identity_operator(self, bench_sht):
         mat = operator_matrix(lambda f: f, bench_sht)
         n = bench_sht.n_coeffs
-        assert np.abs(mat.matrix - np.eye(n)).max() < 1e-10
+        assert np.abs(dense(mat, bench_sht) - np.eye(n)).max() < 1e-10
         assert mat.tail_residual < 1e-12
 
     def test_heat_operator_diagonal(self, bench_sht):
@@ -49,7 +73,7 @@ class TestOperatorMatrix:
                 heat_apply(bench_sht.analyze(f), u)), bench_sht)
         degs = bench_sht.degrees
         target = np.diag(np.exp(-4 * math.pi * degs * (degs + 1) * u))
-        assert np.abs(mat.matrix - target).max() < 1e-10
+        assert np.abs(dense(mat, bench_sht) - target).max() < 1e-10
 
     def test_smoothing_operator_diagonal_for_metric_form(self, bench_grid,
                                                          bench_sht):
@@ -59,7 +83,7 @@ class TestOperatorMatrix:
         mat = smoothing_operator_matrix(op, bench_sht, None)
         degs = bench_sht.degrees
         target = np.diag([funk_hecke_eigenvalue(p, l) for l in degs])
-        assert np.abs(mat.matrix - target).max() < 1e-8
+        assert np.abs(dense(mat, bench_sht) - target).max() < 1e-8
 
     def test_fast_paths_match_generic(self, bench_grid, bench_sht):
         cases = [
@@ -79,18 +103,26 @@ class TestOperatorMatrix:
             op = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
             fast = smoothing_operator_matrix(op, sht, None)
             slow = operator_matrix(op.apply, sht)
-            assert np.abs(fast.matrix - slow.matrix).max() < 1e-12
+            assert np.abs(dense(fast, sht) - dense(slow, sht)).max() < 1e-12
             assert np.abs(fast.column_norm_sq
                           - slow.column_norm_sq).max() < 1e-12
-            mf = fast_multiplication_matrix(form.eta, sht)
+            mf = fast_multiplication_matrix(form, sht)
             ms = multiplication_matrix(form.eta, sht)
-            assert np.abs(mf.matrix - ms.matrix).max() < 1e-12
+            assert np.abs(dense(mf, sht) - dense(ms, sht)).max() < 1e-12
             # the norms see every longitude mode of the products, those
             # past the transform's orders and a Nyquist mode included
             assert np.abs(mf.column_norm_sq
                           - ms.column_norm_sq).max() < 1e-12
             assert mf.tail_residual == pytest.approx(ms.tail_residual,
                                                      rel=1e-12)
+
+    def test_wrong_mirror_axis_is_refused(self, bench_grid, bench_sht):
+        # off the form's axis the gauged inverse Gram is far from real
+        form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
+        form.mirror_axis = 0.3
+        op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
+        with pytest.raises(InvalidRunError, match="mirror gauge"):
+            smoothing_operator_matrix(op, bench_sht, None)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -248,8 +280,10 @@ def _assembled_oracle(p, form, sht):
     """Both norms, the argmax degree and the tail of the assembled
     difference, from the dense top-singular-pair oracle."""
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-    mult = fast_multiplication_matrix(form.eta, sht)
-    diff, tail = bench._assembled_difference(smoother, sht, mult, None)
+    mult = fast_multiplication_matrix(form, sht)
+    blocks, rotation, tail = bench._assembled_difference(smoother, sht, mult,
+                                                         None)
+    diff = dense_matrix(blocks, rotation, sht)
     norm1, vec = bench._dense_top_singular_pair(diff)
     norm2, _ = bench._dense_top_singular_pair(
         (sht.eigenvalues / p)[:, None] * diff)
@@ -264,8 +298,8 @@ def _generic_oracle(p, form, sht):
     eta = multiplication_matrix(form.eta, sht)
     ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
     factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
-    heat = eta.matrix * factors
-    diff = q.matrix - form.volume * heat
+    heat = dense(eta, sht) * factors
+    diff = dense(q, sht) - form.volume * heat
     norm1, vec = bench._dense_top_singular_pair(diff)
     norm2, _ = bench._dense_top_singular_pair(
         (sht.eigenvalues / p)[:, None] * diff)
@@ -276,10 +310,18 @@ def _generic_oracle(p, form, sht):
 
 
 class TestAssembledCells:
+    # tilted and sectoral have a mirror axis (at alpha once rotated by
+    # alpha) and take two real blocks; tilted-mirror has none and takes one
+    # complex block
     @pytest.mark.parametrize("form_id,coefficients,alpha", [
         ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0),
         ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0)])
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0),
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 2.3),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.7),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 2.3),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7)])
     @pytest.mark.parametrize("p", [8, 16])
     @pytest.mark.parametrize("l_max", [16, 6])
     def test_difference_buffer_matches_generic_oracle(
@@ -290,13 +332,17 @@ class TestAssembledCells:
         if alpha:
             coefficients = rotate(coefficients, alpha)
         form = VolumeForm(bench_grid, coefficients, form_id)
+        if form_id == "tilted-mirror":
+            assert form.mirror_axis is None
+        else:
+            assert math.sin(form.mirror_axis - alpha) == pytest.approx(
+                0.0, abs=1e-15)
         res = comparison_norms(p, form, sht, None, TAIL_BOUND)
         norm1, norm2, degree, tail = _generic_oracle(p, form, sht)
         assert res.norm1 == pytest.approx(norm1, rel=1e-12)
         assert res.norm2 == pytest.approx(norm2, rel=1e-12)
-        if alpha == 0.0:
-            # the degree depends on the basis, which a rotation changes
-            assert res.argmax_degree == degree
+        # both read the top singular vector in the input basis
+        assert res.argmax_degree == degree
         if l_max == bench_sht.l_max:
             # Q is band-limited to degree p <= l_max, and the heat side
             # leaks below rounding: both tails are rounding-level
@@ -304,22 +350,39 @@ class TestAssembledCells:
         else:
             assert res.tail_residual == pytest.approx(tail, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [8, 16])
-    def test_cell_holds_one_matrix_besides_eta(self, p):
-        # numpy reports its buffers to tracemalloc; the difference is built
-        # in Q's buffer and norm2 scales rows inside the solve, so the cell
-        # allocates one full matrix and small blocks
+    @staticmethod
+    def _cell_peak(p, coefficients, form_id):
+        """tracemalloc peak, in doubles, of one cell on 64x128, l_max 30,
+        with its eta blocks passed in; numpy reports its buffers to
+        tracemalloc."""
         grid = build_grid(64, 128)
         sht = SphericalHarmonicTransform(grid, 30)
-        form = VolumeForm(grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
-        mult = fast_multiplication_matrix(form.eta, sht)
+        form = VolumeForm(grid, coefficients, form_id)
+        mult = fast_multiplication_matrix(form, sht)
         tracemalloc.start()
         try:
             comparison_norms(p, form, sht, mult, TAIL_BOUND)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sht.n_coeffs ** 2 * 8
+        return peak / 8, sht.n_coeffs ** 2
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_cell_holds_one_matrix_besides_eta(self, p):
+        # a form with no mirror axis takes one complex-arithmetic block: the
+        # difference is built in Q's buffer and norm2 scales rows inside the
+        # solve, so the cell allocates one full matrix and small blocks
+        peak, square = self._cell_peak(
+            p, {(1, -1): -0.1, (2, -2): 0.05}, "tilted-mirror")
+        assert peak < 2 * square
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_mirror_cell_holds_half_a_matrix(self, p):
+        # a form with a mirror axis holds a cosine and a sine block, about
+        # a quarter of the full matrix each, and half-size order batches
+        peak, square = self._cell_peak(
+            p, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
+        assert peak < square
 
 
 class TestZonalBlocks:
@@ -352,25 +415,40 @@ class TestZonalBlocks:
 
     def test_dispatch_reads_the_coefficients(self, bench_grid, bench_sht,
                                              monkeypatch):
-        calls = {"q": 0, "eta": 0}
+        # Q assemblies and eta matrices per route, read off the blocks each
+        # returns: one complex block, or a real cosine and sine block
+        calls = {}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                route = ("complex" if len(result.blocks) == 1 else "mirror")
+                key = (name, route)
+                calls[key] = calls.get(key, 0) + 1
+                return result
             return wrapper
 
         monkeypatch.setattr(bench, "smoothing_operator_matrix",
                             counted("q", smoothing_operator_matrix))
         monkeypatch.setattr(bench, "fast_multiplication_matrix",
                             counted("eta", fast_multiplication_matrix))
+        p_values = [4, 8, 12, 16]
         zonal = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 0): 0.1}, "z")
-        sweep_form(zonal, [4, 8, 12, 16], bench_sht, TAIL_BOUND)
-        assert calls == {"q": 0, "eta": 0}
-        # one small m != 0 coefficient makes the form non-zonal
+        sweep_form(zonal, p_values, bench_sht, TAIL_BOUND)
+        assert calls == {}
+        # one small m != 0 coefficient makes the form non-zonal; with no
+        # sine coefficient it keeps the mirror axis 0
         tipped = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 1): 1e-9}, "t")
-        sweep_form(tipped, [4, 8, 12, 16], bench_sht, TAIL_BOUND)
-        assert calls == {"q": 4, "eta": 1}
+        assert tipped.mirror_axis == 0.0
+        sweep_form(tipped, p_values, bench_sht, TAIL_BOUND)
+        assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1}
+        # one small sine coefficient off the axis of the cosine ones leaves
+        # the form with no mirror axis
+        off_axis = VolumeForm(bench_grid, {(1, 1): 0.1, (2, -1): 1e-9}, "o")
+        assert off_axis.mirror_axis is None
+        sweep_form(off_axis, p_values, bench_sht, TAIL_BOUND)
+        assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1,
+                         ("q", "complex"): 4, ("eta", "complex"): 1}
 
 
 class TestRateFit:

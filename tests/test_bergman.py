@@ -8,7 +8,10 @@ from bergman_heat import (RADIUS, BergmanEvaluator, ConfigError,
                           VolumeForm, bergman_evaluator, build_grid,
                           near_diagonal_residual, off_diagonal_sup,
                           rank_ratio, weight_change_residuals)
+from bergman_heat.config import DEFAULTS
 from bergman_heat.sections import PAIR_BLOCK_ROWS
+
+NEAR = DEFAULTS["near-diagonal"]
 
 
 def funk_hecke_eigenvalue(p, l):
@@ -125,17 +128,18 @@ class TestOffDiagonal:
     def test_rejects_bad_eps(self, grid, fs_form):
         ev = bergman_evaluator(4, fs_form, grid)
         with pytest.raises(ConfigError):
-            off_diagonal_sup(ev, 0.0)
+            off_diagonal_sup(ev, 0.0, 1, 1)
         with pytest.raises(ConfigError):
-            off_diagonal_sup(ev, 1.0)
+            off_diagonal_sup(ev, 1.0, 1, 1)
 
 
 class TestNearDiagonal:
     def test_center_residual_is_inverse_p(self, grid, fs_form):
         for p in (8, 16):
             ev = bergman_evaluator(p, fs_form, grid)
-            probe = near_diagonal_residual(ev, SpherePoint(1.05, 0.4),
-                                           window_constant=2.0)
+            probe = near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 2.0,
+                                           NEAR["n_radial"],
+                                           NEAR["n_angular"])
             assert probe.center_residual == pytest.approx(1.0 / p, abs=1e-10)
 
     def test_gaussian_matches_model_kernel_modulus(self):
@@ -151,7 +155,8 @@ class TestNearDiagonal:
         ev = bergman_evaluator(8, fs_form, grid)
         with pytest.raises(ConfigError):
             near_diagonal_residual(ev, SpherePoint(1.0, 0.0),
-                                   window_constant=3.0)
+                                   NEAR["window_constant"], NEAR["n_radial"],
+                                   NEAR["n_angular"])
 
 
 class TestWeightChange:
@@ -191,7 +196,7 @@ class TestWeightChange:
 
 class TestPairTiles:
     @pytest.mark.parametrize("probe,n", [
-        (lambda ev: off_diagonal_sup(ev, 0.2), 1152),
+        (lambda ev: off_diagonal_sup(ev, 0.2, 1, 1), 1152),
         # 1 + 29 * 30 = 871 window points
         (lambda ev: near_diagonal_residual(ev, SpherePoint(1.05, 0.4), 1.0,
                                            n_radial=30, n_angular=30), 871),

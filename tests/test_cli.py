@@ -43,20 +43,20 @@ SMALL_CONVERGE = {
 class TestConfig:
     def test_defaults_load(self):
         for command in DEFAULTS:
-            cfg = load_config(command)
+            cfg = load_config(command, None, {})
             assert isinstance(cfg, dict)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"bogus": 1}')
         with pytest.raises(ConfigError):
-            load_config("converge", path)
+            load_config("converge", path, {})
 
     def test_unsorted_p_list_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"p_list": [16, 8, 32, 64]}')
         with pytest.raises(ConfigError):
-            load_config("converge", path)
+            load_config("converge", path, {})
 
     def test_l_max_default_tracks_p(self):
         assert default_l_max(128) == max(40, 46)
@@ -423,10 +423,14 @@ class TestCommands:
 
     def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
         # byte-identical reruns hold at a fixed BLAS thread count only; the
-        # reduction order of 1 and 2 threads differs
+        # reduction order of 1 and 2 threads differs.  tilted takes the
+        # mirror route's two real blocks, tilted-mirror (no mirror axis) one
+        # complex block
         cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
                    + [{"id": "tilted", "coefficients": {"1,1": 0.1,
-                                                        "2,1": 0.05}}])
+                                                        "2,1": 0.05}},
+                      {"id": "tilted-mirror",
+                       "coefficients": {"1,-1": -0.1, "2,-2": 0.05}}])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         tables, summaries = [], []

@@ -8,6 +8,9 @@ from bergman_heat import (ConfigError, bargmann_kernel, bargmann_kernel_expr,
                           gaussian_laplacian_identity, landau_operator_apply,
                           landau_operator_symbolic, reproducing_residual)
 from bergman_heat import flat_model
+from bergman_heat.config import DEFAULTS
+
+QUAD_ORDER = DEFAULTS["model-check"]["quad_order"]
 
 
 class TestBargmannKernel:
@@ -50,17 +53,18 @@ class TestBargmannKernel:
 
 class TestReproducing:
     def test_origin(self):
-        assert reproducing_residual(0.0, 0.0) < 1e-10
+        assert reproducing_residual(0.0, 0.0, QUAD_ORDER) < 1e-10
 
     def test_window(self, rng):
         for _ in range(6):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             w = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            assert reproducing_residual(z, w) < 1e-8
+            assert reproducing_residual(z, w, QUAD_ORDER) < 1e-8
 
     def test_diagonal_idempotence(self):
         # setting both arguments equal checks integral of |K|^2 = 1
-        assert reproducing_residual(0.5 + 0.5j, 0.5 + 0.5j) < 1e-8
+        assert reproducing_residual(0.5 + 0.5j, 0.5 + 0.5j,
+                                    QUAD_ORDER) < 1e-8
 
     def test_rejects_low_order(self):
         with pytest.raises(ConfigError):

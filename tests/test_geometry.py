@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,10 @@ from scipy.integrate import quad
 from bergman_heat import (INJECTIVITY_RADIUS, RADIUS, ConfigError, SpherePoint,
                           VolumeForm, build_grid, exp_map, geodesic_distance,
                           integrate, log_map, real_sph_harm)
+from bergman_heat.geometry import MIRROR_TOL, mirror_axis
+
+WORKLOADS = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "workloads.py")
 
 
 def test_radius_normalization():
@@ -174,3 +180,82 @@ class TestVolumeForm:
         VolumeForm(small, {(top, 0): 0.01})
         with pytest.raises(ConfigError, match="exactness degree"):
             VolumeForm(small, {(top + 1, 0): 0.01})
+
+
+def _load_workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _same_axis(a, b):
+    """Mirror axes agree modulo pi, the period of a reflection's axis."""
+    return abs(math.sin(a - b)) <= 1e-14
+
+
+class TestMirrorAxis:
+    def test_maps_without_sine_coefficients_get_zero_exactly(self):
+        assert mirror_axis({}) == 0.0
+        assert mirror_axis({(1, 0): -0.3}) == 0.0
+        assert mirror_axis({(1, 1): 0.1, (2, 1): 0.05, (2, -2): 0.0}) == 0.0
+
+    def test_tilted_mirror_has_no_axis(self):
+        # its order-1 sine term wants alpha = pi/2 (mod pi), its order-2
+        # one alpha = pi/4 (mod pi/2)
+        assert mirror_axis({(1, -1): -0.1, (2, -2): 0.05}) is None
+
+    def test_small_sine_coefficient_off_the_axis_has_no_axis(self):
+        assert mirror_axis({(1, 1): 0.1, (2, -1): 1e-9}) is None
+        # at the tolerance it is dropped
+        assert mirror_axis({(1, 1): 0.1, (2, -1): 0.5 * MIRROR_TOL * 0.1}) \
+            == 0.0
+
+    def test_pure_sine_form_gets_a_quarter_turn(self):
+        assert mirror_axis({(1, -1): 0.1, (2, -1): 0.05}) == pytest.approx(
+            math.pi / 2, abs=1e-15)
+
+    def test_axis_of_a_zero_lowest_order_pair(self):
+        # an explicit zero pair does not pin the candidates
+        alpha = mirror_axis({(1, 1): 0.0, (2, -2): 0.1})
+        assert _same_axis(2 * alpha, math.pi / 2)
+
+    def test_benchmark_forms_rotated_by_the_seeded_angles(self):
+        workloads = _load_workloads()
+        for seed in range(1, 21):
+            angle, _ = workloads.seeded_inputs(seed)
+            for spec in workloads.NONZONAL_FORMS:
+                rotated = workloads.rotate_form(spec, angle)
+                coefficients = {
+                    tuple(int(part) for part in key.split(",")): value
+                    for key, value in rotated["coefficients"].items()}
+                alpha = mirror_axis(coefficients)
+                if spec["id"] == "tilted-mirror":
+                    assert alpha is None, seed
+                elif spec["id"] == "fs":
+                    assert alpha == 0.0
+                else:
+                    assert 0.0 <= alpha < math.pi
+                    assert _same_axis(alpha, angle), (seed, spec["id"])
+
+    def test_volume_form_exposes_the_axis(self, grid):
+        form = VolumeForm(grid, {(1, -1): 0.1}, "sine")
+        assert form.mirror_axis == pytest.approx(math.pi / 2, abs=1e-15)
+        assert VolumeForm(grid, {(1, -1): 0.1, (1, 1): 0.1},
+                          "diagonal").mirror_axis == pytest.approx(
+                              math.pi / 4, abs=1e-15)
+
+    def test_axis_off_zero_needs_the_band_below_the_top_mode(self):
+        # on 24x48 this density's band reaches the top longitude mode 24;
+        # phi -> -phi maps the grid onto itself, a rotation by 0.3 does not
+        small = build_grid(24, 48)
+        strong = {(3, 3): 1.5}
+        form = VolumeForm(small, strong, "strong")
+        assert form.phi_band == 24 and form.mirror_axis == 0.0
+        alpha = 0.3
+        rotated = {(3, 3): 1.5 * math.cos(3 * alpha),
+                   (3, -3): 1.5 * math.sin(3 * alpha)}
+        assert mirror_axis(rotated) == pytest.approx(alpha, abs=1e-15)
+        assert VolumeForm(small, rotated, "strong").mirror_axis is None

@@ -61,14 +61,39 @@ class TestTransform:
         n = 30
         k = abs(m)
         slots = np.flatnonzero(np.abs(sht.orders) == k)
-        out = sht.order_products(table, k, n + 1)
+        buffer = np.empty((n + 1) * grid.n_theta * len(slots), complex)
+        out = sht.order_products(table, k, n + 1, buffer)
         assert out.shape == (n + 1, grid.n_theta, len(slots))
+        assert np.shares_memory(out, buffer)
         for col, slot in enumerate(slots):
             if sht.orders[slot] != m:
                 continue
             oracle = grid_to_modes(values * sht.basis_function(
                 sht.degrees[slot], m), n)
             assert np.abs(out[:, :, col].T - oracle).max() < 1e-14
+
+    @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
+    def test_real_order_products_of_an_even_function(self, grid, sht,
+                                                     tilted_form, m):
+        # tilted's density is even in phi, so its modes are real and even;
+        # from the real table, a cosine slot's product modes come real and
+        # a sine slot's as i times the real numbers returned
+        values = tilted_form.density
+        table = np.fft.fft(values, axis=1) / grid.n_phi
+        assert np.abs(table.imag).max() < 1e-15 * np.abs(table).max()
+        n = 30
+        k = abs(m)
+        slots = np.flatnonzero(np.abs(sht.orders) == k)
+        buffer = np.empty((n + 1) * grid.n_theta * len(slots))
+        out = sht.order_products(np.ascontiguousarray(table.real), k, n + 1,
+                                 buffer)
+        for col, slot in enumerate(slots):
+            if sht.orders[slot] != m:
+                continue
+            oracle = grid_to_modes(values * sht.basis_function(
+                sht.degrees[slot], m), n)
+            modes = out[:, :, col].T * (1j if m < 0 else 1.0)
+            assert np.abs(modes - oracle).max() < 1e-14
 
 
 class TestLaplacian:

@@ -7,7 +7,7 @@ unless it is one of the test oracles, fixture constructors or result fields
 that ROADMAP names.  Names are matched by their bare spelling, as a plain
 name or as an attribute, across all modules.  Likewise a parameter with a
 default that no call in the package passes is a constant that only tests
-change.
+change, and a parameter that every call passes needs no default.
 """
 
 import ast
@@ -115,23 +115,36 @@ def _passed(tree):
         yield name, None if starred else len(node.args), keywords
 
 
-def unset_options(src=SRC):
-    """Every defaulted parameter, as ``called.parameter`` (a class name for
-    ``__init__``), that no call in the package passes, positionally or by
-    keyword."""
+def _option_use(src):
+    """(``called.parameter``, how many calls in the package pass it, how
+    many calls it has) for every defaulted parameter, a class name standing
+    for ``__init__``."""
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     calls = {}
     for tree in trees:
         for name, count, keywords in _passed(tree):
             calls.setdefault(name, []).append((count, keywords))
-    unset = set()
     for tree in trees:
         for called, param, index in _defaulted_parameters(tree):
-            if not any(count is None or None in keywords or param in keywords
-                       or (index is not None and index < count)
-                       for count, keywords in calls.get(called, [])):
-                unset.add(f"{called}.{param}")
-    return unset
+            site = calls.get(called, [])
+            passing = sum(count is None or None in keywords
+                          or param in keywords
+                          or (index is not None and index < count)
+                          for count, keywords in site)
+            yield f"{called}.{param}", passing, len(site)
+
+
+def unset_options(src=SRC):
+    """Every defaulted parameter that no call in the package passes,
+    positionally or by keyword."""
+    return {name for name, passing, _ in _option_use(src) if passing == 0}
+
+
+def overridden_options(src=SRC):
+    """Every defaulted parameter that every call in the package passes, so
+    that only tests read its default."""
+    return {name for name, passing, calls in _option_use(src)
+            if passing == calls > 0}
 
 
 def test_every_name_has_a_reader():
@@ -145,3 +158,11 @@ def test_every_option_is_set_in_src():
     # a default only tests change is a constant; run's argv is the hook
     # through which tests drive the command line
     assert unset_options() == {"run.argv"}
+
+
+def test_every_default_is_used_in_src():
+    # a default that every call overrides states a run parameter twice: a
+    # change to the caller's value leaves the tests on the old one.
+    # VolumeForm's form_id keeps its default because the benchmark's
+    # self-test (perfbench/selftest.py) builds forms without an id
+    assert overridden_options() == {"VolumeForm.form_id"}

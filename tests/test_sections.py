@@ -160,7 +160,7 @@ class TestBergmanEvaluator:
         # n_phi = 15 = 2p + 1 is the smallest odd longitude grid the Gram
         # accepts at p = 7
         grid = build_grid(n_theta, n_phi)
-        ev = bergman_evaluator(7, VolumeForm(grid), grid)
+        ev = bergman_evaluator(7, VolumeForm(grid, {}), grid)
         dim = ev.p + 1
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         A = raw + raw.conj().T
