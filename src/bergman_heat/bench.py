@@ -15,10 +15,15 @@ those blocks are built directly from the section-harmonic moment tables.  A
 form symmetric under phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps
 the cosine and sine spans of the harmonic basis rotated by alpha apart, so
 its difference is two real blocks, assembled in a section gauge where the
-inverse Gram is real.  Any other form assembles one complex-arithmetic block
-on the whole basis.  Both assembled routes build Q one longitude order of
-columns at a time, and the eta multiplication as a product quadrature, one
-order at a time.
+inverse Gram is real.  A form symmetric under the equator flip
+theta -> pi - theta (``VolumeForm.is_flip_symmetric``) keeps the slots of
+even and odd l + |m| apart as well: with a mirror axis its difference is
+four real blocks, and without one two, assembled in the flip basis of the
+sections, where the inverse Gram is real.  Any other form assembles one
+complex-arithmetic block on the whole basis.  The assembled routes build Q
+one longitude order of columns at a time (and one flip parity at a time,
+for a flip-symmetric form), and the eta multiplication as a product
+quadrature, one order at a time.
 """
 
 import math
@@ -30,7 +35,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
-from .fourier import product_grams
+from .fourier import (diagonal_index, flip_unitary, from_flip_basis,
+                      product_grams)
 from .geometry import is_zonal
 from .heat import HarmonicCoeffs, coeff_index, heat_apply
 from .sections import bergman_evaluator
@@ -38,8 +44,9 @@ from .sections import bergman_evaluator
 # largest accepted sweep with a non-zonal form, checked before any table is
 # built: one operator matrix on the harmonic basis holds (l_max+1)^4 doubles
 # (200 MB at the limit; the default l_max 46 needs 4.9e6), and a non-zonal
-# cell holds two of them live, eta and the difference (a mirror-symmetric
-# form's cell about half of that, as a cosine and a sine block each); one Q
+# cell holds two of them live, eta and the difference (a cell of a form with
+# a mirror axis or the equator flip about half of that, as two blocks each,
+# and of a form with both about a quarter, as four); one Q
 # assembly costs about (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default
 # p = 128, which took 3.5 s in a traced converge-default run on 2 cores)
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
@@ -58,10 +65,13 @@ ARPACK_MAXITER = 300
 DIFF_COLUMNS = 256
 
 # largest imaginary part, relative to the largest modulus, of the inverse
-# Gram and the density modes in the gauge of a form's mirror axis, whose
-# real parts the mirror route keeps: rounding leaves at most 1.4e-16 on the
-# benchmark's rotated forms, and a wrong axis leaves parts of order 1; the
-# margin admits rounding amplified by a Gram condition up to about 1e6
+# Gram and the density modes in the gauge of a form's mirror axis, and of
+# the inverse Gram in the flip basis, whose real parts the mirror and flip
+# routes keep: rounding leaves at most 1.4e-16 on the benchmark's rotated
+# forms in the mirror gauge and 8.0e-15 in the flip basis (tilted-mirror at
+# p = 64 on 102 x 204, unrotated and at twenty seeded angles), and a wrong
+# axis or flip leaves parts of order 1; the margin admits rounding
+# amplified by a Gram condition up to about 1e6
 MIRROR_IMAG_TOL = 1e-10
 
 
@@ -163,20 +173,27 @@ def multiplication_matrix(values, sht):
     return operator_matrix(lambda f: values * f, sht)
 
 
-def _spans(sht, axis):
-    """Slot sets of an operator's diagonal blocks: the whole basis, or for a
-    form with a mirror axis the cosine (m >= 0) and sine (m < 0) slots."""
-    if axis is None:
-        return [np.arange(sht.n_coeffs)]
-    return [np.flatnonzero(sht.orders >= 0), np.flatnonzero(sht.orders < 0)]
+def _spans(sht, form):
+    """Slot sets of an operator's diagonal blocks, and each slot's block:
+    the whole basis, split for a form with a mirror axis into the cosine
+    (m >= 0) and sine (m < 0) slots, and for a form symmetric under the
+    equator flip into the slots of even and odd l + |m|, which the flip
+    keeps apart as it does the density's."""
+    key = np.zeros(sht.n_coeffs, dtype=int)
+    if form.mirror_axis is not None:
+        key += sht.orders < 0
+    if form.is_flip_symmetric:
+        key += 2 * ((sht.degrees + sht.orders) % 2)
+    keys, block_of = np.unique(key, return_inverse=True)
+    return [np.flatnonzero(block_of == b) for b in range(len(keys))], block_of
 
 
 def _real_part(values, what):
     """Real part of an array whose imaginary part must be at rounding
     level (``MIRROR_IMAG_TOL``)."""
     if np.abs(values.imag).max() > MIRROR_IMAG_TOL * np.abs(values).max():
-        raise InvalidRunError(f"{what} not real in the mirror gauge; the "
-                              "form's mirror axis does not hold on the grid")
+        raise InvalidRunError(f"{what} not real; the form's symmetry does "
+                              "not hold on the grid")
     return np.ascontiguousarray(values.real)
 
 
@@ -194,13 +211,23 @@ def _gauged(evaluator, axis):
     k = np.arange(evaluator.p + 1)
     kernel_matrix = _real_part(
         evaluator.kernel_matrix * np.exp(1j * axis * (k[:, None] - k)),
-        "inverse Gram")
+        "inverse Gram in the mirror gauge")
     n_phi = evaluator.grid.n_phi
     d = np.arange(n_phi // 2 + 1)
     half = _real_part(evaluator.form.density_modes[:, d]
-                      * np.exp(1j * axis * d), "density modes")
+                      * np.exp(1j * axis * d),
+                      "density modes in the mirror gauge")
     wrapped = np.arange(n_phi)
     return kernel_matrix, half[:, np.minimum(wrapped, n_phi - wrapped)]
+
+
+def _flipped(evaluator):
+    """Inverse Gram in the flip basis of the sections
+    (``fourier.flip_unitary``), U^H M U, real for a form symmetric under the
+    equator flip: the flip maps s_k to s_{p-k}, so M = J conj(M) J."""
+    U = flip_unitary(evaluator.p + 1)
+    return _real_part(U.conj().T @ evaluator.kernel_matrix @ U,
+                      "inverse Gram in the flip basis")
 
 
 def smoothing_operator_matrix(smoother, sht, tail_bound):
@@ -212,26 +239,39 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
     per-column small matrix products run as batched BLAS calls, and their
     section coefficient matrices A = M T M / R go straight to harmonic
     coefficients and quadrature norms through the section-harmonic moment
-    tables (``sht.analyze_diagonals``): no output longitude modes and no
-    per-column grids.  The batch arrays are allocated once, for the widest
-    order, and reused.  A form with a mirror axis is built on the harmonics
-    rotated onto it, in real arithmetic from the gauged inverse Gram and
-    density modes (``_gauged``): cosine columns give real symmetric A with
-    cosine outputs, sine columns i times real antisymmetric A with sine
-    outputs.  Matches the generic path to roundoff.
+    tables (``sht.analyze_diagonals``, from A's lower diagonals in one
+    gather): no output longitude modes and no per-column grids.  The batch
+    arrays are allocated once, for the widest batch, and reused.  A form
+    with a mirror axis is built on the harmonics rotated onto it, in real
+    arithmetic from the gauged inverse Gram and density modes
+    (``_gauged``): cosine columns give real symmetric A with cosine
+    outputs, sine columns i times real antisymmetric A with sine outputs.
+    A form symmetric under the equator flip and with no mirror axis is
+    built in the flip basis of the sections, where the inverse Gram
+    (``_flipped``) and T are real, or i times real for the columns odd
+    under the flip, and its real A' = M' T' M' / R is taken back to A
+    (``fourier.from_flip_basis``).  A column's output has the column's
+    parity under the flip when the form has it, and is projected on that
+    parity's degrees alone.  Matches the generic path to roundoff.
     """
     if sht.grid is not smoother.grid:
         raise ConfigError("transform and smoother live on different grids")
-    axis = smoother.form.mirror_axis
+    form = smoother.form
+    axis = form.mirror_axis
     profiles = smoother.evaluator.profiles
     w_theta = sht.grid.w_theta
     moments = sht.section_moments(profiles, w_theta)
     grams = product_grams(profiles, w_theta)
-    if axis is None:
-        kernel_matrix, table = None, smoother.form.density_modes
-    else:
+    size = smoother.p + 1
+    flip_route = axis is None and form.is_flip_symmetric
+    if axis is not None:
         kernel_matrix, table = _gauged(smoother.evaluator, axis)
-    spans = _spans(sht, axis)
+    elif flip_route:
+        kernel_matrix, table = _flipped(smoother.evaluator), form.density_modes
+    else:
+        kernel_matrix, table = None, form.density_modes
+    gather = diagonal_index(size)
+    spans, block_of = _spans(sht, form)
     position = np.zeros(sht.n_coeffs, dtype=int)
     for span in spans:
         position[span] = np.arange(len(span))
@@ -239,34 +279,53 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
     # column write contiguous
     blocks = [np.zeros((len(span), len(span)), order="F") for span in spans]
     col_norm = np.zeros(sht.n_coeffs)
-    # one order's batch and one work buffer, sized for the widest order and
-    # kept across the orders; the work buffer holds the grid products, then
-    # the half product M T, then the projections, each dead before the next
-    # (n_theta >= p + 1 by the Gram's exactness check)
-    size, width = smoother.p + 1, max(2 * sht.l_max, 1)
+    # the batches: one per longitude order k, its degrees l >= k, or for a
+    # flip-symmetric form one per order and parity (-1)^(l+k) under the flip
+    if form.is_flip_symmetric:
+        batches = [(k, np.arange(k + shift, sht.l_max + 1, 2), 1 - 2 * shift)
+                   for k in range(sht.l_max + 1) for shift in (0, 1)
+                   if k + shift <= sht.l_max]
+    else:
+        batches = [(k, np.arange(k, sht.l_max + 1), None)
+                   for k in range(sht.l_max + 1)]
+    # one batch and one work buffer, sized for the widest batch and kept
+    # across the batches; the work buffer holds the grid products, then the
+    # half product M T, then the projections, each dead before the next
+    # (n_theta >= p + 1 by the Gram's exactness check); on the flip route
+    # the work buffer holds T' after the grid products, and then A', which
+    # the batch buffer takes back to the section basis
+    width = max(len(degrees) * (2 if k else 1) for k, degrees, _ in batches)
     batch = np.empty(width * size * size, table.dtype)
     work = np.empty(width * max(size * sht.grid.n_theta,
                                 (sht.l_max + 1) ** 2), table.dtype)
-    for k in range(sht.l_max + 1):
-        slots = np.flatnonzero(np.abs(sht.orders) == k)
-        # the batch alternates sine (-k) and cosine (+k) columns; order 0
-        # has cosine columns alone, and no sine block to fill
-        if axis is None:
-            parity, columns = None, [slice(None)]
-        else:
-            parity = np.where(sht.orders[slots] < 0, -1.0, 1.0)
-            columns = ([slice(1, None, 2), slice(0, None, 2)] if k
-                       else [slice(None)])
+    for k, degrees, flip in batches:
+        # the batch alternates sine (-k) and cosine (+k) columns, degree by
+        # degree; order 0 has cosine columns alone
+        orders = np.array([-k, k] if k else [0])
+        slots = coeff_index(degrees[:, None], orders).ravel()
+        parity = (None if axis is None
+                  else np.where(sht.orders[slots] < 0, -1.0, 1.0))
         # modes 0..p fit the grid: the Gram exactness check forces
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
-            sht.order_products(table, k, size, work), kernel_matrix, parity,
-            (batch, work))
-        proj_k, col_norm[slots] = sht.analyze_diagonals(A, moments, grams,
-                                                        work)
-        for block, span, cols in zip(blocks, spans, columns):
-            block[:, position[slots[cols]]] = sht.packed(proj_k[:, :, cols],
-                                                         span)
+            sht.order_products(table, k, degrees, size, work), kernel_matrix,
+            parity, (batch, work), flip if flip_route else None)
+        if flip_route:
+            A = from_flip_basis(A, batch)
+        # the lower diagonals in one gather
+        diagonals = A.reshape(len(slots), -1)[:, gather].T.copy()
+        if flip_route and flip < 0:
+            # U A' U^H is A / i for a batch odd under the flip
+            diagonals *= 1j
+        proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
+                                                        grams, work, flip)
+        # a batch has one flip parity, so the columns of one order share a
+        # block
+        for sign, order in enumerate(orders):
+            b = block_of[coeff_index(degrees[0], order)]
+            cols = slice(sign, None, len(orders))
+            blocks[b][:, position[slots[cols]]] = sht.packed(
+                proj_k[:, :, cols], spans[b])
     return _checked_matrix(list(zip(blocks, spans)),
                            0.0 if axis is None else axis, col_norm, sht,
                            tail_bound)
@@ -281,9 +340,11 @@ def fast_multiplication_matrix(form, sht):
     grid quadrature of ``multiplication_matrix`` regrouped, so it matches
     that oracle to roundoff.  The column norms come the same way from
     f^2 trig_m'^2.  A form with a mirror axis takes the harmonics rotated
-    onto it, whose cosine and sine spans eta keeps apart: two real blocks,
-    each order's rows written as its columns, which they equal by symmetry.
-    Column-major, like Q, for the difference's column blocks.
+    onto it, whose cosine and sine spans eta keeps apart, and a form
+    symmetric under the equator flip the spans of even and odd l + |m|
+    (``_spans``).  Eta is symmetric, so each order's rows go in as its
+    columns, contiguously in the column-major blocks that the difference's
+    column steps read.
     """
     values, axis = form.eta, form.mirror_axis
     rotation = 0.0 if axis is None else axis
@@ -291,21 +352,15 @@ def fast_multiplication_matrix(form, sht):
     profiles = sht.slot_profiles
     weighted = sht.grid.w_theta[:, None] * profiles
     blocks = []
-    for span in _spans(sht, axis):
+    for span in _spans(sht, form)[0]:
         block = np.zeros((len(span), len(span)), order="F")
         orders, span_weighted = sht.orders[span], weighted[:, span]
         for m in np.unique(orders):
             c = (values * trig[m + l_max]) @ trig.T / n_phi
             rows = orders == m
-            chunk = (sht.legendre[abs(m), abs(m):]
+            chunk = (sht.legendre[abs(m), sht.degrees[span[rows]]]
                      @ (c[:, orders + l_max] * span_weighted))
-            # a mirror block is symmetric, so order m's rows go in as its
-            # columns, contiguously; the complex block keeps its row writes
-            # and with them its bytes
-            if axis is None:
-                block[rows] = chunk
-            else:
-                block[:, rows] = chunk.T
+            block[:, rows] = chunk.T
         blocks.append((block, span))
     c = values ** 2 @ (trig ** 2).T / n_phi
     col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
@@ -528,10 +583,9 @@ def comparison_norms(p, form, sht, mult, tail_bound):
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
     difference with ``Laplacian / p``.  A zonal form takes one block per
     longitude order with dense solves (``_zonal_differences``) and ignores
-    ``mult``; any other form assembles the difference's blocks, two for a
-    form with a mirror axis and one otherwise, from its eta multiplication
-    matrix ``mult`` (p-independent, so a sweep builds it once; None builds
-    it), with ARPACK solves.
+    ``mult``; any other form assembles the difference's blocks (``_spans``)
+    from its eta multiplication matrix ``mult`` (p-independent, so a sweep
+    builds it once; None builds it), with ARPACK solves.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     if form.is_zonal:

@@ -188,6 +188,16 @@ def is_zonal(coefficients):
     return all(m == 0 for (_, m), c in coefficients.items() if c != 0.0)
 
 
+def is_flip_symmetric(coefficients):
+    """True when every nonzero coefficient of a {(l, m): c} map has l + |m|
+    even: Y_lm(pi - theta, phi) = (-1)^(l+|m|) Y_lm(theta, phi), so its
+    density is even under the equator flip theta -> pi - theta.  A rotation
+    about the pole keeps l and |m|, so rotated maps keep the answer
+    exactly."""
+    return all((l + abs(m)) % 2 == 0
+               for (l, m), c in coefficients.items() if c != 0.0)
+
+
 def mirror_axis(coefficients):
     """Mirror axis of a {(l, m): c} map's density, or None.
 
@@ -250,6 +260,9 @@ class VolumeForm:
         self.phi_band = phi_band(self.density_modes)
         self.density_inf = float(self.density.min())
         self.is_zonal = is_zonal(self.coefficients)
+        # the Gauss-Legendre nodes are symmetric about the equator, so the
+        # flip holds on every grid
+        self.is_flip_symmetric = is_flip_symmetric(self.coefficients)
         # an axis off phi = 0 holds on the grid only while the density's
         # band stays below the top longitude mode, which stands for a +m and
         # a -m mode that the rotation treats apart

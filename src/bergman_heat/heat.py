@@ -112,10 +112,11 @@ class SphericalHarmonicTransform:
             self.factors[coeff_index(self.l_max, ms)]
             * np.exp(1j * np.abs(ms) * (self.grid.phi - alpha))).real
 
-    def order_products(self, mode_table, k, n_modes, out):
-        """Longitude modes of (grid function) * Y_lm for every packed slot
-        (l, m) of the orders m = +-k, in slot order, written into the flat
-        buffer ``out``.
+    def order_products(self, mode_table, k, degrees, n_modes, out):
+        """Longitude modes of (grid function) * Y_lm for the slots (l, m) of
+        the orders m = +-k and the ``degrees`` l >= k, degree by degree in
+        their given order and -k before +k, written into the flat buffer
+        ``out``.
 
         ``mode_table`` holds the function's full DFT modes per colatitude
         node, shape (n_theta, n_phi).  Returns a view of ``out`` of shape
@@ -141,11 +142,12 @@ class SphericalHarmonicTransform:
         modes = factors[:, None, None] * lo
         if k:
             modes += conjugates[:, None, None] * hi
-        shape = (n_modes, self.grid.n_theta, self.l_max + 1 - k, len(slots))
+        shape = (n_modes, self.grid.n_theta, len(degrees), len(slots))
         view = out[:math.prod(shape)].reshape(shape)
+        legendre = self.legendre[k, degrees].T
         # one sign at a time keeps the degrees in the inner loop
         for sign, sign_modes in enumerate(modes):
-            np.multiply(sign_modes.T[:, :, None], self.legendre[k, k:].T,
+            np.multiply(sign_modes.T[:, :, None], legendre,
                         out=view[..., sign])
         return view.reshape(n_modes, self.grid.n_theta, -1)
 
@@ -182,38 +184,50 @@ class SphericalHarmonicTransform:
                 @ profile_product(profiles, mu)
                 for mu in range(min(self.l_max + 1, profiles.shape[1]))]
 
-    def analyze_diagonals(self, A, moments, grams, proj):
-        """Projections and quadrature norms of real functions given by their
-        section coefficient matrices, without their longitude modes.
+    def analyze_diagonals(self, diagonals, moments, grams, proj, flip):
+        """Projections and quadrature norms of real functions given by the
+        lower diagonals of their section coefficient matrices, without their
+        longitude modes.
 
-        ``A`` is a (n, P, P) Hermitian batch; item b is the function
-        x -> sigma(x)^T A[b] conj(sigma(x)), whose longitude mode mu is
-        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.profile_product``).
-        Diagonal -mu, d, gives the order-mu projections ``moments[mu] @ d``
-        (``section_moments`` at weights ``w_theta``) and the mode's
-        quadrature d^H G_mu d (``grams[mu]``, ``fourier.product_grams``).
-        A real batch holds symmetric matrices and antisymmetric ones, i
-        times which are Hermitian.  Fills the flat buffer ``proj`` with the
-        projections ``proj[mu, l, b]`` (``packed`` turns them into
-        coefficients) and returns that view and the quadrature norms.
+        Item b is the function x -> sigma(x)^T A_b conj(sigma(x)) of a
+        Hermitian (P, P) matrix A_b, whose longitude mode mu is
+        sum_k A_b[k+mu, k] a_{k+mu} a_k (``fourier.profile_product``).
+        ``diagonals`` has one column per item and holds its diagonals -mu,
+        mu = 0..P-1, one after the other (``fourier.diagonal_index``); real
+        ones are those of symmetric matrices and of antisymmetric ones, i
+        times which are Hermitian.  Diagonal -mu, d, gives the order-mu
+        projections ``moments[mu] @ d`` (``section_moments`` at weights
+        ``w_theta``) and the mode's quadrature d^H G_mu d (``grams[mu]``,
+        ``fourier.product_grams``).  Functions of one parity ``flip`` = +-1
+        under the equator flip theta -> pi - theta have no coefficient
+        (l, m) with (-1)^(l+|m|) = -flip, so they are projected on the other
+        degrees alone; ``flip`` None projects on every degree.  Fills the
+        flat buffer ``proj`` with the projections ``proj[mu, l, b]``
+        (``packed`` turns them into coefficients) and returns that view and
+        the quadrature norms.
         """
-        n, dim, _ = A.shape
+        n = diagonals.shape[1]
         size = (self.l_max + 1) ** 2 * n
         proj = proj[:size].reshape(self.l_max + 1, self.l_max + 1, n)
         proj.fill(0.0)
-        norm_sq = np.zeros(n)
-        for mu in range(dim):
-            # d[k, b] = A[b, k+mu, k]; the float view holds real and
-            # imaginary parts side by side, so each real product serves both
-            d = np.ascontiguousarray(
-                np.diagonal(A, offset=-mu, axis1=1, axis2=2).T).view(float)
-            # modes +-mu both count, except mode 0; modes 0..P-1 stay below
-            # Nyquist, since the Gram's exactness check forces n_phi >= 2P - 1
-            quad = np.sum(d * (grams[mu] @ d), axis=0).reshape(n, -1).sum(1)
-            norm_sq += quad if mu == 0 else 2.0 * quad
+        # the float views hold real and imaginary parts side by side, so
+        # each real product serves both
+        diagonals, flat = diagonals.view(float), proj.view(float)
+        quads = np.empty((len(grams), diagonals.shape[1]))
+        # the degrees l = mu + shift, mu + shift + step, ... of order mu
+        shift, step = (0, 1) if flip is None else ((1 - flip) // 2, 2)
+        stop = 0
+        for mu, gram in enumerate(grams):
+            start, stop = stop, stop + len(grams) - mu
+            d = diagonals[start:stop]
+            np.sum(d * (gram @ d), axis=0, out=quads[mu])
             if mu < len(moments):
-                proj[mu, mu:] = (moments[mu] @ d).view(A.dtype)
-        return proj, norm_sq
+                np.matmul(moments[mu][shift::step], d,
+                          out=flat[mu, mu + shift::step])
+        # modes +-mu both count, except mode 0; modes 0..P-1 stay below
+        # Nyquist, since the Gram's exactness check forces n_phi >= 2P - 1
+        quads[1:] *= 2.0
+        return proj, quads.sum(axis=0).reshape(n, -1).sum(axis=1)
 
     def analyze(self, values):
         """Grid values -> coefficients; quadrature against each harmonic."""

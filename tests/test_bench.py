@@ -97,7 +97,11 @@ class TestOperatorMatrix:
              {(1, 0): -0.3, (2, 2): 0.1}, 10),
             # eta's longitude band reaches the Nyquist mode 24
             (SphericalHarmonicTransform(build_grid(24, 48), 11),
-             {(3, 3): 1.5, (2, -1): 1.0}, 4)]
+             {(3, 3): 1.5, (2, -1): 1.0}, 4),
+            # the same band, rotated off its mirror axis, which the grid
+            # then cannot keep: the equator flip alone holds
+            (SphericalHarmonicTransform(build_grid(24, 48), 11),
+             rotate({(3, 3): 1.5}, 0.3), 4)]
         for sht, coefficients, p in cases:
             form = VolumeForm(sht.grid, coefficients, "mix")
             op = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
@@ -122,6 +126,15 @@ class TestOperatorMatrix:
         form.mirror_axis = 0.3
         op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
         with pytest.raises(InvalidRunError, match="mirror gauge"):
+            smoothing_operator_matrix(op, bench_sht, None)
+
+    def test_wrong_flip_is_refused(self, bench_grid, bench_sht):
+        # tilted has (2, 1), odd under the flip: its inverse Gram is far
+        # from real in the flip basis
+        form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
+        form.mirror_axis, form.is_flip_symmetric = None, True
+        op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
+        with pytest.raises(InvalidRunError, match="flip basis"):
             smoothing_operator_matrix(op, bench_sht, None)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
@@ -309,35 +322,57 @@ def _generic_oracle(p, form, sht):
     return norm1, norm2, int(sht.degrees[np.argmax(np.abs(vec))]), tail
 
 
+def _route(op, sht):
+    """The route of an ``OperatorMatrix``, read off its blocks: which of
+    the cosine/sine and the even/odd l + |m| spans they keep apart."""
+    def apart(key):
+        return all(len(set(key[slots])) == 1 for _, slots in op.blocks)
+
+    mirror = apart(sht.orders < 0)
+    flip = apart((sht.degrees + sht.orders) % 2)
+    return {(False, False): "complex", (True, False): "mirror",
+            (False, True): "flip", (True, True): "mirror+flip"}[mirror, flip]
+
+
+GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
+
+
 class TestAssembledCells:
-    # tilted and sectoral have a mirror axis (at alpha once rotated by
-    # alpha) and take two real blocks; tilted-mirror has none and takes one
-    # complex block
-    @pytest.mark.parametrize("form_id,coefficients,alpha", [
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0),
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0),
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 2.3),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.7),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 2.3),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7)])
+    # tilted has a mirror axis (at alpha once rotated by alpha) and takes a
+    # cosine and a sine block; tilted-mirror has the equator flip instead
+    # and takes an even and an odd block; sectoral has both and takes four;
+    # the generic form has neither and takes one complex block
+    @pytest.mark.parametrize("form_id,coefficients,alpha,route", [
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0, "mirror"),
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7, "mirror"),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0, "mirror+flip"),
+        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 2.3, "mirror"),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.7, "mirror+flip"),
+        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 2.3, "mirror+flip"),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0, "flip"),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7, "flip"),
+        ("generic", GENERIC, 0.0, "complex"),
+        ("generic", GENERIC, 0.7, "complex")])
     @pytest.mark.parametrize("p", [8, 16])
     @pytest.mark.parametrize("l_max", [16, 6])
     def test_difference_buffer_matches_generic_oracle(
-            self, bench_grid, bench_sht, form_id, coefficients, alpha, p,
-            l_max):
+            self, bench_grid, bench_sht, form_id, coefficients, alpha, route,
+            p, l_max):
         sht = (bench_sht if l_max == bench_sht.l_max
                else SphericalHarmonicTransform(bench_grid, l_max))
         if alpha:
             coefficients = rotate(coefficients, alpha)
         form = VolumeForm(bench_grid, coefficients, form_id)
-        if form_id == "tilted-mirror":
-            assert form.mirror_axis is None
-        else:
+        if route.startswith("mirror"):
             assert math.sin(form.mirror_axis - alpha) == pytest.approx(
                 0.0, abs=1e-15)
-        res = comparison_norms(p, form, sht, None, TAIL_BOUND)
+        else:
+            assert form.mirror_axis is None
+        mult = fast_multiplication_matrix(form, sht)
+        assert _route(mult, sht) == route
+        assert len(mult.blocks) == {"complex": 1, "mirror": 2, "flip": 2,
+                                    "mirror+flip": 4}[route]
+        res = comparison_norms(p, form, sht, mult, TAIL_BOUND)
         norm1, norm2, degree, tail = _generic_oracle(p, form, sht)
         assert res.norm1 == pytest.approx(norm1, rel=1e-12)
         assert res.norm2 == pytest.approx(norm2, rel=1e-12)
@@ -369,11 +404,10 @@ class TestAssembledCells:
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_cell_holds_one_matrix_besides_eta(self, p):
-        # a form with no mirror axis takes one complex-arithmetic block: the
-        # difference is built in Q's buffer and norm2 scales rows inside the
-        # solve, so the cell allocates one full matrix and small blocks
-        peak, square = self._cell_peak(
-            p, {(1, -1): -0.1, (2, -2): 0.05}, "tilted-mirror")
+        # a form with neither symmetry takes one complex-arithmetic block:
+        # the difference is built in Q's buffer and norm2 scales rows inside
+        # the solve, so the cell allocates one full matrix and small blocks
+        peak, square = self._cell_peak(p, GENERIC, "generic")
         assert peak < 2 * square
 
     @pytest.mark.parametrize("p", [8, 16])
@@ -382,6 +416,15 @@ class TestAssembledCells:
         # a quarter of the full matrix each, and half-size order batches
         peak, square = self._cell_peak(
             p, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
+        assert peak < square
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_flip_cell_holds_half_a_matrix(self, p):
+        # a form symmetric under the equator flip holds an even and an odd
+        # block, about a quarter of the full matrix each, and complex
+        # batches of one order and flip parity, half an order wide
+        peak, square = self._cell_peak(
+            p, {(1, -1): -0.1, (2, -2): 0.05}, "tilted-mirror")
         assert peak < square
 
 
@@ -416,14 +459,13 @@ class TestZonalBlocks:
     def test_dispatch_reads_the_coefficients(self, bench_grid, bench_sht,
                                              monkeypatch):
         # Q assemblies and eta matrices per route, read off the blocks each
-        # returns: one complex block, or a real cosine and sine block
+        # returns (``_route``)
         calls = {}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
                 result = original(*args, **kwargs)
-                route = ("complex" if len(result.blocks) == 1 else "mirror")
-                key = (name, route)
+                key = (name, _route(result, bench_sht))
                 calls[key] = calls.get(key, 0) + 1
                 return result
             return wrapper
@@ -449,6 +491,18 @@ class TestZonalBlocks:
         sweep_form(off_axis, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1,
                          ("q", "complex"): 4, ("eta", "complex"): 1}
+        # with no mirror axis, every l + |m| even keys the flip route
+        flipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05}, "f")
+        assert flipped.mirror_axis is None and flipped.is_flip_symmetric
+        sweep_form(flipped, p_values, bench_sht, TAIL_BOUND)
+        assert calls[("q", "flip")] == 4 and calls[("eta", "flip")] == 1
+        # one small odd coefficient drops the flip
+        calls.clear()
+        tipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05,
+                                         (2, 1): 1e-9}, "g")
+        assert tipped.mirror_axis is None
+        sweep_form(tipped, p_values, bench_sht, TAIL_BOUND)
+        assert calls == {("q", "complex"): 4, ("eta", "complex"): 1}
 
 
 class TestRateFit:

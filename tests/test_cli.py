@@ -424,13 +424,16 @@ class TestCommands:
     def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
         # byte-identical reruns hold at a fixed BLAS thread count only; the
         # reduction order of 1 and 2 threads differs.  tilted takes the
-        # mirror route's two real blocks, tilted-mirror (no mirror axis) one
-        # complex block
+        # mirror route's two real blocks, tilted-mirror (no mirror axis,
+        # even under the equator flip) the flip route's two, and the generic
+        # form (neither symmetry) one complex block
         cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
                    + [{"id": "tilted", "coefficients": {"1,1": 0.1,
                                                         "2,1": 0.05}},
                       {"id": "tilted-mirror",
-                       "coefficients": {"1,-1": -0.1, "2,-2": 0.05}}])
+                       "coefficients": {"1,-1": -0.1, "2,-2": 0.05}},
+                      {"id": "generic",
+                       "coefficients": {"1,1": 0.1, "2,-1": 0.05}}])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         tables, summaries = [], []

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from bergman_heat import (INJECTIVITY_RADIUS, RADIUS, ConfigError, SpherePoint,
                           VolumeForm, build_grid, exp_map, geodesic_distance,
                           integrate, log_map, real_sph_harm)
-from bergman_heat.geometry import MIRROR_TOL, mirror_axis
+from bergman_heat.geometry import (MIRROR_TOL, is_flip_symmetric,
+                                  mirror_axis)
 
 WORKLOADS = (Path(__file__).resolve().parents[1] / "perfbench"
              / "workloads.py")
@@ -196,6 +197,14 @@ def _same_axis(a, b):
     return abs(math.sin(a - b)) <= 1e-14
 
 
+def _seeded_coefficients(workloads, spec, seed):
+    """A benchmark form's coefficient map rotated by a seed's angle."""
+    angle, _ = workloads.seeded_inputs(seed)
+    rotated = workloads.rotate_form(spec, angle)
+    return {tuple(int(part) for part in key.split(",")): value
+            for key, value in rotated["coefficients"].items()}
+
+
 class TestMirrorAxis:
     def test_maps_without_sine_coefficients_get_zero_exactly(self):
         assert mirror_axis({}) == 0.0
@@ -227,11 +236,8 @@ class TestMirrorAxis:
         for seed in range(1, 21):
             angle, _ = workloads.seeded_inputs(seed)
             for spec in workloads.NONZONAL_FORMS:
-                rotated = workloads.rotate_form(spec, angle)
-                coefficients = {
-                    tuple(int(part) for part in key.split(",")): value
-                    for key, value in rotated["coefficients"].items()}
-                alpha = mirror_axis(coefficients)
+                alpha = mirror_axis(_seeded_coefficients(workloads, spec,
+                                                         seed))
                 if spec["id"] == "tilted-mirror":
                     assert alpha is None, seed
                 elif spec["id"] == "fs":
@@ -259,3 +265,38 @@ class TestMirrorAxis:
                    (3, -3): 1.5 * math.sin(3 * alpha)}
         assert mirror_axis(rotated) == pytest.approx(alpha, abs=1e-15)
         assert VolumeForm(small, rotated, "strong").mirror_axis is None
+
+
+class TestFlipKey:
+    def test_benchmark_forms_at_the_seeded_angles(self):
+        # tilted-mirror and sectoral keep l + |m| even at every rotation;
+        # tilted has (2, +-1) and zonal-half (1, 0)
+        workloads = _load_workloads()
+        specs = {spec["id"]: spec for spec in (workloads.NONZONAL_FORMS
+                                               + workloads.DEFAULT_FORMS)}
+        for seed in range(1, 21):
+            for form_id, flip in (("tilted-mirror", True), ("sectoral", True),
+                                  ("tilted", False), ("zonal-half", False)):
+                coefficients = _seeded_coefficients(workloads,
+                                                    specs[form_id], seed)
+                assert is_flip_symmetric(coefficients) is flip, (seed,
+                                                                 form_id)
+
+    def test_one_small_odd_coefficient_drops_the_flip(self):
+        coefficients = {(1, -1): -0.1, (2, -2): 0.05}
+        assert is_flip_symmetric(coefficients)
+        assert not is_flip_symmetric({**coefficients, (2, 1): 1e-9})
+        # an explicit zero is no coefficient
+        assert is_flip_symmetric({**coefficients, (2, 1): 0.0})
+
+    def test_volume_form_exposes_the_key(self, grid):
+        assert VolumeForm(grid, {(2, 2): 0.04, (3, 1): 0.02},
+                          "sectoral").is_flip_symmetric
+        assert not VolumeForm(grid, {(1, 0): -0.15},
+                              "zonal-half").is_flip_symmetric
+        # the density is even under theta -> pi - theta on the grid, whose
+        # Gauss-Legendre nodes are symmetric about the equator
+        form = VolumeForm(grid, {(1, -1): -0.1, (2, -2): 0.05},
+                          "tilted-mirror")
+        assert np.abs(form.density - form.density[::-1]).max() \
+            <= 1e-15 * form.density.max()

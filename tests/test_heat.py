@@ -54,15 +54,19 @@ class TestTransform:
     @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
     def test_order_products_match_grid_products(self, grid, sht, tilted_form,
                                                 m):
-        # one array holds the slots of both orders +-|m|, in slot order;
-        # those of order m against the product formed on the grid
+        # one array holds the slots of both orders +-|m|, degree by degree
+        # in the order given, here every other degree first; those of order
+        # m against the product formed on the grid
         values = tilted_form.density
         table = np.fft.fft(values, axis=1) / grid.n_phi
         n = 30
         k = abs(m)
-        slots = np.flatnonzero(np.abs(sht.orders) == k)
+        degrees = np.arange(k, sht.l_max + 1)
+        degrees = np.concatenate([degrees[0::2], degrees[1::2]])
+        slots = coeff_index(degrees[:, None],
+                            np.array([-k, k] if k else [0])).ravel()
         buffer = np.empty((n + 1) * grid.n_theta * len(slots), complex)
-        out = sht.order_products(table, k, n + 1, buffer)
+        out = sht.order_products(table, k, degrees, n + 1, buffer)
         assert out.shape == (n + 1, grid.n_theta, len(slots))
         assert np.shares_memory(out, buffer)
         for col, slot in enumerate(slots):
@@ -85,8 +89,8 @@ class TestTransform:
         k = abs(m)
         slots = np.flatnonzero(np.abs(sht.orders) == k)
         buffer = np.empty((n + 1) * grid.n_theta * len(slots))
-        out = sht.order_products(np.ascontiguousarray(table.real), k, n + 1,
-                                 buffer)
+        out = sht.order_products(np.ascontiguousarray(table.real), k,
+                                 np.arange(k, sht.l_max + 1), n + 1, buffer)
         for col, slot in enumerate(slots):
             if sht.orders[slot] != m:
                 continue
