@@ -8,7 +8,7 @@ identities, off/near-diagonal probes and the flat Bargmann-Fock model.
 
 from .bench import (ComparisonResult, FormReport, OperatorMatrix,
                     comparison_norms, matrix_free_norm, multiplication_matrix,
-                    operator_matrix, rate_fit, spectral_norm, sweep_form)
+                    operator_matrix, rate_fit, sweep_form)
 from .bergman import (DecayProbe, NearDiagonalProbe, SmoothingOperator,
                       near_diagonal_residual, off_diagonal_sup, rank_ratio,
                       weight_change_residuals)

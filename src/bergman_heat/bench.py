@@ -7,23 +7,24 @@ true L2 operator norm; per-matrix tail residuals record how much column mass
 escapes the truncation, normalized by the largest column so that
 structurally-zero columns cannot poison the validity flag.
 
-A cell's difference is a list of diagonal blocks, each on its set of
-packed slots, and one helper reads both norms and the argmax degree off
-them.  A zonal form's difference commutes with rotation about the pole, so
-it splits into one block per longitude order, the same for cosine and sine;
-those blocks are built directly from the section-harmonic moment tables.  A
-form symmetric under phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps
-the cosine and sine spans of the harmonic basis rotated by alpha apart, so
-its difference is two real blocks, assembled in a section gauge where the
+Every cell takes one pipeline: Q and eta as diagonal blocks, each on its
+sets of packed slots (``OperatorMatrix``), the difference built in Q's
+blocks, and one call per norm over them.  A zonal form's operators commute
+with rotation about the pole, so they split into one block per longitude
+order, one for cosine and sine alike; Q's come straight from the
+section-harmonic moment tables, and their norms from dense SVDs.  A form
+symmetric under phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps the
+cosine and sine spans of the harmonic basis rotated by alpha apart, so its
+difference is two real blocks, assembled in a section gauge where the
 inverse Gram is real.  A form symmetric under the equator flip
 theta -> pi - theta (``VolumeForm.is_flip_symmetric``) keeps the slots of
 even and odd l + |m| apart as well: with a mirror axis its difference is
 four real blocks, and without one two, assembled in the flip basis of the
 sections, where the inverse Gram is real.  Any other form assembles one
 complex-arithmetic block on the whole basis.  The assembled routes build Q
-one longitude order of columns at a time (and one flip parity at a time,
-for a flip-symmetric form), and the eta multiplication as a product
-quadrature, one order at a time.
+one longitude order of columns at a time (and one flip parity at a time in
+the flip basis), and the eta multiplication as a product quadrature, one
+order at a time.
 """
 
 import math
@@ -78,9 +79,10 @@ MIRROR_IMAG_TOL = 1e-10
 @dataclass
 class OperatorMatrix:
     """Operator matrix on the harmonic basis rotated about the pole by
-    ``rotation``, as diagonal blocks: (matrix, slots) pairs whose rows and
-    columns are both the packed ``slots``, zero between blocks.  The kept
-    and total column masses and the tail are those of the input basis."""
+    ``rotation``, as diagonal blocks: (matrix, slots) pairs, ``slots`` of
+    shape (n_sets, size), whose matrix stands on each row of packed slots
+    as both its rows and its columns, zero between blocks.  The kept and
+    total column masses and the tail are those of the input basis."""
 
     blocks: list
     rotation: float
@@ -139,9 +141,9 @@ def _unrotated(masses, sht, rotation):
 
 
 def _checked_matrix(blocks, rotation, col_norm, sht, tail_bound=None):
-    """Wrap blocks with their columns' kept mass and quadrature norms
-    ``col_norm`` (per slot, on the rotated basis); raise if the tail is over
-    bound (``_tail``)."""
+    """Wrap blocks with their columns' kept mass, on every set of their
+    slots, and quadrature norms ``col_norm`` (per slot, on the rotated
+    basis); raise if the tail is over bound (``_tail``)."""
     kept = np.zeros(sht.n_coeffs)
     for matrix, slots in blocks:
         kept[slots] = np.einsum("ij,ij->j", matrix, matrix)
@@ -165,7 +167,8 @@ def operator_matrix(op, sht):
             matrix[:, idx] = sht.analyze(values).values
             col_norm[idx] = sht.grid_norm_sq(values)
             idx += 1
-    return _checked_matrix([(matrix, np.arange(n))], 0.0, col_norm, sht)
+    return _checked_matrix([(matrix, np.arange(n)[None])], 0.0, col_norm,
+                           sht)
 
 
 def multiplication_matrix(values, sht):
@@ -232,7 +235,18 @@ def _flipped(evaluator):
 
 def smoothing_operator_matrix(smoother, sht, tail_bound):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``, as
-    blocks (``OperatorMatrix``).
+    blocks (``OperatorMatrix``): a zonal form's closed-form order blocks
+    (``_zonal_q_matrix``), any other form's assembled blocks
+    (``_assembled_q_matrix``)."""
+    if sht.grid is not smoother.grid:
+        raise ConfigError("transform and smoother live on different grids")
+    if smoother.form.is_zonal:
+        return _zonal_q_matrix(smoother, sht, tail_bound)
+    return _assembled_q_matrix(smoother, sht, tail_bound)
+
+
+def _assembled_q_matrix(smoother, sht, tail_bound):
+    """Q's blocks on the form's spans (``_spans``), assembled.
 
     The columns of one longitude order |m|, cosine and sine together, go
     through ``smoother.coefficient_matrices`` as one batch, so the
@@ -250,12 +264,10 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
     built in the flip basis of the sections, where the inverse Gram
     (``_flipped``) and T are real, or i times real for the columns odd
     under the flip, and its real A' = M' T' M' / R is taken back to A
-    (``fourier.from_flip_basis``).  A column's output has the column's
-    parity under the flip when the form has it, and is projected on that
-    parity's degrees alone.  Matches the generic path to roundoff.
+    (``fourier.from_flip_basis``); there a batch holds one flip parity, and
+    its outputs are projected on that parity's degrees alone.  Matches the
+    generic path to roundoff.
     """
-    if sht.grid is not smoother.grid:
-        raise ConfigError("transform and smoother live on different grids")
     form = smoother.form
     axis = form.mirror_axis
     profiles = smoother.evaluator.profiles
@@ -279,9 +291,9 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
     # column write contiguous
     blocks = [np.zeros((len(span), len(span)), order="F") for span in spans]
     col_norm = np.zeros(sht.n_coeffs)
-    # the batches: one per longitude order k, its degrees l >= k, or for a
-    # flip-symmetric form one per order and parity (-1)^(l+k) under the flip
-    if form.is_flip_symmetric:
+    # the batches: one per longitude order k, its degrees l >= k, or on the
+    # flip route one per order and parity (-1)^(l+k) under the flip
+    if flip_route:
         batches = [(k, np.arange(k + shift, sht.l_max + 1, 2), 1 - 2 * shift)
                    for k in range(sht.l_max + 1) for shift in (0, 1)
                    if k + shift <= sht.l_max]
@@ -309,7 +321,7 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
             sht.order_products(table, k, degrees, size, work), kernel_matrix,
-            parity, (batch, work), flip if flip_route else None)
+            parity, (batch, work), flip)
         if flip_route:
             A = from_flip_basis(A, batch)
         # the lower diagonals in one gather
@@ -319,21 +331,72 @@ def smoothing_operator_matrix(smoother, sht, tail_bound):
             diagonals *= 1j
         proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
                                                         grams, work, flip)
-        # a batch has one flip parity, so the columns of one order share a
-        # block
-        for sign, order in enumerate(orders):
-            b = block_of[coeff_index(degrees[0], order)]
-            cols = slice(sign, None, len(orders))
+        for b in np.unique(block_of[slots]):
+            cols = np.flatnonzero(block_of[slots] == b)
             blocks[b][:, position[slots[cols]]] = sht.packed(
                 proj_k[:, :, cols], spans[b])
-    return _checked_matrix(list(zip(blocks, spans)),
+    return _checked_matrix([(block, span[None])
+                            for block, span in zip(blocks, spans)],
                            0.0 if axis is None else axis, col_norm, sht,
                            tail_bound)
 
 
+def _order_slots(sht, m):
+    """The cosine (l, m) and, for m > 0, the sine (l, -m) slots of the
+    degrees l = m..l_max, one row each: the slot sets of a zonal form's
+    order-m block."""
+    orders = np.array([m, -m] if m else [0])
+    return coeff_index(np.arange(m, sht.l_max + 1), orders[:, None])
+
+
+def _zonal_q_matrix(smoother, sht, tail_bound):
+    """Q's blocks for a zonal form, one per order m = 0..l_max on its cosine
+    and sine slots (``_order_slots``), with their columns' quadrature norms.
+
+    A zonal form has a diagonal Gram (up to the rounding of its density's
+    longitude modes past 0), so Q maps the degrees l' of one order m to the
+    degrees l of the same order, alike for cosine and sine:
+
+        Q_m = Lambda_m diag(M_{k+m} M_k / R) (Lambda^rho_m)^T,
+
+    with M the inverse Gram, R the rank ratio and Lambda_m, Lambda^rho_m the
+    section-harmonic moment tables at the weights w and w * rho.  Column l'
+    has output mode sum_k d_k a_{k+m} a_k with d = diag(...) Lambda^rho_m[l'],
+    whose quadrature ``sum_i w_i (sum_k d_k a_{k+m} a_k)^2`` is its norm.
+    Orders m > p have Q_m = 0.
+    """
+    ev = smoother.evaluator
+    w_theta = sht.grid.w_theta
+    m_diag = np.diag(ev.kernel_matrix).real
+    grams = product_grams(ev.profiles, w_theta)
+    blocks, col_norm = [], np.zeros(sht.n_coeffs)
+    for m, (lam, lam_rho) in enumerate(zip(
+            sht.section_moments(ev.profiles, w_theta),
+            sht.section_moments(ev.profiles,
+                                w_theta * smoother.form.density[:, 0]))):
+        scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
+        d = scale[:, None] * lam_rho.T
+        slots = _order_slots(sht, m)
+        blocks.append((lam @ d, slots))
+        col_norm[slots] = np.sum(d * (grams[m] @ d), axis=0)
+    blocks += [(np.zeros((sht.l_max + 1 - m,) * 2), _order_slots(sht, m))
+               for m in range(len(blocks), sht.l_max + 1)]
+    return _checked_matrix(blocks, 0.0, col_norm, sht, tail_bound)
+
+
 def fast_multiplication_matrix(form, sht):
     """Matrix of multiplication by the form's eta as a product quadrature,
-    over longitude and then over colatitude, as blocks (``OperatorMatrix``).
+    as blocks (``OperatorMatrix``): a zonal form's order blocks
+    (``_zonal_eta_matrix``), any other form's blocks on its spans
+    (``_assembled_eta_matrix``)."""
+    if form.is_zonal:
+        return _zonal_eta_matrix(form, sht)
+    return _assembled_eta_matrix(form, sht)
+
+
+def _assembled_eta_matrix(form, sht):
+    """Eta's blocks on the form's spans, over longitude and then over
+    colatitude.
 
     Entry ((l, m), (l', m')) is sum_i w_i P_l^|m| P_l'^|m'| c_m[i, m'], with
     c_m[i, m'] = (1/n_phi) sum_j f trig_m trig_m' at (theta_i, phi_j): the
@@ -361,10 +424,25 @@ def fast_multiplication_matrix(form, sht):
             chunk = (sht.legendre[abs(m), sht.degrees[span[rows]]]
                      @ (c[:, orders + l_max] * span_weighted))
             block[:, rows] = chunk.T
-        blocks.append((block, span))
+        blocks.append((block, span[None]))
     c = values ** 2 @ (trig ** 2).T / n_phi
     col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
     return _checked_matrix(blocks, rotation, col_norm, sht)
+
+
+def _zonal_eta_matrix(form, sht):
+    """Eta's blocks for a zonal form, one per order m on its cosine and sine
+    slots (``_order_slots``): E_m = P^m diag(w eta) (P^m)^T between the
+    degrees of order m, and the column norms P^m (w eta^2)."""
+    w_theta, eta = sht.grid.w_theta, form.eta[:, 0]
+    col_norm = np.zeros(sht.n_coeffs)
+    blocks = []
+    for m in range(sht.l_max + 1):
+        legendre = sht.legendre[m, m:]
+        slots = _order_slots(sht, m)
+        blocks.append(((legendre * (w_theta * eta)) @ legendre.T, slots))
+        col_norm[slots] = legendre ** 2 @ (w_theta * eta ** 2)
+    return _checked_matrix(blocks, 0.0, col_norm, sht)
 
 
 def _dense_top_singular_pair(matrix):
@@ -408,33 +486,50 @@ def _top_singular_pair(matrix, row_scale):
         matrix if row_scale is None else row_scale[:, None] * matrix)
 
 
-def spectral_norm(matrix, row_scale):
-    """Largest singular value of diag(``row_scale``) ``matrix`` (of
-    ``matrix`` when ``row_scale`` is None); only the dense path forms it."""
-    return _top_singular_pair(matrix, row_scale)[0]
+def spectral_norm_with_mode(blocks, rotation, sht, form):
+    """norm1 of a cell, the largest singular value over its difference's
+    (block, slots) pairs on the basis rotated by ``rotation``, and the
+    argmax degree.
 
-
-def spectral_norm_with_mode(matrix, reach):
-    """Largest singular value and the index carrying the top singular vector.
-
-    The index locates the dominant entry of the top right singular vector,
-    each entry weighted by its column's ``reach`` (``_cell_result``), i.e.
-    the input slot where the operator-norm bound is attained.
+    A zonal form's order blocks take dense SVDs, any other form's blocks
+    ``_top_singular_pair``.  Mapped back to the input basis, a rotated
+    basis function of slot (l, m) spreads over the slots (l, +-m), both of
+    degree l, with weights |cos(m rotation)| and |sin(m rotation)|: the
+    larger is the column's reach, and the winning block's top singular
+    vector, weighted by it, peaks at the argmax degree of the vector in the
+    input basis.  A block's slot sets share their degrees and |m|, so the
+    first stands for all.
     """
-    sigma, vec = _top_singular_pair(matrix, None)
-    return sigma, int(np.argmax(reach * np.abs(vec)))
+    norm1 = -1.0
+    for diff, slots in blocks:
+        if form.is_zonal:
+            _, sigmas, vt = np.linalg.svd(diff)
+            sigma, vec = float(sigmas[0]), vt[0]
+        else:
+            sigma, vec = _top_singular_pair(diff, None)
+        if sigma > norm1:
+            angle = np.abs(sht.orders[slots[0]]) * rotation
+            reach = np.maximum(np.abs(np.cos(angle)), np.abs(np.sin(angle)))
+            norm1 = sigma
+            argmax_degree = int(
+                sht.degrees[slots[0][np.argmax(reach * np.abs(vec))]])
+    return norm1, argmax_degree
 
 
-def _dense_norm_with_mode(block, reach):
-    """``spectral_norm_with_mode`` of a small block, from its dense SVD."""
-    _, sigma, vt = np.linalg.svd(block)
-    return float(sigma[0]), int(np.argmax(reach * np.abs(vt[0])))
-
-
-def _dense_norm(block, row_scale):
-    """``spectral_norm`` of a small block, from its dense SVD."""
-    return float(np.linalg.svd(row_scale[:, None] * block,
-                               compute_uv=False)[0])
+def spectral_norm(blocks, p, sht, form):
+    """norm2 of a cell: the largest singular value over its difference's
+    blocks with their rows scaled by lambda / p, from dense SVDs for a zonal
+    form and ``_top_singular_pair`` otherwise."""
+    norm2 = -1.0
+    for diff, slots in blocks:
+        scale = sht.eigenvalues[slots[0]] / p
+        if form.is_zonal:
+            sigma = float(np.linalg.svd(scale[:, None] * diff,
+                                        compute_uv=False)[0])
+        else:
+            sigma, _ = _top_singular_pair(diff, scale)
+        norm2 = max(norm2, sigma)
+    return norm2
 
 
 @dataclass
@@ -447,12 +542,6 @@ class ComparisonResult:
     argmax_degree: int
 
 
-def _heat_factors(sht, p):
-    """Per-slot factors of the heat flow at time 1/(4 pi p)."""
-    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
-    return heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
-
-
 def heat_side_matrix(mult, sht, p, tail_bound):
     """Heat side f -> eta * heat(f, 1/(4 pi p)) as a column scaling of the
     multiplication matrix: its per-slot factors and its tail residual.
@@ -463,141 +552,46 @@ def heat_side_matrix(mult, sht, p, tail_bound):
     degree alone, which a rotation about the pole keeps, so this holds on
     the rotated basis of ``mult``'s blocks too.
     """
-    factors = _heat_factors(sht, p)
+    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
+    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
     return factors, _tail(mult.column_kept * factors ** 2,
                           mult.column_norm_sq * factors ** 2, tail_bound)
 
 
-def _zonal_q_blocks(smoother, sht):
-    """Q's blocks for a zonal form, one per order m = 0..min(p, l_max), with
-    their columns' quadrature norms.
-
-    A zonal form has a diagonal Gram (up to the rounding of its density's
-    longitude modes past 0), so Q maps the degrees l' of one order m to the
-    degrees l of the same order, alike for cosine and sine:
-
-        Q_m = Lambda_m diag(M_{k+m} M_k / R) (Lambda^rho_m)^T,
-
-    with M the inverse Gram, R the rank ratio and Lambda_m, Lambda^rho_m the
-    section-harmonic moment tables at the weights w and w * rho.  Column l'
-    has output mode sum_k d_k a_{k+m} a_k with d = diag(...) Lambda^rho_m[l'],
-    whose quadrature ``sum_i w_i (sum_k d_k a_{k+m} a_k)^2`` is its norm.
-    Orders m > p have Q_m = 0.
-    """
-    ev = smoother.evaluator
-    w_theta = sht.grid.w_theta
-    m_diag = np.diag(ev.kernel_matrix).real
-    grams = product_grams(ev.profiles, w_theta)
-    blocks = []
-    for m, (lam, lam_rho) in enumerate(zip(
-            sht.section_moments(ev.profiles, w_theta),
-            sht.section_moments(ev.profiles,
-                                w_theta * smoother.form.density[:, 0]))):
-        scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
-        d = scale[:, None] * lam_rho.T
-        blocks.append((lam @ d, np.sum(d * (grams[m] @ d), axis=0)))
-    return blocks
-
-
-def _zonal_differences(smoother, sht, tail_bound):
-    """A zonal form's difference as one block per longitude order, and its
-    tail residual.
-
-    Order m's block is Q_m - Vol * E_m diag(h), with E_m =
-    P^m diag(w eta) (P^m)^T the eta multiplication between the degrees of
-    order m and h the heat factors of those degrees.  The cosine and sine
-    columns of an order have the same block, so one copy, on the cosine
-    slots, stands for both; the blocks are at most (l_max+1)-square, and
-    the tails follow ``_tail`` over one copy of each block's columns.
-    Orders m > p have an eta-heat block only.
-    """
-    p = smoother.p
-    w_theta = sht.grid.w_theta
-    eta = smoother.form.eta[:, 0]
-    heat_factors = _heat_factors(sht, p)
-    q_blocks = _zonal_q_blocks(smoother, sht)
-    q_kept, q_norm, h_kept, h_norm = [], [], [], []
-    blocks = []
-    for m in range(sht.l_max + 1):
-        legendre = sht.legendre[m, m:]
-        slots = coeff_index(np.arange(m, sht.l_max + 1), m)
-        h = heat_factors[slots]
-        h_block = (legendre * (w_theta * eta)) @ legendre.T * h
-        h_kept.append(np.sum(h_block ** 2, axis=0))
-        h_norm.append(legendre ** 2 @ (w_theta * eta ** 2) * h ** 2)
-        diff = -smoother.form.volume * h_block
-        if m < len(q_blocks):
-            q_block, norm_sq = q_blocks[m]
-            q_kept.append(np.sum(q_block ** 2, axis=0))
-            q_norm.append(norm_sq)
-            diff += q_block
-        blocks.append((diff, slots))
-    tail_q = _tail(np.concatenate(q_kept), np.concatenate(q_norm), tail_bound)
-    tail_h = _tail(np.concatenate(h_kept), np.concatenate(h_norm), tail_bound)
-    return blocks, max(tail_q, tail_h)
-
-
-def _assembled_difference(smoother, sht, mult, tail_bound):
-    """The difference ``Q - Vol * eta * heat`` as blocks built in Q's
-    buffers ``DIFF_COLUMNS`` columns at a time, the rotation of their basis
-    and the tail residual; ``mult`` holds eta's blocks on the same slots."""
-    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
-    factors, heat_tail = heat_side_matrix(mult, sht, smoother.p, tail_bound)
+def _assembled_difference(q_mat, mult, sht, p, volume, tail_bound):
+    """Q's blocks ``q_mat`` made the difference ``Q - Vol * eta * heat`` in
+    place, ``DIFF_COLUMNS`` columns at a time, and the cell's tail residual;
+    ``mult`` holds eta's blocks on the same slots."""
+    factors, heat_tail = heat_side_matrix(mult, sht, p, tail_bound)
     for (diff, slots), (eta, _) in zip(q_mat.blocks, mult.blocks):
-        scale = factors[slots]
-        for start in range(0, len(slots), DIFF_COLUMNS):
+        scale = factors[slots[0]]
+        for start in range(0, len(scale), DIFF_COLUMNS):
             cols = slice(start, start + DIFF_COLUMNS)
-            diff[:, cols] -= smoother.form.volume * (eta[:, cols]
-                                                     * scale[cols])
-    return q_mat.blocks, q_mat.rotation, max(q_mat.tail_residual, heat_tail)
-
-
-def _cell_result(blocks, rotation, tail, p, sht, solves):
-    """Both norms and the argmax degree of a cell from its difference's
-    (block, slots) pairs on the basis rotated by ``rotation``.
-
-    The norms are the largest over the blocks, norm2's from the rows scaled
-    by lambda / p; ``solves`` gives the norm1 solve with its mode and the
-    norm2 solve.  Mapped back to the input basis, a rotated basis function
-    of slot (l, m) spreads over the slots (l, +-m), both of degree l, with
-    weights |cos(m rotation)| and |sin(m rotation)|: the larger is the
-    column's reach, and the winning block's top singular vector, weighted
-    by it, peaks at the argmax degree of the vector in the input basis.
-    """
-    norm_with_mode, norm = solves
-    norm1 = norm2 = -1.0
-    for diff, slots in blocks:
-        angle = np.abs(sht.orders[slots]) * rotation
-        reach = np.maximum(np.abs(np.cos(angle)), np.abs(np.sin(angle)))
-        sigma, col = norm_with_mode(diff, reach)
-        if sigma > norm1:
-            norm1, argmax_degree = sigma, int(sht.degrees[slots[col]])
-        norm2 = max(norm2, norm(diff, sht.eigenvalues[slots] / p))
-    return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
-                            argmax_degree=argmax_degree)
+            diff[:, cols] -= volume * (eta[:, cols] * scale[cols])
+    return q_mat.blocks, max(q_mat.tail_residual, heat_tail)
 
 
 def comparison_norms(p, form, sht, mult, tail_bound):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
-    difference with ``Laplacian / p``.  A zonal form takes one block per
-    longitude order with dense solves (``_zonal_differences``) and ignores
-    ``mult``; any other form assembles the difference's blocks (``_spans``)
-    from its eta multiplication matrix ``mult`` (p-independent, so a sweep
-    builds it once; None builds it), with ARPACK solves.
+    difference with ``Laplacian / p``.  Every form builds Q's blocks
+    (``smoothing_operator_matrix``) and subtracts the heat side from them
+    (``_assembled_difference``) with eta's blocks ``mult`` on the same slots
+    (p-independent, so a sweep builds them once; None builds them); each
+    norm is one call over the cell's blocks.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-    if form.is_zonal:
-        blocks, tail = _zonal_differences(smoother, sht, tail_bound)
-        return _cell_result(blocks, 0.0, tail, p, sht,
-                            (_dense_norm_with_mode, _dense_norm))
     if mult is None:
         mult = fast_multiplication_matrix(form, sht)
-    blocks, rotation, tail = _assembled_difference(smoother, sht, mult,
-                                                   tail_bound)
-    return _cell_result(blocks, rotation, tail, p, sht,
-                        (spectral_norm_with_mode, spectral_norm))
+    q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
+    blocks, tail = _assembled_difference(q_mat, mult, sht, p, form.volume,
+                                         tail_bound)
+    norm1, argmax_degree = spectral_norm_with_mode(blocks, q_mat.rotation,
+                                                   sht, form)
+    norm2 = spectral_norm(blocks, p, sht, form)
+    return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
+                            argmax_degree=argmax_degree)
 
 
 def rate_fit(p_values, norms):
@@ -643,9 +637,9 @@ class FormReport:
 
 
 def sweep_form(form, p_values, sht, tail_bound):
-    """Run the benchmark over a p grid for one form; reuses the eta matrix
-    of a non-zonal form."""
-    mult = None if form.is_zonal else fast_multiplication_matrix(form, sht)
+    """Run the benchmark over a p grid for one form; builds the eta matrix
+    once."""
+    mult = fast_multiplication_matrix(form, sht)
     report = FormReport(form_id=form.form_id, p_values=list(p_values),
                         norms1=[], norms2=[], tails=[], argmax_degrees=[])
     for p in p_values:

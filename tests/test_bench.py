@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
                           matrix_free_norm, operator_matrix, rate_fit,
-                          spectral_norm, sweep_form)
+                          sweep_form)
 from bergman_heat import bench
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.config import DEFAULTS
@@ -27,14 +27,16 @@ TAIL_BOUND = DEFAULTS["converge"]["tail_bound"]
 
 def dense_matrix(blocks, rotation, sht):
     """The matrix on the input harmonic basis of (matrix, slots) blocks on
-    the basis rotated about the pole by ``rotation``: the blocks placed on
-    their slots, then rotated back with R, whose column (l, m) holds the
-    rotated harmonic's input coefficients (Y'_lm = c Y_lm + s Y_l,-m and
-    Y'_l,-m = c Y_l,-m - s Y_lm for m > 0, (c, s) = (cos, sin)(m rotation))."""
+    the basis rotated about the pole by ``rotation``: each block placed on
+    each of its slot sets, then rotated back with R, whose column (l, m)
+    holds the rotated harmonic's input coefficients
+    (Y'_lm = c Y_lm + s Y_l,-m and Y'_l,-m = c Y_l,-m - s Y_lm for m > 0,
+    (c, s) = (cos, sin)(m rotation))."""
     n = sht.n_coeffs
     full = np.zeros((n, n))
     for matrix, slots in blocks:
-        full[np.ix_(slots, slots)] = matrix
+        for rows in slots:
+            full[np.ix_(rows, rows)] = matrix
     orders = sht.orders
     angle = np.abs(orders) * rotation
     rot = np.diag(np.cos(angle))
@@ -88,6 +90,11 @@ class TestOperatorMatrix:
     def test_fast_paths_match_generic(self, bench_grid, bench_sht):
         cases = [
             (bench_sht, {(1, 0): -0.3, (2, 2): 0.1}, 10),
+            # zonal forms take closed-form order blocks, on their cosine
+            # and sine slots alike; at p = 8 < l_max the orders past p
+            # have zero Q blocks
+            (bench_sht, {(1, 0): -0.3, (2, 0): 0.1}, 8),
+            (bench_sht, {}, 10),
             # band-2 sine and cosine terms at p = 4 < l_max: Q's output
             # carries modes 0..4 only, so the orders 5..l_max of every
             # column come out zero
@@ -165,13 +172,14 @@ class TestOperatorMatrix:
 class TestSpectralNorm:
     def test_matches_dense_svd(self, rng):
         a = rng.normal(size=(80, 80))
-        assert spectral_norm(a, None) == pytest.approx(np.linalg.norm(a, 2),
-                                                       rel=1e-12)
+        sigma, _ = bench._top_singular_pair(a, None)
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
     def test_large_path_with_degenerate_top(self):
         vals = np.repeat([3.0, 2.0, 1.0], [23, 300, 478])
         d = np.diag(vals)
-        assert spectral_norm(d, None) == pytest.approx(3.0, rel=1e-12)
+        sigma, _ = bench._top_singular_pair(d, None)
+        assert sigma == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["random", "degenerate", "jittered"])
     def test_lanczos_matches_dense_oracle(self, monkeypatch, kind):
@@ -200,9 +208,9 @@ class TestSpectralNorm:
     def test_small_matrix_takes_dense_path(self):
         # ARPACK needs more columns than its Lanczos basis
         a = np.random.default_rng(5).normal(size=(12, 12))
-        assert spectral_norm(a, None) == bench._dense_top_singular_pair(a)[0]
-        assert spectral_norm(a, None) == pytest.approx(np.linalg.norm(a, 2),
-                                                       rel=1e-12)
+        sigma, _ = bench._top_singular_pair(a, None)
+        assert sigma == bench._dense_top_singular_pair(a)[0]
+        assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
         a = np.random.default_rng(5).normal(size=(300, 300))
@@ -215,7 +223,7 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(bench, "ARPACK_MAXITER", 1)
         monkeypatch.setattr(bench, "_dense_top_singular_pair", counted)
-        assert spectral_norm(a, None) == oracle(a)[0]
+        assert bench._top_singular_pair(a, None)[0] == oracle(a)[0]
         assert len(calls) == 1
 
     # 30 columns take ARPACK, 12 the dense path; rows outnumber columns so
@@ -226,7 +234,8 @@ class TestSpectralNorm:
         a = rng.normal(size=(rows, cols))
         scale = rng.uniform(0.1, 3.0, rows)
         sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
-        assert spectral_norm(a, scale) == pytest.approx(sigma, rel=1e-12)
+        assert bench._top_singular_pair(a, scale)[0] == pytest.approx(
+            sigma, rel=1e-12)
 
     def test_no_convergence_falls_back_to_scaled_dense(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -240,7 +249,8 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(bench, "eigsh", no_convergence)
         sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
-        assert spectral_norm(a, scale) == pytest.approx(sigma, rel=1e-12)
+        assert bench._top_singular_pair(a, scale)[0] == pytest.approx(
+            sigma, rel=1e-12)
         assert calls == [(30, 30)]
 
 
@@ -290,13 +300,16 @@ class TestComparisonNorms:
 
 
 def _assembled_oracle(p, form, sht):
-    """Both norms, the argmax degree and the tail of the assembled
-    difference, from the dense top-singular-pair oracle."""
+    """Both norms, the argmax degree and the tail of the difference
+    assembled on the form's spans, as for a non-zonal form, even for a zonal
+    one, from the dense top-singular-pair oracle."""
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-    mult = fast_multiplication_matrix(form, sht)
-    blocks, rotation, tail = bench._assembled_difference(smoother, sht, mult,
-                                                         None)
-    diff = dense_matrix(blocks, rotation, sht)
+    q_mat = bench._assembled_q_matrix(smoother, sht, None)
+    mult = bench._assembled_eta_matrix(form, sht)
+    assert _route(mult, sht) != "zonal"
+    blocks, tail = bench._assembled_difference(q_mat, mult, sht, p,
+                                               form.volume, None)
+    diff = dense_matrix(blocks, q_mat.rotation, sht)
     norm1, vec = bench._dense_top_singular_pair(diff)
     norm2, _ = bench._dense_top_singular_pair(
         (sht.eigenvalues / p)[:, None] * diff)
@@ -323,11 +336,14 @@ def _generic_oracle(p, form, sht):
 
 
 def _route(op, sht):
-    """The route of an ``OperatorMatrix``, read off its blocks: which of
-    the cosine/sine and the even/odd l + |m| spans they keep apart."""
+    """The route of an ``OperatorMatrix``, read off its blocks: zonal when
+    each block holds one order |m|, else which of the cosine/sine and the
+    even/odd l + |m| spans they keep apart."""
     def apart(key):
-        return all(len(set(key[slots])) == 1 for _, slots in op.blocks)
+        return all(len(np.unique(key[slots])) == 1 for _, slots in op.blocks)
 
+    if apart(np.abs(sht.orders)):
+        return "zonal"
     mirror = apart(sht.orders < 0)
     flip = apart((sht.degrees + sht.orders) % 2)
     return {(False, False): "complex", (True, False): "mirror",
@@ -449,8 +465,9 @@ class TestZonalBlocks:
                                                           bench_sht, p):
         form = fubini_study_form(bench_grid)
         op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
-        blocks = bench._zonal_q_blocks(op, bench_sht)
-        assert len(blocks) == min(p, bench_sht.l_max) + 1
+        # the orders m > p have zero blocks, as Funk-Hecke's l > p
+        blocks = bench._zonal_q_matrix(op, bench_sht, None).blocks
+        assert len(blocks) == bench_sht.l_max + 1
         for m, (block, _) in enumerate(blocks):
             target = [funk_hecke_eigenvalue(p, l)
                       for l in range(m, bench_sht.l_max + 1)]
@@ -477,7 +494,9 @@ class TestZonalBlocks:
         p_values = [4, 8, 12, 16]
         zonal = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 0): 0.1}, "z")
         sweep_form(zonal, p_values, bench_sht, TAIL_BOUND)
-        assert calls == {}
+        # one Q per cell and one eta per form, as for every route
+        assert calls == {("q", "zonal"): 4, ("eta", "zonal"): 1}
+        calls.clear()
         # one small m != 0 coefficient makes the form non-zonal; with no
         # sine coefficient it keeps the mirror axis 0
         tipped = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 1): 1e-9}, "t")

@@ -16,6 +16,7 @@ from test_cli import SMALL_CONVERGE
 
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.config import DEFAULTS
+from bergman_heat.geometry import VolumeForm, build_grid
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,11 +41,29 @@ def test_every_entry_point_resolves():
     assert not missing, f"trace hooks without a target: {missing}"
 
 
+# one form per assembled route next to the small config's zonal forms:
+# tilted has a mirror axis, tilted-mirror the equator flip, sectoral both,
+# and the generic form neither
+ROUTE_FORMS = [
+    {"id": "tilted", "coefficients": {"1,1": 0.1, "2,1": 0.05}},
+    {"id": "tilted-mirror", "coefficients": {"1,-1": -0.1, "2,-2": 0.05}},
+    {"id": "sectoral", "coefficients": {"2,2": 0.04, "3,1": 0.02}},
+    {"id": "generic", "coefficients": {"1,1": 0.1, "2,-1": 0.05}},
+]
+
+
 def test_traced_run_reads_its_guards(tmp_path):
-    # zonal forms take the per-order block path, so the non-zonal form is
-    # the one that exercises Q assembly
-    cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
-               + [{"id": "tilted", "coefficients": {"1,1": 0.1, "2,1": 0.05}}])
+    cfg = dict(SMALL_CONVERGE,
+               volume_forms=SMALL_CONVERGE["volume_forms"] + ROUTE_FORMS)
+    grid = build_grid(cfg["n_theta"], cfg["n_phi"])
+    routes = set()
+    for spec in cfg["volume_forms"]:
+        coefficients = {tuple(map(int, key.split(","))): value
+                        for key, value in spec["coefficients"].items()}
+        form = VolumeForm(grid, coefficients, spec["id"])
+        routes.add("zonal" if form.is_zonal else
+                   (form.mirror_axis is not None, form.is_flip_symmetric))
+    assert len(routes) == 5
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     untraced, traced = tmp_path / "untraced", tmp_path / "traced"
@@ -61,8 +80,12 @@ def test_traced_run_reads_its_guards(tmp_path):
     assert code == EXIT_OK
     assert tracer.missing == []
     layers = tracer.metrics(wall)
-    # one Q assembly per non-zonal (form, p) cell
-    assert layers["bench.q_assembly_calls"] == len(cfg["p_list"])
+    # every (form, p) cell, zonal or not, makes one Q assembly and one call
+    # per norm, and every form one eta matrix
+    cells = len(cfg["volume_forms"]) * len(cfg["p_list"])
+    assert layers["bench.q_assembly_calls"] == cells
+    assert layers["bench.norm1_calls"] == layers["bench.norm2_calls"] == cells
+    assert layers["bench.eta_mult_calls"] == len(cfg["volume_forms"])
     assert layers["sections.gram_cond_max"] >= 1.0
     assert layers["bench.tail_max"] <= DEFAULTS["converge"]["tail_bound"]
     assert ((traced / "converge.csv").read_bytes()
