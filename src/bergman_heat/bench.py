@@ -8,23 +8,24 @@ escapes the truncation, normalized by the largest column so that
 structurally-zero columns cannot poison the validity flag.
 
 Every cell takes one pipeline: Q and eta as diagonal blocks, each on its
-sets of packed slots (``OperatorMatrix``), the difference built in Q's
-blocks, and one call per norm over them.  A zonal form's operators commute
-with rotation about the pole, so they split into one block per longitude
-order, one for cosine and sine alike; Q's come straight from the
-section-harmonic moment tables, and their norms from dense SVDs.  A form
-symmetric under phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps the
-cosine and sine spans of the harmonic basis rotated by alpha apart, so its
-difference is two real blocks, assembled in a section gauge where the
-inverse Gram is real.  A form symmetric under the equator flip
-theta -> pi - theta (``VolumeForm.is_flip_symmetric``) keeps the slots of
-even and odd l + |m| apart as well: with a mirror axis its difference is
-four real blocks, and without one two, assembled in the flip basis of the
-sections, where the inverse Gram is real.  Any other form assembles one
-complex-arithmetic block on the whole basis.  The assembled routes build Q
-one longitude order of columns at a time (and one flip parity at a time in
-the flip basis), and the eta multiplication as a product quadrature, one
-order at a time.
+sets of packed slots (``_spans``, the one layout rule), the difference built
+in Q's blocks, and one call per norm over them, whose solver the block's
+width picks.  A zonal form's operators commute with rotation about the
+pole, so they split into one block per longitude order, one for cosine and
+sine alike; only Q's blocks take a zonal formula, straight from the
+section-harmonic moment tables.  A form symmetric under
+phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps the cosine and sine
+spans of the harmonic basis rotated by alpha apart, so its difference is
+two real blocks, assembled in a section gauge where the inverse Gram is
+real.  A form symmetric under the equator flip theta -> pi - theta
+(``VolumeForm.is_flip_symmetric``) keeps the slots of even and odd
+l + |m| apart as well: with a mirror axis its difference is four real
+blocks, and without one two, assembled in the flip basis of the sections,
+where the inverse Gram is real.  Any other form assembles one
+complex-arithmetic block on the whole basis.  The assembled Q is built one
+longitude order of columns at a time (and one flip parity at a time in the
+flip basis), and every form's eta multiplication as a product quadrature,
+one order at a time.
 """
 
 import math
@@ -39,7 +40,7 @@ from .errors import ConfigError, InvalidRunError
 from .fourier import (diagonal_index, flip_unitary, from_flip_basis,
                       product_grams)
 from .geometry import is_zonal
-from .heat import HarmonicCoeffs, coeff_index, heat_apply
+from .heat import coeff_index, heat_apply
 from .sections import bergman_evaluator
 
 # largest accepted sweep with a non-zonal form, checked before any table is
@@ -61,6 +62,14 @@ MAX_Q_FLOPS = 10 ** 11
 ARPACK_NCV = 20
 ARPACK_TOL = 1e-10
 ARPACK_MAXITER = 300
+
+# widest block whose top singular pair comes from the dense solve; wider
+# ones take ARPACK, which needs more columns than its Lanczos basis.  A
+# random square block's dense solve took 0.27 ms against ARPACK's 0.92 ms at
+# 64 columns, and 0.92 ms against 1.28 ms at 128 (1 BLAS thread, 2 cores).
+# A zonal form's order blocks have at most l_max + 1 columns, the other
+# routes' blocks hundreds (at least 529 at l_max 46).
+DENSE_COLUMNS = 64
 
 # columns per in-place step of the difference (an n_coeffs x 256 temporary)
 DIFF_COLUMNS = 256
@@ -177,18 +186,24 @@ def multiplication_matrix(values, sht):
 
 
 def _spans(sht, form):
-    """Slot sets of an operator's diagonal blocks, and each slot's block:
-    the whole basis, split for a form with a mirror axis into the cosine
-    (m >= 0) and sine (m < 0) slots, and for a form symmetric under the
-    equator flip into the slots of even and odd l + |m|, which the flip
-    keeps apart as it does the density's."""
+    """Slot sets of an operator's diagonal blocks, one array of shape
+    (n_sets, size) per block, its rows alike in degree and |m| slot by
+    slot.  A zonal form has one block per order m, on the cosine (l, m)
+    and, for m > 0, the sine (l, -m) slots of l = m..l_max.  Any other form
+    has one set per block: the whole basis, split for a form with a mirror
+    axis into the cosine (m >= 0) and sine (m < 0) slots, and for a form
+    symmetric under the equator flip into the slots of even and odd
+    l + |m|, which the flip keeps apart as it does the density's."""
+    if form.is_zonal:
+        return [coeff_index(np.arange(m, sht.l_max + 1),
+                            np.array([m, -m] if m else [0])[:, None])
+                for m in range(sht.l_max + 1)]
     key = np.zeros(sht.n_coeffs, dtype=int)
     if form.mirror_axis is not None:
         key += sht.orders < 0
     if form.is_flip_symmetric:
         key += 2 * ((sht.degrees + sht.orders) % 2)
-    keys, block_of = np.unique(key, return_inverse=True)
-    return [np.flatnonzero(block_of == b) for b in range(len(keys))], block_of
+    return [np.flatnonzero(key == k)[None] for k in np.unique(key)]
 
 
 def _real_part(values, what):
@@ -283,13 +298,13 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     else:
         kernel_matrix, table = None, form.density_modes
     gather = diagonal_index(size)
-    spans, block_of = _spans(sht, form)
-    position = np.zeros(sht.n_coeffs, dtype=int)
-    for span in spans:
-        position[span] = np.arange(len(span))
+    spans = _spans(sht, form)
+    block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
+    for b, span in enumerate(spans):
+        block_of[span], position[span] = b, np.arange(span.shape[1])
     # one order's columns sit 2l+1 apart; column-major storage keeps each
     # column write contiguous
-    blocks = [np.zeros((len(span), len(span)), order="F") for span in spans]
+    blocks = [np.zeros((span.shape[1],) * 2, order="F") for span in spans]
     col_norm = np.zeros(sht.n_coeffs)
     # the batches: one per longitude order k, its degrees l >= k, or on the
     # flip route one per order and parity (-1)^(l+k) under the flip
@@ -324,8 +339,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
             parity, (batch, work), flip)
         if flip_route:
             A = from_flip_basis(A, batch)
-        # the lower diagonals in one gather
-        diagonals = A.reshape(len(slots), -1)[:, gather].T.copy()
+        # the lower diagonals in one gather, into one (L, n) array
+        diagonals = A.reshape(len(slots), -1).T[gather]
         if flip_route and flip < 0:
             # U A' U^H is A / i for a batch odd under the flip
             diagonals *= 1j
@@ -334,24 +349,15 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         for b in np.unique(block_of[slots]):
             cols = np.flatnonzero(block_of[slots] == b)
             blocks[b][:, position[slots[cols]]] = sht.packed(
-                proj_k[:, :, cols], spans[b])
-    return _checked_matrix([(block, span[None])
-                            for block, span in zip(blocks, spans)],
+                proj_k[:, :, cols], spans[b][0])
+    return _checked_matrix(list(zip(blocks, spans)),
                            0.0 if axis is None else axis, col_norm, sht,
                            tail_bound)
 
 
-def _order_slots(sht, m):
-    """The cosine (l, m) and, for m > 0, the sine (l, -m) slots of the
-    degrees l = m..l_max, one row each: the slot sets of a zonal form's
-    order-m block."""
-    orders = np.array([m, -m] if m else [0])
-    return coeff_index(np.arange(m, sht.l_max + 1), orders[:, None])
-
-
 def _zonal_q_matrix(smoother, sht, tail_bound):
     """Q's blocks for a zonal form, one per order m = 0..l_max on its cosine
-    and sine slots (``_order_slots``), with their columns' quadrature norms.
+    and sine slots (``_spans``), with their columns' quadrature norms.
 
     A zonal form has a diagonal Gram (up to the rounding of its density's
     longitude modes past 0), so Q maps the degrees l' of one order m to the
@@ -369,6 +375,7 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
     w_theta = sht.grid.w_theta
     m_diag = np.diag(ev.kernel_matrix).real
     grams = product_grams(ev.profiles, w_theta)
+    spans = _spans(sht, smoother.form)
     blocks, col_norm = [], np.zeros(sht.n_coeffs)
     for m, (lam, lam_rho) in enumerate(zip(
             sht.section_moments(ev.profiles, w_theta),
@@ -376,38 +383,28 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
                                 w_theta * smoother.form.density[:, 0]))):
         scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
         d = scale[:, None] * lam_rho.T
-        slots = _order_slots(sht, m)
-        blocks.append((lam @ d, slots))
-        col_norm[slots] = np.sum(d * (grams[m] @ d), axis=0)
-    blocks += [(np.zeros((sht.l_max + 1 - m,) * 2), _order_slots(sht, m))
-               for m in range(len(blocks), sht.l_max + 1)]
+        blocks.append((lam @ d, spans[m]))
+        col_norm[spans[m]] = np.sum(d * (grams[m] @ d), axis=0)
+    blocks += [(np.zeros((slots.shape[1],) * 2), slots)
+               for slots in spans[len(blocks):]]
     return _checked_matrix(blocks, 0.0, col_norm, sht, tail_bound)
 
 
 def fast_multiplication_matrix(form, sht):
     """Matrix of multiplication by the form's eta as a product quadrature,
-    as blocks (``OperatorMatrix``): a zonal form's order blocks
-    (``_zonal_eta_matrix``), any other form's blocks on its spans
-    (``_assembled_eta_matrix``)."""
-    if form.is_zonal:
-        return _zonal_eta_matrix(form, sht)
-    return _assembled_eta_matrix(form, sht)
-
-
-def _assembled_eta_matrix(form, sht):
-    """Eta's blocks on the form's spans, over longitude and then over
-    colatitude.
+    as blocks (``OperatorMatrix``) on the form's slot sets (``_spans``),
+    over longitude and then over colatitude.
 
     Entry ((l, m), (l', m')) is sum_i w_i P_l^|m| P_l'^|m'| c_m[i, m'], with
     c_m[i, m'] = (1/n_phi) sum_j f trig_m trig_m' at (theta_i, phi_j): the
     grid quadrature of ``multiplication_matrix`` regrouped, so it matches
     that oracle to roundoff.  The column norms come the same way from
     f^2 trig_m'^2.  A form with a mirror axis takes the harmonics rotated
-    onto it, whose cosine and sine spans eta keeps apart, and a form
-    symmetric under the equator flip the spans of even and odd l + |m|
-    (``_spans``).  Eta is symmetric, so each order's rows go in as its
-    columns, contiguously in the column-major blocks that the difference's
-    column steps read.
+    onto it, whose cosine and sine spans eta keeps apart.  A block is built
+    on the first of its slot sets, which stands for the others (a zonal
+    form's sine slots).  Eta is symmetric, so each order's rows go in as
+    its columns, contiguously in the column-major blocks that the
+    difference's column steps read.
     """
     values, axis = form.eta, form.mirror_axis
     rotation = 0.0 if axis is None else axis
@@ -415,7 +412,8 @@ def _assembled_eta_matrix(form, sht):
     profiles = sht.slot_profiles
     weighted = sht.grid.w_theta[:, None] * profiles
     blocks = []
-    for span in _spans(sht, form)[0]:
+    for slots in _spans(sht, form):
+        span = slots[0]
         block = np.zeros((len(span), len(span)), order="F")
         orders, span_weighted = sht.orders[span], weighted[:, span]
         for m in np.unique(orders):
@@ -424,33 +422,18 @@ def _assembled_eta_matrix(form, sht):
             chunk = (sht.legendre[abs(m), sht.degrees[span[rows]]]
                      @ (c[:, orders + l_max] * span_weighted))
             block[:, rows] = chunk.T
-        blocks.append((block, span[None]))
+        blocks.append((block, slots))
     c = values ** 2 @ (trig ** 2).T / n_phi
     col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
     return _checked_matrix(blocks, rotation, col_norm, sht)
-
-
-def _zonal_eta_matrix(form, sht):
-    """Eta's blocks for a zonal form, one per order m on its cosine and sine
-    slots (``_order_slots``): E_m = P^m diag(w eta) (P^m)^T between the
-    degrees of order m, and the column norms P^m (w eta^2)."""
-    w_theta, eta = sht.grid.w_theta, form.eta[:, 0]
-    col_norm = np.zeros(sht.n_coeffs)
-    blocks = []
-    for m in range(sht.l_max + 1):
-        legendre = sht.legendre[m, m:]
-        slots = _order_slots(sht, m)
-        blocks.append(((legendre * (w_theta * eta)) @ legendre.T, slots))
-        col_norm[slots] = legendre ** 2 @ (w_theta * eta ** 2)
-    return _checked_matrix(blocks, 0.0, col_norm, sht)
 
 
 def _dense_top_singular_pair(matrix):
     """Largest singular value and its right singular vector, from the top
     eigenpair of the assembled normal matrix (LAPACK subset eigensolver);
     robust when the top singular value is degenerate, as for
-    rotation-invariant data.  The fallback and test oracle of
-    ``_top_singular_pair``."""
+    rotation-invariant data.  The narrow-block solve, fallback and test
+    oracle of ``_top_singular_pair``."""
     n = matrix.shape[1]
     vals, vecs = eigh(matrix.T @ matrix, subset_by_index=[n - 1, n - 1],
                       driver="evr")
@@ -464,12 +447,12 @@ def _top_singular_pair(matrix, row_scale):
 
     ARPACK's Lanczos iteration finds the top eigenpair of the normal
     operator ``x -> A^T (S^2 (A x))`` without forming it or ``S A``, from a
-    fixed seeded start vector, so reruns are deterministic.  Small
-    matrices, and runs that do not converge within ``ARPACK_MAXITER``
-    restarts, take the dense solve on ``S A``.
+    fixed seeded start vector, so reruns are deterministic.  Matrices of at
+    most ``DENSE_COLUMNS`` columns, and runs that do not converge within
+    ``ARPACK_MAXITER`` restarts, take the dense solve on ``S A``.
     """
     n = matrix.shape[1]
-    if n > ARPACK_NCV:
+    if n > DENSE_COLUMNS:
         weights = 1.0 if row_scale is None else row_scale ** 2
         normal = LinearOperator(
             (n, n), matvec=lambda x: matrix.T @ (weights * (matrix @ x)),
@@ -486,27 +469,21 @@ def _top_singular_pair(matrix, row_scale):
         matrix if row_scale is None else row_scale[:, None] * matrix)
 
 
-def spectral_norm_with_mode(blocks, rotation, sht, form):
+def spectral_norm_with_mode(blocks, rotation, sht):
     """norm1 of a cell, the largest singular value over its difference's
-    (block, slots) pairs on the basis rotated by ``rotation``, and the
-    argmax degree.
+    (block, slots) pairs on the basis rotated by ``rotation``
+    (``_top_singular_pair``), and the argmax degree.
 
-    A zonal form's order blocks take dense SVDs, any other form's blocks
-    ``_top_singular_pair``.  Mapped back to the input basis, a rotated
-    basis function of slot (l, m) spreads over the slots (l, +-m), both of
-    degree l, with weights |cos(m rotation)| and |sin(m rotation)|: the
-    larger is the column's reach, and the winning block's top singular
-    vector, weighted by it, peaks at the argmax degree of the vector in the
-    input basis.  A block's slot sets share their degrees and |m|, so the
-    first stands for all.
+    Mapped back to the input basis, a rotated basis function of slot
+    (l, m) spreads over the slots (l, +-m), both of degree l, with weights
+    |cos(m rotation)| and |sin(m rotation)|: the larger is the column's
+    reach, and the winning block's top singular vector, weighted by it,
+    peaks at the argmax degree of the vector in the input basis.  A block's
+    slot sets share their degrees and |m|, so the first stands for all.
     """
     norm1 = -1.0
     for diff, slots in blocks:
-        if form.is_zonal:
-            _, sigmas, vt = np.linalg.svd(diff)
-            sigma, vec = float(sigmas[0]), vt[0]
-        else:
-            sigma, vec = _top_singular_pair(diff, None)
+        sigma, vec = _top_singular_pair(diff, None)
         if sigma > norm1:
             angle = np.abs(sht.orders[slots[0]]) * rotation
             reach = np.maximum(np.abs(np.cos(angle)), np.abs(np.sin(angle)))
@@ -516,18 +493,12 @@ def spectral_norm_with_mode(blocks, rotation, sht, form):
     return norm1, argmax_degree
 
 
-def spectral_norm(blocks, p, sht, form):
+def spectral_norm(blocks, p, sht):
     """norm2 of a cell: the largest singular value over its difference's
-    blocks with their rows scaled by lambda / p, from dense SVDs for a zonal
-    form and ``_top_singular_pair`` otherwise."""
+    blocks with their rows scaled by lambda / p (``_top_singular_pair``)."""
     norm2 = -1.0
     for diff, slots in blocks:
-        scale = sht.eigenvalues[slots[0]] / p
-        if form.is_zonal:
-            sigma = float(np.linalg.svd(scale[:, None] * diff,
-                                        compute_uv=False)[0])
-        else:
-            sigma, _ = _top_singular_pair(diff, scale)
+        sigma, _ = _top_singular_pair(diff, sht.eigenvalues[slots[0]] / p)
         norm2 = max(norm2, sigma)
     return norm2
 
@@ -552,8 +523,8 @@ def heat_side_matrix(mult, sht, p, tail_bound):
     degree alone, which a rotation about the pole keeps, so this holds on
     the rotated basis of ``mult``'s blocks too.
     """
-    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
-    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
+    u = 1.0 / (4.0 * math.pi * p)
+    factors = np.exp(-sht.eigenvalues * u)
     return factors, _tail(mult.column_kept * factors ** 2,
                           mult.column_norm_sq * factors ** 2, tail_bound)
 
@@ -578,18 +549,16 @@ def comparison_norms(p, form, sht, mult, tail_bound):
     difference with ``Laplacian / p``.  Every form builds Q's blocks
     (``smoothing_operator_matrix``) and subtracts the heat side from them
     (``_assembled_difference``) with eta's blocks ``mult`` on the same slots
-    (p-independent, so a sweep builds them once; None builds them); each
-    norm is one call over the cell's blocks.
+    (``fast_multiplication_matrix``, p-independent, so a sweep builds them
+    once); each norm is one call over the cell's blocks.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-    if mult is None:
-        mult = fast_multiplication_matrix(form, sht)
     q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
     blocks, tail = _assembled_difference(q_mat, mult, sht, p, form.volume,
                                          tail_bound)
     norm1, argmax_degree = spectral_norm_with_mode(blocks, q_mat.rotation,
-                                                   sht, form)
-    norm2 = spectral_norm(blocks, p, sht, form)
+                                                   sht)
+    norm2 = spectral_norm(blocks, p, sht)
     return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=argmax_degree)
 

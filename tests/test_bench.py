@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ def dense_matrix(blocks, rotation, sht):
 def dense(op, sht):
     """An ``OperatorMatrix``'s matrix on the input harmonic basis."""
     return dense_matrix(op.blocks, op.rotation, sht)
+
+
+def _cell(p, form, sht):
+    """One converge cell, with the form's eta blocks built for it."""
+    mult = fast_multiplication_matrix(form, sht)
+    return comparison_norms(p, form, sht, mult, TAIL_BOUND)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +165,8 @@ class TestOperatorMatrix:
         form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError):
-            comparison_norms(32, form, tiny, None, 1e-9)
+            comparison_norms(32, form, tiny,
+                             fast_multiplication_matrix(form, tiny), 1e-9)
 
     def test_heat_side_tail_bound_flags_invalid_run(self, bench_grid):
         # at p = l_max the smoothing side stays inside the truncation, while
@@ -166,7 +174,8 @@ class TestOperatorMatrix:
         form = VolumeForm(bench_grid, {(1, 0): -0.3, (1, 1): 0.2}, "strong")
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError, match="tail residual"):
-            comparison_norms(8, form, tiny, None, 1e-10)
+            comparison_norms(8, form, tiny,
+                             fast_multiplication_matrix(form, tiny), 1e-10)
 
 
 class TestSpectralNorm:
@@ -205,9 +214,16 @@ class TestSpectralNorm:
         assert sigma == pytest.approx(sigma_ref, rel=1e-11)
         assert np.linalg.norm(a @ vec) == pytest.approx(sigma_ref, rel=1e-11)
 
-    def test_small_matrix_takes_dense_path(self):
+    @pytest.mark.parametrize("cols", [12, bench.DENSE_COLUMNS])
+    def test_small_matrix_takes_dense_path(self, monkeypatch, cols):
         # ARPACK needs more columns than its Lanczos basis
-        a = np.random.default_rng(5).normal(size=(12, 12))
+        assert bench.DENSE_COLUMNS > bench.ARPACK_NCV
+        a = np.random.default_rng(5).normal(size=(cols, cols))
+
+        def no_arpack(operator, **kwargs):
+            raise AssertionError("ARPACK ran")
+
+        monkeypatch.setattr(bench, "eigsh", no_arpack)
         sigma, _ = bench._top_singular_pair(a, None)
         assert sigma == bench._dense_top_singular_pair(a)[0]
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
@@ -226,9 +242,12 @@ class TestSpectralNorm:
         assert bench._top_singular_pair(a, None)[0] == oracle(a)[0]
         assert len(calls) == 1
 
-    # 30 columns take ARPACK, 12 the dense path; rows outnumber columns so
-    # that a scale applied to the wrong side cannot go unnoticed
-    @pytest.mark.parametrize("rows,cols", [(36, 30), (15, 12)])
+    # one column past DENSE_COLUMNS takes ARPACK, DENSE_COLUMNS and 12 the
+    # dense path; rows outnumber columns so that a scale applied to the
+    # wrong side cannot go unnoticed
+    @pytest.mark.parametrize("rows,cols", [
+        (bench.DENSE_COLUMNS + 7, bench.DENSE_COLUMNS + 1),
+        (bench.DENSE_COLUMNS + 6, bench.DENSE_COLUMNS), (15, 12)])
     def test_row_scale_matches_scaled_oracle(self, rows, cols):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(rows, cols))
@@ -239,26 +258,28 @@ class TestSpectralNorm:
 
     def test_no_convergence_falls_back_to_scaled_dense(self, monkeypatch):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(36, 30))
-        scale = rng.uniform(0.1, 3.0, 36)
+        cols = bench.DENSE_COLUMNS + 1
+        a = rng.normal(size=(cols + 6, cols))
+        scale = rng.uniform(0.1, 3.0, cols + 6)
         calls = []
 
         def no_convergence(operator, **kwargs):
             calls.append(operator.shape)
-            raise ArpackNoConvergence("forced", np.empty(0), np.empty((30, 0)))
+            raise ArpackNoConvergence("forced", np.empty(0),
+                                      np.empty((cols, 0)))
 
         monkeypatch.setattr(bench, "eigsh", no_convergence)
         sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
         assert bench._top_singular_pair(a, scale)[0] == pytest.approx(
             sigma, rel=1e-12)
-        assert calls == [(30, 30)]
+        assert calls == [(cols, cols)]
 
 
 class TestComparisonNorms:
     def test_metric_form_closed_form(self, bench_grid, bench_sht):
         p = 8
         form = fubini_study_form(bench_grid)
-        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
+        res = _cell(p, form, bench_sht)
         ls = np.arange(bench_sht.l_max + 1)
         lam = np.array([funk_hecke_eigenvalue(p, l) for l in ls])
         heat = np.exp(-ls * (ls + 1.0) / p)
@@ -268,14 +289,14 @@ class TestComparisonNorms:
 
     def test_norm_shrinks_with_p(self, bench_grid, bench_sht):
         form = fubini_study_form(bench_grid)
-        n8 = comparison_norms(8, form, bench_sht, None, TAIL_BOUND).norm1
-        n32 = comparison_norms(32, form, bench_sht, None, TAIL_BOUND).norm1
+        n8 = _cell(8, form, bench_sht).norm1
+        n32 = _cell(32, form, bench_sht).norm1
         assert n32 < 0.3 * n8
 
     def test_argmax_mode_matches_diagonal_oracle(self, bench_grid, bench_sht):
         p = 8
         form = fubini_study_form(bench_grid)
-        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
+        res = _cell(p, form, bench_sht)
         ls = np.arange(bench_sht.l_max + 1)
         lam = np.array([funk_hecke_eigenvalue(p, l) for l in ls])
         gaps = np.abs(lam - np.exp(-ls * (ls + 1.0) / p))
@@ -285,8 +306,8 @@ class TestComparisonNorms:
         form = VolumeForm(bench_grid, {(1, 0): -0.3}, "zonal-full")
         lo = SphericalHarmonicTransform(bench_grid, 14)
         hi = SphericalHarmonicTransform(bench_grid, 20)
-        a = comparison_norms(16, form, lo, None, TAIL_BOUND)
-        b = comparison_norms(16, form, hi, None, TAIL_BOUND)
+        a = _cell(16, form, lo)
+        b = _cell(16, form, hi)
         assert a.tail_residual < 1e-4
         assert abs(a.norm1 - b.norm1) < 1e-6
         assert abs(a.norm2 - b.norm2) < 1e-6
@@ -294,26 +315,9 @@ class TestComparisonNorms:
     def test_matrix_free_cross_check(self, bench_grid, bench_sht):
         for coeffs in ({}, {(1, 0): -0.3}, {(1, 1): 0.1, (2, 1): 0.05}):
             form = VolumeForm(bench_grid, coeffs, "probe")
-            res = comparison_norms(16, form, bench_sht, None, TAIL_BOUND)
+            res = _cell(16, form, bench_sht)
             est = matrix_free_norm(16, form, bench_sht)
             assert est == pytest.approx(res.norm1, rel=1e-5)
-
-
-def _assembled_oracle(p, form, sht):
-    """Both norms, the argmax degree and the tail of the difference
-    assembled on the form's spans, as for a non-zonal form, even for a zonal
-    one, from the dense top-singular-pair oracle."""
-    smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
-    q_mat = bench._assembled_q_matrix(smoother, sht, None)
-    mult = bench._assembled_eta_matrix(form, sht)
-    assert _route(mult, sht) != "zonal"
-    blocks, tail = bench._assembled_difference(q_mat, mult, sht, p,
-                                               form.volume, None)
-    diff = dense_matrix(blocks, q_mat.rotation, sht)
-    norm1, vec = bench._dense_top_singular_pair(diff)
-    norm2, _ = bench._dense_top_singular_pair(
-        (sht.eigenvalues / p)[:, None] * diff)
-    return norm1, norm2, int(sht.degrees[np.argmax(np.abs(vec))]), tail
 
 
 def _generic_oracle(p, form, sht):
@@ -351,6 +355,29 @@ def _route(op, sht):
 
 
 GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
+
+
+@pytest.mark.parametrize("coefficients,route,n_blocks", [
+    ({(1, 0): -0.3}, "zonal", 17),
+    ({(1, 1): 0.1, (2, 1): 0.05}, "mirror", 2),
+    ({(1, -1): -0.1, (2, -2): 0.05}, "flip", 2),
+    ({(2, 2): 0.04, (3, 1): 0.02}, "mirror+flip", 4),
+    (GENERIC, "complex", 1)])
+def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
+                                   n_blocks):
+    form = VolumeForm(bench_grid, coefficients, route)
+    spans = bench._spans(bench_sht, form)
+    assert len(spans) == n_blocks
+    assert _route(SimpleNamespace(blocks=[(None, span) for span in spans]),
+                  bench_sht) == route
+    # every slot in exactly one set, and a block's sets alike slot by slot
+    # in degree and |m|, as the blocks that stand on all of them need
+    slots = np.concatenate([span.ravel() for span in spans])
+    assert np.array_equal(np.sort(slots), np.arange(bench_sht.n_coeffs))
+    for span in spans:
+        assert (bench_sht.degrees[span] == bench_sht.degrees[span[0]]).all()
+        assert (np.abs(bench_sht.orders[span])
+                == np.abs(bench_sht.orders[span[0]])).all()
 
 
 class TestAssembledCells:
@@ -449,12 +476,12 @@ class TestZonalBlocks:
         ({}, "fs"), ({(1, 0): -0.15}, "zonal-half"),
         ({(1, 0): -0.3}, "zonal-full")])
     @pytest.mark.parametrize("p", [8, 24])
-    def test_blocks_match_assembled_dense_oracle(self, bench_grid, bench_sht,
-                                                 coefficients, form_id, p):
+    def test_blocks_match_generic_oracle(self, bench_grid, bench_sht,
+                                         coefficients, form_id, p):
         # p = 8 < l_max leaves the orders past p with an eta-heat block only
         form = VolumeForm(bench_grid, coefficients, form_id)
-        res = comparison_norms(p, form, bench_sht, None, TAIL_BOUND)
-        norm1, norm2, degree, tail = _assembled_oracle(p, form, bench_sht)
+        res = _cell(p, form, bench_sht)
+        norm1, norm2, degree, tail = _generic_oracle(p, form, bench_sht)
         assert res.norm1 == pytest.approx(norm1, rel=1e-13)
         assert res.norm2 == pytest.approx(norm2, rel=1e-13)
         assert res.argmax_degree == degree

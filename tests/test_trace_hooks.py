@@ -80,11 +80,12 @@ def test_traced_run_reads_its_guards(tmp_path):
     assert code == EXIT_OK
     assert tracer.missing == []
     layers = tracer.metrics(wall)
-    # every (form, p) cell, zonal or not, makes one Q assembly and one call
-    # per norm, and every form one eta matrix
+    # every (form, p) cell, zonal or not, makes one Q assembly, one heat
+    # side and one call per norm, and every form one eta matrix
     cells = len(cfg["volume_forms"]) * len(cfg["p_list"])
     assert layers["bench.q_assembly_calls"] == cells
     assert layers["bench.norm1_calls"] == layers["bench.norm2_calls"] == cells
+    assert layers["bench.heat_side_calls"] == cells
     assert layers["bench.eta_mult_calls"] == len(cfg["volume_forms"])
     assert layers["sections.gram_cond_max"] >= 1.0
     assert layers["bench.tail_max"] <= DEFAULTS["converge"]["tail_bound"]
