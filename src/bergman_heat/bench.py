@@ -17,15 +17,19 @@ section-harmonic moment tables.  A form symmetric under
 phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps the cosine and sine
 spans of the harmonic basis rotated by alpha apart, so its difference is
 two real blocks, assembled in a section gauge where the inverse Gram is
-real.  A form symmetric under the equator flip theta -> pi - theta
+real; one also symmetric under the equator flip theta -> pi - theta
 (``VolumeForm.is_flip_symmetric``) keeps the slots of even and odd
-l + |m| apart as well: with a mirror axis its difference is four real
-blocks, and without one two, assembled in the flip basis of the sections,
-where the inverse Gram is real.  Any other form assembles one
-complex-arithmetic block on the whole basis.  The assembled Q is built one
-longitude order of columns at a time (and one flip parity at a time in the
-flip basis), and every form's eta multiplication as a product quadrature,
-one order at a time.
+l + |m| apart as well, in four real blocks.  A flip-symmetric form with no
+mirror axis has the equator as its mirror plane, which a quarter turn
+about the x-axis carries onto the meridian phi = 0: a sweep turns it once
+and runs every cell on the turned form, of mirror axis 0
+(``_quarter_turned``).  The norms do not see the turn; the argmax degree
+is read in the input basis, and the tails over the turned basis's columns
+(truncation at ``l_max`` does not see the turn, the largest single column
+can).  Any other form assembles one complex-arithmetic block on the whole
+basis.  The assembled Q is built one longitude order of columns at a time,
+and every form's eta multiplication as a product quadrature, one order at
+a time.
 """
 
 import math
@@ -37,20 +41,19 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
-from .fourier import (diagonal_index, flip_unitary, from_flip_basis,
-                      product_grams)
-from .geometry import is_zonal
-from .heat import coeff_index, heat_apply
+from .fourier import diagonal_index, product_grams, profile_products
+from .geometry import MIRROR_TOL, VolumeForm, coefficient_pairs, is_zonal
+from .heat import coeff_index, heat_apply, quarter_turn
 from .sections import bergman_evaluator
 
 # largest accepted sweep with a non-zonal form, checked before any table is
 # built: one operator matrix on the harmonic basis holds (l_max+1)^4 doubles
 # (200 MB at the limit; the default l_max 46 needs 4.9e6), and a non-zonal
-# cell holds two of them live, eta and the difference (a cell of a form with
-# a mirror axis or the equator flip about half of that, as two blocks each,
-# and of a form with both about a quarter, as four); one Q
-# assembly costs about (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default
-# p = 128, which took 3.5 s in a traced converge-default run on 2 cores)
+# cell holds two of them live, eta and the difference (a mirror cell, turned
+# or not, about half of that, as two blocks each, and a mirror cell with
+# the equator flip a quarter, as four); one Q assembly costs about
+# (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default p = 128, which took
+# 3.5 s in a traced converge-default run on 2 cores)
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
 MAX_Q_FLOPS = 10 ** 11
 
@@ -75,13 +78,11 @@ DENSE_COLUMNS = 64
 DIFF_COLUMNS = 256
 
 # largest imaginary part, relative to the largest modulus, of the inverse
-# Gram and the density modes in the gauge of a form's mirror axis, and of
-# the inverse Gram in the flip basis, whose real parts the mirror and flip
-# routes keep: rounding leaves at most 1.4e-16 on the benchmark's rotated
-# forms in the mirror gauge and 8.0e-15 in the flip basis (tilted-mirror at
-# p = 64 on 102 x 204, unrotated and at twenty seeded angles), and a wrong
-# axis or flip leaves parts of order 1; the margin admits rounding
-# amplified by a Gram condition up to about 1e6
+# Gram and the density modes in the gauge of a form's mirror axis, whose
+# real parts the mirror route keeps: rounding leaves at most 1.4e-16 on the
+# benchmark's rotated forms (p = 64 on 102 x 204, unrotated and at twenty
+# seeded angles), and a wrong axis leaves parts of order 1; the margin
+# admits rounding amplified by a Gram condition up to about 1e6
 MIRROR_IMAG_TOL = 1e-10
 
 
@@ -167,15 +168,11 @@ def operator_matrix(op, sht):
     ``op`` maps real grid values to real grid values.
     """
     n = sht.n_coeffs
-    matrix = np.zeros((n, n))
-    col_norm = np.zeros(n)
-    idx = 0
-    for l in range(sht.l_max + 1):
-        for m in range(-l, l + 1):
-            values = op(sht.basis_function(l, m))
-            matrix[:, idx] = sht.analyze(values).values
-            col_norm[idx] = sht.grid_norm_sq(values)
-            idx += 1
+    matrix, col_norm = np.zeros((n, n)), np.zeros(n)
+    for idx in range(n):
+        values = op(sht.basis_function(sht.degrees[idx], sht.orders[idx]))
+        matrix[:, idx] = sht.analyze(values).values
+        col_norm[idx] = sht.grid_norm_sq(values)
     return _checked_matrix([(matrix, np.arange(n)[None])], 0.0, col_norm,
                            sht)
 
@@ -191,9 +188,9 @@ def _spans(sht, form):
     slot.  A zonal form has one block per order m, on the cosine (l, m)
     and, for m > 0, the sine (l, -m) slots of l = m..l_max.  Any other form
     has one set per block: the whole basis, split for a form with a mirror
-    axis into the cosine (m >= 0) and sine (m < 0) slots, and for a form
+    axis into the cosine (m >= 0) and sine (m < 0) slots, and for one also
     symmetric under the equator flip into the slots of even and odd
-    l + |m|, which the flip keeps apart as it does the density's."""
+    l + |m| as well, which the flip keeps apart as it does the density's."""
     if form.is_zonal:
         return [coeff_index(np.arange(m, sht.l_max + 1),
                             np.array([m, -m] if m else [0])[:, None])
@@ -201,8 +198,8 @@ def _spans(sht, form):
     key = np.zeros(sht.n_coeffs, dtype=int)
     if form.mirror_axis is not None:
         key += sht.orders < 0
-    if form.is_flip_symmetric:
-        key += 2 * ((sht.degrees + sht.orders) % 2)
+        if form.is_flip_symmetric:
+            key += 2 * ((sht.degrees + sht.orders) % 2)
     return [np.flatnonzero(key == k)[None] for k in np.unique(key)]
 
 
@@ -239,15 +236,6 @@ def _gauged(evaluator, axis):
     return kernel_matrix, half[:, np.minimum(wrapped, n_phi - wrapped)]
 
 
-def _flipped(evaluator):
-    """Inverse Gram in the flip basis of the sections
-    (``fourier.flip_unitary``), U^H M U, real for a form symmetric under the
-    equator flip: the flip maps s_k to s_{p-k}, so M = J conj(M) J."""
-    U = flip_unitary(evaluator.p + 1)
-    return _real_part(U.conj().T @ evaluator.kernel_matrix @ U,
-                      "inverse Gram in the flip basis")
-
-
 def smoothing_operator_matrix(smoother, sht, tail_bound):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``, as
     blocks (``OperatorMatrix``): a zonal form's closed-form order blocks
@@ -270,35 +258,24 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     coefficients and quadrature norms through the section-harmonic moment
     tables (``sht.analyze_diagonals``, from A's lower diagonals in one
     gather): no output longitude modes and no per-column grids.  The batch
-    arrays are allocated once, for the widest batch, and reused.  A form
+    arrays are allocated once, for the widest batch, and reused, and the
+    section-profile products are made once (``profile_products``).  A form
     with a mirror axis is built on the harmonics rotated onto it, in real
     arithmetic from the gauged inverse Gram and density modes
     (``_gauged``): cosine columns give real symmetric A with cosine
     outputs, sine columns i times real antisymmetric A with sine outputs.
-    A form symmetric under the equator flip and with no mirror axis is
-    built in the flip basis of the sections, where the inverse Gram
-    (``_flipped``) and T are real, or i times real for the columns odd
-    under the flip, and its real A' = M' T' M' / R is taken back to A
-    (``fourier.from_flip_basis``); there a batch holds one flip parity, and
-    its outputs are projected on that parity's degrees alone.  Matches the
-    generic path to roundoff.
+    Matches the generic path to roundoff.
     """
-    form = smoother.form
-    axis = form.mirror_axis
-    profiles = smoother.evaluator.profiles
+    axis = smoother.form.mirror_axis
     w_theta = sht.grid.w_theta
-    moments = sht.section_moments(profiles, w_theta)
-    grams = product_grams(profiles, w_theta)
+    products = profile_products(smoother.evaluator.profiles)
+    moments = sht.section_moments(products, w_theta)
+    grams = product_grams(products, w_theta)
     size = smoother.p + 1
-    flip_route = axis is None and form.is_flip_symmetric
-    if axis is not None:
-        kernel_matrix, table = _gauged(smoother.evaluator, axis)
-    elif flip_route:
-        kernel_matrix, table = _flipped(smoother.evaluator), form.density_modes
-    else:
-        kernel_matrix, table = None, form.density_modes
+    kernel_matrix, table = ((None, smoother.form.density_modes) if axis is None
+                            else _gauged(smoother.evaluator, axis))
     gather = diagonal_index(size)
-    spans = _spans(sht, form)
+    spans = _spans(sht, smoother.form)
     block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
     for b, span in enumerate(spans):
         block_of[span], position[span] = b, np.arange(span.shape[1])
@@ -306,26 +283,16 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     # column write contiguous
     blocks = [np.zeros((span.shape[1],) * 2, order="F") for span in spans]
     col_norm = np.zeros(sht.n_coeffs)
-    # the batches: one per longitude order k, its degrees l >= k, or on the
-    # flip route one per order and parity (-1)^(l+k) under the flip
-    if flip_route:
-        batches = [(k, np.arange(k + shift, sht.l_max + 1, 2), 1 - 2 * shift)
-                   for k in range(sht.l_max + 1) for shift in (0, 1)
-                   if k + shift <= sht.l_max]
-    else:
-        batches = [(k, np.arange(k, sht.l_max + 1), None)
-                   for k in range(sht.l_max + 1)]
-    # one batch and one work buffer, sized for the widest batch and kept
-    # across the batches; the work buffer holds the grid products, then the
-    # half product M T, then the projections, each dead before the next
-    # (n_theta >= p + 1 by the Gram's exactness check); on the flip route
-    # the work buffer holds T' after the grid products, and then A', which
-    # the batch buffer takes back to the section basis
-    width = max(len(degrees) * (2 if k else 1) for k, degrees, _ in batches)
+    # one batch and one work buffer, sized for the widest batch (order 1,
+    # or 0 at l_max 0) and kept across the batches; the work buffer holds the
+    # grid products, then the half product M T, then the projections, each
+    # dead before the next (n_theta >= p + 1 by the Gram's exactness check)
+    width = max(sht.l_max + 1, 2 * sht.l_max)
     batch = np.empty(width * size * size, table.dtype)
     work = np.empty(width * max(size * sht.grid.n_theta,
                                 (sht.l_max + 1) ** 2), table.dtype)
-    for k, degrees, flip in batches:
+    for k in range(sht.l_max + 1):
+        degrees = np.arange(k, sht.l_max + 1)
         # the batch alternates sine (-k) and cosine (+k) columns, degree by
         # degree; order 0 has cosine columns alone
         orders = np.array([-k, k] if k else [0])
@@ -336,16 +303,11 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
             sht.order_products(table, k, degrees, size, work), kernel_matrix,
-            parity, (batch, work), flip)
-        if flip_route:
-            A = from_flip_basis(A, batch)
+            parity, (batch, work), products)
         # the lower diagonals in one gather, into one (L, n) array
         diagonals = A.reshape(len(slots), -1).T[gather]
-        if flip_route and flip < 0:
-            # U A' U^H is A / i for a batch odd under the flip
-            diagonals *= 1j
         proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
-                                                        grams, work, flip)
+                                                        grams, work)
         for b in np.unique(block_of[slots]):
             cols = np.flatnonzero(block_of[slots] == b)
             blocks[b][:, position[slots[cols]]] = sht.packed(
@@ -371,15 +333,15 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
     whose quadrature ``sum_i w_i (sum_k d_k a_{k+m} a_k)^2`` is its norm.
     Orders m > p have Q_m = 0.
     """
-    ev = smoother.evaluator
     w_theta = sht.grid.w_theta
-    m_diag = np.diag(ev.kernel_matrix).real
-    grams = product_grams(ev.profiles, w_theta)
+    m_diag = np.diag(smoother.evaluator.kernel_matrix).real
+    products = profile_products(smoother.evaluator.profiles)
+    grams = product_grams(products, w_theta)
     spans = _spans(sht, smoother.form)
     blocks, col_norm = [], np.zeros(sht.n_coeffs)
     for m, (lam, lam_rho) in enumerate(zip(
-            sht.section_moments(ev.profiles, w_theta),
-            sht.section_moments(ev.profiles,
+            sht.section_moments(products, w_theta),
+            sht.section_moments(products,
                                 w_theta * smoother.form.density[:, 0]))):
         scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
         d = scale[:, None] * lam_rho.T
@@ -469,7 +431,7 @@ def _top_singular_pair(matrix, row_scale):
         matrix if row_scale is None else row_scale[:, None] * matrix)
 
 
-def spectral_norm_with_mode(blocks, rotation, sht):
+def spectral_norm_with_mode(blocks, rotation, sht, turn):
     """norm1 of a cell, the largest singular value over its difference's
     (block, slots) pairs on the basis rotated by ``rotation``
     (``_top_singular_pair``), and the argmax degree.
@@ -479,17 +441,22 @@ def spectral_norm_with_mode(blocks, rotation, sht):
     |cos(m rotation)| and |sin(m rotation)|: the larger is the column's
     reach, and the winning block's top singular vector, weighted by it,
     peaks at the argmax degree of the vector in the input basis.  A block's
-    slot sets share their degrees and |m|, so the first stands for all.
+    slot sets share their degrees and |m|, so the first stands for all.  A
+    turned form's cell takes it back by the turn's D_l^T (``turn``).
     """
     norm1 = -1.0
     for diff, slots in blocks:
         sigma, vec = _top_singular_pair(diff, None)
         if sigma > norm1:
-            angle = np.abs(sht.orders[slots[0]]) * rotation
-            reach = np.maximum(np.abs(np.cos(angle)), np.abs(np.sin(angle)))
-            norm1 = sigma
-            argmax_degree = int(
-                sht.degrees[slots[0][np.argmax(reach * np.abs(vec))]])
+            norm1, back = sigma, np.zeros(sht.n_coeffs)
+            back[slots[0]] = vec
+            if turn is None:
+                angle = np.abs(sht.orders) * rotation
+                back *= np.maximum(*np.abs([np.cos(angle), np.sin(angle)]))
+            else:
+                back = np.concatenate([D.T @ back[l * l:(l + 1) ** 2]
+                                       for l, D in enumerate(turn)])
+            argmax_degree = int(sht.degrees[np.argmax(np.abs(back))])
     return norm1, argmax_degree
 
 
@@ -542,7 +509,7 @@ def _assembled_difference(q_mat, mult, sht, p, volume, tail_bound):
     return q_mat.blocks, max(q_mat.tail_residual, heat_tail)
 
 
-def comparison_norms(p, form, sht, mult, tail_bound):
+def comparison_norms(p, form, sht, mult, tail_bound, turn):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
     norm1 gauges ``Q - (Vol ratio) * eta * heat``; norm2 left-composes the
@@ -550,14 +517,15 @@ def comparison_norms(p, form, sht, mult, tail_bound):
     (``smoothing_operator_matrix``) and subtracts the heat side from them
     (``_assembled_difference``) with eta's blocks ``mult`` on the same slots
     (``fast_multiplication_matrix``, p-independent, so a sweep builds them
-    once); each norm is one call over the cell's blocks.
+    once); each norm is one call over the cell's blocks.  ``turn``: the
+    quarter turn's matrices for a turned form, else None.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
     blocks, tail = _assembled_difference(q_mat, mult, sht, p, form.volume,
                                          tail_bound)
     norm1, argmax_degree = spectral_norm_with_mode(blocks, q_mat.rotation,
-                                                   sht)
+                                                   sht, turn)
     norm2 = spectral_norm(blocks, p, sht)
     return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=argmax_degree)
@@ -605,19 +573,49 @@ class FormReport:
         return float(scaled.max() / np.median(scaled))
 
 
+def _quarter_turned(form, sht):
+    """The form a sweep runs its cells on, and the turn's matrices
+    (``heat.quarter_turn``) up to ``sht.l_max`` if it is turned, else None.
+
+    A flip-symmetric form with no mirror axis is turned, about the pole
+    first so that its largest pair (l, +-m0) is a sine term: the turned
+    form and its rounding do not see how the form sits about the pole.  The
+    turned map's sine (m < 0) terms, zero up to rounding, are held to
+    ``MIRROR_TOL`` times its largest term and dropped, so its mirror axis
+    is 0 exactly.  A turn that keeps larger ones, or widens the longitude
+    band that the Gram's exactness check reads, is not taken."""
+    if form.mirror_axis is not None or not form.is_flip_symmetric:
+        return form, None
+    _, m0, z0 = coefficient_pairs(form.coefficients)
+    turn = quarter_turn(max([sht.l_max] + [l for l, _ in form.coefficients]),
+                        (np.angle(z0) - math.pi / 2) / m0)
+    turned = {}
+    for (l, m), c in form.coefficients.items():
+        turned[l] = turned.get(l, 0.0) + c * turn[l][:, m + l]
+    largest = max(np.abs(row).max() for row in turned.values())
+    turned_form = VolumeForm(form.grid, {
+        (l, m): float(row[m + l]) for l, row in turned.items()
+        for m in range(l + 1) if row[m + l] != 0.0}, form.form_id)
+    if turned_form.phi_band > form.phi_band or any(
+            np.abs(row[:l]).max(initial=0.0) > MIRROR_TOL * largest
+            for l, row in turned.items()):
+        return form, None
+    return turned_form, turn[:sht.l_max + 1]
+
+
 def sweep_form(form, p_values, sht, tail_bound):
-    """Run the benchmark over a p grid for one form; builds the eta matrix
-    once."""
+    """Run the benchmark over a p grid for one form, turned onto the mirror
+    route if it can be (``_quarter_turned``); builds the eta matrix once."""
+    form, turn = _quarter_turned(form, sht)
     mult = fast_multiplication_matrix(form, sht)
-    report = FormReport(form_id=form.form_id, p_values=list(p_values),
-                        norms1=[], norms2=[], tails=[], argmax_degrees=[])
-    for p in p_values:
-        cell = comparison_norms(p, form, sht, mult, tail_bound)
-        report.norms1.append(cell.norm1)
-        report.norms2.append(cell.norm2)
-        report.tails.append(cell.tail_residual)
-        report.argmax_degrees.append(cell.argmax_degree)
-    return report.finalize()
+    cells = [comparison_norms(p, form, sht, mult, tail_bound, turn)
+             for p in p_values]
+    return FormReport(
+        form_id=form.form_id, p_values=list(p_values),
+        norms1=[cell.norm1 for cell in cells],
+        norms2=[cell.norm2 for cell in cells],
+        tails=[cell.tail_residual for cell in cells],
+        argmax_degrees=[cell.argmax_degree for cell in cells]).finalize()
 
 
 def matrix_free_norm(p, form, sht):

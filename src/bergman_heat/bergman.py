@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import flip_basis, grid_to_modes, moment_matrices
+from .fourier import grid_to_modes, moment_matrices
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
 from .heat import HarmonicCoeffs, SphericalHarmonicTransform
@@ -43,7 +43,7 @@ class SmoothingOperator:
         self.rank_ratio = rank_ratio(self.p, self.form)
 
     def coefficient_matrices(self, modes, kernel_matrix=None, parity=None,
-                             out=None, flip=None):
+                             out=None, products=None):
         """Section coefficient matrices of the operator's outputs for a batch
         of inputs.
 
@@ -54,25 +54,18 @@ class SmoothingOperator:
         returned (n, p+1, p+1) batch A.  ``kernel_matrix`` replaces the
         inverse Gram, for real modes with its real form in a rotated gauge
         (``fourier.moment_matrices`` takes real modes with their
-        ``parity``), or with its real form U^H M U in the flip basis when
-        the inputs have one parity ``flip`` = +-1 under the equator flip: T
-        then goes to that basis (``fourier.flip_basis``) and the returned
-        batch is the real A' with U A' U^H = A for ``flip`` = 1 and = A / i
-        for -1.  ``out``, if given, is a pair of flat buffers that hold
+        ``parity``).  ``out``, if given, is a pair of flat buffers that hold
         the batch and the half product M T, so that a loop of batches reuses
         their pages; the second may hold ``modes``, which T has consumed.
-        ``flip`` needs ``out``: the flip-basis T takes the second buffer and
-        the half product the first, whose T it has consumed.
+        ``products``, if given, are the section-profile products
+        (``fourier.profile_products``) that a Q assembly shares.
         """
         ev = self.evaluator
         if kernel_matrix is None:
             kernel_matrix = ev.kernel_matrix
         batch, spare = (None, None) if out is None else out
         T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL,
-                            batch, parity)
-        if flip is not None:
-            T = flip_basis(T, flip, spare.view(float))
-            spare = batch
+                            batch, parity, products)
         half = (np.empty_like(T) if out is None
                 else spare.view(T.dtype)[:T.size].reshape(T.shape))
         np.matmul(kernel_matrix / self.rank_ratio, T, out=half)

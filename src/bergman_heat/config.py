@@ -185,7 +185,7 @@ def _validate(command, cfg):
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps
-                or any((not isinstance(p, int)) or p < 1 for p in ps)):
+                or any(not _is_number(p, int) or p < 1 for p in ps)):
             raise ConfigError("p_list must be a nonempty list of positive ints")
         if any(a >= b for a, b in zip(ps, ps[1:])):
             raise ConfigError("p_list must be strictly increasing")

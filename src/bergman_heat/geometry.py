@@ -198,6 +198,18 @@ def is_flip_symmetric(coefficients):
                for (l, m), c in coefficients.items() if c != 0.0)
 
 
+def coefficient_pairs(coefficients):
+    """The pairs z = c_(l,m) + i c_(l,-m) of a {(l, m): c} map with m != 0
+    terms, keyed (l, m > 0), and the order m0 and value z0 of the largest."""
+    pairs = {}
+    for (l, m), c in coefficients.items():
+        if m != 0:
+            pairs[(l, abs(m))] = pairs.get((l, abs(m)), 0.0) + (
+                c if m > 0 else 1j * c)
+    (_, m0), z0 = max(pairs.items(), key=lambda item: abs(item[1]))
+    return pairs, m0, z0
+
+
 def mirror_axis(coefficients):
     """Mirror axis of a {(l, m): c} map's density, or None.
 
@@ -213,12 +225,7 @@ def mirror_axis(coefficients):
     if all(c == 0.0 for (_, m), c in coefficients.items() if m < 0):
         return 0.0
     tol = MIRROR_TOL * max(abs(c) for c in coefficients.values())
-    pairs = {}
-    for (l, m), c in coefficients.items():
-        if m != 0:
-            pairs[(l, abs(m))] = pairs.get((l, abs(m)), 0.0) + (
-                c if m > 0 else 1j * c)
-    (_, m0), z0 = max(pairs.items(), key=lambda item: abs(item[1]))
+    pairs, m0, z0 = coefficient_pairs(coefficients)
     for j in range(m0):
         alpha = (float(np.angle(z0)) + j * math.pi) / m0 % math.pi
         if all(abs((np.exp(-1j * m * alpha) * z).imag) <= tol

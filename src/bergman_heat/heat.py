@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import grid_to_modes, profile_product
+from .fourier import grid_to_modes
 from .harmonics import legendre_profile
 
 # largest accepted Legendre table, (l_max+1)^2 n_theta doubles (160 MB),
@@ -35,6 +35,49 @@ def degree_vector(l_max):
 def coeff_index(l, m):
     """Packed position of (l, m): degrees ascending, orders -l..l inside."""
     return l * (l + 1) + m
+
+
+def quarter_turn(l_max, beta):
+    """Orthogonal matrices D_l, l = 0..l_max, on the real harmonics (rows
+    and columns m = -l..l) of the turn R by -``beta`` about the pole and
+    then a quarter about the x-axis, which carries z to y: f o R^-1 has
+    degree-l coefficients D_l c_l if f has c_l.  Built by the recursion of
+    Ivanic and Ruedenberg (J. Phys. Chem. 100 (1996) 6342, and its 1998
+    correction) for harmonics without the Condon-Shortley sign, which ours
+    carry: entry (m, n) takes the sign (-1)^(|m|+|n|)."""
+    # D_1 without the sign: R, which maps (x, y, z) to (c x + s y, z,
+    # s x - c y), on the coordinates (y, z, x) of Y_1,-1, Y_1,0 and Y_1,1
+    c, s = math.cos(beta), math.sin(beta)
+    r = np.array([[0.0, 1.0, 0.0], [-c, 0.0, s], [s, 0.0, c]])
+    turns = [np.ones((1, 1)), r]
+    for l in range(2, l_max + 1):
+        # the recursion's P(i, l, a, n), i = -1, 0, 1, from D_{l-1}'s rows
+        # a = 1-l..l-1, padded to -1-l..l+1 and rolled to sit at index a
+        D = turns[-1]
+        P = np.zeros((3, 2 * l + 3, 2 * l + 1))
+        P[:, 2:-2, 1:-1] = r[:, 1, None, None] * D
+        P[:, 2:-2, -1] = r[:, 2, None] * D[:, -1] - r[:, 0, None] * D[:, 0]
+        P[:, 2:-2, 0] = r[:, 2, None] * D[:, 0] + r[:, 0, None] * D[:, -1]
+        minus, zero, plus = np.roll(P, -(l + 1), axis=1)
+        m, n = np.arange(-l, l + 1)[:, None], np.arange(-l, l + 1)
+        k, one = np.abs(m), np.abs(m) == 1
+        denom = np.where(np.abs(n) < l, (l + n) * (l - n), 2 * l * (2 * l - 1))
+        u = np.sqrt((l + m) * (l - m) / denom)
+        v = np.where(m == 0, -0.5, 0.5) * np.sqrt(
+            (1 + (m == 0)) * (l + k - 1) * (l + k) / denom)
+        w = -0.5 * np.sqrt((l - k - 1) * (l - k) / denom)
+        # V and W of row m read the rows m -+ 1 and 1 -+ m of the P's
+        a = m[:, 0]
+        V = np.select(
+            [m > 0, m < 0],
+            [np.sqrt(1 + one) * plus[a - 1] - ~one * minus[1 - a],
+             ~one * plus[a + 1] + np.sqrt(1 + one) * minus[-a - 1]],
+            plus[1] + minus[-1])
+        W = np.where(m > 0, plus[a + 1] + minus[-a - 1],
+                     plus[a - 1] - minus[1 - a])
+        turns.append(u * zero[a] + v * V + np.where(m != 0, w * W, 0.0))
+    signs = [(-1.0) ** np.abs(np.arange(-l, l + 1)) for l in range(l_max + 1)]
+    return [s[:, None] * D * s for s, D in zip(signs, turns[:l_max + 1])]
 
 
 @dataclass
@@ -167,10 +210,11 @@ class SphericalHarmonicTransform:
             return ((scale * self.factors[slots].conj())[:, None] * rows).real
         return (scale * self.real_factors[slots])[:, None] * rows
 
-    def section_moments(self, profiles, weights):
+    def section_moments(self, products, weights):
         """Section-harmonic moment tables of the section profiles a_k.
 
-        One table per order mu = 0..min(l_max, P-1), P = ``profiles.shape[1]``:
+        One table per order mu = 0..min(l_max, P-1), from the products
+        ``products[mu]`` = a_{k+mu} a_k (``fourier.profile_products``):
 
             table[mu][l - mu, k]
                 = sum_i weights[i] P_l^mu(theta_i) a_{k+mu}(theta_i) a_k(theta_i)
@@ -180,31 +224,26 @@ class SphericalHarmonicTransform:
         profiles as ``table[mu] @ d`` (weights ``w_theta``); with weights
         ``w_theta * rho`` the table folds a colatitude density in.
         """
-        return [(self.legendre[mu, mu:] * weights)
-                @ profile_product(profiles, mu)
-                for mu in range(min(self.l_max + 1, profiles.shape[1]))]
+        return [(self.legendre[mu, mu:] * weights) @ products[mu]
+                for mu in range(min(self.l_max + 1, len(products)))]
 
-    def analyze_diagonals(self, diagonals, moments, grams, proj, flip):
+    def analyze_diagonals(self, diagonals, moments, grams, proj):
         """Projections and quadrature norms of real functions given by the
         lower diagonals of their section coefficient matrices, without their
         longitude modes.
 
         Item b is the function x -> sigma(x)^T A_b conj(sigma(x)) of a
         Hermitian (P, P) matrix A_b, whose longitude mode mu is
-        sum_k A_b[k+mu, k] a_{k+mu} a_k (``fourier.profile_product``).
+        sum_k A_b[k+mu, k] a_{k+mu} a_k (``fourier.profile_products``).
         ``diagonals`` has one column per item and holds its diagonals -mu,
         mu = 0..P-1, one after the other (``fourier.diagonal_index``); real
         ones are those of symmetric matrices and of antisymmetric ones, i
         times which are Hermitian.  Diagonal -mu, d, gives the order-mu
         projections ``moments[mu] @ d`` (``section_moments`` at weights
         ``w_theta``) and the mode's quadrature d^H G_mu d (``grams[mu]``,
-        ``fourier.product_grams``).  Functions of one parity ``flip`` = +-1
-        under the equator flip theta -> pi - theta have no coefficient
-        (l, m) with (-1)^(l+|m|) = -flip, so they are projected on the other
-        degrees alone; ``flip`` None projects on every degree.  Fills the
-        flat buffer ``proj`` with the projections ``proj[mu, l, b]``
-        (``packed`` turns them into coefficients) and returns that view and
-        the quadrature norms.
+        ``fourier.product_grams``).  Fills the flat buffer ``proj`` with the
+        projections ``proj[mu, l, b]`` (``packed`` turns them into
+        coefficients) and returns that view and the quadrature norms.
         """
         n = diagonals.shape[1]
         size = (self.l_max + 1) ** 2 * n
@@ -214,16 +253,13 @@ class SphericalHarmonicTransform:
         # each real product serves both
         diagonals, flat = diagonals.view(float), proj.view(float)
         quads = np.empty((len(grams), diagonals.shape[1]))
-        # the degrees l = mu + shift, mu + shift + step, ... of order mu
-        shift, step = (0, 1) if flip is None else ((1 - flip) // 2, 2)
         stop = 0
         for mu, gram in enumerate(grams):
             start, stop = stop, stop + len(grams) - mu
             d = diagonals[start:stop]
             np.sum(d * (gram @ d), axis=0, out=quads[mu])
             if mu < len(moments):
-                np.matmul(moments[mu][shift::step], d,
-                          out=flat[mu, mu + shift::step])
+                np.matmul(moments[mu], d, out=flat[mu, mu:])
         # modes +-mu both count, except mode 0; modes 0..P-1 stay below
         # Nyquist, since the Gram's exactness check forces n_phi >= 2P - 1
         quads[1:] *= 2.0

@@ -53,9 +53,20 @@ def dense(op, sht):
 
 
 def _cell(p, form, sht):
-    """One converge cell, with the form's eta blocks built for it."""
+    """One converge cell of a form that a sweep does not turn, with the
+    form's eta blocks built for it."""
     mult = fast_multiplication_matrix(form, sht)
-    return comparison_norms(p, form, sht, mult, TAIL_BOUND)
+    return comparison_norms(p, form, sht, mult, TAIL_BOUND, None)
+
+
+def block_diagonal(turn):
+    """The quarter turn's per-degree matrices as one matrix on the packed
+    harmonic basis."""
+    n = sum(len(D) for D in turn)
+    full = np.zeros((n, n))
+    for l, D in enumerate(turn):
+        full[l * l:(l + 1) ** 2, l * l:(l + 1) ** 2] = D
+    return full
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +124,7 @@ class TestOperatorMatrix:
             (SphericalHarmonicTransform(build_grid(24, 48), 11),
              {(3, 3): 1.5, (2, -1): 1.0}, 4),
             # the same band, rotated off its mirror axis, which the grid
-            # then cannot keep: the equator flip alone holds
+            # then cannot keep: unturned, the form takes the complex route
             (SphericalHarmonicTransform(build_grid(24, 48), 11),
              rotate({(3, 3): 1.5}, 0.3), 4)]
         for sht, coefficients, p in cases:
@@ -142,14 +153,12 @@ class TestOperatorMatrix:
         with pytest.raises(InvalidRunError, match="mirror gauge"):
             smoothing_operator_matrix(op, bench_sht, None)
 
-    def test_wrong_flip_is_refused(self, bench_grid, bench_sht):
-        # tilted has (2, 1), odd under the flip: its inverse Gram is far
-        # from real in the flip basis
+    def test_turn_with_sine_terms_is_not_taken(self, bench_grid, bench_sht):
+        # tilted has (2, 1), odd under the equator flip: its quarter turn
+        # keeps sine coefficients of the order of its own
         form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
         form.mirror_axis, form.is_flip_symmetric = None, True
-        op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
-        with pytest.raises(InvalidRunError, match="flip basis"):
-            smoothing_operator_matrix(op, bench_sht, None)
+        assert bench._quarter_turned(form, bench_sht) == (form, None)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -166,7 +175,8 @@ class TestOperatorMatrix:
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError):
             comparison_norms(32, form, tiny,
-                             fast_multiplication_matrix(form, tiny), 1e-9)
+                             fast_multiplication_matrix(form, tiny), 1e-9,
+                             None)
 
     def test_heat_side_tail_bound_flags_invalid_run(self, bench_grid):
         # at p = l_max the smoothing side stays inside the truncation, while
@@ -175,7 +185,8 @@ class TestOperatorMatrix:
         tiny = SphericalHarmonicTransform(bench_grid, 8)
         with pytest.raises(InvalidRunError, match="tail residual"):
             comparison_norms(8, form, tiny,
-                             fast_multiplication_matrix(form, tiny), 1e-10)
+                             fast_multiplication_matrix(form, tiny), 1e-10,
+                             None)
 
 
 class TestSpectralNorm:
@@ -342,7 +353,8 @@ def _generic_oracle(p, form, sht):
 def _route(op, sht):
     """The route of an ``OperatorMatrix``, read off its blocks: zonal when
     each block holds one order |m|, else which of the cosine/sine and the
-    even/odd l + |m| spans they keep apart."""
+    even/odd l + |m| spans they keep apart; the even/odd split comes only
+    with the cosine/sine one."""
     def apart(key):
         return all(len(np.unique(key[slots])) == 1 for _, slots in op.blocks)
 
@@ -351,7 +363,7 @@ def _route(op, sht):
     mirror = apart(sht.orders < 0)
     flip = apart((sht.degrees + sht.orders) % 2)
     return {(False, False): "complex", (True, False): "mirror",
-            (False, True): "flip", (True, True): "mirror+flip"}[mirror, flip]
+            (True, True): "mirror+flip"}[mirror, flip]
 
 
 GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
@@ -360,12 +372,14 @@ GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
 @pytest.mark.parametrize("coefficients,route,n_blocks", [
     ({(1, 0): -0.3}, "zonal", 17),
     ({(1, 1): 0.1, (2, 1): 0.05}, "mirror", 2),
-    ({(1, -1): -0.1, (2, -2): 0.05}, "flip", 2),
+    # tilted-mirror, which a sweep turns onto the mirror route
+    ({(1, -1): -0.1, (2, -2): 0.05}, "mirror", 2),
     ({(2, 2): 0.04, (3, 1): 0.02}, "mirror+flip", 4),
     (GENERIC, "complex", 1)])
 def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
                                    n_blocks):
-    form = VolumeForm(bench_grid, coefficients, route)
+    form, _ = bench._quarter_turned(
+        VolumeForm(bench_grid, coefficients, route), bench_sht)
     spans = bench._spans(bench_sht, form)
     assert len(spans) == n_blocks
     assert _route(SimpleNamespace(blocks=[(None, span) for span in spans]),
@@ -382,9 +396,10 @@ def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
 
 class TestAssembledCells:
     # tilted has a mirror axis (at alpha once rotated by alpha) and takes a
-    # cosine and a sine block; tilted-mirror has the equator flip instead
-    # and takes an even and an odd block; sectoral has both and takes four;
-    # the generic form has neither and takes one complex block
+    # cosine and a sine block; tilted-mirror has the equator flip instead,
+    # and turned onto the meridian phi = 0 it takes a cosine and a sine
+    # block too; sectoral has both and takes four; the generic form has
+    # neither and takes one complex block
     @pytest.mark.parametrize("form_id,coefficients,alpha,route", [
         ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0, "mirror"),
         ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7, "mirror"),
@@ -392,8 +407,8 @@ class TestAssembledCells:
         ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 2.3, "mirror"),
         ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.7, "mirror+flip"),
         ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 2.3, "mirror+flip"),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0, "flip"),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7, "flip"),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0, "turned"),
+        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7, "turned"),
         ("generic", GENERIC, 0.0, "complex"),
         ("generic", GENERIC, 0.7, "complex")])
     @pytest.mark.parametrize("p", [8, 16])
@@ -405,18 +420,26 @@ class TestAssembledCells:
                else SphericalHarmonicTransform(bench_grid, l_max))
         if alpha:
             coefficients = rotate(coefficients, alpha)
-        form = VolumeForm(bench_grid, coefficients, form_id)
-        if route.startswith("mirror"):
+        unturned = VolumeForm(bench_grid, coefficients, form_id)
+        form, turn = bench._quarter_turned(unturned, sht)
+        assert (turn is not None) == (route == "turned")
+        if route == "turned":
+            assert unturned.mirror_axis is None
+            # the turn drops the sine terms: the axis is 0 exactly
+            assert form.mirror_axis == 0.0
+            route = "mirror"
+        elif route.startswith("mirror"):
             assert math.sin(form.mirror_axis - alpha) == pytest.approx(
                 0.0, abs=1e-15)
         else:
             assert form.mirror_axis is None
         mult = fast_multiplication_matrix(form, sht)
         assert _route(mult, sht) == route
-        assert len(mult.blocks) == {"complex": 1, "mirror": 2, "flip": 2,
+        assert len(mult.blocks) == {"complex": 1, "mirror": 2,
                                     "mirror+flip": 4}[route]
-        res = comparison_norms(p, form, sht, mult, TAIL_BOUND)
-        norm1, norm2, degree, tail = _generic_oracle(p, form, sht)
+        res = comparison_norms(p, form, sht, mult, TAIL_BOUND, turn)
+        # the oracle runs on the unturned form
+        norm1, norm2, degree, tail = _generic_oracle(p, unturned, sht)
         assert res.norm1 == pytest.approx(norm1, rel=1e-12)
         assert res.norm2 == pytest.approx(norm2, rel=1e-12)
         # both read the top singular vector in the input basis
@@ -426,20 +449,49 @@ class TestAssembledCells:
             # leaks below rounding: both tails are rounding-level
             assert max(res.tail_residual, tail) < 1e-14
         else:
+            if turn is not None:
+                # a turned form's tail is over the turned basis's columns
+                tail = _generic_oracle(p, form, sht)[3]
             assert res.tail_residual == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_turned_blocks_match_generic_oracle(self, bench_grid, bench_sht,
+                                                alpha):
+        # Q's and eta's blocks of the turned form, taken back to the input
+        # basis by the turn's matrices, against the per-column matrices of
+        # the form as given
+        p = 8
+        unturned = VolumeForm(
+            bench_grid, rotate({(1, -1): -0.1, (2, -2): 0.05}, alpha),
+            "tilted-mirror")
+        form, turn = bench._quarter_turned(unturned, bench_sht)
+        back = block_diagonal(turn)
+        op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
+        fast = smoothing_operator_matrix(op, bench_sht, None)
+        slow = operator_matrix(
+            SmoothingOperator(bergman_evaluator(p, unturned,
+                                                bench_grid)).apply,
+            bench_sht)
+        assert np.abs(back.T @ dense(fast, bench_sht) @ back
+                      - dense(slow, bench_sht)).max() < 1e-12
+        mf = fast_multiplication_matrix(form, bench_sht)
+        ms = multiplication_matrix(unturned.eta, bench_sht)
+        assert np.abs(back.T @ dense(mf, bench_sht) @ back
+                      - dense(ms, bench_sht)).max() < 1e-12
 
     @staticmethod
     def _cell_peak(p, coefficients, form_id):
         """tracemalloc peak, in doubles, of one cell on 64x128, l_max 30,
-        with its eta blocks passed in; numpy reports its buffers to
-        tracemalloc."""
+        on the form a sweep runs it on, with its eta blocks passed in;
+        numpy reports its buffers to tracemalloc."""
         grid = build_grid(64, 128)
         sht = SphericalHarmonicTransform(grid, 30)
-        form = VolumeForm(grid, coefficients, form_id)
+        form, turn = bench._quarter_turned(
+            VolumeForm(grid, coefficients, form_id), sht)
         mult = fast_multiplication_matrix(form, sht)
         tracemalloc.start()
         try:
-            comparison_norms(p, form, sht, mult, TAIL_BOUND)
+            comparison_norms(p, form, sht, mult, TAIL_BOUND, turn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -462,10 +514,9 @@ class TestAssembledCells:
         assert peak < square
 
     @pytest.mark.parametrize("p", [8, 16])
-    def test_flip_cell_holds_half_a_matrix(self, p):
-        # a form symmetric under the equator flip holds an even and an odd
-        # block, about a quarter of the full matrix each, and complex
-        # batches of one order and flip parity, half an order wide
+    def test_turned_cell_holds_half_a_matrix(self, p):
+        # a form symmetric under the equator flip, turned onto the mirror
+        # route, holds a cosine and a sine block, as tilted does
         peak, square = self._cell_peak(
             p, {(1, -1): -0.1, (2, -2): 0.05}, "tilted-mirror")
         assert peak < square
@@ -537,11 +588,13 @@ class TestZonalBlocks:
         sweep_form(off_axis, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1,
                          ("q", "complex"): 4, ("eta", "complex"): 1}
-        # with no mirror axis, every l + |m| even keys the flip route
+        # with no mirror axis, every l + |m| even keys the quarter turn
+        # onto the mirror route
+        calls.clear()
         flipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05}, "f")
         assert flipped.mirror_axis is None and flipped.is_flip_symmetric
         sweep_form(flipped, p_values, bench_sht, TAIL_BOUND)
-        assert calls[("q", "flip")] == 4 and calls[("eta", "flip")] == 1
+        assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1}
         # one small odd coefficient drops the flip
         calls.clear()
         tipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05,
@@ -549,6 +602,41 @@ class TestZonalBlocks:
         assert tipped.mirror_axis is None
         sweep_form(tipped, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "complex"): 4, ("eta", "complex"): 1}
+
+    def test_band_guard_keeps_the_complex_route(self, monkeypatch):
+        # a strong (2, 0) term with weak (1, 1) and (2, -2) terms, whose
+        # axes differ: flip-symmetric, no mirror axis, and a narrow band
+        # that the turn would widen, since Y_20 turned off the pole has
+        # |m| = 1, 2 parts.  The pinned grid's exactness 2p + band passes at
+        # the input's band and would refuse the turned one
+        grid = build_grid(24, 31)
+        sht = SphericalHarmonicTransform(grid, 12)
+        form = VolumeForm(grid, {(2, 0): 0.5, (1, 1): 1e-3, (2, -2): 1e-3},
+                          "narrow")
+        assert form.mirror_axis is None and form.is_flip_symmetric
+        assert 2 * 12 + form.phi_band <= grid.exactness_degree
+        made = []
+
+        def kept(*args):
+            made.append(VolumeForm(*args))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "VolumeForm", kept)
+            assert bench._quarter_turned(form, sht) == (form, None)
+        assert 2 * 12 + made[0].phi_band > grid.exactness_degree
+        routes = []
+        original = bench.smoothing_operator_matrix
+
+        def counted(*args):
+            result = original(*args)
+            routes.append(_route(result, sht))
+            return result
+
+        monkeypatch.setattr(bench, "smoothing_operator_matrix", counted)
+        report = sweep_form(form, [4, 8, 10, 12], sht, TAIL_BOUND)
+        assert routes == ["complex"] * 4
+        assert min(report.norms1) > 0.0
 
 
 class TestRateFit:

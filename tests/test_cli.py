@@ -246,6 +246,9 @@ class TestExitCodes:
          "uniformity_family must be a nonempty list"),
         ("identities", {"volume_forms": [{"coefficients": {"1,0": "x"}}]},
          "bad coefficient value 'x' for '1,0'"),
+        # JSON true is a Python bool, which is an int, but not a p
+        ("converge", {"p_list": [True, 8, 16, 32]},
+         "p_list must be a nonempty list of positive ints"),
         ("converge", dict(SMALL_CONVERGE, uniformity_family=["fs"],
                           volume_forms=[
                               {"id": "fs", "coefficients": {}},
@@ -425,8 +428,8 @@ class TestCommands:
         # byte-identical reruns hold at a fixed BLAS thread count only; the
         # reduction order of 1 and 2 threads differs.  tilted takes the
         # mirror route's two real blocks, tilted-mirror (no mirror axis,
-        # even under the equator flip) the flip route's two, and the generic
-        # form (neither symmetry) one complex block
+        # even under the equator flip) the same after its quarter turn, and
+        # the generic form (neither symmetry) one complex block
         cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
                    + [{"id": "tilted", "coefficients": {"1,1": 0.1,
                                                         "2,1": 0.05}},

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bergman_heat import section_basis
-from bergman_heat.fourier import (diagonal_index, flip_basis, flip_unitary,
-                                  from_flip_basis, grid_to_modes,
-                                  moment_matrices)
+from bergman_heat.fourier import (diagonal_index, grid_to_modes,
+                                  moment_matrices, profile_products)
 from bergman_heat.harmonics import real_sph_harm
 
 # float64 roundoff on O(1) sums over a few thousand nodes
@@ -66,18 +65,16 @@ class TestMomentMatrices:
         assert np.all(np.diagonal(cut, offset=-3) == 0.0)
         assert np.array_equal(kept, kept.conj().T)
 
-
-
-def _flip_batch(dim, parities, rng):
-    """Hermitian (dim, dim) matrices with T = eps J conj(T) J, J the flip
-    k -> dim - 1 - k, one per parity eps."""
-    flip = np.eye(dim)[::-1]
-    batch = []
-    for eps in parities:
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        x = x + x.conj().T
-        batch.append(0.5 * (x + eps * flip @ x.conj() @ flip))
-    return np.array(batch)
+    def test_shared_products_change_no_bit(self, grid, weights):
+        # a Q assembly hands its one list of profile products to every
+        # batch; the sums are the same, term by term
+        profiles = section_basis(9).theta_profiles(grid.theta)
+        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
+                          for f in weights], axis=2)
+        made = moment_matrices(modes, grid.w_theta, profiles, 1e-16)
+        shared = moment_matrices(modes, grid.w_theta, profiles, 1e-16,
+                                 products=profile_products(profiles))
+        assert np.array_equal(made, shared)
 
 
 def test_diagonal_index_lays_out_the_lower_diagonals():
@@ -85,27 +82,3 @@ def test_diagonal_index_lays_out_the_lower_diagonals():
     matrix = np.arange(dim * dim).reshape(dim, dim)
     assert (diagonal_index(dim) == np.concatenate(
         [np.diagonal(matrix, -mu) for mu in range(dim)])).all()
-
-
-# p odd and even, the smallest and a benchmark size
-@pytest.mark.parametrize("dim", [2, 3, 8, 9, 65])
-def test_flip_basis_matches_dense_products(dim):
-    rng = np.random.default_rng(dim)
-    U = flip_unitary(dim)
-    assert np.abs(U.conj().T @ U - np.eye(dim)).max() < 1e-15
-    # two even items, then three odd ones
-    parities = [1.0, 1.0, -1.0, -1.0, -1.0]
-    T = _flip_batch(dim, parities, rng)
-    dense = np.array([U.conj().T @ t @ U / (1 if eps > 0 else 1j)
-                      for t, eps in zip(T, parities)])
-    assert np.abs(dense.imag).max() < 1e-14
-    for items, flip in ((slice(0, 2), 1), (slice(2, None), -1)):
-        got = flip_basis(T[items].copy(), flip, np.empty(T.size))
-        assert np.abs(got - dense[items].real).max() < 1e-14
-    # and back: the lower triangle of U A U^H, for real A
-    A = rng.normal(size=(4, dim, dim))
-    back = from_flip_basis(A.copy(), np.empty(A.size, complex))
-    lower = diagonal_index(dim)
-    dense = np.array([U @ a @ U.conj().T for a in A])
-    assert np.abs(back.reshape(4, -1)[:, lower]
-                  - dense.reshape(4, -1)[:, lower]).max() < 1e-14

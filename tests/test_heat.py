@@ -8,7 +8,7 @@ from bergman_heat import (ConfigError, HarmonicCoeffs,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
 from bergman_heat.fourier import grid_to_modes
-from bergman_heat.heat import coeff_index, degree_vector
+from bergman_heat.heat import coeff_index, degree_vector, quarter_turn
 
 
 class TestTransform:
@@ -98,6 +98,41 @@ class TestTransform:
                 sht.degrees[slot], m), n)
             modes = out[:, :, col].T * (1j if m < 0 else 1.0)
             assert np.abs(modes - oracle).max() < 1e-14
+
+
+class TestQuarterTurn:
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_matches_analyzed_turned_harmonics(self, beta):
+        # with beta = 0 the turn R takes (x, y, z) to (x, z, -y), so
+        # Y_lm o R^-1 at a node is Y_lm at (x, -z, y); a turn by -beta about
+        # the pole before it moves the longitude of that point by beta.  On
+        # a grid exact for degree 2 l_max the analysis of Y_lm o R^-1 is
+        # column m of D_l, and zero off degree l
+        l_max = 6
+        sht = SphericalHarmonicTransform(build_grid(l_max + 2, 2 * l_max + 4),
+                                         l_max)
+        st = np.sin(sht.grid.theta_mesh)
+        x = st * np.cos(sht.grid.phi_mesh)
+        y = st * np.sin(sht.grid.phi_mesh)
+        z = np.cos(sht.grid.theta_mesh)
+        theta, phi = np.arccos(np.clip(y, -1.0, 1.0)), np.arctan2(-z, x)
+        phi = phi + beta
+        turn = quarter_turn(l_max, beta)
+        for l in range(l_max + 1):
+            for m in range(-l, l + 1):
+                coeffs = sht.analyze(real_sph_harm(l, m, theta, phi)).values
+                column = np.zeros(sht.n_coeffs)
+                column[l * l:(l + 1) ** 2] = turn[l][:, m + l]
+                assert np.abs(coeffs - column).max() < 1e-13, (l, m)
+
+    def test_z_goes_to_y(self):
+        # Y_10 is sqrt(3) z and Y_1,-1 is -sqrt(3) y (Condon-Shortley)
+        assert np.array_equal(quarter_turn(1, 0.0)[1][:, 1], [-1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("l_max,tol", [(8, 1e-14), (46, 1e-11)])
+    def test_orthogonal(self, l_max, tol):
+        for D in quarter_turn(l_max, 0.7):
+            assert np.abs(D @ D.T - np.eye(len(D))).max() < tol
 
 
 class TestLaplacian:

@@ -14,9 +14,11 @@ from pathlib import Path
 
 from test_cli import SMALL_CONVERGE
 
+from bergman_heat.bench import _quarter_turned
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.config import DEFAULTS
 from bergman_heat.geometry import VolumeForm, build_grid
+from bergman_heat.heat import SphericalHarmonicTransform
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,9 +43,9 @@ def test_every_entry_point_resolves():
     assert not missing, f"trace hooks without a target: {missing}"
 
 
-# one form per assembled route next to the small config's zonal forms:
-# tilted has a mirror axis, tilted-mirror the equator flip, sectoral both,
-# and the generic form neither
+# the assembled routes next to the small config's zonal forms: tilted has a
+# mirror axis, tilted-mirror the equator flip, which a sweep turns onto the
+# mirror route, sectoral both, and the generic form neither
 ROUTE_FORMS = [
     {"id": "tilted", "coefficients": {"1,1": 0.1, "2,1": 0.05}},
     {"id": "tilted-mirror", "coefficients": {"1,-1": -0.1, "2,-2": 0.05}},
@@ -55,15 +57,18 @@ ROUTE_FORMS = [
 def test_traced_run_reads_its_guards(tmp_path):
     cfg = dict(SMALL_CONVERGE,
                volume_forms=SMALL_CONVERGE["volume_forms"] + ROUTE_FORMS)
-    grid = build_grid(cfg["n_theta"], cfg["n_phi"])
+    sht = SphericalHarmonicTransform(build_grid(cfg["n_theta"], cfg["n_phi"]),
+                                     cfg["l_max"])
     routes = set()
     for spec in cfg["volume_forms"]:
         coefficients = {tuple(map(int, key.split(","))): value
                         for key, value in spec["coefficients"].items()}
-        form = VolumeForm(grid, coefficients, spec["id"])
+        form, _ = _quarter_turned(VolumeForm(sht.grid, coefficients,
+                                             spec["id"]), sht)
         routes.add("zonal" if form.is_zonal else
                    (form.mirror_axis is not None, form.is_flip_symmetric))
-    assert len(routes) == 5
+    # zonal, mirror (tilted and tilted-mirror), mirror and flip, complex
+    assert len(routes) == 4
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     untraced, traced = tmp_path / "untraced", tmp_path / "traced"
