@@ -13,21 +13,21 @@ in Q's blocks, and one call per norm over them, whose solver the block's
 width picks.  A zonal form's operators commute with rotation about the
 pole, so they split into one block per longitude order, one for cosine and
 sine alike; only Q's blocks take a zonal formula, straight from the
-section-harmonic moment tables.  A form symmetric under
-phi -> 2 alpha - phi (``VolumeForm.mirror_axis``) keeps the cosine and sine
-spans of the harmonic basis rotated by alpha apart, so its difference is
-two real blocks, assembled in a section gauge where the inverse Gram is
+section-harmonic moment tables.  A form symmetric under phi -> -phi
+(``VolumeForm.mirror_axis`` 0) keeps the cosine and sine spans apart, so
+its difference is two real blocks, assembled where the inverse Gram is
 real; one also symmetric under the equator flip theta -> pi - theta
 (``VolumeForm.is_flip_symmetric``) keeps the slots of even and odd
-l + |m| apart as well, in four real blocks.  A flip-symmetric form with no
-mirror axis has the equator as its mirror plane, which a quarter turn
-about the x-axis carries onto the meridian phi = 0: a sweep turns it once
-and runs every cell on the turned form, of mirror axis 0
-(``_quarter_turned``).  The norms do not see the turn; the argmax degree
-is read in the input basis, and the tails over the turned basis's columns
-(truncation at ``l_max`` does not see the turn, the largest single column
-can).  Any other form assembles one complex-arithmetic block on the whole
-basis.  The assembled Q is built one longitude order of columns at a time,
+l + |m| apart as well, in four real blocks.  Any other mirror plane is
+carried onto the meridian phi = 0 by a turn: a form with a mirror axis
+alpha != 0 by the turn about the pole by -alpha, a flip-symmetric form
+with no mirror axis, whose equator is a mirror plane, by a quarter turn
+about the x-axis.  A sweep turns such a form once and runs every cell on
+the turned form, of mirror axis 0 (``_turned``).  The norms do not see the
+turn; the argmax degree is read in the input basis, and the tails over the
+turned basis's columns (truncation at ``l_max`` does not see the turn, the
+largest single column can).  Any other form assembles one
+complex-arithmetic block on the whole basis.  The assembled Q is built one longitude order of columns at a time,
 and every form's eta multiplication as a product quadrature, one order at
 a time.
 """
@@ -43,7 +43,7 @@ from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
 from .fourier import diagonal_index, product_grams, profile_products
 from .geometry import MIRROR_TOL, VolumeForm, coefficient_pairs, is_zonal
-from .heat import coeff_index, heat_apply, quarter_turn
+from .heat import coeff_index, heat_apply, pole_turn, quarter_turn
 from .sections import bergman_evaluator
 
 # largest accepted sweep with a non-zonal form, checked before any table is
@@ -78,24 +78,23 @@ DENSE_COLUMNS = 64
 DIFF_COLUMNS = 256
 
 # largest imaginary part, relative to the largest modulus, of the inverse
-# Gram and the density modes in the gauge of a form's mirror axis, whose
-# real parts the mirror route keeps: rounding leaves at most 1.4e-16 on the
-# benchmark's rotated forms (p = 64 on 102 x 204, unrotated and at twenty
-# seeded angles), and a wrong axis leaves parts of order 1; the margin
-# admits rounding amplified by a Gram condition up to about 1e6
+# Gram and the density modes of a form of mirror axis 0, whose real parts
+# the mirror route keeps: rounding leaves at most 5.1e-17 on the
+# benchmark's turned forms (p = 64 on 102 x 204, unrotated and at twenty
+# seeded angles), and tilted rotated by 0.3, read at axis 0, leaves 3.3e-2;
+# the margin admits rounding amplified by a Gram condition up to about 1e6
 MIRROR_IMAG_TOL = 1e-10
 
 
 @dataclass
 class OperatorMatrix:
-    """Operator matrix on the harmonic basis rotated about the pole by
-    ``rotation``, as diagonal blocks: (matrix, slots) pairs, ``slots`` of
-    shape (n_sets, size), whose matrix stands on each row of packed slots
-    as both its rows and its columns, zero between blocks.  The kept and
-    total column masses and the tail are those of the input basis."""
+    """Operator matrix on the harmonic basis as diagonal blocks:
+    (matrix, slots) pairs, ``slots`` of shape (n_sets, size), whose matrix
+    stands on each row of packed slots as both its rows and its columns,
+    zero between blocks; with the columns' kept and total masses per slot
+    and their tail."""
 
     blocks: list
-    rotation: float
     tail_residual: float
     column_kept: np.ndarray
     column_norm_sq: np.ndarray
@@ -135,31 +134,15 @@ def _tail(kept, col_norm, tail_bound):
     return tail
 
 
-def _unrotated(masses, sht, rotation):
-    """Per-slot column masses on the basis rotated by ``rotation`` as those
-    of the input basis.
-
-    For m > 0, Y_lm = c Y'_lm - s Y'_l,-m and Y_l,-m = s Y'_lm + c Y'_l,-m
-    with (c, s) = (cos, sin)(m * rotation), and a block operator maps the
-    two rotated functions into different blocks, whose images are
-    orthogonal: each input mass is c^2 times its own slot's rotated mass
-    plus s^2 times that of its partner (l, -m).
-    """
-    angle = np.abs(sht.orders) * rotation
-    partner = np.arange(sht.n_coeffs) - 2 * sht.orders
-    return np.cos(angle) ** 2 * masses + np.sin(angle) ** 2 * masses[partner]
-
-
-def _checked_matrix(blocks, rotation, col_norm, sht, tail_bound=None):
+def _checked_matrix(blocks, col_norm, sht, tail_bound=None):
     """Wrap blocks with their columns' kept mass, on every set of their
-    slots, and quadrature norms ``col_norm`` (per slot, on the rotated
-    basis); raise if the tail is over bound (``_tail``)."""
+    slots, and quadrature norms ``col_norm`` (per slot); raise if the tail
+    is over bound (``_tail``)."""
     kept = np.zeros(sht.n_coeffs)
     for matrix, slots in blocks:
         kept[slots] = np.einsum("ij,ij->j", matrix, matrix)
-    kept, col_norm = (_unrotated(x, sht, rotation) for x in (kept, col_norm))
-    return OperatorMatrix(blocks, rotation, _tail(kept, col_norm, tail_bound),
-                          kept, col_norm)
+    return OperatorMatrix(blocks, _tail(kept, col_norm, tail_bound), kept,
+                          col_norm)
 
 
 def operator_matrix(op, sht):
@@ -173,8 +156,7 @@ def operator_matrix(op, sht):
         values = op(sht.basis_function(sht.degrees[idx], sht.orders[idx]))
         matrix[:, idx] = sht.analyze(values).values
         col_norm[idx] = sht.grid_norm_sq(values)
-    return _checked_matrix([(matrix, np.arange(n)[None])], 0.0, col_norm,
-                           sht)
+    return _checked_matrix([(matrix, np.arange(n)[None])], col_norm, sht)
 
 
 def multiplication_matrix(values, sht):
@@ -187,16 +169,18 @@ def _spans(sht, form):
     (n_sets, size) per block, its rows alike in degree and |m| slot by
     slot.  A zonal form has one block per order m, on the cosine (l, m)
     and, for m > 0, the sine (l, -m) slots of l = m..l_max.  Any other form
-    has one set per block: the whole basis, split for a form with a mirror
-    axis into the cosine (m >= 0) and sine (m < 0) slots, and for one also
+    has one set per block: the whole basis, split for a form of mirror axis
+    0 into the cosine (m >= 0) and sine (m < 0) slots, and for one also
     symmetric under the equator flip into the slots of even and odd
-    l + |m| as well, which the flip keeps apart as it does the density's."""
+    l + |m| as well, which the flip keeps apart as it does the density's.
+    A form with another mirror axis, which a sweep did not turn
+    (``_turned``), keeps the whole basis."""
     if form.is_zonal:
         return [coeff_index(np.arange(m, sht.l_max + 1),
                             np.array([m, -m] if m else [0])[:, None])
                 for m in range(sht.l_max + 1)]
     key = np.zeros(sht.n_coeffs, dtype=int)
-    if form.mirror_axis is not None:
+    if form.mirror_axis == 0.0:
         key += sht.orders < 0
         if form.is_flip_symmetric:
             key += 2 * ((sht.degrees + sht.orders) % 2)
@@ -207,31 +191,19 @@ def _real_part(values, what):
     """Real part of an array whose imaginary part must be at rounding
     level (``MIRROR_IMAG_TOL``)."""
     if np.abs(values.imag).max() > MIRROR_IMAG_TOL * np.abs(values).max():
-        raise InvalidRunError(f"{what} not real; the form's symmetry does "
-                              "not hold on the grid")
+        raise InvalidRunError(f"{what} not real; the form is not symmetric "
+                              "under phi -> -phi on the grid")
     return np.ascontiguousarray(values.real)
 
 
-def _gauged(evaluator, axis):
-    """Inverse Gram and density mode table in the section gauge
-    s_k -> exp(-i k axis) s_k, both real for a form symmetric under
-    phi -> 2 axis - phi.
-
-    There the inverse Gram is exp(i (j-k) axis) M[j, k], and the density's
-    mode d is exp(i d axis) times the grid's, d taken in -n_phi/2..n_phi/2:
-    the modes of the density rotated onto its axis, even in d.  Products of
-    the harmonics rotated by ``axis`` with the density have the unrotated
-    harmonics' mode factors against this table.
-    """
-    k = np.arange(evaluator.p + 1)
-    kernel_matrix = _real_part(
-        evaluator.kernel_matrix * np.exp(1j * axis * (k[:, None] - k)),
-        "inverse Gram in the mirror gauge")
+def _mirror_tables(evaluator):
+    """Inverse Gram and density mode table of a form symmetric under
+    phi -> -phi, both real: the density's mode d, d taken in
+    -n_phi/2..n_phi/2, is even in d."""
+    kernel_matrix = _real_part(evaluator.kernel_matrix, "inverse Gram")
     n_phi = evaluator.grid.n_phi
-    d = np.arange(n_phi // 2 + 1)
-    half = _real_part(evaluator.form.density_modes[:, d]
-                      * np.exp(1j * axis * d),
-                      "density modes in the mirror gauge")
+    half = _real_part(
+        evaluator.form.density_modes[:, :n_phi // 2 + 1], "density modes")
     wrapped = np.arange(n_phi)
     return kernel_matrix, half[:, np.minimum(wrapped, n_phi - wrapped)]
 
@@ -260,20 +232,20 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     gather): no output longitude modes and no per-column grids.  The batch
     arrays are allocated once, for the widest batch, and reused, and the
     section-profile products are made once (``profile_products``).  A form
-    with a mirror axis is built on the harmonics rotated onto it, in real
-    arithmetic from the gauged inverse Gram and density modes
-    (``_gauged``): cosine columns give real symmetric A with cosine
-    outputs, sine columns i times real antisymmetric A with sine outputs.
-    Matches the generic path to roundoff.
+    of mirror axis 0 is built in real arithmetic from its real inverse Gram
+    and density modes (``_mirror_tables``): cosine columns give real
+    symmetric A with cosine outputs, sine columns i times real
+    antisymmetric A with sine outputs.  Matches the generic path to
+    roundoff.
     """
-    axis = smoother.form.mirror_axis
+    mirror = smoother.form.mirror_axis == 0.0
     w_theta = sht.grid.w_theta
     products = profile_products(smoother.evaluator.profiles)
     moments = sht.section_moments(products, w_theta)
     grams = product_grams(products, w_theta)
     size = smoother.p + 1
-    kernel_matrix, table = ((None, smoother.form.density_modes) if axis is None
-                            else _gauged(smoother.evaluator, axis))
+    kernel_matrix, table = (_mirror_tables(smoother.evaluator) if mirror
+                            else (None, smoother.form.density_modes))
     gather = diagonal_index(size)
     spans = _spans(sht, smoother.form)
     block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
@@ -297,8 +269,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         # degree; order 0 has cosine columns alone
         orders = np.array([-k, k] if k else [0])
         slots = coeff_index(degrees[:, None], orders).ravel()
-        parity = (None if axis is None
-                  else np.where(sht.orders[slots] < 0, -1.0, 1.0))
+        parity = (np.where(sht.orders[slots] < 0, -1.0, 1.0) if mirror
+                  else None)
         # modes 0..p fit the grid: the Gram exactness check forces
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
@@ -312,8 +284,7 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
             cols = np.flatnonzero(block_of[slots] == b)
             blocks[b][:, position[slots[cols]]] = sht.packed(
                 proj_k[:, :, cols], spans[b][0])
-    return _checked_matrix(list(zip(blocks, spans)),
-                           0.0 if axis is None else axis, col_norm, sht,
+    return _checked_matrix(list(zip(blocks, spans)), col_norm, sht,
                            tail_bound)
 
 
@@ -349,7 +320,7 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
         col_norm[spans[m]] = np.sum(d * (grams[m] @ d), axis=0)
     blocks += [(np.zeros((slots.shape[1],) * 2), slots)
                for slots in spans[len(blocks):]]
-    return _checked_matrix(blocks, 0.0, col_norm, sht, tail_bound)
+    return _checked_matrix(blocks, col_norm, sht, tail_bound)
 
 
 def fast_multiplication_matrix(form, sht):
@@ -361,33 +332,32 @@ def fast_multiplication_matrix(form, sht):
     c_m[i, m'] = (1/n_phi) sum_j f trig_m trig_m' at (theta_i, phi_j): the
     grid quadrature of ``multiplication_matrix`` regrouped, so it matches
     that oracle to roundoff.  The column norms come the same way from
-    f^2 trig_m'^2.  A form with a mirror axis takes the harmonics rotated
-    onto it, whose cosine and sine spans eta keeps apart.  A block is built
-    on the first of its slot sets, which stands for the others (a zonal
-    form's sine slots).  Eta is symmetric, so each order's rows go in as
-    its columns, contiguously in the column-major blocks that the
+    f^2 trig_m'^2.  A block is built on the first of its slot sets, which
+    stands for the others (a zonal form's sine slots), and c_m on the
+    orders m' of its slots alone.  Eta is symmetric, so each order's rows
+    go in as its columns, contiguously in the column-major blocks that the
     difference's column steps read.
     """
-    values, axis = form.eta, form.mirror_axis
-    rotation = 0.0 if axis is None else axis
-    trig, n_phi, l_max = sht.rotated_trig(rotation), sht.grid.n_phi, sht.l_max
+    values, trig = form.eta, sht.trig
+    n_phi, l_max = sht.grid.n_phi, sht.l_max
     profiles = sht.slot_profiles
     weighted = sht.grid.w_theta[:, None] * profiles
     blocks = []
     for slots in _spans(sht, form):
         span = slots[0]
         block = np.zeros((len(span), len(span)), order="F")
-        orders, span_weighted = sht.orders[span], weighted[:, span]
-        for m in np.unique(orders):
-            c = (values * trig[m + l_max]) @ trig.T / n_phi
-            rows = orders == m
+        present, order_of = np.unique(sht.orders[span], return_inverse=True)
+        present_trig, span_weighted = trig[present + l_max], weighted[:, span]
+        for i, m in enumerate(present):
+            c = (values * trig[m + l_max]) @ present_trig.T / n_phi
+            rows = order_of == i
             chunk = (sht.legendre[abs(m), sht.degrees[span[rows]]]
-                     @ (c[:, orders + l_max] * span_weighted))
+                     @ (c[:, order_of] * span_weighted))
             block[:, rows] = chunk.T
         blocks.append((block, slots))
     c = values ** 2 @ (trig ** 2).T / n_phi
     col_norm = np.sum(c[:, sht.orders + l_max] * weighted * profiles, axis=0)
-    return _checked_matrix(blocks, rotation, col_norm, sht)
+    return _checked_matrix(blocks, col_norm, sht)
 
 
 def _dense_top_singular_pair(matrix):
@@ -431,29 +401,20 @@ def _top_singular_pair(matrix, row_scale):
         matrix if row_scale is None else row_scale[:, None] * matrix)
 
 
-def spectral_norm_with_mode(blocks, rotation, sht, turn):
+def spectral_norm_with_mode(blocks, sht, turn):
     """norm1 of a cell, the largest singular value over its difference's
-    (block, slots) pairs on the basis rotated by ``rotation``
-    (``_top_singular_pair``), and the argmax degree.
-
-    Mapped back to the input basis, a rotated basis function of slot
-    (l, m) spreads over the slots (l, +-m), both of degree l, with weights
-    |cos(m rotation)| and |sin(m rotation)|: the larger is the column's
-    reach, and the winning block's top singular vector, weighted by it,
-    peaks at the argmax degree of the vector in the input basis.  A block's
+    (block, slots) pairs (``_top_singular_pair``), and the argmax degree of
+    the winning block's top singular vector in the input basis.  A block's
     slot sets share their degrees and |m|, so the first stands for all.  A
-    turned form's cell takes it back by the turn's D_l^T (``turn``).
-    """
+    turned form's cell takes the vector back by the turn's D_l^T
+    (``turn``)."""
     norm1 = -1.0
     for diff, slots in blocks:
         sigma, vec = _top_singular_pair(diff, None)
         if sigma > norm1:
             norm1, back = sigma, np.zeros(sht.n_coeffs)
             back[slots[0]] = vec
-            if turn is None:
-                angle = np.abs(sht.orders) * rotation
-                back *= np.maximum(*np.abs([np.cos(angle), np.sin(angle)]))
-            else:
+            if turn is not None:
                 back = np.concatenate([D.T @ back[l * l:(l + 1) ** 2]
                                        for l, D in enumerate(turn)])
             argmax_degree = int(sht.degrees[np.argmax(np.abs(back))])
@@ -486,9 +447,7 @@ def heat_side_matrix(mult, sht, p, tail_bound):
 
     Smoothing acts first, so column j is factor j times column j of
     ``mult``, and its kept mass and quadrature norm are those of ``mult``
-    times the factor squared; no matrix is formed.  A factor depends on the
-    degree alone, which a rotation about the pole keeps, so this holds on
-    the rotated basis of ``mult``'s blocks too.
+    times the factor squared; no matrix is formed.
     """
     u = 1.0 / (4.0 * math.pi * p)
     factors = np.exp(-sht.eigenvalues * u)
@@ -518,14 +477,13 @@ def comparison_norms(p, form, sht, mult, tail_bound, turn):
     (``_assembled_difference``) with eta's blocks ``mult`` on the same slots
     (``fast_multiplication_matrix``, p-independent, so a sweep builds them
     once); each norm is one call over the cell's blocks.  ``turn``: the
-    quarter turn's matrices for a turned form, else None.
+    turn's matrices for a turned form (``_turned``), else None.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
     blocks, tail = _assembled_difference(q_mat, mult, sht, p, form.volume,
                                          tail_bound)
-    norm1, argmax_degree = spectral_norm_with_mode(blocks, q_mat.rotation,
-                                                   sht, turn)
+    norm1, argmax_degree = spectral_norm_with_mode(blocks, sht, turn)
     norm2 = spectral_norm(blocks, p, sht)
     return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=argmax_degree)
@@ -573,22 +531,29 @@ class FormReport:
         return float(scaled.max() / np.median(scaled))
 
 
-def _quarter_turned(form, sht):
-    """The form a sweep runs its cells on, and the turn's matrices
-    (``heat.quarter_turn``) up to ``sht.l_max`` if it is turned, else None.
+def _turned(form, sht):
+    """The form a sweep runs its cells on, and the turn's matrices up to
+    ``sht.l_max`` if it is turned, else None.
 
-    A flip-symmetric form with no mirror axis is turned, about the pole
-    first so that its largest pair (l, +-m0) is a sine term: the turned
-    form and its rounding do not see how the form sits about the pole.  The
-    turned map's sine (m < 0) terms, zero up to rounding, are held to
-    ``MIRROR_TOL`` times its largest term and dropped, so its mirror axis
-    is 0 exactly.  A turn that keeps larger ones, or widens the longitude
-    band that the Gram's exactness check reads, is not taken."""
-    if form.mirror_axis is not None or not form.is_flip_symmetric:
+    A form with a mirror axis alpha != 0 is turned about the pole by -alpha
+    (``heat.pole_turn``).  A flip-symmetric form with no mirror axis is
+    turned by ``heat.quarter_turn``, about the pole first so that its
+    largest pair (l, +-m0) is a sine term: the turned form and its rounding
+    do not see how the form sits about the pole.  The turned map's sine
+    (m < 0) terms, zero up to rounding, are held to ``MIRROR_TOL`` times its
+    largest term and dropped, so its mirror axis is 0 exactly.  A turn that
+    keeps larger ones, or widens the longitude band that the Gram's
+    exactness check reads, is not taken, and the form keeps the complex
+    route (``_spans``)."""
+    axis = form.mirror_axis
+    if axis == 0.0 or (axis is None and not form.is_flip_symmetric):
         return form, None
-    _, m0, z0 = coefficient_pairs(form.coefficients)
-    turn = quarter_turn(max([sht.l_max] + [l for l, _ in form.coefficients]),
-                        (np.angle(z0) - math.pi / 2) / m0)
+    l_top = max([sht.l_max] + [l for l, _ in form.coefficients])
+    if axis is None:
+        _, m0, z0 = coefficient_pairs(form.coefficients)
+        turn = quarter_turn(l_top, (np.angle(z0) - math.pi / 2) / m0)
+    else:
+        turn = pole_turn(l_top, axis)
     turned = {}
     for (l, m), c in form.coefficients.items():
         turned[l] = turned.get(l, 0.0) + c * turn[l][:, m + l]
@@ -605,8 +570,8 @@ def _quarter_turned(form, sht):
 
 def sweep_form(form, p_values, sht, tail_bound):
     """Run the benchmark over a p grid for one form, turned onto the mirror
-    route if it can be (``_quarter_turned``); builds the eta matrix once."""
-    form, turn = _quarter_turned(form, sht)
+    route if it can be (``_turned``); builds the eta matrix once."""
+    form, turn = _turned(form, sht)
     mult = fast_multiplication_matrix(form, sht)
     cells = [comparison_norms(p, form, sht, mult, tail_bound, turn)
              for p in p_values]

@@ -52,11 +52,12 @@ class SmoothingOperator:
         folded into section moment matrices and conjugated by the inverse
         Gram; output b is x -> sigma(x)^T A[b] conj(sigma(x)) for the
         returned (n, p+1, p+1) batch A.  ``kernel_matrix`` replaces the
-        inverse Gram, for real modes with its real form in a rotated gauge
-        (``fourier.moment_matrices`` takes real modes with their
-        ``parity``).  ``out``, if given, is a pair of flat buffers that hold
-        the batch and the half product M T, so that a loop of batches reuses
-        their pages; the second may hold ``modes``, which T has consumed.
+        inverse Gram, for the real modes of a form symmetric under
+        phi -> -phi with its real part (``fourier.moment_matrices`` takes
+        real modes with their ``parity``).  ``out``, if given, is a pair of
+        flat buffers that hold the batch and the half product M T, so that
+        a loop of batches reuses their pages; the second may hold
+        ``modes``, which T has consumed.
         ``products``, if given, are the section-profile products
         (``fourier.profile_products``) that a Q assembly shares.
         """

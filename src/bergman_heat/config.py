@@ -128,7 +128,7 @@ def load_config(command, path, overrides):
     if path is not None:
         try:
             with open(path) as handle:
-                user = json.load(handle)
+                user = json.load(handle, object_pairs_hook=_unique_keys)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
@@ -142,6 +142,17 @@ def load_config(command, path, overrides):
             cfg[key] = value
     _validate(command, cfg)
     return cfg
+
+
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key, which
+    ``json`` would resolve silently to its last value, is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config repeats the key {key!r}")
+        out[key] = value
+    return out
 
 
 def _is_number(value, kinds=(int, float)):
@@ -208,20 +219,26 @@ def _form_id(spec):
 
 
 def read_form_spec(spec):
-    """The id and the coefficient map {(l, m): c} of a volume form spec."""
+    """The id and the coefficient map {(l, m): c} of a volume form spec.
+
+    A key is written "l,m" exactly as ``f"{l},{m}"`` writes it: no spaces,
+    signs on l or zero, leading zeros or underscores, which ``int`` would
+    let two keys spell one pair."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("coefficients"), dict)):
         raise ConfigError("volume form spec needs a 'coefficients' map")
     coeffs = {}
     for key, value in spec["coefficients"].items():
         try:
-            l_str, m_str = str(key).split(",")
-            index = (int(l_str), int(m_str))
+            l, m = (int(part) for part in str(key).split(","))
         except ValueError as exc:
             raise ConfigError(f"bad coefficient key {key!r}") from exc
+        if key != f"{l},{m}":
+            raise ConfigError(f"bad coefficient key {key!r}; write it "
+                              f"'{l},{m}'")
         if not _is_number(value):
             raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
-        coeffs[index] = float(value)
+        coeffs[(l, m)] = float(value)
     return _form_id(spec), coeffs
 
 

@@ -37,6 +37,23 @@ def coeff_index(l, m):
     return l * (l + 1) + m
 
 
+def pole_turn(l_max, alpha):
+    """Orthogonal matrices D_l, l = 0..l_max, on the real harmonics (rows
+    and columns m = -l..l) of the turn by -``alpha`` about the pole, in the
+    convention of ``quarter_turn``: D_l mixes each pair (l, +-m), m > 0, by
+    the angle m alpha, so the pair z = c_(l,m) + i c_(l,-m) goes to
+    exp(-i m alpha) z."""
+    turns = []
+    for l in range(l_max + 1):
+        m = np.arange(1, l + 1)
+        c, s = np.cos(m * alpha), np.sin(m * alpha)
+        D = np.eye(2 * l + 1)
+        D[l + m, l + m] = D[l - m, l - m] = c
+        D[l + m, l - m], D[l - m, l + m] = s, -s
+        turns.append(D)
+    return turns
+
+
 def quarter_turn(l_max, beta):
     """Orthogonal matrices D_l, l = 0..l_max, on the real harmonics (rows
     and columns m = -l..l) of the turn R by -``beta`` about the pole and
@@ -139,21 +156,17 @@ class SphericalHarmonicTransform:
         # sine modes are carried as i times real numbers
         self.real_factors = np.where(self.orders < 0, self.factors.imag,
                                      self.factors.real)
-        self.trig = self.rotated_trig(0.0)
+        # trig[m + l_max, j]: the longitude factor of Y_lm at node phi_j,
+        # twice the real part of its exp(i|m|phi) mode (once for m = 0)
+        ms = np.arange(-self.l_max, self.l_max + 1)[:, None]
+        self.trig = np.where(ms == 0, 1.0, 2.0) * (
+            self.factors[coeff_index(self.l_max, ms)]
+            * np.exp(1j * np.abs(ms) * grid.phi)).real
         self.eigenvalues = laplace_eigenvalue(self.degrees)
 
     @property
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
-
-    def rotated_trig(self, alpha):
-        """trig[m + l_max, j]: the longitude factor at node phi_j of Y_lm
-        rotated about the pole by ``alpha``, Y_lm(theta, phi - alpha);
-        twice the real part of its exp(i|m|phi) mode (once for m = 0)."""
-        ms = np.arange(-self.l_max, self.l_max + 1)[:, None]
-        return np.where(ms == 0, 1.0, 2.0) * (
-            self.factors[coeff_index(self.l_max, ms)]
-            * np.exp(1j * np.abs(ms) * (self.grid.phi - alpha))).real
 
     def order_products(self, mode_table, k, degrees, n_modes, out):
         """Longitude modes of (grid function) * Y_lm for the slots (l, m) of

@@ -26,30 +26,15 @@ from test_symmetry import rotate
 TAIL_BOUND = DEFAULTS["converge"]["tail_bound"]
 
 
-def dense_matrix(blocks, rotation, sht):
-    """The matrix on the input harmonic basis of (matrix, slots) blocks on
-    the basis rotated about the pole by ``rotation``: each block placed on
-    each of its slot sets, then rotated back with R, whose column (l, m)
-    holds the rotated harmonic's input coefficients
-    (Y'_lm = c Y_lm + s Y_l,-m and Y'_l,-m = c Y_l,-m - s Y_lm for m > 0,
-    (c, s) = (cos, sin)(m rotation))."""
+def dense(op, sht):
+    """An ``OperatorMatrix``'s matrix on the harmonic basis: each block
+    placed on each of its slot sets."""
     n = sht.n_coeffs
     full = np.zeros((n, n))
-    for matrix, slots in blocks:
+    for matrix, slots in op.blocks:
         for rows in slots:
             full[np.ix_(rows, rows)] = matrix
-    orders = sht.orders
-    angle = np.abs(orders) * rotation
-    rot = np.diag(np.cos(angle))
-    partner = np.arange(n) - 2 * orders
-    cols = np.flatnonzero(orders != 0)
-    rot[partner[cols], cols] = np.sign(orders[cols]) * np.sin(angle[cols])
-    return rot @ full @ rot.T
-
-
-def dense(op, sht):
-    """An ``OperatorMatrix``'s matrix on the input harmonic basis."""
-    return dense_matrix(op.blocks, op.rotation, sht)
+    return full
 
 
 def _cell(p, form, sht):
@@ -146,11 +131,14 @@ class TestOperatorMatrix:
                                                      rel=1e-12)
 
     def test_wrong_mirror_axis_is_refused(self, bench_grid, bench_sht):
-        # off the form's axis the gauged inverse Gram is far from real
-        form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
-        form.mirror_axis = 0.3
+        # tilted rotated by 0.3 has its mirror axis there; forced onto axis
+        # 0, where it is not symmetric, its inverse Gram is far from real
+        form = VolumeForm(bench_grid, rotate({(1, 1): 0.1, (2, 1): 0.05},
+                                             0.3), "tilted")
+        assert form.mirror_axis == pytest.approx(0.3, abs=1e-15)
+        form.mirror_axis = 0.0
         op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
-        with pytest.raises(InvalidRunError, match="mirror gauge"):
+        with pytest.raises(InvalidRunError, match="inverse Gram not real"):
             smoothing_operator_matrix(op, bench_sht, None)
 
     def test_turn_with_sine_terms_is_not_taken(self, bench_grid, bench_sht):
@@ -158,7 +146,7 @@ class TestOperatorMatrix:
         # keeps sine coefficients of the order of its own
         form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
         form.mirror_axis, form.is_flip_symmetric = None, True
-        assert bench._quarter_turned(form, bench_sht) == (form, None)
+        assert bench._turned(form, bench_sht) == (form, None)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -367,6 +355,9 @@ def _route(op, sht):
 
 
 GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
+TILTED = {(1, 1): 0.1, (2, 1): 0.05}
+TILTED_MIRROR = {(1, -1): -0.1, (2, -2): 0.05}
+SECTORAL = {(2, 2): 0.04, (3, 1): 0.02}
 
 
 @pytest.mark.parametrize("coefficients,route,n_blocks", [
@@ -378,7 +369,7 @@ GENERIC = {(1, 1): 0.1, (2, -1): 0.05}
     (GENERIC, "complex", 1)])
 def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
                                    n_blocks):
-    form, _ = bench._quarter_turned(
+    form, _ = bench._turned(
         VolumeForm(bench_grid, coefficients, route), bench_sht)
     spans = bench._spans(bench_sht, form)
     assert len(spans) == n_blocks
@@ -395,20 +386,21 @@ def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
 
 
 class TestAssembledCells:
-    # tilted has a mirror axis (at alpha once rotated by alpha) and takes a
-    # cosine and a sine block; tilted-mirror has the equator flip instead,
-    # and turned onto the meridian phi = 0 it takes a cosine and a sine
-    # block too; sectoral has both and takes four; the generic form has
-    # neither and takes one complex block
+    # tilted has a mirror axis and takes a cosine and a sine block, on the
+    # form turned back about the pole once rotated by alpha; tilted-mirror
+    # has the equator flip instead, and turned onto the meridian phi = 0 it
+    # takes a cosine and a sine block too; sectoral has both and takes
+    # four, turned as tilted is; the generic form has neither and takes one
+    # complex block.  A "turned" route is the mirror route after the turn
     @pytest.mark.parametrize("form_id,coefficients,alpha,route", [
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.0, "mirror"),
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 0.7, "mirror"),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.0, "mirror+flip"),
-        ("tilted", {(1, 1): 0.1, (2, 1): 0.05}, 2.3, "mirror"),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 0.7, "mirror+flip"),
-        ("sectoral", {(2, 2): 0.04, (3, 1): 0.02}, 2.3, "mirror+flip"),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.0, "turned"),
-        ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}, 0.7, "turned"),
+        ("tilted", TILTED, 0.0, "mirror"),
+        ("tilted", TILTED, 0.7, "turned"),
+        ("sectoral", SECTORAL, 0.0, "mirror+flip"),
+        ("tilted", TILTED, 2.3, "turned"),
+        ("sectoral", SECTORAL, 0.7, "turned+flip"),
+        ("sectoral", SECTORAL, 2.3, "turned+flip"),
+        ("tilted-mirror", TILTED_MIRROR, 0.0, "turned"),
+        ("tilted-mirror", TILTED_MIRROR, 0.7, "turned"),
         ("generic", GENERIC, 0.0, "complex"),
         ("generic", GENERIC, 0.7, "complex")])
     @pytest.mark.parametrize("p", [8, 16])
@@ -421,18 +413,16 @@ class TestAssembledCells:
         if alpha:
             coefficients = rotate(coefficients, alpha)
         unturned = VolumeForm(bench_grid, coefficients, form_id)
-        form, turn = bench._quarter_turned(unturned, sht)
-        assert (turn is not None) == (route == "turned")
-        if route == "turned":
+        form, turn = bench._turned(unturned, sht)
+        assert (turn is not None) == route.startswith("turned")
+        if form_id == "tilted-mirror" or route == "complex":
             assert unturned.mirror_axis is None
-            # the turn drops the sine terms: the axis is 0 exactly
-            assert form.mirror_axis == 0.0
-            route = "mirror"
-        elif route.startswith("mirror"):
-            assert math.sin(form.mirror_axis - alpha) == pytest.approx(
-                0.0, abs=1e-15)
         else:
-            assert form.mirror_axis is None
+            assert math.sin(unturned.mirror_axis - alpha) == pytest.approx(
+                0.0, abs=1e-15)
+        # the turn drops the sine terms: the axis is 0 exactly
+        assert form.mirror_axis == (None if route == "complex" else 0.0)
+        route = route.replace("turned", "mirror")
         mult = fast_multiplication_matrix(form, sht)
         assert _route(mult, sht) == route
         assert len(mult.blocks) == {"complex": 1, "mirror": 2,
@@ -454,17 +444,21 @@ class TestAssembledCells:
                 tail = _generic_oracle(p, form, sht)[3]
             assert res.tail_residual == pytest.approx(tail, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("form_id,coefficients,alpha", [
+        ("tilted-mirror", TILTED_MIRROR, 0.0),
+        ("tilted-mirror", TILTED_MIRROR, 0.7),
+        ("tilted", TILTED, 0.7), ("sectoral", SECTORAL, 2.3)])
     def test_turned_blocks_match_generic_oracle(self, bench_grid, bench_sht,
-                                                alpha):
+                                                form_id, coefficients, alpha):
         # Q's and eta's blocks of the turned form, taken back to the input
         # basis by the turn's matrices, against the per-column matrices of
-        # the form as given
+        # the form as given: the quarter turn for tilted-mirror, the turn
+        # about the pole for the others
         p = 8
-        unturned = VolumeForm(
-            bench_grid, rotate({(1, -1): -0.1, (2, -2): 0.05}, alpha),
-            "tilted-mirror")
-        form, turn = bench._quarter_turned(unturned, bench_sht)
+        unturned = VolumeForm(bench_grid, rotate(coefficients, alpha),
+                              form_id)
+        form, turn = bench._turned(unturned, bench_sht)
+        assert turn is not None
         back = block_diagonal(turn)
         op = SmoothingOperator(bergman_evaluator(p, form, bench_grid))
         fast = smoothing_operator_matrix(op, bench_sht, None)
@@ -486,7 +480,7 @@ class TestAssembledCells:
         numpy reports its buffers to tracemalloc."""
         grid = build_grid(64, 128)
         sht = SphericalHarmonicTransform(grid, 30)
-        form, turn = bench._quarter_turned(
+        form, turn = bench._turned(
             VolumeForm(grid, coefficients, form_id), sht)
         mult = fast_multiplication_matrix(form, sht)
         tracemalloc.start()
@@ -623,7 +617,7 @@ class TestZonalBlocks:
 
         with monkeypatch.context() as patch:
             patch.setattr(bench, "VolumeForm", kept)
-            assert bench._quarter_turned(form, sht) == (form, None)
+            assert bench._turned(form, sht) == (form, None)
         assert 2 * 12 + made[0].phi_band > grid.exactness_degree
         routes = []
         original = bench.smoothing_operator_matrix

@@ -285,6 +285,40 @@ class TestExitCodes:
         assert message in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"p_list": [4, 8], "p_list": [16, 32, 64, 128]}', "p_list"),
+        ('{"volume_forms": [{"id": "fs", "coefficients": {}}, {"id": "z", '
+         '"coefficients": {"1,0": -0.1, "1,0": -0.3}}]}', "1,0"),
+    ])
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, text, key):
+        # json keeps the last of repeated keys; the config reader refuses
+        # them, at the top level and in a coefficient map alike
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = run(["converge", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == f"config repeats the key {key!r}"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("key", [" 1,0 ", "+1,0", "01,0", "1_0,0",
+                                     "1,-0"])
+    def test_noncanonical_coefficient_key_is_config_error(self, tmp_path,
+                                                          capsys, key):
+        # int() reads each of these as a pair, "1_0" as 10; only the
+        # spelling f"{l},{m}" is accepted
+        cfg = {"volume_forms": [{"id": "fs", "coefficients": {}},
+                                {"id": "z", "coefficients": {key: -0.3}}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run(["converge", "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"bad coefficient key {key!r}" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_acceptance_failure_exit(self, tmp_path):
         cfg = dict(SMALL_CONVERGE)
         cfg["slope_threshold"] = -5.0  # unattainable on purpose

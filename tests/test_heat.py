@@ -8,7 +8,8 @@ from bergman_heat import (ConfigError, HarmonicCoeffs,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
 from bergman_heat.fourier import grid_to_modes
-from bergman_heat.heat import coeff_index, degree_vector, quarter_turn
+from bergman_heat.heat import (coeff_index, degree_vector, pole_turn,
+                               quarter_turn)
 
 
 class TestTransform:
@@ -133,6 +134,30 @@ class TestQuarterTurn:
     def test_orthogonal(self, l_max, tol):
         for D in quarter_turn(l_max, 0.7):
             assert np.abs(D @ D.T - np.eye(len(D))).max() < tol
+
+
+class TestPoleTurn:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.3])
+    def test_matches_analyzed_turned_harmonics(self, alpha):
+        # the turn R by -alpha about the pole moves every longitude by
+        # -alpha, so Y_lm o R^-1 at (theta, phi) is Y_lm at
+        # (theta, phi + alpha); on a grid exact for degree 2 l_max its
+        # analysis is column m of D_l, and zero off degree l
+        l_max = 6
+        sht = SphericalHarmonicTransform(build_grid(l_max + 2, 2 * l_max + 4),
+                                         l_max)
+        theta, phi = sht.grid.theta_mesh, sht.grid.phi_mesh + alpha
+        turn = pole_turn(l_max, alpha)
+        for l in range(l_max + 1):
+            for m in range(-l, l + 1):
+                coeffs = sht.analyze(real_sph_harm(l, m, theta, phi)).values
+                column = np.zeros(sht.n_coeffs)
+                column[l * l:(l + 1) ** 2] = turn[l][:, m + l]
+                assert np.abs(coeffs - column).max() < 1e-13, (l, m)
+
+    def test_orthogonal(self):
+        for D in pole_turn(46, 0.7):
+            assert np.abs(D @ D.T - np.eye(len(D))).max() < 1e-15
 
 
 class TestLaplacian:

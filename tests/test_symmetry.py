@@ -117,7 +117,7 @@ def test_turned_and_mirror_routes_agree(sym_sht):
              for form_id, coeffs in (
                  ("tilted", {(1, 1): 0.1, (2, 1): 0.05}),
                  ("tilted-mirror", {(1, -1): -0.1, (2, -2): 0.05}))]
-    assert [bench._quarter_turned(form, sym_sht)[1] is None
+    assert [bench._turned(form, sym_sht)[1] is None
             for form in forms] == [True, False]
     reports = [sweep_form(form, P_VALUES, sym_sht, bound) for form in forms]
     for norms in ("norms1", "norms2"):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from test_cli import SMALL_CONVERGE
 
-from bergman_heat.bench import _quarter_turned
+from bergman_heat.bench import _turned
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.config import DEFAULTS
 from bergman_heat.geometry import VolumeForm, build_grid
@@ -63,8 +63,8 @@ def test_traced_run_reads_its_guards(tmp_path):
     for spec in cfg["volume_forms"]:
         coefficients = {tuple(map(int, key.split(","))): value
                         for key, value in spec["coefficients"].items()}
-        form, _ = _quarter_turned(VolumeForm(sht.grid, coefficients,
-                                             spec["id"]), sht)
+        form, _ = _turned(VolumeForm(sht.grid, coefficients, spec["id"]),
+                          sht)
         routes.add("zonal" if form.is_zonal else
                    (form.mirror_axis is not None, form.is_flip_symmetric))
     # zonal, mirror (tilted and tilted-mirror), mirror and flip, complex
