@@ -14,22 +14,20 @@ width picks.  A zonal form's operators commute with rotation about the
 pole, so they split into one block per longitude order, one for cosine and
 sine alike; only Q's blocks take a zonal formula, straight from the
 section-harmonic moment tables.  A form symmetric under phi -> -phi
-(``VolumeForm.mirror_axis`` 0) keeps the cosine and sine spans apart, so
-its difference is two real blocks, assembled where the inverse Gram is
+(``VolumeForm.is_mirror_symmetric``) keeps the cosine and sine spans apart,
+so its difference is two real blocks, assembled where the inverse Gram is
 real; one also symmetric under the equator flip theta -> pi - theta
 (``VolumeForm.is_flip_symmetric``) keeps the slots of even and odd
-l + |m| apart as well, in four real blocks.  Any other mirror plane is
-carried onto the meridian phi = 0 by a turn: a form with a mirror axis
-alpha != 0 by the turn about the pole by -alpha, a flip-symmetric form
-with no mirror axis, whose equator is a mirror plane, by a quarter turn
-about the x-axis.  A sweep turns such a form once and runs every cell on
-the turned form, of mirror axis 0 (``_turned``).  The norms do not see the
-turn; the argmax degree is read in the input basis, and the tails over the
-turned basis's columns (truncation at ``l_max`` does not see the turn, the
-largest single column can).  Any other form assembles one
-complex-arithmetic block on the whole basis.  The assembled Q is built one longitude order of columns at a time,
-and every form's eta multiplication as a product quadrature, one order at
-a time.
+l + |m| apart as well, in four real blocks.  Any other mirror plane through
+the pole, or the equator of a flip-symmetric form, is carried onto the
+meridian phi = 0 by a turn about the pole or a quarter turn, which a sweep
+chooses and takes once, running every cell on the turned form
+(``_turned``).  The norms do not see the turn; the argmax degree is read in
+the input basis, and the tails over the turned basis's columns (truncation
+at ``l_max`` does not see the turn, the largest single column can).  Any
+other form assembles one complex-arithmetic block on the whole basis.  The
+assembled Q is built one longitude order of columns at a time, and every
+form's eta multiplication as a product quadrature, one order at a time.
 """
 
 import math
@@ -42,7 +40,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
 from .fourier import diagonal_index, product_grams, profile_products
-from .geometry import MIRROR_TOL, VolumeForm, coefficient_pairs, is_zonal
+from .geometry import VolumeForm, is_zonal
 from .heat import coeff_index, heat_apply, pole_turn, quarter_turn
 from .sections import bergman_evaluator
 
@@ -77,12 +75,22 @@ DENSE_COLUMNS = 64
 # columns per in-place step of the difference (an n_coeffs x 256 temporary)
 DIFF_COLUMNS = 256
 
+# largest sine coefficient, relative to the largest coefficient, that a map
+# turned onto the meridian phi = 0 may keep and drop (``_turned``).  A
+# mirror-symmetric map turned by its own axis keeps them at rounding level
+# (at most 4.6e-16 relative for the benchmark's forms, unrotated and at
+# twenty seeded angles).  Dropping a sine term of relative size eps moves
+# the converge norms by about eps, so at most by the 1e-12 to which the
+# mirror route is held against the complex one.
+MIRROR_TOL = 1e-12
+
 # largest imaginary part, relative to the largest modulus, of the inverse
-# Gram and the density modes of a form of mirror axis 0, whose real parts
+# Gram and the density modes of a mirror-symmetric form, whose real parts
 # the mirror route keeps: rounding leaves at most 5.1e-17 on the
 # benchmark's turned forms (p = 64 on 102 x 204, unrotated and at twenty
-# seeded angles), and tilted rotated by 0.3, read at axis 0, leaves 3.3e-2;
-# the margin admits rounding amplified by a Gram condition up to about 1e6
+# seeded angles), and tilted rotated by 0.3, read as mirror-symmetric,
+# leaves 3.3e-2; the margin admits rounding amplified by a Gram condition
+# up to about 1e6
 MIRROR_IMAG_TOL = 1e-10
 
 
@@ -169,18 +177,16 @@ def _spans(sht, form):
     (n_sets, size) per block, its rows alike in degree and |m| slot by
     slot.  A zonal form has one block per order m, on the cosine (l, m)
     and, for m > 0, the sine (l, -m) slots of l = m..l_max.  Any other form
-    has one set per block: the whole basis, split for a form of mirror axis
-    0 into the cosine (m >= 0) and sine (m < 0) slots, and for one also
+    has one set per block: the whole basis, split for a mirror-symmetric
+    form into the cosine (m >= 0) and sine (m < 0) slots, and for one also
     symmetric under the equator flip into the slots of even and odd
-    l + |m| as well, which the flip keeps apart as it does the density's.
-    A form with another mirror axis, which a sweep did not turn
-    (``_turned``), keeps the whole basis."""
+    l + |m| as well, which the flip keeps apart as it does the density's."""
     if form.is_zonal:
         return [coeff_index(np.arange(m, sht.l_max + 1),
                             np.array([m, -m] if m else [0])[:, None])
                 for m in range(sht.l_max + 1)]
     key = np.zeros(sht.n_coeffs, dtype=int)
-    if form.mirror_axis == 0.0:
+    if form.is_mirror_symmetric:
         key += sht.orders < 0
         if form.is_flip_symmetric:
             key += 2 * ((sht.degrees + sht.orders) % 2)
@@ -231,14 +237,13 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     tables (``sht.analyze_diagonals``, from A's lower diagonals in one
     gather): no output longitude modes and no per-column grids.  The batch
     arrays are allocated once, for the widest batch, and reused, and the
-    section-profile products are made once (``profile_products``).  A form
-    of mirror axis 0 is built in real arithmetic from its real inverse Gram
-    and density modes (``_mirror_tables``): cosine columns give real
-    symmetric A with cosine outputs, sine columns i times real
-    antisymmetric A with sine outputs.  Matches the generic path to
-    roundoff.
+    section-profile products are made once (``profile_products``).  A
+    mirror-symmetric form is built in real arithmetic from its real inverse
+    Gram and density modes (``_mirror_tables``): cosine columns give real
+    symmetric A with cosine outputs, sine columns i times real antisymmetric
+    A with sine outputs.  Matches the generic path to roundoff.
     """
-    mirror = smoother.form.mirror_axis == 0.0
+    mirror = smoother.form.is_mirror_symmetric
     w_theta = sht.grid.w_theta
     products = profile_products(smoother.evaluator.profiles)
     moments = sht.section_moments(products, w_theta)
@@ -535,37 +540,49 @@ def _turned(form, sht):
     """The form a sweep runs its cells on, and the turn's matrices up to
     ``sht.l_max`` if it is turned, else None.
 
-    A form with a mirror axis alpha != 0 is turned about the pole by -alpha
-    (``heat.pole_turn``).  A flip-symmetric form with no mirror axis is
-    turned by ``heat.quarter_turn``, about the pole first so that its
-    largest pair (l, +-m0) is a sine term: the turned form and its rounding
-    do not see how the form sits about the pole.  The turned map's sine
-    (m < 0) terms, zero up to rounding, are held to ``MIRROR_TOL`` times its
-    largest term and dropped, so its mirror axis is 0 exactly.  A turn that
-    keeps larger ones, or widens the longitude band that the Gram's
-    exactness check reads, is not taken, and the form keeps the complex
+    A mirror-symmetric form (zonal forms are) is not turned, nor is one
+    whose longitude band reaches the top mode n_phi // 2, which stands for
+    a +m and a -m mode that a turn treats apart.  Otherwise the candidates
+    go in order, from the largest pair z0 = c_(l,m0) + i c_(l,-m0): the
+    turns about the pole by -alpha_j, alpha_j = (arg z0 + j pi) / m0 mod pi
+    for j < m0 (``heat.pole_turn``), which make z0 real; then, for a
+    flip-symmetric form, whose equator is a mirror plane,
+    ``heat.quarter_turn`` after the turn about the pole that makes z0 a sine
+    term, so the turned form does not see how the form sits about the pole.
+    The first candidate whose turned map keeps no sine (m < 0) term over
+    ``MIRROR_TOL`` times its largest term, and whose turned form does not
+    widen the longitude band that the Gram's exactness check reads, is
+    taken, those sine terms dropped; if none is, the form keeps the complex
     route (``_spans``)."""
-    axis = form.mirror_axis
-    if axis == 0.0 or (axis is None and not form.is_flip_symmetric):
+    if form.is_mirror_symmetric or form.phi_band >= sht.grid.n_phi // 2:
         return form, None
-    l_top = max([sht.l_max] + [l for l, _ in form.coefficients])
-    if axis is None:
-        _, m0, z0 = coefficient_pairs(form.coefficients)
-        turn = quarter_turn(l_top, (np.angle(z0) - math.pi / 2) / m0)
-    else:
-        turn = pole_turn(l_top, axis)
-    turned = {}
+    pairs = {}
     for (l, m), c in form.coefficients.items():
-        turned[l] = turned.get(l, 0.0) + c * turn[l][:, m + l]
-    largest = max(np.abs(row).max() for row in turned.values())
-    turned_form = VolumeForm(form.grid, {
-        (l, m): float(row[m + l]) for l, row in turned.items()
-        for m in range(l + 1) if row[m + l] != 0.0}, form.form_id)
-    if turned_form.phi_band > form.phi_band or any(
-            np.abs(row[:l]).max(initial=0.0) > MIRROR_TOL * largest
-            for l, row in turned.items()):
-        return form, None
-    return turned_form, turn[:sht.l_max + 1]
+        if m != 0:
+            pairs[(l, abs(m))] = pairs.get((l, abs(m)), 0.0) + (
+                c if m > 0 else 1j * c)
+    (_, m0), z0 = max(pairs.items(), key=lambda item: abs(item[1]))
+    arg = float(np.angle(z0))
+    candidates = [(pole_turn, (arg + j * math.pi) / m0 % math.pi)
+                  for j in range(m0)]
+    if form.is_flip_symmetric:
+        candidates.append((quarter_turn, (arg - math.pi / 2) / m0))
+    l_top = max([sht.l_max] + [l for l, _ in form.coefficients])
+    for make, angle in candidates:
+        turn = make(l_top, angle)
+        turned = {}
+        for (l, m), c in form.coefficients.items():
+            turned[l] = turned.get(l, 0.0) + c * turn[l][:, m + l]
+        largest = max(np.abs(row).max() for row in turned.values())
+        if any(np.abs(row[:l]).max(initial=0.0) > MIRROR_TOL * largest
+               for l, row in turned.items()):
+            continue
+        turned_form = VolumeForm(form.grid, {
+            (l, m): float(row[m + l]) for l, row in turned.items()
+            for m in range(l + 1) if row[m + l] != 0.0}, form.form_id)
+        if turned_form.phi_band <= form.phi_band:
+            return turned_form, turn[:sht.l_max + 1]
+    return form, None
 
 
 def sweep_form(form, p_values, sht, tail_bound):

@@ -23,15 +23,6 @@ RADIUS = 1.0 / (2.0 * math.sqrt(math.pi))
 #: Injectivity radius (half the great-circle length).
 INJECTIVITY_RADIUS = math.pi * RADIUS
 
-#: Largest sine coefficient, relative to the largest coefficient, that a
-#: coefficient map rotated onto its mirror axis may keep (``mirror_axis``).
-#: A mirror-symmetric map rotated by a generic angle keeps them at rounding
-#: level (at most 4.8e-16 relative for the benchmark's forms at twenty
-#: seeded angles).  Dropping a sine term of relative size eps moves the
-#: converge norms by about eps, so at most by the 1e-12 to which the mirror
-#: route is held against the complex one.
-MIRROR_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -198,40 +189,11 @@ def is_flip_symmetric(coefficients):
                for (l, m), c in coefficients.items() if c != 0.0)
 
 
-def coefficient_pairs(coefficients):
-    """The pairs z = c_(l,m) + i c_(l,-m) of a {(l, m): c} map with m != 0
-    terms, keyed (l, m > 0), and the order m0 and value z0 of the largest."""
-    pairs = {}
-    for (l, m), c in coefficients.items():
-        if m != 0:
-            pairs[(l, abs(m))] = pairs.get((l, abs(m)), 0.0) + (
-                c if m > 0 else 1j * c)
-    (_, m0), z0 = max(pairs.items(), key=lambda item: abs(item[1]))
-    return pairs, m0, z0
-
-
-def mirror_axis(coefficients):
-    """Mirror axis of a {(l, m): c} map's density, or None.
-
-    Rotating the density about the pole by -alpha multiplies each pair
-    z = c_(l,m) + i c_(l,-m), m > 0, by exp(-i m alpha), and the density is
-    symmetric under phi -> 2 alpha - phi when that leaves every sine (m < 0)
-    coefficient Im(exp(-i m alpha) z) at zero.  Returns the alpha in
-    [0, pi) that leaves each of them at most ``MIRROR_TOL`` times the
-    largest coefficient, or None; alpha = 0 exactly when no sine coefficient
-    is nonzero.  The candidates are the angles, pi / m0 apart, that clear
-    the largest pair, of order m0.
-    """
-    if all(c == 0.0 for (_, m), c in coefficients.items() if m < 0):
-        return 0.0
-    tol = MIRROR_TOL * max(abs(c) for c in coefficients.values())
-    pairs, m0, z0 = coefficient_pairs(coefficients)
-    for j in range(m0):
-        alpha = (float(np.angle(z0)) + j * math.pi) / m0 % math.pi
-        if all(abs((np.exp(-1j * m * alpha) * z).imag) <= tol
-               for (_, m), z in pairs.items()):
-            return alpha
-    return None
+def is_mirror_symmetric(coefficients):
+    """True when no nonzero coefficient of a {(l, m): c} map has order
+    m < 0: its density is then even under the mirror phi -> -phi, which
+    maps the grid's longitudes onto themselves, bit for bit."""
+    return all(m >= 0 for (_, m), c in coefficients.items() if c != 0.0)
 
 
 class VolumeForm:
@@ -270,12 +232,7 @@ class VolumeForm:
         # the Gauss-Legendre nodes are symmetric about the equator, so the
         # flip holds on every grid
         self.is_flip_symmetric = is_flip_symmetric(self.coefficients)
-        # an axis off phi = 0 holds on the grid only while the density's
-        # band stays below the top longitude mode, which stands for a +m and
-        # a -m mode that the rotation treats apart
-        axis = mirror_axis(self.coefficients)
-        self.mirror_axis = (axis if axis == 0.0
-                            or self.phi_band < grid.n_phi // 2 else None)
+        self.is_mirror_symmetric = is_mirror_symmetric(self.coefficients)
 
     def log_density_at(self, theta, phi):
         out = np.zeros(np.broadcast(np.asarray(theta, dtype=float),

@@ -18,9 +18,11 @@ from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
 from bergman_heat.errors import InvalidRunError
-from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
+from bergman_heat.heat import (HarmonicCoeffs, SphericalHarmonicTransform,
+                                quarter_turn)
 from bergman_heat.geometry import VolumeForm, fubini_study_form
 from test_bergman import funk_hecke_eigenvalue
+from test_geometry import _load_workloads, _seeded_coefficients
 from test_symmetry import rotate
 
 TAIL_BOUND = DEFAULTS["converge"]["tail_bound"]
@@ -131,22 +133,32 @@ class TestOperatorMatrix:
                                                      rel=1e-12)
 
     def test_wrong_mirror_axis_is_refused(self, bench_grid, bench_sht):
-        # tilted rotated by 0.3 has its mirror axis there; forced onto axis
-        # 0, where it is not symmetric, its inverse Gram is far from real
+        # tilted rotated by 0.3 has its mirror plane there; forced
+        # mirror-symmetric about phi = 0, where it is not, its inverse Gram
+        # is far from real
         form = VolumeForm(bench_grid, rotate({(1, 1): 0.1, (2, 1): 0.05},
                                              0.3), "tilted")
-        assert form.mirror_axis == pytest.approx(0.3, abs=1e-15)
-        form.mirror_axis = 0.0
+        assert not form.is_mirror_symmetric
+        form.is_mirror_symmetric = True
         op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
         with pytest.raises(InvalidRunError, match="inverse Gram not real"):
             smoothing_operator_matrix(op, bench_sht, None)
 
-    def test_turn_with_sine_terms_is_not_taken(self, bench_grid, bench_sht):
-        # tilted has (2, 1), odd under the equator flip: its quarter turn
-        # keeps sine coefficients of the order of its own
-        form = VolumeForm(bench_grid, {(1, 1): 0.1, (2, 1): 0.05}, "tilted")
-        form.mirror_axis, form.is_flip_symmetric = None, True
+    def test_turn_with_sine_terms_is_not_taken(self, bench_grid, bench_sht,
+                                               monkeypatch):
+        # the generic form's one pole candidate, the identity, keeps its
+        # (2, -1) term; forced flip-symmetric, its quarter turn keeps sine
+        # terms of its own.  Neither turn is taken, and neither builds a
+        # turned form: the sine terms are read first
+        form = VolumeForm(bench_grid, GENERIC, "generic")
+        form.is_flip_symmetric = True
+        made, quarter = [], []
+        monkeypatch.setattr(bench, "VolumeForm",
+                            lambda *args: made.append(args))
+        monkeypatch.setattr(bench, "quarter_turn", lambda *args: (
+            quarter.append(args), quarter_turn(*args))[1])
         assert bench._turned(form, bench_sht) == (form, None)
+        assert len(quarter) == 1 and made == []
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -415,13 +427,11 @@ class TestAssembledCells:
         unturned = VolumeForm(bench_grid, coefficients, form_id)
         form, turn = bench._turned(unturned, sht)
         assert (turn is not None) == route.startswith("turned")
-        if form_id == "tilted-mirror" or route == "complex":
-            assert unturned.mirror_axis is None
-        else:
-            assert math.sin(unturned.mirror_axis - alpha) == pytest.approx(
-                0.0, abs=1e-15)
-        # the turn drops the sine terms: the axis is 0 exactly
-        assert form.mirror_axis == (None if route == "complex" else 0.0)
+        assert unturned.is_mirror_symmetric == route.startswith("mirror")
+        if route.startswith("turned") and form_id != "tilted-mirror":
+            assert _same_axis(_pole_angle(turn), alpha)
+        # the turn drops the sine terms: the turned form is mirror-symmetric
+        assert form.is_mirror_symmetric == (route != "complex")
         route = route.replace("turned", "mirror")
         mult = fast_multiplication_matrix(form, sht)
         assert _route(mult, sht) == route
@@ -570,44 +580,45 @@ class TestZonalBlocks:
         assert calls == {("q", "zonal"): 4, ("eta", "zonal"): 1}
         calls.clear()
         # one small m != 0 coefficient makes the form non-zonal; with no
-        # sine coefficient it keeps the mirror axis 0
+        # sine coefficient it stays mirror-symmetric
         tipped = VolumeForm(bench_grid, {(1, 0): -0.3, (2, 1): 1e-9}, "t")
-        assert tipped.mirror_axis == 0.0
+        assert tipped.is_mirror_symmetric
         sweep_form(tipped, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1}
         # one small sine coefficient off the axis of the cosine ones leaves
-        # the form with no mirror axis
+        # the form with no mirror plane through the pole
         off_axis = VolumeForm(bench_grid, {(1, 1): 0.1, (2, -1): 1e-9}, "o")
-        assert off_axis.mirror_axis is None
+        assert not off_axis.is_mirror_symmetric
         sweep_form(off_axis, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1,
                          ("q", "complex"): 4, ("eta", "complex"): 1}
-        # with no mirror axis, every l + |m| even keys the quarter turn
-        # onto the mirror route
+        # with no mirror plane through the pole, every l + |m| even keys the
+        # quarter turn onto the mirror route
         calls.clear()
         flipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05}, "f")
-        assert flipped.mirror_axis is None and flipped.is_flip_symmetric
+        assert not flipped.is_mirror_symmetric and flipped.is_flip_symmetric
         sweep_form(flipped, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "mirror"): 4, ("eta", "mirror"): 1}
         # one small odd coefficient drops the flip
         calls.clear()
         tipped = VolumeForm(bench_grid, {(1, -1): -0.1, (2, -2): 0.05,
                                          (2, 1): 1e-9}, "g")
-        assert tipped.mirror_axis is None
+        assert not tipped.is_mirror_symmetric
         sweep_form(tipped, p_values, bench_sht, TAIL_BOUND)
         assert calls == {("q", "complex"): 4, ("eta", "complex"): 1}
 
     def test_band_guard_keeps_the_complex_route(self, monkeypatch):
         # a strong (2, 0) term with weak (1, 1) and (2, -2) terms, whose
-        # axes differ: flip-symmetric, no mirror axis, and a narrow band
-        # that the turn would widen, since Y_20 turned off the pole has
-        # |m| = 1, 2 parts.  The pinned grid's exactness 2p + band passes at
-        # the input's band and would refuse the turned one
+        # axes differ: flip-symmetric, no mirror plane through the pole,
+        # and a narrow band that the quarter turn would widen, since Y_20
+        # turned off the pole has |m| = 1, 2 parts.  The pinned grid's
+        # exactness 2p + band passes at the input's band and would refuse
+        # the turned one
         grid = build_grid(24, 31)
         sht = SphericalHarmonicTransform(grid, 12)
         form = VolumeForm(grid, {(2, 0): 0.5, (1, 1): 1e-3, (2, -2): 1e-3},
                           "narrow")
-        assert form.mirror_axis is None and form.is_flip_symmetric
+        assert not form.is_mirror_symmetric and form.is_flip_symmetric
         assert 2 * 12 + form.phi_band <= grid.exactness_degree
         made = []
 
@@ -631,6 +642,124 @@ class TestZonalBlocks:
         report = sweep_form(form, [4, 8, 10, 12], sht, TAIL_BOUND)
         assert routes == ["complex"] * 4
         assert min(report.norms1) > 0.0
+
+
+def _pole_angle(turn):
+    """The angle alpha of a turn about the pole by -alpha, read off D_1,
+    which mixes the pair (1, +-1) by alpha; None for a turn off the pole,
+    which moves Y_1,0."""
+    D = turn[1]
+    return math.atan2(D[2, 0], D[2, 2]) if D[1, 1] == 1.0 else None
+
+
+def _same_axis(a, b):
+    """Mirror axes agree modulo pi, the period of a reflection's axis."""
+    return abs(math.sin(a - b)) <= 1e-14
+
+
+class TestTurnChoice:
+    # which turn, if any, puts a mirror plane on the meridian phi = 0
+    # (``bench._turned``): the one tolerance-based route decision
+    @staticmethod
+    def _turned(coefficients, grid, sht):
+        """A form of the coefficients, and what a sweep runs it on."""
+        form = VolumeForm(grid, coefficients, "form")
+        return form, *bench._turned(form, sht)
+
+    def test_no_sine_terms_means_no_turn(self, bench_grid, bench_sht):
+        for coefficients in ({}, {(1, 0): -0.3},
+                             {(1, 1): 0.1, (2, 1): 0.05, (2, -2): 0.0}):
+            form, turned, turn = self._turned(coefficients, bench_grid,
+                                              bench_sht)
+            assert form.is_mirror_symmetric
+            assert (turned, turn) == (form, None)
+
+    def test_tilted_mirror_has_no_pole_candidate(self, bench_grid,
+                                                 bench_sht):
+        # its order-1 sine term wants alpha = pi/2 (mod pi), its order-2
+        # one alpha = pi/4 (mod pi/2); the flip keys the quarter turn
+        form, turned, turn = self._turned(TILTED_MIRROR, bench_grid,
+                                          bench_sht)
+        assert _pole_angle(turn) is None and turned.is_mirror_symmetric
+        form.is_flip_symmetric = False
+        assert bench._turned(form, bench_sht) == (form, None)
+
+    def test_sine_term_over_the_tolerance_keeps_the_complex_route(
+            self, bench_grid, bench_sht):
+        form, turned, turn = self._turned({(1, 1): 0.1, (2, -1): 1e-9},
+                                          bench_grid, bench_sht)
+        assert (turned, turn) == (form, None)
+
+    def test_sine_term_under_the_tolerance_is_dropped(self, bench_grid,
+                                                      bench_sht):
+        # at most MIRROR_TOL times the largest term: the identity turn
+        # about the pole is taken, and the sine term dropped from the map
+        _, turned, turn = self._turned({(1, 1): 0.1, (2, -1): 5e-15},
+                                       bench_grid, bench_sht)
+        assert all(np.array_equal(D, np.eye(len(D))) for D in turn)
+        assert turned.coefficients == {(1, 1): 0.1}
+
+    def test_pure_sine_form_turns_by_a_quarter_about_the_pole(
+            self, bench_grid, bench_sht):
+        for coefficients, alpha in (({(1, -1): 0.1, (2, -1): 0.05},
+                                     math.pi / 2),
+                                    ({(1, -1): 0.1, (1, 1): 0.1},
+                                     math.pi / 4)):
+            _, turned, turn = self._turned(coefficients, bench_grid,
+                                           bench_sht)
+            assert _pole_angle(turn) == pytest.approx(alpha, abs=1e-15)
+            assert turned.is_mirror_symmetric
+
+    def test_axis_of_a_zero_lowest_order_pair(self, bench_grid, bench_sht):
+        # an explicit zero pair does not pin the candidates
+        _, turned, turn = self._turned({(1, 1): 0.0, (2, -2): 0.1},
+                                       bench_grid, bench_sht)
+        assert _same_axis(2 * _pole_angle(turn), math.pi / 2)
+        assert turned.is_mirror_symmetric
+
+    def test_benchmark_forms_rotated_by_the_seeded_angles(self, bench_grid,
+                                                          bench_sht):
+        # the pole turn's angle is the seed's rotation, mod pi
+        workloads = _load_workloads()
+        for seed in range(1, 21):
+            angle, _ = workloads.seeded_inputs(seed)
+            for spec in workloads.NONZONAL_FORMS:
+                _, turned, turn = self._turned(
+                    _seeded_coefficients(workloads, spec, seed), bench_grid,
+                    bench_sht)
+                if spec["id"] == "fs":
+                    assert turn is None
+                    continue
+                assert turned.is_mirror_symmetric
+                if spec["id"] == "tilted-mirror":
+                    assert _pole_angle(turn) is None, seed
+                else:
+                    assert _same_axis(_pole_angle(turn), angle), (seed,
+                                                                  spec["id"])
+
+    def test_band_at_the_top_mode_keeps_the_complex_route(self):
+        # on 24x48 this density's band reaches the top longitude mode 24,
+        # which stands for a +m and a -m mode that a turn treats apart;
+        # phi -> -phi maps the grid onto itself, a turn by 0.3 does not.
+        # Neither the pole turn nor, for this flip-symmetric form, the
+        # quarter turn is tried; quarter-turned, its norms missed the
+        # per-column oracle by 3.4e-9 and 8.7e-8 relative
+        sht = SphericalHarmonicTransform(build_grid(24, 48), 12)
+        strong, _, _ = self._turned({(3, 3): 1.5}, sht.grid, sht)
+        assert strong.phi_band == 24 and strong.is_mirror_symmetric
+        form, turned, turn = self._turned(
+            {(3, 3): 1.5 * math.cos(0.9), (3, -3): 1.5 * math.sin(0.9)},
+            sht.grid, sht)
+        assert form.phi_band == 24 and form.is_flip_symmetric
+        assert (turned, turn) == (form, None)
+        p = 8
+        mult = fast_multiplication_matrix(form, sht)
+        # l_max 12 leaves a tail over the default bound; none is checked
+        res = comparison_norms(p, form, sht, mult, None, None)
+        norm1, norm2, degree, _ = _generic_oracle(p, form, sht)
+        assert res.norm1 == pytest.approx(norm1, rel=1e-12)
+        assert res.norm2 == pytest.approx(norm2, rel=1e-12)
+        assert res.argmax_degree == degree
 
 
 class TestRateFit:

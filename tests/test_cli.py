@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bergman_heat import cli, flat_model
+from bergman_heat import cli, config, flat_model
 from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
@@ -38,6 +39,54 @@ SMALL_CONVERGE = {
     ],
     "slope_threshold": -0.5,
 }
+
+
+# one bad value of each kind: wrong type, bool, null, NaN, +-Infinity,
+# negative, zero, huge, empty list, nested object
+BAD_VALUES = ["x", True, None, math.nan, math.inf, -math.inf, -1, -0.5, 0,
+              10 ** 30, 1e300, [], {"a": 1}]
+
+# coefficient keys that do not spell a pair f"{l},{m}", or spell one that
+# no harmonic has
+BAD_KEYS = ["", "1", "1,0,0", "a,b", "1.0,0", "1,", ",0", "1, 0",
+            "\u0661,0", "-1,0", "1,2", "1,-2"]
+
+
+def _malformed_specs():
+    """Volume form specs with one part malformed."""
+    for value in BAD_VALUES:
+        yield {"id": "fs", "coefficients": value}
+        yield {"id": "fs", "coefficients": {"1,0": value}}
+        yield {"id": value, "coefficients": {}}
+    for key in BAD_KEYS:
+        yield {"id": "fs", "coefficients": {key: 0.1}}
+    yield {"id": "fs"}
+    yield {"coefficients": {}}
+
+
+def _malformed_configs():
+    """(command, config) pairs: each command's defaults with one key, one
+    list entry or one volume form spec replaced by a malformed value, in a
+    fixed order."""
+    for command, defaults in DEFAULTS.items():
+        for key, default in defaults.items():
+            for value in BAD_VALUES:
+                yield command, {key: value}
+            if isinstance(default, list):
+                for i in range(len(default)):
+                    for value in BAD_VALUES:
+                        yield command, {key: default[:i] + [value]
+                                        + default[i + 1:]}
+            for spec in _malformed_specs():
+                if key == "form":
+                    yield command, {key: spec}
+                elif key == "volume_forms":
+                    yield command, {key: [spec] + default[1:]}
+                    yield command, {key: default + [spec]}
+
+
+class _Reached(Exception):
+    """Raised where a run would start its numerical work."""
 
 
 class TestConfig:
@@ -319,6 +368,35 @@ class TestExitCodes:
         assert f"bad coefficient key {key!r}" in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_malformed_config_sweep(self, tmp_path, capsys, monkeypatch):
+        # every malformed config exits 2 or reaches the numerical work,
+        # which the stubs stop: grids for five commands, the flat model's
+        # quadrature for model-check
+        def reached(*args):
+            raise _Reached
+
+        monkeypatch.setattr(config, "build_grid", reached)
+        monkeypatch.setattr(flat_model, "reproducing_residual", reached)
+        # one parser serves every case: building it is most of a refused
+        # run's time
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        path = tmp_path / "cfg.json"
+        outcomes = {}
+        for command, cfg in _malformed_configs():
+            path.write_text(json.dumps(cfg))
+            try:
+                outcome = run([command, "--config", str(path),
+                               "--out", str(tmp_path)])
+            except _Reached:
+                outcome = "reached"
+            except Exception as exc:
+                pytest.fail(f"{command} {cfg!r} raised {exc!r}")
+            assert outcome in (EXIT_CONFIG, "reached"), (command, cfg)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert min(outcomes.values()) >= 100, outcomes
+
     def test_acceptance_failure_exit(self, tmp_path):
         cfg = dict(SMALL_CONVERGE)
         cfg["slope_threshold"] = -5.0  # unattainable on purpose
@@ -461,9 +539,10 @@ class TestCommands:
     def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
         # byte-identical reruns hold at a fixed BLAS thread count only; the
         # reduction order of 1 and 2 threads differs.  tilted takes the
-        # mirror route's two real blocks, tilted-mirror (no mirror axis,
-        # even under the equator flip) the same after its quarter turn, and
-        # the generic form (neither symmetry) one complex block
+        # mirror route's two real blocks, tilted-mirror (no mirror plane
+        # through the pole, even under the equator flip) the same after its
+        # quarter turn, and the generic form (neither symmetry) one complex
+        # block
         cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
                    + [{"id": "tilted", "coefficients": {"1,1": 0.1,
                                                         "2,1": 0.05}},

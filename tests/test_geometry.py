@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from bergman_heat import (INJECTIVITY_RADIUS, RADIUS, ConfigError, SpherePoint,
                           VolumeForm, build_grid, exp_map, geodesic_distance,
                           integrate, log_map, real_sph_harm)
-from bergman_heat.geometry import (MIRROR_TOL, is_flip_symmetric,
-                                  mirror_axis)
+from bergman_heat.geometry import (is_flip_symmetric, is_mirror_symmetric,
+                                  is_zonal)
 
 WORKLOADS = (Path(__file__).resolve().parents[1] / "perfbench"
              / "workloads.py")
@@ -192,11 +192,6 @@ def _load_workloads():
     return module
 
 
-def _same_axis(a, b):
-    """Mirror axes agree modulo pi, the period of a reflection's axis."""
-    return abs(math.sin(a - b)) <= 1e-14
-
-
 def _seeded_coefficients(workloads, spec, seed):
     """A benchmark form's coefficient map rotated by a seed's angle."""
     angle, _ = workloads.seeded_inputs(seed)
@@ -205,66 +200,25 @@ def _seeded_coefficients(workloads, spec, seed):
             for key, value in rotated["coefficients"].items()}
 
 
-class TestMirrorAxis:
-    def test_maps_without_sine_coefficients_get_zero_exactly(self):
-        assert mirror_axis({}) == 0.0
-        assert mirror_axis({(1, 0): -0.3}) == 0.0
-        assert mirror_axis({(1, 1): 0.1, (2, 1): 0.05, (2, -2): 0.0}) == 0.0
-
-    def test_tilted_mirror_has_no_axis(self):
-        # its order-1 sine term wants alpha = pi/2 (mod pi), its order-2
-        # one alpha = pi/4 (mod pi/2)
-        assert mirror_axis({(1, -1): -0.1, (2, -2): 0.05}) is None
-
-    def test_small_sine_coefficient_off_the_axis_has_no_axis(self):
-        assert mirror_axis({(1, 1): 0.1, (2, -1): 1e-9}) is None
-        # at the tolerance it is dropped
-        assert mirror_axis({(1, 1): 0.1, (2, -1): 0.5 * MIRROR_TOL * 0.1}) \
-            == 0.0
-
-    def test_pure_sine_form_gets_a_quarter_turn(self):
-        assert mirror_axis({(1, -1): 0.1, (2, -1): 0.05}) == pytest.approx(
-            math.pi / 2, abs=1e-15)
-
-    def test_axis_of_a_zero_lowest_order_pair(self):
-        # an explicit zero pair does not pin the candidates
-        alpha = mirror_axis({(1, 1): 0.0, (2, -2): 0.1})
-        assert _same_axis(2 * alpha, math.pi / 2)
-
-    def test_benchmark_forms_rotated_by_the_seeded_angles(self):
+class TestMirrorKey:
+    def test_benchmark_forms_at_the_seeded_angles(self):
+        # a turn about the pole off phi = 0 gives each pair a sine term;
+        # only the zonal forms have no pair
         workloads = _load_workloads()
         for seed in range(1, 21):
-            angle, _ = workloads.seeded_inputs(seed)
-            for spec in workloads.NONZONAL_FORMS:
-                alpha = mirror_axis(_seeded_coefficients(workloads, spec,
-                                                         seed))
-                if spec["id"] == "tilted-mirror":
-                    assert alpha is None, seed
-                elif spec["id"] == "fs":
-                    assert alpha == 0.0
-                else:
-                    assert 0.0 <= alpha < math.pi
-                    assert _same_axis(alpha, angle), (seed, spec["id"])
+            for spec in workloads.NONZONAL_FORMS + workloads.DEFAULT_FORMS:
+                coefficients = _seeded_coefficients(workloads, spec, seed)
+                assert is_mirror_symmetric(coefficients) is is_zonal(
+                    coefficients), (seed, spec["id"])
 
-    def test_volume_form_exposes_the_axis(self, grid):
-        form = VolumeForm(grid, {(1, -1): 0.1}, "sine")
-        assert form.mirror_axis == pytest.approx(math.pi / 2, abs=1e-15)
-        assert VolumeForm(grid, {(1, -1): 0.1, (1, 1): 0.1},
-                          "diagonal").mirror_axis == pytest.approx(
-                              math.pi / 4, abs=1e-15)
-
-    def test_axis_off_zero_needs_the_band_below_the_top_mode(self):
-        # on 24x48 this density's band reaches the top longitude mode 24;
-        # phi -> -phi maps the grid onto itself, a rotation by 0.3 does not
-        small = build_grid(24, 48)
-        strong = {(3, 3): 1.5}
-        form = VolumeForm(small, strong, "strong")
-        assert form.phi_band == 24 and form.mirror_axis == 0.0
-        alpha = 0.3
-        rotated = {(3, 3): 1.5 * math.cos(3 * alpha),
-                   (3, -3): 1.5 * math.sin(3 * alpha)}
-        assert mirror_axis(rotated) == pytest.approx(alpha, abs=1e-15)
-        assert VolumeForm(small, rotated, "strong").mirror_axis is None
+    def test_one_small_sine_coefficient_drops_the_mirror(self, grid):
+        coefficients = {(1, 1): 0.1, (2, 1): 0.05}
+        assert is_mirror_symmetric(coefficients)
+        assert not is_mirror_symmetric({**coefficients, (2, -1): 1e-300})
+        # an explicit zero is no coefficient
+        assert is_mirror_symmetric({**coefficients, (2, -2): 0.0})
+        assert VolumeForm(grid, coefficients, "tilted").is_mirror_symmetric
+        assert not VolumeForm(grid, {(1, -1): 0.1}, "sine").is_mirror_symmetric
 
 
 class TestFlipKey:

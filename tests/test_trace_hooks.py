@@ -43,9 +43,9 @@ def test_every_entry_point_resolves():
     assert not missing, f"trace hooks without a target: {missing}"
 
 
-# the assembled routes next to the small config's zonal forms: tilted has a
-# mirror axis, tilted-mirror the equator flip, which a sweep turns onto the
-# mirror route, sectoral both, and the generic form neither
+# the assembled routes next to the small config's zonal forms: tilted is
+# mirror-symmetric, tilted-mirror has the equator flip, which a sweep turns
+# onto the mirror route, sectoral both, and the generic form neither
 ROUTE_FORMS = [
     {"id": "tilted", "coefficients": {"1,1": 0.1, "2,1": 0.05}},
     {"id": "tilted-mirror", "coefficients": {"1,-1": -0.1, "2,-2": 0.05}},
@@ -66,7 +66,7 @@ def test_traced_run_reads_its_guards(tmp_path):
         form, _ = _turned(VolumeForm(sht.grid, coefficients, spec["id"]),
                           sht)
         routes.add("zonal" if form.is_zonal else
-                   (form.mirror_axis is not None, form.is_flip_symmetric))
+                   (form.is_mirror_symmetric, form.is_flip_symmetric))
     # zonal, mirror (tilted and tilted-mirror), mirror and flip, complex
     assert len(routes) == 4
     path = tmp_path / "cfg.json"
