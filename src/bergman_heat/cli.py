@@ -3,11 +3,15 @@
 Each subcommand runs one probe family from a JSON config, writes a CSV
 table plus a JSON summary with every threshold next to its measured value,
 and exits 0 (pass), 2 (usage/config error), 3 (invalid numerical run) or
-4 (acceptance failure).  Same config, build and BLAS thread count give
-byte-identical output.
+4 (acceptance failure).  A command holds every OpenBLAS library in the
+process to one thread while it runs, so the same config and build give
+byte-identical output whatever ``OPENBLAS_NUM_THREADS`` says; under another
+BLAS, at the same BLAS thread count only.
 """
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import operator
@@ -152,6 +156,7 @@ def cmd_converge(cfg, out_dir):
 
 def cmd_decay(cfg, out_dir):
     p_list = cfg["p_list"]
+    read_form_spec(cfg["form"])  # a malformed spec exits before the grid
     grid = grid_for(cfg, max(p_list))
     form = parse_form_spec(cfg["form"], grid)
     stride_t = max(1, grid.n_theta // cfg["max_sample_per_axis"])
@@ -187,6 +192,7 @@ def cmd_decay(cfg, out_dir):
 
 def cmd_near_diagonal(cfg, out_dir):
     p_list = cfg["p_list"]
+    read_form_spec(cfg["form"])  # a malformed spec exits before the grid
     grid = grid_for(cfg, max(p_list))
     form = parse_form_spec(cfg["form"], grid)
     x0 = SpherePoint(cfg["x0"][0], cfg["x0"][1])
@@ -297,6 +303,8 @@ def cmd_heat_check(cfg, out_dir):
 
 
 def cmd_identities(cfg, out_dir):
+    for spec in cfg["volume_forms"]:  # malformed specs exit before the grid
+        read_form_spec(spec)
     grid = grid_for(cfg, max(cfg["p_list"]))
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
     tol = cfg["tolerance"]
@@ -329,6 +337,57 @@ _COMMANDS = {
 }
 
 
+# spellings of OpenBLAS's thread-count functions: plain builds export
+# openblas_*, the scipy-openblas wheels scipy_openblas_*, and their 64-bit
+# integer builds add the suffix 64_
+_OPENBLAS_SPELLINGS = [(prefix, suffix)
+                       for prefix in ("openblas_", "scipy_openblas_")
+                       for suffix in ("", "64_")]
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS library mapped
+    into this process, found through ``/proc/self/maps``; none without
+    ``/proc`` or without an OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as handle:
+            # the sixth field of a line is the mapped file, if any
+            mapped = {line.split(None, 5)[-1].strip() for line in handle}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SPELLINGS:
+            get = getattr(library, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every mapped OpenBLAS to one thread, and put back each one's
+    previous count on leaving.  Every BLAS call here is small: a second
+    thread makes none faster, and it changes the reduction order."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bergman-heat",
@@ -358,7 +417,8 @@ def run(argv=None):
     try:
         cfg = load_config(args.command, args.config, overrides)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out)
+        with _one_blas_thread():
+            return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONFIG}),
               file=sys.stderr)

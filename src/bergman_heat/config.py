@@ -215,7 +215,10 @@ def _validate(command, cfg):
 
 
 def _form_id(spec):
-    return str(spec.get("id", "custom"))
+    form_id = spec.get("id", "custom")
+    if not (isinstance(form_id, str) and form_id):
+        raise ConfigError(f"form id must be a nonempty string, got {form_id!r}")
+    return form_id
 
 
 def read_form_spec(spec):

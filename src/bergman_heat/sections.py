@@ -23,7 +23,8 @@ from .errors import ConfigError, InvalidRunError
 from .fourier import moment_matrices
 
 # points per side of the square node-pair tiles: a complex 192^2 tile is
-# 0.59 MB, so a tile and its derived real arrays stay in a core's L2 cache
+# 0.59 MB, but a weight-change tile's live arrays take about 3.5 MB, more
+# than a 2 MB per-core L2 cache holds
 PAIR_BLOCK_ROWS = 192
 
 # largest accepted point count squared of one all-pairs pass; tiles keep memory

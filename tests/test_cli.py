@@ -58,6 +58,7 @@ def _malformed_specs():
         yield {"id": "fs", "coefficients": value}
         yield {"id": "fs", "coefficients": {"1,0": value}}
         yield {"id": value, "coefficients": {}}
+    yield {"id": "", "coefficients": {}}
     for key in BAD_KEYS:
         yield {"id": "fs", "coefficients": {key: 0.1}}
     yield {"id": "fs"}
@@ -295,6 +296,15 @@ class TestExitCodes:
          "uniformity_family must be a nonempty list"),
         ("identities", {"volume_forms": [{"coefficients": {"1,0": "x"}}]},
          "bad coefficient value 'x' for '1,0'"),
+        # an id is a nonempty string, not any JSON value
+        ("identities", {"volume_forms": [{"id": 7, "coefficients": {}}]},
+         "form id must be a nonempty string, got 7"),
+        ("converge", {"volume_forms": [{"id": None, "coefficients": {}}]},
+         "form id must be a nonempty string, got None"),
+        ("decay", {"form": {"id": "", "coefficients": {}}},
+         "form id must be a nonempty string, got ''"),
+        ("near-diagonal", {"form": {"id": ["fs"], "coefficients": {}}},
+         "form id must be a nonempty string, got ['fs']"),
         # JSON true is a Python bool, which is an int, but not a p
         ("converge", {"p_list": [True, 8, 16, 32]},
          "p_list must be a nonempty list of positive ints"),
@@ -536,13 +546,12 @@ class TestCommands:
         assert len(rows) == 8
         assert max(float(row.split(",")[3]) for row in rows) <= 1e-8
 
-    def test_blas_thread_count_moves_norms_at_rounding_level(self, tmp_path):
-        # byte-identical reruns hold at a fixed BLAS thread count only; the
-        # reduction order of 1 and 2 threads differs.  tilted takes the
-        # mirror route's two real blocks, tilted-mirror (no mirror plane
-        # through the pole, even under the equator flip) the same after its
-        # quarter turn, and the generic form (neither symmetry) one complex
-        # block
+    def test_blas_thread_count_leaves_outputs_byte_identical(self, tmp_path):
+        # a command holds OpenBLAS to one thread, so the environment's thread
+        # count cannot change the reduction order.  tilted takes the mirror
+        # route's two real blocks, tilted-mirror (no mirror plane through
+        # the pole, even under the equator flip) the same after its quarter
+        # turn, and the generic form (neither symmetry) one complex block
         cfg = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE["volume_forms"]
                    + [{"id": "tilted", "coefficients": {"1,1": 0.1,
                                                         "2,1": 0.05}},
@@ -552,7 +561,7 @@ class TestCommands:
                        "coefficients": {"1,1": 0.1, "2,-1": 0.05}}])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        tables, summaries = [], []
+        outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             env = _subprocess_env(OPENBLAS_NUM_THREADS=threads,
@@ -563,17 +572,40 @@ class TestCommands:
                  "--config", str(path), "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=600)
             assert proc.returncode in (EXIT_OK, EXIT_ACCEPTANCE), proc.stderr
-            lines = (out / "converge.csv").read_text().splitlines()[1:]
-            tables.append([line.split(",") for line in lines])
-            summaries.append(_read_summary(out, "converge"))
-        one, two = tables
-        assert [row[:2] for row in one] == [row[:2] for row in two]
-        for a, b in zip(one, two):
-            for col in (2, 3):
-                assert float(a[col]) == pytest.approx(float(b[col]), rel=1e-11)
-        for fid, form in summaries[0]["forms"].items():
-            assert (form["argmax_degrees"]
-                    == summaries[1]["forms"][fid]["argmax_degrees"])
+            outputs.append([(out / name).read_bytes() for name in
+                            ("converge.csv", "converge_summary.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_command_runs_at_one_openblas_thread(self, tmp_path,
+                                                 monkeypatch):
+        # numpy's 64-bit-integer OpenBLAS (matmul, np.linalg) and scipy's
+        # (ARPACK, eigh, cho_factor) are both found and both capped
+        controls = cli._openblas_thread_controls()
+        assert sorted(get.__name__ for get, _ in controls) == [
+            "scipy_openblas_get_num_threads",
+            "scipy_openblas_get_num_threads64_"]
+        outside = [get() for get, _ in controls]
+        seen = []
+
+        def command(cfg, out_dir):
+            seen.append([get() for get, _ in controls])
+            if len(seen) == 2:
+                raise ConfigError("stub")
+            return EXIT_OK
+
+        monkeypatch.setitem(cli._COMMANDS, "heat-check", command)
+        try:
+            # a count other than 1 outside the command
+            for _, set_ in controls:
+                set_(2)
+            for expected in (EXIT_OK, EXIT_CONFIG):
+                code = run(["heat-check", "--out", str(tmp_path)])
+                assert code == expected
+                assert [get() for get, _ in controls] == [2, 2]
+        finally:
+            for (_, set_), count in zip(controls, outside):
+                set_(count)
+        assert seen == [[1, 1], [1, 1]]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a"
