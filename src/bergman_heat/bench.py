@@ -84,15 +84,6 @@ DIFF_COLUMNS = 256
 # mirror route is held against the complex one.
 MIRROR_TOL = 1e-12
 
-# largest imaginary part, relative to the largest modulus, of the inverse
-# Gram and the density modes of a mirror-symmetric form, whose real parts
-# the mirror route keeps: rounding leaves at most 5.1e-17 on the
-# benchmark's turned forms (p = 64 on 102 x 204, unrotated and at twenty
-# seeded angles), and tilted rotated by 0.3, read as mirror-symmetric,
-# leaves 3.3e-2; the margin admits rounding amplified by a Gram condition
-# up to about 1e6
-MIRROR_IMAG_TOL = 1e-10
-
 
 @dataclass
 class OperatorMatrix:
@@ -193,27 +184,6 @@ def _spans(sht, form):
     return [np.flatnonzero(key == k)[None] for k in np.unique(key)]
 
 
-def _real_part(values, what):
-    """Real part of an array whose imaginary part must be at rounding
-    level (``MIRROR_IMAG_TOL``)."""
-    if np.abs(values.imag).max() > MIRROR_IMAG_TOL * np.abs(values).max():
-        raise InvalidRunError(f"{what} not real; the form is not symmetric "
-                              "under phi -> -phi on the grid")
-    return np.ascontiguousarray(values.real)
-
-
-def _mirror_tables(evaluator):
-    """Inverse Gram and density mode table of a form symmetric under
-    phi -> -phi, both real: the density's mode d, d taken in
-    -n_phi/2..n_phi/2, is even in d."""
-    kernel_matrix = _real_part(evaluator.kernel_matrix, "inverse Gram")
-    n_phi = evaluator.grid.n_phi
-    half = _real_part(
-        evaluator.form.density_modes[:, :n_phi // 2 + 1], "density modes")
-    wrapped = np.arange(n_phi)
-    return kernel_matrix, half[:, np.minimum(wrapped, n_phi - wrapped)]
-
-
 def smoothing_operator_matrix(smoother, sht, tail_bound):
     """Batched equivalent of ``operator_matrix(smoother.apply, sht)``, as
     blocks (``OperatorMatrix``): a zonal form's closed-form order blocks
@@ -239,18 +209,18 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     arrays are allocated once, for the widest batch, and reused, and the
     section-profile products are made once (``profile_products``).  A
     mirror-symmetric form is built in real arithmetic from its real inverse
-    Gram and density modes (``_mirror_tables``): cosine columns give real
-    symmetric A with cosine outputs, sine columns i times real antisymmetric
-    A with sine outputs.  Matches the generic path to roundoff.
+    Gram and density modes (``VolumeForm.density_modes``): cosine columns
+    give real symmetric A with cosine outputs, sine columns i times real
+    antisymmetric A with sine outputs.  Matches the generic path to
+    roundoff.
     """
-    mirror = smoother.form.is_mirror_symmetric
+    table = smoother.form.density_modes
+    mirror = np.isrealobj(table)
     w_theta = sht.grid.w_theta
     products = profile_products(smoother.evaluator.profiles)
     moments = sht.section_moments(products, w_theta)
     grams = product_grams(products, w_theta)
     size = smoother.p + 1
-    kernel_matrix, table = (_mirror_tables(smoother.evaluator) if mirror
-                            else (None, smoother.form.density_modes))
     gather = diagonal_index(size)
     spans = _spans(sht, smoother.form)
     block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
@@ -279,8 +249,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         # modes 0..p fit the grid: the Gram exactness check forces
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
-            sht.order_products(table, k, degrees, size, work), kernel_matrix,
-            parity, (batch, work), products)
+            sht.order_products(table, k, degrees, size, work), parity,
+            (batch, work), products)
         # the lower diagonals in one gather, into one (L, n) array
         diagonals = A.reshape(len(slots), -1).T[gather]
         proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
@@ -310,7 +280,7 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
     Orders m > p have Q_m = 0.
     """
     w_theta = sht.grid.w_theta
-    m_diag = np.diag(smoother.evaluator.kernel_matrix).real
+    m_diag = np.diag(smoother.evaluator.kernel_matrix)
     products = profile_products(smoother.evaluator.profiles)
     grams = product_grams(products, w_theta)
     spans = _spans(sht, smoother.form)

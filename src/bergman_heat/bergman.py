@@ -42,8 +42,8 @@ class SmoothingOperator:
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
 
-    def coefficient_matrices(self, modes, kernel_matrix=None, parity=None,
-                             out=None, products=None):
+    def coefficient_matrices(self, modes, parity=None, out=None,
+                             products=None):
         """Section coefficient matrices of the operator's outputs for a batch
         of inputs.
 
@@ -51,27 +51,24 @@ class SmoothingOperator:
         longitude modes of ``density * f`` for each input f.  The inputs are
         folded into section moment matrices and conjugated by the inverse
         Gram; output b is x -> sigma(x)^T A[b] conj(sigma(x)) for the
-        returned (n, p+1, p+1) batch A.  ``kernel_matrix`` replaces the
-        inverse Gram, for the real modes of a form symmetric under
-        phi -> -phi with its real part (``fourier.moment_matrices`` takes
-        real modes with their ``parity``).  ``out``, if given, is a pair of
-        flat buffers that hold the batch and the half product M T, so that
-        a loop of batches reuses their pages; the second may hold
-        ``modes``, which T has consumed.
-        ``products``, if given, are the section-profile products
-        (``fourier.profile_products``) that a Q assembly shares.
+        returned (n, p+1, p+1) batch A.  Real modes, those of a form
+        symmetric under phi -> -phi, whose inverse Gram is real, come with
+        their ``parity`` (``fourier.moment_matrices``).  ``out``, if given,
+        is a pair of flat buffers that hold the batch and the half product
+        M T, so that a loop of batches reuses their pages; the second may
+        hold ``modes``, which T has consumed.  ``products``, if given, are
+        the section-profile products (``fourier.profile_products``) that a
+        Q assembly shares.
         """
         ev = self.evaluator
-        if kernel_matrix is None:
-            kernel_matrix = ev.kernel_matrix
         batch, spare = (None, None) if out is None else out
         T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL,
                             batch, parity, products)
         half = (np.empty_like(T) if out is None
                 else spare.view(T.dtype)[:T.size].reshape(T.shape))
-        np.matmul(kernel_matrix / self.rank_ratio, T, out=half)
+        np.matmul(ev.kernel_matrix / self.rank_ratio, T, out=half)
         # T is not read again, so the product reuses its pages
-        return np.matmul(half, kernel_matrix, out=T)
+        return np.matmul(half, ev.kernel_matrix, out=T)
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""

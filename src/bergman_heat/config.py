@@ -226,7 +226,7 @@ def read_form_spec(spec):
 
     A key is written "l,m" exactly as ``f"{l},{m}"`` writes it: no spaces,
     signs on l or zero, leading zeros or underscores, which ``int`` would
-    let two keys spell one pair."""
+    let two keys spell one pair; and it names a harmonic, |m| <= l."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("coefficients"), dict)):
         raise ConfigError("volume form spec needs a 'coefficients' map")
@@ -239,6 +239,10 @@ def read_form_spec(spec):
         if key != f"{l},{m}":
             raise ConfigError(f"bad coefficient key {key!r}; write it "
                               f"'{l},{m}'")
+        # the upper bound on l is the grid's, checked by ``VolumeForm``
+        if not abs(m) <= l:
+            raise ConfigError(f"bad harmonic index ({l},{m}): needs "
+                              "|m| <= l")
         if not _is_number(value):
             raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
         coeffs[(l, m)] = float(value)

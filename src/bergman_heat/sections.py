@@ -82,7 +82,8 @@ def section_basis(p):
 
 
 class GramMatrix:
-    """Hermitian positive-definite L2 Gram of the section basis under a form."""
+    """Hermitian positive-definite L2 Gram of the section basis under a form,
+    real when the form's density modes are."""
 
     def __init__(self, matrix, condition_estimate):
         self.matrix = matrix
@@ -97,7 +98,7 @@ class GramMatrix:
         return self.matrix.shape[0]
 
     def inverse(self):
-        inv = cho_solve(self._cho, np.eye(self.dim, dtype=complex))
+        inv = cho_solve(self._cho, np.eye(self.dim, dtype=self.matrix.dtype))
         return 0.5 * (inv + inv.conj().T)
 
 

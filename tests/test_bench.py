@@ -11,7 +11,7 @@ from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
                           matrix_free_norm, operator_matrix, rate_fit,
                           sweep_form)
-from bergman_heat import bench
+from bergman_heat import bench, geometry
 from bergman_heat.cli import EXIT_OK, run
 from bergman_heat.config import DEFAULTS
 from bergman_heat.bench import (fast_multiplication_matrix,
@@ -132,17 +132,16 @@ class TestOperatorMatrix:
             assert mf.tail_residual == pytest.approx(ms.tail_residual,
                                                      rel=1e-12)
 
-    def test_wrong_mirror_axis_is_refused(self, bench_grid, bench_sht):
+    def test_wrong_mirror_axis_is_refused(self, bench_grid, monkeypatch):
         # tilted rotated by 0.3 has its mirror plane there; forced
-        # mirror-symmetric about phi = 0, where it is not, its inverse Gram
-        # is far from real
-        form = VolumeForm(bench_grid, rotate({(1, 1): 0.1, (2, 1): 0.05},
-                                             0.3), "tilted")
-        assert not form.is_mirror_symmetric
-        form.is_mirror_symmetric = True
-        op = SmoothingOperator(bergman_evaluator(8, form, bench_grid))
-        with pytest.raises(InvalidRunError, match="inverse Gram not real"):
-            smoothing_operator_matrix(op, bench_sht, None)
+        # mirror-symmetric about phi = 0, where it is not, its density
+        # modes are far from real
+        coefficients = rotate({(1, 1): 0.1, (2, 1): 0.05}, 0.3)
+        assert not VolumeForm(bench_grid, coefficients,
+                              "tilted").is_mirror_symmetric
+        monkeypatch.setattr(geometry, "is_mirror_symmetric", lambda c: True)
+        with pytest.raises(InvalidRunError, match="density modes not real"):
+            VolumeForm(bench_grid, coefficients, "tilted")
 
     def test_turn_with_sine_terms_is_not_taken(self, bench_grid, bench_sht,
                                                monkeypatch):
@@ -395,6 +394,34 @@ def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
         assert (bench_sht.degrees[span] == bench_sht.degrees[span[0]]).all()
         assert (np.abs(bench_sht.orders[span])
                 == np.abs(bench_sht.orders[span[0]])).all()
+    # every route but the complex one runs on real density modes and a real
+    # inverse Gram
+    kernel_matrix = bergman_evaluator(8, form, bench_grid).kernel_matrix
+    assert (np.isrealobj(form.density_modes) == np.isrealobj(kernel_matrix)
+            == (route != "complex"))
+
+
+def test_steep_mirror_form_takes_the_mirror_route():
+    # a mirror-symmetric form whose Gram has condition 6.4e8 at p = 32: its
+    # density modes are real to rounding, while its inverse Gram computed
+    # in complex arithmetic carries imaginary parts of 1.9e-10 relative.
+    # The mirror route matches the generic oracle to within the rounding
+    # that the Gram's condition amplifies
+    p = 32
+    grid = build_grid(64, 128)
+    sht = SphericalHarmonicTransform(grid, 16)
+    form = VolumeForm(grid, {(1, 1): 5.0, (2, 1): 2.5}, "steep")
+    mult = fast_multiplication_matrix(form, sht)
+    assert _route(mult, sht) == "mirror"
+    cond = bergman_evaluator(p, form, grid).gram.condition_estimate
+    assert cond > 1e8
+    res = comparison_norms(p, form, sht, mult, TAIL_BOUND, None)
+    norm1, norm2, degree, tail = _generic_oracle(p, form, sht)
+    rel = cond * np.finfo(float).eps
+    assert res.norm1 == pytest.approx(norm1, rel=rel)
+    assert res.norm2 == pytest.approx(norm2, rel=rel)
+    assert res.argmax_degree == degree
+    assert res.tail_residual == pytest.approx(tail, rel=rel)
 
 
 class TestAssembledCells:

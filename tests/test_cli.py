@@ -378,6 +378,27 @@ class TestExitCodes:
         assert f"bad coefficient key {key!r}" in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("key", ["-1,0", "1,2", "1,-2"])
+    @pytest.mark.parametrize("command", ["converge", "identities", "decay",
+                                         "near-diagonal"])
+    def test_bad_harmonic_index_exits_before_the_grid(
+            self, tmp_path, capsys, monkeypatch, command, key):
+        # l < 0 or |m| > l names no harmonic on any grid, so the spec is
+        # refused before the grid is built
+        def reached(*args):
+            raise _Reached
+
+        monkeypatch.setattr(config, "build_grid", reached)
+        spec = {"id": "z", "coefficients": {key: 0.1}}
+        cfg = ({"form": spec} if "form" in DEFAULTS[command] else
+               {"volume_forms": DEFAULTS[command]["volume_forms"] + [spec]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "bad harmonic index" in json.loads(
+            capsys.readouterr().err)["error"]
+
     def test_malformed_config_sweep(self, tmp_path, capsys, monkeypatch):
         # every malformed config exits 2 or reaches the numerical work,
         # which the stubs stop: grids for five commands, the flat model's
