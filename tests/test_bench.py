@@ -403,10 +403,10 @@ def test_spans_partition_the_slots(bench_grid, bench_sht, coefficients, route,
 
 def test_steep_mirror_form_takes_the_mirror_route():
     # a mirror-symmetric form whose Gram has condition 6.4e8 at p = 32: its
-    # density modes are real to rounding, while its inverse Gram computed
-    # in complex arithmetic carries imaginary parts of 1.9e-10 relative.
-    # The mirror route matches the generic oracle to within the rounding
-    # that the Gram's condition amplifies
+    # density modes and its Gram are real to rounding, while its inverse
+    # Gram computed in complex arithmetic carries imaginary parts of 7.5e-10
+    # relative.  The mirror route matches the generic oracle to within the
+    # rounding that the Gram's condition amplifies
     p = 32
     grid = build_grid(64, 128)
     sht = SphericalHarmonicTransform(grid, 16)
