@@ -12,6 +12,7 @@ import math
 from .errors import ConfigError
 from .flat_model import MAX_QUAD_ORDER
 from .geometry import VolumeForm, build_grid
+from .heat import MAX_L_MAX
 from .sections import MAX_GRID_AXIS
 
 _BASE_FORMS = [
@@ -204,6 +205,15 @@ def _validate(command, cfg):
             raise ConfigError(
                 f"insufficient points: {command} needs >= "
                 f"{_MIN_P_VALUES[command]} p values")
+    if "l_max" in cfg:
+        l_max, note = cfg["l_max"], ""
+        if l_max is None:  # converge's default grows with p
+            l_max = default_l_max(max(cfg["p_list"]))
+            note = f" (the default at p {max(cfg['p_list'])})"
+        if l_max > MAX_L_MAX:
+            raise ConfigError(
+                f"l_max {l_max}{note} is over the limit {MAX_L_MAX}, past "
+                "which the Legendre table overflows")
     for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
                 "invariant_tol", "modulus_tol", "annihilation_fd_tol",

@@ -20,6 +20,13 @@ from .harmonics import legendre_profile
 # the default converge and heat-check tables hold 3.4e5 and 2.3e5
 MAX_TABLE_ENTRIES = 2 * 10 ** 7
 
+# largest accepted l_max: scipy.special.lpmv overflows before
+# harmonics.legendre_norm scales it down, so a table up to l_max 85 is
+# finite and one up to 86 is not (its order-85 profile of degree 86 is
+# inf), on Gauss grids of 200 to 2048 nodes.  Under this limit and
+# MAX_GRID_AXIS a table holds at most 1.5e7 entries
+MAX_L_MAX = 85
+
 
 def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l (scalar or array) on the unit-area

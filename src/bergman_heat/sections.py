@@ -29,7 +29,7 @@ PAIR_BLOCK_ROWS = 192
 
 # largest accepted point count squared of one all-pairs pass; tiles keep memory
 # flat, so it bounds run time (one identities pass, tilted, p=16, 9800 nodes:
-# about 4 s on 2 cores)
+# 3.1-3.5 s at one BLAS thread on a 2-core Xeon)
 MAX_PAIRS = 10 ** 8
 
 # largest accepted node count along either grid axis: the Gauss-Legendre
@@ -200,8 +200,10 @@ class BergmanEvaluator:
         sigma(x) M, conj(sigma(x)) and eta(x), one row per point, so the
         factors of a subset of the points are row slices."""
         sigma = self.section_matrix(theta, phi)
-        return (sigma @ self.kernel_matrix, sigma.conj(),
-                self.form.eta_at(theta, phi))
+        half = sigma @ self.kernel_matrix
+        # sigma is not read again, so its conjugate takes its pages
+        np.conjugate(sigma, out=sigma)
+        return half, sigma, self.form.eta_at(theta, phi)
 
     @staticmethod
     def pair_block(x, y, rows=slice(None), cols=slice(None)):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
 from bergman_heat.config import DEFAULTS, default_l_max, load_config
-from bergman_heat.errors import ConfigError
+from bergman_heat.errors import ConfigError, InvalidRunError
 
 
 def _read_summary(out_dir, name):
@@ -183,7 +184,8 @@ class TestExitCodes:
         ("model-check", {"quad_order": 400}),
         ("model-check", {"n_random": 20000}),
         ("heat-check", {"n_u": 2000000}),
-        # a 1001^2 x 2048 Legendre table would hold 16 GB
+        # a 1001^2 x 2048 Legendre table would hold 16 GB, and l_max 1000
+        # is over MAX_L_MAX
         ("heat-check", {"l_max": 1000, "n_theta": 2048, "n_phi": 2048}),
         # past window 5.3 the farthest pair's kernel underflows; at 30 every
         # kernel value does, and every check passed vacuously
@@ -232,6 +234,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "over the limit" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("heat-check", {"l_max": 90, "n_theta": 200, "n_phi": 400}),
+        ("converge", {"l_max": 90, "p_list": [8, 16, 24, 32],
+                      "volume_forms": [
+                          {"id": "fs", "coefficients": {}},
+                          {"id": "zonal-half",
+                           "coefficients": {"1,0": -0.15}}],
+                      "uniformity_family": ["fs", "zonal-half"]}),
+        # converge's default l_max is 86 at p 452
+        ("converge", {"p_list": [56, 113, 226, 452],
+                      "volume_forms": [{"id": "fs", "coefficients": {}}],
+                      "uniformity_family": ["fs"]}),
+    ])
+    def test_l_max_past_finite_legendre_table_is_refused_up_front(
+            self, tmp_path, capsys, monkeypatch, command, cfg):
+        # these ran on a Legendre table with inf entries: heat-check wrote
+        # NaN invariants (exit 4), converge raised from the eigensolver
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused run")
+        monkeypatch.setattr(cli, "grid_for", no_grid)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "Legendre table overflows" in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("forms", [["fs", "zonal-full"],
@@ -640,3 +671,112 @@ class TestCommands:
                         "--out", str(out)]) == EXIT_OK
         for name in ("identities.csv", "identities_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# six (form, p) cells, three for each thread
+WORKER_CELLS = {"p_list": [4, 8], "n_theta": 24, "n_phi": 48,
+                "volume_forms": [{"id": "fs", "coefficients": {}},
+                                 {"id": "z", "coefficients": {"1,0": -0.3}},
+                                 {"id": "tilted",
+                                  "coefficients": {"1,1": 0.1, "2,1": 0.05}}]}
+
+
+def _cells(cfg):
+    return [(spec["id"], p) for spec in cfg["volume_forms"]
+            for p in cfg["p_list"]]
+
+
+class TestIdentityWorkers:
+    """identities runs its (form, p) cells on this thread and, where the
+    process may use two cores, one worker; the outputs are the same."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """The (cell, thread, live thread count) of every pass, in order of
+        start."""
+        seen = []
+        residuals = cli.weight_change_residuals
+
+        def recording(ev):
+            seen.append(((ev.form.form_id, ev.p), threading.current_thread(),
+                         threading.active_count()))
+            return residuals(ev)
+        monkeypatch.setattr(cli, "weight_change_residuals", recording)
+        return seen
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, cpus, cfg):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        out = tmp_path / str(cpus)
+        out.mkdir()
+        path = out / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(["identities", "--config", str(path), "--out", str(out)])
+
+    def test_outputs_byte_identical_on_one_and_two_cpus(
+            self, tmp_path, monkeypatch, record):
+        outputs = {}
+        for cpus in (1, 2):
+            assert self._run(tmp_path, monkeypatch, cpus,
+                             WORKER_CELLS) == EXIT_OK
+            outputs[cpus] = [(tmp_path / str(cpus) / name).read_bytes()
+                             for name in ("identities.csv",
+                                          "identities_summary.json")]
+        assert outputs[1] == outputs[2]
+        cells = _cells(WORKER_CELLS)
+        assert sorted(cell for cell, _, _ in record) == sorted(cells * 2)
+        rows = outputs[2][0].decode().splitlines()[1:]
+        assert list(dict.fromkeys((row.split(",")[0], int(row.split(",")[1]))
+                                  for row in rows)) == cells
+
+    def test_at_most_one_extra_thread(self, tmp_path, monkeypatch, record):
+        main = threading.main_thread()
+        for cpus in (1, 2):
+            record.clear()
+            before = threading.active_count()
+            assert self._run(tmp_path, monkeypatch, cpus,
+                             WORKER_CELLS) == EXIT_OK
+            assert max(count for _, _, count in record) <= before + cpus - 1
+            here = [cell for cell, thread, _ in record if thread is main]
+            if cpus == 1:
+                assert here == _cells(WORKER_CELLS)
+            else:
+                # the even cells run here, the odd ones on the worker
+                assert here == _cells(WORKER_CELLS)[::2]
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing,first", [((1, 2), 1), ((2, 3), 2),
+                                               ((5,), 5)])
+    def test_first_failing_cell_in_input_order(self, tmp_path, monkeypatch,
+                                               capsys, failing, first):
+        # one failing cell on each thread where two fail; the worker's
+        # fails last in time
+        cells = _cells(WORKER_CELLS)
+        evaluator = cli.bergman_evaluator
+        ran = {}
+
+        def failing_evaluator(p, form, grid):
+            i = cells.index((form.form_id, p))
+            ran[i] = threading.current_thread()
+            if i in failing:
+                if i % 2:
+                    time.sleep(0.2)
+                raise InvalidRunError(f"cell {i} failed")
+            return evaluator(p, form, grid)
+        monkeypatch.setattr(cli, "bergman_evaluator", failing_evaluator)
+        for cpus in (1, 2):
+            ran.clear()
+            code = self._run(tmp_path, monkeypatch, cpus, WORKER_CELLS)
+            assert code == EXIT_INVALID_RUN
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == f"cell {first} failed"
+            out = tmp_path / str(cpus)
+            assert _read_summary(out, "identities")["error"] \
+                == f"cell {first} failed"
+            assert not (out / "identities.csv").exists()
+        # on two CPUs every cell up to the first failing one ran, the even
+        # ones here and the odd ones on the worker
+        assert set(range(first + 1)) <= set(ran)
+        assert all((thread is threading.main_thread()) == (i % 2 == 0)
+                   for i, thread in ran.items())

@@ -8,8 +8,9 @@ from bergman_heat import (ConfigError, HarmonicCoeffs,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
 from bergman_heat.fourier import grid_to_modes
-from bergman_heat.heat import (coeff_index, degree_vector, pole_turn,
-                               quarter_turn)
+from bergman_heat.harmonics import legendre_profile
+from bergman_heat.heat import (MAX_L_MAX, coeff_index, degree_vector,
+                               pole_turn, quarter_turn)
 
 
 class TestTransform:
@@ -23,6 +24,13 @@ class TestTransform:
         coeffs = sht.analyze(np.full((grid.n_theta, grid.n_phi), 2.5))
         assert coeffs.values[0] == pytest.approx(2.5, abs=1e-13)
         assert np.abs(coeffs.values[1:]).max() < 1e-13
+
+    def test_largest_accepted_table_is_finite(self):
+        table = SphericalHarmonicTransform(build_grid(100, 200), MAX_L_MAX)
+        assert np.isfinite(table.legendre).all()
+        # one degree more and scipy's lpmv overflows
+        assert not np.isfinite(legendre_profile(
+            MAX_L_MAX + 1, MAX_L_MAX, table.grid.cos_theta)).all()
 
     def test_round_trip_band_limited(self, grid, sht, rng):
         for case in ("even", "nyquist", "odd"):
