@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError
@@ -55,21 +53,21 @@ from .sections import bergman_evaluator
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
 MAX_Q_FLOPS = 10 ** 11
 
-# ARPACK settings of the top-eigenpair solve: Lanczos basis size, relative
-# residual tolerance and restart bound.  The metric form's top singular value
-# is a (2l+1)-fold cluster split at rounding level, which ARPACK does not
-# resolve at tolerances near machine precision; the restart bound keeps a
+# Lanczos settings of the top-eigenpair solve (``_lanczos_top_pair``): the
+# relative Ritz residual tolerance (ARPACK's test, at the tolerance the
+# ARPACK solve it replaced ran at) and the step bound.  The metric form's
+# top singular value is a (2l+1)-fold cluster split at rounding level,
+# which the tolerance treats as one eigenvalue; the step bound keeps a
 # solve that cannot converge short before it takes the dense path.
-ARPACK_NCV = 20
-ARPACK_TOL = 1e-10
-ARPACK_MAXITER = 300
+LANCZOS_TOL = 1e-10
+LANCZOS_STEPS = 300
 
 # widest block whose top singular pair comes from the dense solve; wider
-# ones take ARPACK, which needs more columns than its Lanczos basis.  A
-# random square block's dense solve took 0.27 ms against ARPACK's 0.92 ms at
-# 64 columns, and 0.92 ms against 1.28 ms at 128 (1 BLAS thread, 2 cores).
-# A zonal form's order blocks have at most l_max + 1 columns, the other
-# routes' blocks hundreds (at least 529 at l_max 46).
+# ones take the Lanczos solve.  A random square block's dense solve took
+# 0.36 ms against the Lanczos solve's 2.3 ms at 64 columns, and 2.3 ms
+# against 4.1 ms at 128 (1 BLAS thread, 2 cores).  A zonal form's order
+# blocks have at most l_max + 1 columns, the other routes' blocks hundreds
+# (at least 529 at l_max 46).
 DENSE_COLUMNS = 64
 
 # columns per in-place step of the difference (an n_coeffs x 256 temporary)
@@ -337,14 +335,46 @@ def fast_multiplication_matrix(form, sht):
 
 def _dense_top_singular_pair(matrix):
     """Largest singular value and its right singular vector, from the top
-    eigenpair of the assembled normal matrix (LAPACK subset eigensolver);
-    robust when the top singular value is degenerate, as for
-    rotation-invariant data.  The narrow-block solve, fallback and test
-    oracle of ``_top_singular_pair``."""
-    n = matrix.shape[1]
-    vals, vecs = eigh(matrix.T @ matrix, subset_by_index=[n - 1, n - 1],
-                      driver="evr")
-    return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
+    eigenpair of the assembled normal matrix (LAPACK eigensolver); robust
+    when the top singular value is degenerate, as for rotation-invariant
+    data.  The narrow-block solve, fallback and test oracle of
+    ``_top_singular_pair``."""
+    vals, vecs = np.linalg.eigh(matrix.T @ matrix)
+    return float(math.sqrt(max(vals[-1], 0.0))), vecs[:, -1]
+
+
+def _lanczos_top_pair(normal, n):
+    """Top eigenpair of the symmetric positive semidefinite operator
+    ``normal`` on R^n by Lanczos with full reorthogonalization, from a
+    fixed seeded start vector, so reruns are deterministic; None when the
+    Ritz residual bound beta_k |s_k| of the top Ritz pair has not met
+    ``LANCZOS_TOL`` times the Ritz value (ARPACK's test) within
+    ``LANCZOS_STEPS`` steps.  No restart: every step widens the Krylov
+    space, which any restarted space of as many products lies in."""
+    steps = min(n, LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    for k in range(steps):
+        basis[k] = q
+        w = normal(q)
+        # classical Gram-Schmidt twice against every earlier vector
+        for _ in range(2):
+            h = basis[:k + 1] @ w
+            w -= h @ basis[:k + 1]
+            alpha[k] += h[k]
+        beta[k] = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1])
+                                  + np.diag(beta[:k], 1)
+                                  + np.diag(beta[:k], -1))
+        if beta[k] * abs(s[-1, -1]) <= LANCZOS_TOL * max(floor,
+                                                         abs(theta[-1])):
+            return float(math.sqrt(max(theta[-1], 0.0))), (
+                s[:, -1] @ basis[:k + 1])
+        q = w / beta[k]
+    return None
 
 
 def _top_singular_pair(matrix, row_scale):
@@ -352,26 +382,18 @@ def _top_singular_pair(matrix, row_scale):
     ``S A``, with A = ``matrix`` and S = diag(``row_scale``), or S = I when
     ``row_scale`` is None.
 
-    ARPACK's Lanczos iteration finds the top eigenpair of the normal
-    operator ``x -> A^T (S^2 (A x))`` without forming it or ``S A``, from a
-    fixed seeded start vector, so reruns are deterministic.  Matrices of at
-    most ``DENSE_COLUMNS`` columns, and runs that do not converge within
-    ``ARPACK_MAXITER`` restarts, take the dense solve on ``S A``.
+    A Lanczos solve (``_lanczos_top_pair``) finds the top eigenpair of the
+    normal operator ``x -> A^T (S^2 (A x))`` without forming it or ``S A``.
+    Matrices of at most ``DENSE_COLUMNS`` columns, and solves that do not
+    converge, take the dense solve on ``S A``.
     """
     n = matrix.shape[1]
     if n > DENSE_COLUMNS:
         weights = 1.0 if row_scale is None else row_scale ** 2
-        normal = LinearOperator(
-            (n, n), matvec=lambda x: matrix.T @ (weights * (matrix @ x)),
-            dtype=float)
-        start = np.random.default_rng(0).standard_normal(n)
-        try:
-            vals, vecs = eigsh(normal, k=1, which="LA", v0=start,
-                               ncv=ARPACK_NCV, tol=ARPACK_TOL,
-                               maxiter=ARPACK_MAXITER)
-            return float(math.sqrt(max(vals[0], 0.0))), vecs[:, 0]
-        except ArpackNoConvergence:
-            pass
+        pair = _lanczos_top_pair(
+            lambda x: matrix.T @ (weights * (matrix @ x)), n)
+        if pair is not None:
+            return pair
     return _dense_top_singular_pair(
         matrix if row_scale is None else row_scale[:, None] * matrix)
 

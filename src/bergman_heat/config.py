@@ -213,7 +213,7 @@ def _validate(command, cfg):
         if l_max > MAX_L_MAX:
             raise ConfigError(
                 f"l_max {l_max}{note} is over the limit {MAX_L_MAX}, past "
-                "which the Legendre table overflows")
+                "which the Legendre tables are not checked against lpmv")
     for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
                 "invariant_tol", "modulus_tol", "annihilation_fd_tol",

@@ -5,25 +5,36 @@ harmonics here carry an extra sqrt(4*pi) against the usual unit-sphere
 normalization: Y_{0,0} = 1 and Y_{1,0} = sqrt(3) cos(theta).
 """
 
+import math
+from itertools import count, islice
+
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 
-def legendre_norm(l, m):
-    """sqrt((2l+1) (l-m)!/(l+m)!), computed in log space for stability."""
-    return float(np.exp(0.5 * (np.log(2.0 * l + 1.0)
-                               + gammaln(l - m + 1) - gammaln(l + m + 1))))
+def legendre_profiles(m, x):
+    """Normalized associated Legendre functions of order ``m`` >= 0 at
+    ``x``, with ``int_{-1}^{1} P^2 dx = 2`` and the Condon-Shortley sign,
+    yielded for the degrees l = m, m + 1, ... without end.
 
-
-def legendre_profile(l, m, x):
-    """Normalized associated Legendre function with ``int_{-1}^{1} P^2 dx = 2``.
-
-    Includes the Condon-Shortley sign carried by ``scipy.special.lpmv``.
+    The normalized three-term recurrence in l (Holmes and Featherstone,
+    J. Geodesy 76 (2002) 279), seeded at l = m, never forms the
+    unnormalized functions, which grow factorially with m (scipy's lpmv
+    overflows at order 85 above degree 85); a seed that underflows near a
+    pole stands for values below the smallest double.
     """
-    m = abs(m)
-    if m > l:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return legendre_norm(l, m) * lpmv(m, l, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    # the seed (-1)^m sqrt((2m+1)!!/(2m)!!) sin(theta)^m; (1 - x)(1 + x)
+    # keeps sin(theta)^2 accurate next to the poles
+    scale = math.prod(-math.sqrt((2 * k + 1) / (2 * k))
+                      for k in range(1, m + 1))
+    row = scale * np.sqrt((1.0 - x) * (1.0 + x)) ** m
+    below = np.zeros_like(row)
+    for l in count(m + 1):
+        yield row
+        a = math.sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
+        b = math.sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1)
+                      / ((l - m) * (l + m) * max(2 * l - 3, 1)))
+        below, row = row, a * x * row - b * below
 
 
 def real_sph_harm(l, m, theta, phi):
@@ -32,7 +43,9 @@ def real_sph_harm(l, m, theta, phi):
     Positive m pairs with cos(m*phi), negative m with sin(|m|*phi).
     ``theta`` and ``phi`` must broadcast against each other.
     """
-    base = legendre_profile(l, m, np.cos(np.asarray(theta, dtype=float)))
+    cos_theta = np.cos(np.asarray(theta, dtype=float))
+    base = next(islice(legendre_profiles(abs(m), cos_theta), l - abs(m),
+                       None))
     if m == 0:
         return base * np.ones_like(np.asarray(phi, dtype=float))
     if m > 0:

@@ -13,18 +13,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .fourier import grid_to_modes
-from .harmonics import legendre_profile
+from .harmonics import legendre_profiles
 
-# largest accepted Legendre table, (l_max+1)^2 n_theta doubles (160 MB),
-# filled at up to 1 us per entry on 2 cores (17 s at l_max 200 on 402 nodes);
-# the default converge and heat-check tables hold 3.4e5 and 2.3e5
-MAX_TABLE_ENTRIES = 2 * 10 ** 7
-
-# largest accepted l_max: scipy.special.lpmv overflows before
-# harmonics.legendre_norm scales it down, so a table up to l_max 85 is
-# finite and one up to 86 is not (its order-85 profile of degree 86 is
-# inf), on Gauss grids of 200 to 2048 nodes.  Under this limit and
-# MAX_GRID_AXIS a table holds at most 1.5e7 entries
+# largest accepted l_max.  The Legendre recurrence
+# (harmonics.legendre_profiles) stays finite far past it, but
+# scipy.special.lpmv, its independent check in the tests, overflows at
+# order 85 above degree 85, so past 85 nothing checks the tables.  Lifting
+# the limit waits for a turn of the harmonics that stays orthogonal at high
+# degree (quarter_turn's recursion loses orthogonality as l grows).  Under
+# this limit and MAX_GRID_AXIS a table holds at most 1.5e7 doubles
 MAX_L_MAX = 85
 
 
@@ -136,10 +133,6 @@ class SphericalHarmonicTransform:
             raise ConfigError(
                 f"l_max {l_max} needs exactness >= {2 * l_max}, grid has "
                 f"{grid.exactness_degree}")
-        entries = (l_max + 1) ** 2 * grid.n_theta
-        if entries > MAX_TABLE_ENTRIES:
-            raise ConfigError(f"Legendre table of {entries:.2e} doubles is over "
-                              f"the limit {MAX_TABLE_ENTRIES:.1e}; lower l_max")
         self.grid = grid
         self.l_max = int(l_max)
         # legendre[m, l, i] = normalized Legendre profile of degree l, order
@@ -147,8 +140,9 @@ class SphericalHarmonicTransform:
         size = self.l_max + 1
         self.legendre = np.zeros((size, size, grid.n_theta))
         for m in range(size):
-            for l in range(m, size):
-                self.legendre[m, l] = legendre_profile(l, m, grid.cos_theta)
+            for l, row in zip(range(m, size),
+                              legendre_profiles(m, grid.cos_theta)):
+                self.legendre[m, l] = row
         # degree and order of every packed coefficient slot, and the factor
         # of the exp(i|m|phi) mode of Y_lm over its Legendre profile: 1 for
         # m = 0, 1/sqrt(2) for cosine (m > 0), -i/sqrt(2) for sine (m < 0);

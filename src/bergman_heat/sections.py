@@ -16,8 +16,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln
 
 from .errors import ConfigError, InvalidRunError
 from .fourier import moment_matrices
@@ -48,10 +46,10 @@ class SectionBasis:
         if p < 1:
             raise ConfigError("tensor power p must be at least 1")
         self.p = int(p)
-        k = np.arange(self.p + 1)
-        self._log_scalings = 0.5 * (math.log(self.p + 1.0)
-                                    + gammaln(self.p + 1)
-                                    - gammaln(k + 1) - gammaln(self.p - k + 1))
+        # log k!, k = 0..p
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(self.p + 1)])
+        self._log_scalings = 0.5 * (math.log(self.p + 1.0) + log_fact[-1]
+                                    - log_fact - log_fact[::-1])
         self.scalings = np.exp(self._log_scalings)
 
     def theta_profiles(self, theta):
@@ -89,16 +87,15 @@ class GramMatrix:
         self.matrix = matrix
         self.condition_estimate = condition_estimate
         try:
-            self._cho = cho_factor(matrix, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by cond
+            self._cholesky = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError as exc:
             raise InvalidRunError("Cholesky factorization failed") from exc
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def inverse(self):
-        inv = cho_solve(self._cho, np.eye(self.dim, dtype=self.matrix.dtype))
+        """G^-1 = L^-H L^-1 from the Cholesky factor G = L L^H, in the
+        Gram's own real or complex dtype."""
+        half = np.linalg.inv(self._cholesky)
+        inv = half.conj().T @ half
         return 0.5 * (inv + inv.conj().T)
 
 

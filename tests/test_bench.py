@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           build_grid, comparison_norms, heat_apply,
@@ -13,7 +13,7 @@ from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
                           sweep_form)
 from bergman_heat import bench, geometry
 from bergman_heat.cli import EXIT_OK, run
-from bergman_heat.config import DEFAULTS
+from bergman_heat.config import DEFAULTS, read_form_spec
 from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
@@ -226,19 +226,18 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("cols", [12, bench.DENSE_COLUMNS])
     def test_small_matrix_takes_dense_path(self, monkeypatch, cols):
-        # ARPACK needs more columns than its Lanczos basis
-        assert bench.DENSE_COLUMNS > bench.ARPACK_NCV
         a = np.random.default_rng(5).normal(size=(cols, cols))
 
-        def no_arpack(operator, **kwargs):
-            raise AssertionError("ARPACK ran")
+        def no_lanczos(normal, n):
+            raise AssertionError("Lanczos ran")
 
-        monkeypatch.setattr(bench, "eigsh", no_arpack)
+        monkeypatch.setattr(bench, "_lanczos_top_pair", no_lanczos)
         sigma, _ = bench._top_singular_pair(a, None)
         assert sigma == bench._dense_top_singular_pair(a)[0]
         assert sigma == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        # two Lanczos steps cannot meet the tolerance on a random block
         a = np.random.default_rng(5).normal(size=(300, 300))
         oracle = bench._dense_top_singular_pair
         calls = []
@@ -247,12 +246,12 @@ class TestSpectralNorm:
             calls.append(matrix)
             return oracle(matrix)
 
-        monkeypatch.setattr(bench, "ARPACK_MAXITER", 1)
+        monkeypatch.setattr(bench, "LANCZOS_STEPS", 2)
         monkeypatch.setattr(bench, "_dense_top_singular_pair", counted)
         assert bench._top_singular_pair(a, None)[0] == oracle(a)[0]
         assert len(calls) == 1
 
-    # one column past DENSE_COLUMNS takes ARPACK, DENSE_COLUMNS and 12 the
+    # one column past DENSE_COLUMNS takes Lanczos, DENSE_COLUMNS and 12 the
     # dense path; rows outnumber columns so that a scale applied to the
     # wrong side cannot go unnoticed
     @pytest.mark.parametrize("rows,cols", [
@@ -271,18 +270,94 @@ class TestSpectralNorm:
         cols = bench.DENSE_COLUMNS + 1
         a = rng.normal(size=(cols + 6, cols))
         scale = rng.uniform(0.1, 3.0, cols + 6)
+        solve = bench._lanczos_top_pair
         calls = []
 
-        def no_convergence(operator, **kwargs):
-            calls.append(operator.shape)
-            raise ArpackNoConvergence("forced", np.empty(0),
-                                      np.empty((cols, 0)))
+        def counted(normal, n):
+            calls.append((n, solve(normal, n)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(bench, "eigsh", no_convergence)
+        monkeypatch.setattr(bench, "LANCZOS_STEPS", 2)
+        monkeypatch.setattr(bench, "_lanczos_top_pair", counted)
         sigma = bench._dense_top_singular_pair(scale[:, None] * a)[0]
         assert bench._top_singular_pair(a, scale)[0] == pytest.approx(
             sigma, rel=1e-12)
-        assert calls == [(cols, cols)]
+        assert calls == [(cols, None)]
+
+
+def _lanczos_against_arpack(monkeypatch, forms, p_values, sht):
+    """Per wide block of every cell of each form: the relative gap of the
+    Lanczos singular value to ARPACK's, 1 - |v.w| of their singular
+    vectors, and both solves' normal-operator products.  ARPACK runs at
+    the settings the Lanczos solve replaced (basis 20, tolerance 1e-10,
+    300 restarts, the same seeded start vector)."""
+    rows = []
+    solve = bench._top_singular_pair
+
+    def compared(matrix, row_scale):
+        n = matrix.shape[1]
+        if n <= bench.DENSE_COLUMNS:
+            return solve(matrix, row_scale)
+        weights = 1.0 if row_scale is None else row_scale ** 2
+        products = []
+
+        def normal(x):
+            products[-1] += 1
+            return matrix.T @ (weights * (matrix @ x))
+
+        products.append(0)
+        pair = bench._lanczos_top_pair(normal, n)
+        assert pair is not None, "Lanczos fell back"
+        products.append(0)
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=normal, dtype=float),
+                           k=1, which="LA", ncv=20, tol=1e-10, maxiter=300,
+                           v0=np.random.default_rng(0).standard_normal(n))
+        sigma = math.sqrt(vals[0])
+        rows.append((abs(pair[0] - sigma) / sigma,
+                     1.0 - abs(pair[1] @ vecs[:, 0]), *products))
+        return pair
+
+    monkeypatch.setattr(bench, "_top_singular_pair", compared)
+    for form in forms:
+        form, turn = bench._turned(form, sht)
+        mult = fast_multiplication_matrix(form, sht)
+        for p in p_values:
+            comparison_norms(p, form, sht, mult, TAIL_BOUND, turn)
+    return rows
+
+
+class TestLanczosMatchesArpack:
+    """The Lanczos solve against ARPACK, the solver it replaced, on the
+    blocks of the converge-nonzonal benchmark (102 x 204, l_max 46): the
+    mirror blocks of tilted, the turned tilted-mirror and the flip-split
+    sectoral, and the one complex block of a form with neither symmetry."""
+
+    @pytest.fixture(scope="class")
+    def nonzonal_sht(self):
+        return SphericalHarmonicTransform(build_grid(102, 204), 46)
+
+    @pytest.mark.parametrize("specs", ["benchmark", "complex"])
+    def test_singular_pairs_and_products(self, monkeypatch, nonzonal_sht,
+                                         specs):
+        if specs == "benchmark":
+            coefficient_maps = [read_form_spec(spec)[1] for spec
+                                in _load_workloads().NONZONAL_FORMS
+                                if spec["coefficients"]]
+        else:
+            coefficient_maps = [{(1, 1): 0.1, (2, -1): 0.05}]
+        forms = [VolumeForm(nonzonal_sht.grid, coefficients, "probe")
+                 for coefficients in coefficient_maps]
+        rows = _lanczos_against_arpack(monkeypatch, forms, [8, 16, 32, 64],
+                                       nonzonal_sht)
+        # two norms per cell at four p, over 2 + 2 + 4 blocks (tilted,
+        # tilted-mirror, sectoral) or 1 (complex)
+        assert len(rows) == 8 * (8 if specs == "benchmark" else 1)
+        gaps, angles, lanczos, arpack = np.array(rows).T
+        assert gaps.max() < 1e-14
+        assert angles.max() < 1e-12
+        # never more products than ARPACK, which checks convergence only
+        # once per restart
+        assert (lanczos <= arpack).all()
 
 
 class TestComparisonNorms:

@@ -123,6 +123,16 @@ class TestConfig:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves the tests' oracles only
+        code = ("import sys, bergman_heat.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_subprocess_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
 
 class TestExitCodes:
     def test_insufficient_p_list_is_config_error(self, tmp_path):
@@ -249,10 +259,12 @@ class TestExitCodes:
                       "volume_forms": [{"id": "fs", "coefficients": {}}],
                       "uniformity_family": ["fs"]}),
     ])
-    def test_l_max_past_finite_legendre_table_is_refused_up_front(
+    def test_l_max_past_checked_legendre_table_is_refused_up_front(
             self, tmp_path, capsys, monkeypatch, command, cfg):
-        # these ran on a Legendre table with inf entries: heat-check wrote
-        # NaN invariants (exit 4), converge raised from the eigensolver
+        # on tables from scipy's lpmv, which overflows past MAX_L_MAX,
+        # heat-check wrote NaN invariants (exit 4) and converge raised from
+        # the eigensolver; the recurrence stays finite there, but lpmv no
+        # longer checks it
         def no_grid(*args):
             raise AssertionError("grid built for a refused run")
         monkeypatch.setattr(cli, "grid_for", no_grid)
@@ -262,7 +274,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "Legendre table overflows" in json.loads(err)["error"]
+        assert "not checked against lpmv" in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("forms", [["fs", "zonal-full"],
@@ -631,7 +643,9 @@ class TestCommands:
     def test_command_runs_at_one_openblas_thread(self, tmp_path,
                                                  monkeypatch):
         # numpy's 64-bit-integer OpenBLAS (matmul, np.linalg) and scipy's
-        # (ARPACK, eigh, cho_factor) are both found and both capped
+        # are both found and both capped; the package does not import
+        # scipy, so its library is mapped here
+        import scipy.linalg  # noqa: F401
         controls = cli._openblas_thread_controls()
         assert sorted(get.__name__ for get, _ in controls) == [
             "scipy_openblas_get_num_threads",
@@ -658,6 +672,22 @@ class TestCommands:
             for (_, set_), count in zip(controls, outside):
                 set_(count)
         assert seen == [[1, 1], [1, 1]]
+
+    def test_high_order_coefficient_is_accepted(self, tmp_path):
+        # a valid order-85 coefficient of degree 86: harmonics built from
+        # scipy's lpmv overflowed there, and the form was refused (exit 2,
+        # "density is not finite and positive").  48 x 96 resolves its
+        # longitude band 85 at p 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n_theta": 48, "n_phi": 96, "p_list": [4], "volume_forms": [
+                {"id": "high", "coefficients": {"86,85": 0.01}}]}))
+        assert run(["identities", "--config", str(path),
+                    "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "identities.csv").read_text().splitlines()[1:]
+        residuals = [float(line.split(",")[-1]) for line in lines]
+        assert len(residuals) == 8
+        assert all(math.isfinite(r) for r in residuals)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a"

@@ -2,15 +2,46 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 from bergman_heat import (ConfigError, HarmonicCoeffs,
                           SphericalHarmonicTransform, build_grid, heat_apply,
                           heat_diagonal, laplace_eigenvalue, real_sph_harm,
                           semigroup_derivative_residual)
 from bergman_heat.fourier import grid_to_modes
-from bergman_heat.harmonics import legendre_profile
+from bergman_heat.harmonics import legendre_profiles
 from bergman_heat.heat import (MAX_L_MAX, coeff_index, degree_vector,
                                pole_turn, quarter_turn)
+
+
+def _lpmv_profile(l, m, x):
+    """scipy's lpmv scaled to ``int_{-1}^{1} P^2 dx = 2``: the recurrence's
+    independent oracle, finite up to degree and order ``MAX_L_MAX``."""
+    return math.exp(0.5 * (math.log(2 * l + 1) + math.lgamma(l - m + 1)
+                           - math.lgamma(l + m + 1))) * lpmv(m, l, x)
+
+
+class TestLegendreRecurrence:
+    # x = +-(1 - 2^-k), k = 21..26, lie within 1e-3 of the poles, and both
+    # 1 - x^2, as lpmv forms it, and (1 - x)(1 + x) are exact there: at
+    # other nodes that close, lpmv's rounded 1 - x^2 puts errors of up to
+    # 4e-11 in its values, which the recurrence does not share
+    POLES = np.concatenate([1.0 - 2.0 ** -np.arange(21, 27),
+                            2.0 ** -np.arange(21, 27) - 1.0])
+
+    @pytest.mark.parametrize("nodes", ["gauss", "poles"])
+    def test_matches_lpmv_up_to_max_l_max(self, nodes):
+        x = (build_grid(100, 200).cos_theta if nodes == "gauss"
+             else self.POLES)
+        if nodes == "poles":
+            assert np.arccos(np.abs(x)).max() < 1e-3
+        worst = 0.0
+        for m in range(MAX_L_MAX + 1):
+            for l, row in zip(range(m, MAX_L_MAX + 1),
+                              legendre_profiles(m, x)):
+                worst = max(worst, np.abs(row - _lpmv_profile(l, m, x)).max())
+        # values reach 13 (order 0, degree 85, at the poles)
+        assert worst < 1e-12
 
 
 class TestTransform:
@@ -25,12 +56,20 @@ class TestTransform:
         assert coeffs.values[0] == pytest.approx(2.5, abs=1e-13)
         assert np.abs(coeffs.values[1:]).max() < 1e-13
 
-    def test_largest_accepted_table_is_finite(self):
-        table = SphericalHarmonicTransform(build_grid(100, 200), MAX_L_MAX)
-        assert np.isfinite(table.legendre).all()
-        # one degree more and scipy's lpmv overflows
-        assert not np.isfinite(legendre_profile(
-            MAX_L_MAX + 1, MAX_L_MAX, table.grid.cos_theta)).all()
+    def test_table_past_the_oracle_is_finite_and_orthonormal(self):
+        # lpmv overflows one degree past MAX_L_MAX; the recurrence's table
+        # at twice that degree is finite, and Gauss quadrature, exact at
+        # degree 2 * 170 on 200 nodes, finds each order's rows orthonormal
+        grid = build_grid(200, 400)
+        assert not np.isfinite(
+            _lpmv_profile(MAX_L_MAX + 1, MAX_L_MAX, grid.cos_theta)).all()
+        l_max = 2 * MAX_L_MAX
+        table = SphericalHarmonicTransform(grid, l_max).legendre
+        assert np.isfinite(table).all()
+        for m in range(l_max + 1):
+            rows = table[m, m:]
+            gram = (rows * grid.w_theta) @ rows.T
+            assert np.abs(gram - np.eye(l_max + 1 - m)).max() < 1e-12, m
 
     def test_round_trip_band_limited(self, grid, sht, rng):
         for case in ("even", "nyquist", "odd"):

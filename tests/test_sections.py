@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bergman_heat import (ConfigError, InvalidRunError, SectionBasis,
-                          VolumeForm, bergman_evaluator, build_grid,
-                          gram_matrix, section_basis)
+from bergman_heat import (ConfigError, GramMatrix, InvalidRunError,
+                          SectionBasis, VolumeForm, bergman_evaluator,
+                          build_grid, gram_matrix, section_basis)
 from bergman_heat import sections
 from bergman_heat.geometry import unit_vectors
 from bergman_heat.sections import PAIR_BLOCK_ROWS, gram_matrix_bruteforce
@@ -93,6 +93,22 @@ class TestGramMatrix:
         form = VolumeForm(small, {})
         with pytest.raises(ConfigError):
             gram_matrix(section_basis(12), form, small)
+
+    @pytest.mark.parametrize("coefficients", [
+        {(1, 1): 0.2, (2, 1): 0.1}, {(1, 1): 0.2, (2, -1): 0.1}])
+    def test_inverse_inverts_bruteforce_gram(self, grid, coefficients):
+        # real (mirror-symmetric) and complex Grams; the node-by-node sum
+        # shares nothing with the mode-collapsed Gram or its factor
+        form = VolumeForm(grid, coefficients)
+        basis = section_basis(12)
+        gram = gram_matrix(basis, form, grid)
+        assert np.iscomplexobj(gram.matrix) is not form.is_mirror_symmetric
+        slow = gram_matrix_bruteforce(basis, form, grid)
+        assert np.abs(gram.inverse() @ slow - np.eye(13)).max() < 1e-12
+
+    def test_cholesky_failure_is_invalid_run(self):
+        with pytest.raises(InvalidRunError, match="Cholesky"):
+            GramMatrix(np.diag([1.0, -1.0]), 1.0)
 
     def test_condition_limit_enforced(self, grid, zonal_form, monkeypatch):
         monkeypatch.setattr(sections, "COND_LIMIT", 1.0001)
