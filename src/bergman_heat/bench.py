@@ -75,11 +75,13 @@ DIFF_COLUMNS = 256
 
 # largest sine coefficient, relative to the largest coefficient, that a map
 # turned onto the meridian phi = 0 may keep and drop (``_turned``).  A
-# mirror-symmetric map turned by its own axis keeps them at rounding level
-# (at most 4.6e-16 relative for the benchmark's forms, unrotated and at
-# twenty seeded angles).  Dropping a sine term of relative size eps moves
-# the converge norms by about eps, so at most by the 1e-12 to which the
-# mirror route is held against the complex one.
+# mirror-symmetric map turned by its own axis keeps them at rounding level:
+# at most 4.6e-16 relative for the benchmark's forms turned about the pole
+# and 2.4e-17 for tilted-mirror's quarter turn, unrotated and at twenty
+# seeded angles, and 1.7e-14 for a single flip-symmetric column of degree
+# 150.  Dropping a sine term of relative size eps moves the converge norms
+# by about eps, so at most by the 1e-12 to which the mirror route is held
+# against the complex one.
 MIRROR_TOL = 1e-12
 
 
@@ -529,8 +531,10 @@ class FormReport:
 
 
 def _turned(form, sht):
-    """The form a sweep runs its cells on, and the turn's matrices up to
-    ``sht.l_max`` if it is turned, else None.
+    """The form a sweep runs its cells on, and the turn's matrices D_l,
+    l = 0..``sht.l_max``, if it is turned, else None.  A candidate turn is
+    built at the form's coefficient degrees only, and the taken one at the
+    degrees up to ``sht.l_max`` as well.
 
     A mirror-symmetric form (zonal forms are) is not turned, nor is one
     whose longitude band reaches the top mode n_phi // 2, which stands for
@@ -559,9 +563,9 @@ def _turned(form, sht):
                   for j in range(m0)]
     if form.is_flip_symmetric:
         candidates.append((quarter_turn, (arg - math.pi / 2) / m0))
-    l_top = max([sht.l_max] + [l for l, _ in form.coefficients])
+    degrees = {l for l, _ in form.coefficients}
     for make, angle in candidates:
-        turn = make(l_top, angle)
+        turn = {l: make(l, angle) for l in degrees}
         turned = {}
         for (l, m), c in form.coefficients.items():
             turned[l] = turned.get(l, 0.0) + c * turn[l][:, m + l]
@@ -573,7 +577,8 @@ def _turned(form, sht):
             (l, m): float(row[m + l]) for l, row in turned.items()
             for m in range(l + 1) if row[m + l] != 0.0}, form.form_id)
         if turned_form.phi_band <= form.phi_band:
-            return turned_form, turn[:sht.l_max + 1]
+            return turned_form, [turn[l] if l in turn else make(l, angle)
+                                 for l in range(sht.l_max + 1)]
     return form, None
 
 

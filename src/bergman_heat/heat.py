@@ -16,12 +16,12 @@ from .fourier import grid_to_modes
 from .harmonics import legendre_profiles
 
 # largest accepted l_max.  The Legendre recurrence
-# (harmonics.legendre_profiles) stays finite far past it, but
-# scipy.special.lpmv, its independent check in the tests, overflows at
-# order 85 above degree 85, so past 85 nothing checks the tables.  Lifting
-# the limit waits for a turn of the harmonics that stays orthogonal at high
-# degree (quarter_turn's recursion loses orthogonality as l grows).  Under
-# this limit and MAX_GRID_AXIS a table holds at most 1.5e7 doubles
+# (harmonics.legendre_profiles) stays finite far past it, and the turns
+# stay orthogonal to rounding (tested to degree 200), but
+# scipy.special.lpmv, the recurrence's independent check in the tests,
+# overflows at order 85 above degree 85, so past 85 nothing checks the
+# tables; a higher limit needs an oracle that reaches it.  Under this limit
+# and MAX_GRID_AXIS a table holds at most 1.5e7 doubles
 MAX_L_MAX = 85
 
 
@@ -41,64 +41,54 @@ def coeff_index(l, m):
     return l * (l + 1) + m
 
 
-def pole_turn(l_max, alpha):
-    """Orthogonal matrices D_l, l = 0..l_max, on the real harmonics (rows
-    and columns m = -l..l) of the turn by -``alpha`` about the pole, in the
+def mode_factors(orders):
+    """Factor of the exp(i|m|phi) mode of the real harmonic of order m over
+    its Legendre profile: 1 for m = 0, 1/sqrt(2) for cosine (m > 0),
+    -i/sqrt(2) for sine (m < 0); the exp(-i|m|phi) mode carries the
+    conjugate factor."""
+    return np.select([orders > 0, orders < 0],
+                     [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
+
+
+def pole_turn(l, alpha):
+    """Orthogonal matrix D_l on the real harmonics of degree l (rows and
+    columns m = -l..l) of the turn by -``alpha`` about the pole, in the
     convention of ``quarter_turn``: D_l mixes each pair (l, +-m), m > 0, by
     the angle m alpha, so the pair z = c_(l,m) + i c_(l,-m) goes to
     exp(-i m alpha) z."""
-    turns = []
-    for l in range(l_max + 1):
-        m = np.arange(1, l + 1)
-        c, s = np.cos(m * alpha), np.sin(m * alpha)
-        D = np.eye(2 * l + 1)
-        D[l + m, l + m] = D[l - m, l - m] = c
-        D[l + m, l - m], D[l - m, l + m] = s, -s
-        turns.append(D)
-    return turns
+    m = np.arange(1, l + 1)
+    c, s = np.cos(m * alpha), np.sin(m * alpha)
+    D = np.eye(2 * l + 1)
+    D[l + m, l + m] = D[l - m, l - m] = c
+    D[l + m, l - m], D[l - m, l + m] = s, -s
+    return D
 
 
-def quarter_turn(l_max, beta):
-    """Orthogonal matrices D_l, l = 0..l_max, on the real harmonics (rows
-    and columns m = -l..l) of the turn R by -``beta`` about the pole and
-    then a quarter about the x-axis, which carries z to y: f o R^-1 has
-    degree-l coefficients D_l c_l if f has c_l.  Built by the recursion of
-    Ivanic and Ruedenberg (J. Phys. Chem. 100 (1996) 6342, and its 1998
-    correction) for harmonics without the Condon-Shortley sign, which ours
-    carry: entry (m, n) takes the sign (-1)^(|m|+|n|)."""
-    # D_1 without the sign: R, which maps (x, y, z) to (c x + s y, z,
-    # s x - c y), on the coordinates (y, z, x) of Y_1,-1, Y_1,0 and Y_1,1
-    c, s = math.cos(beta), math.sin(beta)
-    r = np.array([[0.0, 1.0, 0.0], [-c, 0.0, s], [s, 0.0, c]])
-    turns = [np.ones((1, 1)), r]
-    for l in range(2, l_max + 1):
-        # the recursion's P(i, l, a, n), i = -1, 0, 1, from D_{l-1}'s rows
-        # a = 1-l..l-1, padded to -1-l..l+1 and rolled to sit at index a
-        D = turns[-1]
-        P = np.zeros((3, 2 * l + 3, 2 * l + 1))
-        P[:, 2:-2, 1:-1] = r[:, 1, None, None] * D
-        P[:, 2:-2, -1] = r[:, 2, None] * D[:, -1] - r[:, 0, None] * D[:, 0]
-        P[:, 2:-2, 0] = r[:, 2, None] * D[:, 0] + r[:, 0, None] * D[:, -1]
-        minus, zero, plus = np.roll(P, -(l + 1), axis=1)
-        m, n = np.arange(-l, l + 1)[:, None], np.arange(-l, l + 1)
-        k, one = np.abs(m), np.abs(m) == 1
-        denom = np.where(np.abs(n) < l, (l + n) * (l - n), 2 * l * (2 * l - 1))
-        u = np.sqrt((l + m) * (l - m) / denom)
-        v = np.where(m == 0, -0.5, 0.5) * np.sqrt(
-            (1 + (m == 0)) * (l + k - 1) * (l + k) / denom)
-        w = -0.5 * np.sqrt((l - k - 1) * (l - k) / denom)
-        # V and W of row m read the rows m -+ 1 and 1 -+ m of the P's
-        a = m[:, 0]
-        V = np.select(
-            [m > 0, m < 0],
-            [np.sqrt(1 + one) * plus[a - 1] - ~one * minus[1 - a],
-             ~one * plus[a + 1] + np.sqrt(1 + one) * minus[-a - 1]],
-            plus[1] + minus[-1])
-        W = np.where(m > 0, plus[a + 1] + minus[-a - 1],
-                     plus[a - 1] - minus[1 - a])
-        turns.append(u * zero[a] + v * V + np.where(m != 0, w * W, 0.0))
-    signs = [(-1.0) ** np.abs(np.arange(-l, l + 1)) for l in range(l_max + 1)]
-    return [s[:, None] * D * s for s, D in zip(signs, turns[:l_max + 1])]
+def quarter_turn(l, beta):
+    """Orthogonal matrix D_l on the real harmonics of degree l (rows and
+    columns m = -l..l) of the turn R by -``beta`` about the pole and then a
+    quarter about the x-axis, which carries z to y: f o R^-1 has degree-l
+    coefficients D_l c_l if f has c_l.
+
+    The quarter turn is exp(i pi/2 J_x) on the complex harmonics Y_l^n
+    (Condon-Shortley phase).  J_x is real symmetric tridiagonal, with
+    sqrt((l - n)(l + n + 1)) / 2 at (n + 1, n), and its eigenvalues are the
+    integers k = -l..l, so with the eigenvectors V of one ``eigh`` the
+    turn is V diag(i^k) V^T, orthogonal to rounding at every degree
+    (X. M. Feng, P. Wang, W. Yang and G. R. Jin, Phys. Rev. E 92, 043307
+    (2015)).  The real harmonic of order m is
+    f_m Y_l^|m| + (-1)^m conj(f_m) Y_l^-|m| (``mode_factors``)."""
+    m = np.arange(-l, l + 1)
+    step = 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
+    _, V = np.linalg.eigh(np.diag(step, 1) + np.diag(step, -1))
+    X = (V * np.array([1.0, 1j, -1.0, -1j])[m % 4]) @ V.T
+    # conj(C) X C^T, where row m of C holds the real harmonic's
+    # coefficients, f_m at column l + |m| and g_m at l - |m| (none for m = 0)
+    f = mode_factors(m)
+    g = np.where(m != 0, (-1.0) ** m, 0.0) * f.conj()
+    up, down = l + np.abs(m), l - np.abs(m)
+    X = f.conj()[:, None] * X[up] + g.conj()[:, None] * X[down]
+    return (X[:, up] * f + X[:, down] * g).real @ pole_turn(l, beta)
 
 
 @dataclass
@@ -144,15 +134,13 @@ class SphericalHarmonicTransform:
                               legendre_profiles(m, grid.cos_theta)):
                 self.legendre[m, l] = row
         # degree and order of every packed coefficient slot, and the factor
-        # of the exp(i|m|phi) mode of Y_lm over its Legendre profile: 1 for
-        # m = 0, 1/sqrt(2) for cosine (m > 0), -i/sqrt(2) for sine (m < 0);
-        # the exp(-i|m|phi) mode carries the conjugate factor
+        # of the exp(i|m|phi) mode of Y_lm over its Legendre profile
+        # (``mode_factors``)
         self.degrees = degree_vector(self.l_max)
         self.orders = np.arange(self.n_coeffs) - coeff_index(self.degrees, 0)
         # slot_profiles[i, s]: the Legendre profile of slot s at node i
         self.slot_profiles = self.legendre[np.abs(self.orders), self.degrees].T
-        self.factors = np.select([self.orders > 0, self.orders < 0],
-                                 [math.sqrt(0.5), -1j * math.sqrt(0.5)], 1.0)
+        self.factors = mode_factors(self.orders)
         # the factor with the sine slots' i taken out, for functions whose
         # sine modes are carried as i times real numbers
         self.real_factors = np.where(self.orders < 0, self.factors.imag,

@@ -18,8 +18,7 @@ from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
 from bergman_heat.errors import InvalidRunError
-from bergman_heat.heat import (HarmonicCoeffs, SphericalHarmonicTransform,
-                                quarter_turn)
+from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
 from bergman_heat.geometry import VolumeForm, fubini_study_form
 from test_bergman import funk_hecke_eigenvalue
 from test_geometry import _load_workloads, _seeded_coefficients
@@ -54,6 +53,17 @@ def block_diagonal(turn):
     for l, D in enumerate(turn):
         full[l * l:(l + 1) ** 2, l * l:(l + 1) ** 2] = D
     return full
+
+
+def _record_turns(monkeypatch, asked):
+    """Record in ``asked`` each (turn name, degree, angle) that ``bench``
+    builds a turn matrix for."""
+    for name in ("pole_turn", "quarter_turn"):
+        def recorded(l, angle, name=name, make=getattr(bench, name)):
+            asked.append((name, l, angle))
+            return make(l, angle)
+
+        monkeypatch.setattr(bench, name, recorded)
 
 
 @pytest.fixture(scope="module")
@@ -148,16 +158,22 @@ class TestOperatorMatrix:
         # the generic form's one pole candidate, the identity, keeps its
         # (2, -1) term; forced flip-symmetric, its quarter turn keeps sine
         # terms of its own.  Neither turn is taken, and neither builds a
-        # turned form: the sine terms are read first
+        # turned form: the sine terms are read first.  Each candidate's
+        # matrices are built at the form's degrees alone
         form = VolumeForm(bench_grid, GENERIC, "generic")
         form.is_flip_symmetric = True
-        made, quarter = [], []
+        made, asked = [], []
         monkeypatch.setattr(bench, "VolumeForm",
                             lambda *args: made.append(args))
-        monkeypatch.setattr(bench, "quarter_turn", lambda *args: (
-            quarter.append(args), quarter_turn(*args))[1])
+        _record_turns(monkeypatch, asked)
         assert bench._turned(form, bench_sht) == (form, None)
-        assert len(quarter) == 1 and made == []
+        quarter = [(l, angle) for name, l, angle in asked
+                   if name == "quarter_turn"]
+        assert len({angle for _, angle in quarter}) == 1 and made == []
+        degrees = {l for l, _ in GENERIC}
+        assert {l for _, l, _ in asked} <= set(
+            range(bench_sht.l_max + 1)) | degrees
+        assert sorted(l for l, _ in quarter) == sorted(degrees)
 
     def test_q_range_is_band_limited_to_p(self, bench_grid, bench_sht):
         # products of degree-p sections span harmonics of degree <= p, so
@@ -838,6 +854,31 @@ class TestTurnChoice:
                 else:
                     assert _same_axis(_pole_angle(turn), angle), (seed,
                                                                   spec["id"])
+
+    def test_high_degree_form_matches_generic_oracle(self, monkeypatch):
+        # a flip-symmetric form with a coefficient of degree 110 is
+        # quarter-turned, its turn built once at each degree up to l_max
+        # and at the form's degrees, and no other.  120x240 keeps the band
+        # under Nyquist and resolves the density's second-order content
+        # (degree 220): on 64x256, where only the first holds, the turned
+        # and unturned densities differ on the grid, and so the norms, by
+        # 2.6e-8 relative
+        sht = SphericalHarmonicTransform(build_grid(120, 240), 12)
+        coefficients = {(1, 1): 0.1, (110, -110): 1e-3}
+        asked = []
+        _record_turns(monkeypatch, asked)
+        form, turned, turn = self._turned(coefficients, sht.grid, sht)
+        assert form.is_flip_symmetric and _pole_angle(turn) is None
+        assert [l for name, l, _ in asked if name == "pole_turn"] == [1, 110]
+        assert sorted(l for name, l, _ in asked
+                      if name == "quarter_turn") == list(range(13)) + [110]
+        p = 4
+        mult = fast_multiplication_matrix(turned, sht)
+        res = comparison_norms(p, turned, sht, mult, None, turn)
+        norm1, norm2, degree, _ = _generic_oracle(p, form, sht)
+        assert res.norm1 == pytest.approx(norm1, rel=1e-12)
+        assert res.norm2 == pytest.approx(norm2, rel=1e-12)
+        assert res.argmax_degree == degree
 
     def test_band_at_the_top_mode_keeps_the_complex_route(self):
         # on 24x48 this density's band reaches the top longitude mode 24,

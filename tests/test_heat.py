@@ -149,38 +149,58 @@ class TestTransform:
 
 
 class TestQuarterTurn:
-    @pytest.mark.parametrize("beta", [0.0, 0.9])
-    def test_matches_analyzed_turned_harmonics(self, beta):
-        # with beta = 0 the turn R takes (x, y, z) to (x, z, -y), so
-        # Y_lm o R^-1 at a node is Y_lm at (x, -z, y); a turn by -beta about
-        # the pole before it moves the longitude of that point by beta.  On
-        # a grid exact for degree 2 l_max the analysis of Y_lm o R^-1 is
-        # column m of D_l, and zero off degree l
-        l_max = 6
+    @staticmethod
+    def _inverse_turned_nodes(l_max, beta):
+        """A transform on a grid exact for degree 2 ``l_max``, and the
+        points R^-1 x of its nodes x.  With beta = 0 the turn R takes
+        (x, y, z) to (x, z, -y), so R^-1 x is (x, -z, y); a turn by -beta
+        about the pole before it moves the longitude of that point by
+        beta.  The analysis of Y_lm o R^-1 is then column m of D_l, and
+        zero off degree l."""
         sht = SphericalHarmonicTransform(build_grid(l_max + 2, 2 * l_max + 4),
                                          l_max)
         st = np.sin(sht.grid.theta_mesh)
         x = st * np.cos(sht.grid.phi_mesh)
         y = st * np.sin(sht.grid.phi_mesh)
         z = np.cos(sht.grid.theta_mesh)
-        theta, phi = np.arccos(np.clip(y, -1.0, 1.0)), np.arctan2(-z, x)
-        phi = phi + beta
-        turn = quarter_turn(l_max, beta)
+        return sht, np.arccos(np.clip(y, -1.0, 1.0)), np.arctan2(-z, x) + beta
+
+    @pytest.mark.parametrize("beta", [0.0, 0.9])
+    def test_matches_analyzed_turned_harmonics(self, beta):
+        l_max = 6
+        sht, theta, phi = self._inverse_turned_nodes(l_max, beta)
         for l in range(l_max + 1):
+            turn = quarter_turn(l, beta)
             for m in range(-l, l + 1):
                 coeffs = sht.analyze(real_sph_harm(l, m, theta, phi)).values
                 column = np.zeros(sht.n_coeffs)
-                column[l * l:(l + 1) ** 2] = turn[l][:, m + l]
+                column[l * l:(l + 1) ** 2] = turn[:, m + l]
                 assert np.abs(coeffs - column).max() < 1e-13, (l, m)
 
-    def test_z_goes_to_y(self):
-        # Y_10 is sqrt(3) z and Y_1,-1 is -sqrt(3) y (Condon-Shortley)
-        assert np.array_equal(quarter_turn(1, 0.0)[1][:, 1], [-1.0, 0.0, 0.0])
+    @pytest.mark.parametrize("m", [60, 76, -110])
+    def test_matches_analyzed_turned_harmonic_at_degree_110(self, m):
+        # the columns where the recursion this construction replaced was
+        # off by 1.4e-7 (m = 60) and 7.8e-8 (m = 76), and a sectoral one
+        l = 110
+        sht, theta, phi = self._inverse_turned_nodes(l, 0.9)
+        coeffs = sht.analyze(real_sph_harm(l, m, theta, phi)).values
+        column = np.zeros(sht.n_coeffs)
+        column[l * l:] = quarter_turn(l, 0.9)[:, m + l]
+        assert np.abs(coeffs - column).max() < 1e-13
 
-    @pytest.mark.parametrize("l_max,tol", [(8, 1e-14), (46, 1e-11)])
-    def test_orthogonal(self, l_max, tol):
-        for D in quarter_turn(l_max, 0.7):
-            assert np.abs(D @ D.T - np.eye(len(D))).max() < tol
+    def test_z_goes_to_y(self):
+        # Y_10 is sqrt(3) z and Y_1,-1 is -sqrt(3) y (Condon-Shortley); the
+        # eigenvectors of J_x carry rounding, so the column is exact to it
+        assert np.abs(quarter_turn(1, 0.0)[:, 1]
+                      - [-1.0, 0.0, 0.0]).max() <= 2 * np.finfo(float).eps
+
+    # the recursion this construction replaced reached 5.0e-13 at l = 46,
+    # 3.3e-6 at l = 120 and 1.1e5 at l = 200
+    @pytest.mark.parametrize("degrees", [range(47), [69, 85, 100, 120, 200]])
+    def test_orthogonal(self, degrees):
+        for l in degrees:
+            D = quarter_turn(l, 0.7)
+            assert np.abs(D @ D.T - np.eye(len(D))).max() < 1e-14, l
 
 
 class TestPoleTurn:
@@ -194,16 +214,17 @@ class TestPoleTurn:
         sht = SphericalHarmonicTransform(build_grid(l_max + 2, 2 * l_max + 4),
                                          l_max)
         theta, phi = sht.grid.theta_mesh, sht.grid.phi_mesh + alpha
-        turn = pole_turn(l_max, alpha)
         for l in range(l_max + 1):
+            turn = pole_turn(l, alpha)
             for m in range(-l, l + 1):
                 coeffs = sht.analyze(real_sph_harm(l, m, theta, phi)).values
                 column = np.zeros(sht.n_coeffs)
-                column[l * l:(l + 1) ** 2] = turn[l][:, m + l]
+                column[l * l:(l + 1) ** 2] = turn[:, m + l]
                 assert np.abs(coeffs - column).max() < 1e-13, (l, m)
 
     def test_orthogonal(self):
-        for D in pole_turn(46, 0.7):
+        for l in range(47):
+            D = pole_turn(l, 0.7)
             assert np.abs(D @ D.T - np.eye(len(D))).max() < 1e-15
 
 
