@@ -77,7 +77,12 @@ def quarter_turn(l, beta):
     turn is V diag(i^k) V^T, orthogonal to rounding at every degree
     (X. M. Feng, P. Wang, W. Yang and G. R. Jin, Phys. Rev. E 92, 043307
     (2015)).  The real harmonic of order m is
-    f_m Y_l^|m| + (-1)^m conj(f_m) Y_l^-|m| (``mode_factors``)."""
+    f_m Y_l^|m| + (-1)^m conj(f_m) Y_l^-|m| (``mode_factors``).  At degree
+    1 the quarter turn is the rotation itself on (y, z, x), the coordinates
+    of Y_1,-1, Y_1,0 and Y_1,1 up to their signs, written out exactly."""
+    if l == 1:
+        return np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0]]) @ pole_turn(1, beta)
     m = np.arange(-l, l + 1)
     step = 0.5 * np.sqrt((l - m[:-1]) * (l + m[:-1] + 1.0))
     _, V = np.linalg.eigh(np.diag(step, 1) + np.diag(step, -1))

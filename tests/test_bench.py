@@ -869,7 +869,8 @@ class TestTurnChoice:
         _record_turns(monkeypatch, asked)
         form, turned, turn = self._turned(coefficients, sht.grid, sht)
         assert form.is_flip_symmetric and _pole_angle(turn) is None
-        assert [l for name, l, _ in asked if name == "pole_turn"] == [1, 110]
+        assert sorted(l for name, l, _ in asked
+                      if name == "pole_turn") == [1, 110]
         assert sorted(l for name, l, _ in asked
                       if name == "quarter_turn") == list(range(13)) + [110]
         p = 4
@@ -879,6 +880,26 @@ class TestTurnChoice:
         assert res.norm1 == pytest.approx(norm1, rel=1e-12)
         assert res.norm2 == pytest.approx(norm2, rel=1e-12)
         assert res.argmax_degree == degree
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "nothing checks that a grid resolves a form's density in "
+        "colatitude: on 64x256 the turned and unturned norms differ by "
+        "2.6e-8 relative"))
+    def test_high_degree_form_on_a_grid_short_of_its_density(self):
+        # the form above on the smallest grid that keeps its band under
+        # Nyquist, which is accepted and quarter-turned, but misses the
+        # density's degree-220 content; passes once such a grid is refused
+        sht = SphericalHarmonicTransform(build_grid(64, 256), 12)
+        form, turned, turn = self._turned({(1, 1): 0.1, (110, -110): 1e-3},
+                                          sht.grid, sht)
+        if turn is None or _pole_angle(turn) is not None:
+            pytest.fail("the form is not quarter-turned")
+        p = 4
+        mult = fast_multiplication_matrix(turned, sht)
+        res = comparison_norms(p, turned, sht, mult, None, turn)
+        norm1, norm2, _, _ = _generic_oracle(p, form, sht)
+        assert res.norm1 == pytest.approx(norm1, rel=1e-12)
+        assert res.norm2 == pytest.approx(norm2, rel=1e-12)
 
     def test_band_at_the_top_mode_keeps_the_complex_route(self):
         # on 24x48 this density's band reaches the top longitude mode 24,

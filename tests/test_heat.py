@@ -189,10 +189,8 @@ class TestQuarterTurn:
         assert np.abs(coeffs - column).max() < 1e-13
 
     def test_z_goes_to_y(self):
-        # Y_10 is sqrt(3) z and Y_1,-1 is -sqrt(3) y (Condon-Shortley); the
-        # eigenvectors of J_x carry rounding, so the column is exact to it
-        assert np.abs(quarter_turn(1, 0.0)[:, 1]
-                      - [-1.0, 0.0, 0.0]).max() <= 2 * np.finfo(float).eps
+        # Y_10 is sqrt(3) z and Y_1,-1 is -sqrt(3) y (Condon-Shortley)
+        assert np.array_equal(quarter_turn(1, 0.0)[:, 1], [-1.0, 0.0, 0.0])
 
     # the recursion this construction replaced reached 5.0e-13 at l = 46,
     # 3.3e-6 at l = 120 and 1.1e5 at l = 200
