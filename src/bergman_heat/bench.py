@@ -26,11 +26,18 @@ chooses and takes once, running every cell on the turned form
 the input basis, and the tails over the turned basis's columns (truncation
 at ``l_max`` does not see the turn, the largest single column can).  Any
 other form assembles one complex-arithmetic block on the whole basis.  The
-assembled Q is built one longitude order of columns at a time, and every
-form's eta multiplication as a product quadrature, one order at a time.
+assembled Q is built one longitude order of columns at a time, from the
+order's grid products in factored form (the density's node modes times the
+order's Legendre rows), and every form's eta multiplication as a product
+quadrature, one order at a time.  A cell's two norms run on two lanes
+(``in_order``, which identities' passes share): the calling thread and,
+where the process may use two cores, one worker.
 """
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +55,10 @@ from .sections import bergman_evaluator
 # cell holds two of them live, eta and the difference (a mirror cell, turned
 # or not, about half of that, as two blocks each, and a mirror cell with
 # the equator flip a quarter, as four); one Q assembly costs about
-# (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default p = 128, which took
-# 3.5 s in a traced converge-default run on 2 cores)
+# (p+1)^3 (l_max+1)^2 flops (4.7e9 at the default p = 128 on 152x304,
+# which took 0.93-1.11 s for a mirror-symmetric form in real arithmetic and
+# 2.6-2.8 s for a form with no mirror plane in complex arithmetic, five
+# runs each at one BLAS thread on a 2-core Xeon)
 MAX_MATRIX_ENTRIES = 25 * 10 ** 6
 MAX_Q_FLOPS = 10 ** 11
 
@@ -232,12 +241,14 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     col_norm = np.zeros(sht.n_coeffs)
     # one batch and one work buffer, sized for the widest batch (order 1,
     # or 0 at l_max 0) and kept across the batches; the work buffer holds the
-    # grid products, then the half product M T, then the projections, each
-    # dead before the next (n_theta >= p + 1 by the Gram's exactness check)
+    # half product M T, then the projections, the first dead before the
+    # second is written.  A batch's grid products stay factored, the order's
+    # node modes times its Legendre rows (``sht.order_modes``), and are
+    # formed a diagonal at a time inside ``fourier.moment_matrices``
     width = max(sht.l_max + 1, 2 * sht.l_max)
     batch = np.empty(width * size * size, table.dtype)
-    work = np.empty(width * max(size * sht.grid.n_theta,
-                                (sht.l_max + 1) ** 2), table.dtype)
+    work = np.empty(width * max(size * size, (sht.l_max + 1) ** 2),
+                    table.dtype)
     for k in range(sht.l_max + 1):
         degrees = np.arange(k, sht.l_max + 1)
         # the batch alternates sine (-k) and cosine (+k) columns, degree by
@@ -249,16 +260,20 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         # modes 0..p fit the grid: the Gram exactness check forces
         # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
-            sht.order_products(table, k, degrees, size, work), parity,
-            (batch, work), products)
+            sht.order_modes(table, k, size), sht.legendre[k, degrees].T,
+            parity, (batch, work), products)
         # the lower diagonals in one gather, into one (L, n) array
         diagonals = A.reshape(len(slots), -1).T[gather]
         proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
                                                         grams, work)
         for b in np.unique(block_of[slots]):
             cols = np.flatnonzero(block_of[slots] == b)
+            # a block holds one sign of the order, and a flip block one
+            # parity of l as well, so its columns are evenly spaced in the
+            # batch, and a slice views their projections without a copy
+            step = cols[1] - cols[0] if len(cols) > 1 else 1
             blocks[b][:, position[slots[cols]]] = sht.packed(
-                proj_k[:, :, cols], spans[b][0])
+                proj_k[:, :, cols[0]:cols[-1] + 1:step], spans[b][0])
     return _checked_matrix(list(zip(blocks, spans)), col_norm, sht,
                            tail_bound)
 
@@ -368,9 +383,13 @@ def _lanczos_top_pair(normal, n):
             w -= h @ basis[:k + 1]
             alpha[k] += h[k]
         beta[k] = np.linalg.norm(w)
-        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1])
-                                  + np.diag(beta[:k], 1)
-                                  + np.diag(beta[:k], -1))
+        # T_k in one array, its three diagonals written through flat
+        # strided views
+        tridiagonal = np.zeros((k + 1, k + 1))
+        flat = tridiagonal.reshape(-1)
+        flat[::k + 2] = alpha[:k + 1]
+        flat[1::k + 2] = flat[k + 1::k + 2] = beta[:k]
+        theta, s = np.linalg.eigh(tridiagonal)
         if beta[k] * abs(s[-1, -1]) <= LANCZOS_TOL * max(floor,
                                                          abs(theta[-1])):
             return float(math.sqrt(max(theta[-1], 0.0))), (
@@ -467,6 +486,39 @@ def _assembled_difference(q_mat, mult, sht, p, volume, tail_bound):
     return q_mat.blocks, max(q_mat.tail_residual, heat_tail)
 
 
+def in_order(calls):
+    """The results of the independent calls ``calls``, in input order.
+
+    Where the process may run on two or more cores, the even-numbered calls
+    run on this thread and the odd-numbered ones on one worker thread:
+    numpy's elementwise loops and BLAS calls release the GIL, and a second
+    worker would only add a memory arena.  A call that raises ends the run
+    with the first failure in input order, as a sequential loop would."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return [call() for call in calls]
+    worker = ThreadPoolExecutor(1)
+    try:
+        futures = {i: worker.submit(call)
+                   for i, call in enumerate(calls) if i % 2}
+        here, stop, error = {}, len(calls), None
+        for i in range(0, len(calls), 2):
+            try:
+                here[i] = calls[i]()
+            except Exception as exc:
+                stop, error = i, exc
+                break
+        # a failure on the worker before this thread's first one comes first
+        results = [futures[i].result() if i % 2 else here[i]
+                   for i in range(stop)]
+        if error is not None:
+            raise error
+        return results
+    finally:
+        worker.shutdown(cancel_futures=True)
+
+
 def comparison_norms(p, form, sht, mult, tail_bound, turn):
     """Operator norms of the two benchmark differences at one (p, form) cell.
 
@@ -475,15 +527,18 @@ def comparison_norms(p, form, sht, mult, tail_bound, turn):
     (``smoothing_operator_matrix``) and subtracts the heat side from them
     (``_assembled_difference``) with eta's blocks ``mult`` on the same slots
     (``fast_multiplication_matrix``, p-independent, so a sweep builds them
-    once); each norm is one call over the cell's blocks.  ``turn``: the
-    turn's matrices for a turned form (``_turned``), else None.
+    once); each norm is one call over the cell's blocks, the two on two
+    lanes (``in_order``): each reads the blocks only and starts from its
+    own seeded vector, so the norms do not depend on the lanes.  ``turn``:
+    the turn's matrices for a turned form (``_turned``), else None.
     """
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     q_mat = smoothing_operator_matrix(smoother, sht, tail_bound)
     blocks, tail = _assembled_difference(q_mat, mult, sht, p, form.volume,
                                          tail_bound)
-    norm1, argmax_degree = spectral_norm_with_mode(blocks, sht, turn)
-    norm2 = spectral_norm(blocks, p, sht)
+    (norm1, argmax_degree), norm2 = in_order([
+        functools.partial(spectral_norm_with_mode, blocks, sht, turn),
+        functools.partial(spectral_norm, blocks, p, sht)])
     return ComparisonResult(norm1=norm1, norm2=norm2, tail_residual=tail,
                             argmax_degree=argmax_degree)
 

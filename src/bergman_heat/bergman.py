@@ -42,28 +42,29 @@ class SmoothingOperator:
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
 
-    def coefficient_matrices(self, modes, parity=None, out=None,
+    def coefficient_matrices(self, modes, rows, parity=None, out=None,
                              products=None):
         """Section coefficient matrices of the operator's outputs for a batch
         of inputs.
 
-        ``modes`` has shape (n_modes, n_theta, n) and holds the nonnegative
-        longitude modes of ``density * f`` for each input f.  The inputs are
-        folded into section moment matrices and conjugated by the inverse
-        Gram; output b is x -> sigma(x)^T A[b] conj(sigma(x)) for the
-        returned (n, p+1, p+1) batch A.  Real modes, those of a form
-        symmetric under phi -> -phi, whose inverse Gram is real, come with
-        their ``parity`` (``fourier.moment_matrices``).  ``out``, if given,
-        is a pair of flat buffers that hold the batch and the half product
-        M T, so that a loop of batches reuses their pages; the second may
-        hold ``modes``, which T has consumed.  ``products``, if given, are
-        the section-profile products (``fourier.profile_products``) that a
-        Q assembly shares.
+        ``modes`` and ``rows`` give the nonnegative longitude modes of
+        ``density * f`` for each input f in the factored form of
+        ``fourier.moment_matrices``: node modes of shape (S, n_theta,
+        n_modes) times colatitude rows of shape (n_theta, n_rows), for
+        n = S n_rows inputs.  The inputs are folded into section moment
+        matrices and conjugated by the inverse Gram; output b is
+        x -> sigma(x)^T A[b] conj(sigma(x)) for the returned (n, p+1, p+1)
+        batch A.  Real modes, those of a form symmetric under phi -> -phi,
+        whose inverse Gram is real, come with their ``parity``.  ``out``, if
+        given, is a pair of flat buffers that hold the batch and the half
+        product M T, so that a loop of batches reuses their pages.
+        ``products``, if given, are the section-profile products
+        (``fourier.profile_products``) that a Q assembly shares.
         """
         ev = self.evaluator
         batch, spare = (None, None) if out is None else out
-        T = moment_matrices(modes, self.grid.w_theta, ev.profiles, MODE_TOL,
-                            batch, parity, products)
+        T = moment_matrices(modes, rows, self.grid.w_theta, ev.profiles,
+                            MODE_TOL, batch, parity, products)
         half = (np.empty_like(T) if out is None
                 else spare.view(T.dtype)[:T.size].reshape(T.shape))
         np.matmul(ev.kernel_matrix / self.rank_ratio, T, out=half)
@@ -76,7 +77,8 @@ class SmoothingOperator:
         if values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ConfigError("input values do not match the grid")
         modes = grid_to_modes(self.form.density * values, self.grid.n_phi // 2)
-        A = self.coefficient_matrices(modes.T[:, :, None])
+        A = self.coefficient_matrices(modes[None],
+                                      np.ones((self.grid.n_theta, 1)))
         return self.evaluator.hermitian_form_on_grid(A[0])
 
 

@@ -18,12 +18,11 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import flat_model
-from .bench import check_sweep_cost, rate_fit, sweep_form
+from .bench import check_sweep_cost, in_order, rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
 from .config import (DEFAULTS, default_l_max, grid_for, load_config,
@@ -304,39 +303,6 @@ def cmd_heat_check(cfg, out_dir):
     return _finish(out_dir, "heat-check", criteria, extra)
 
 
-def _in_order(calls):
-    """The results of the independent calls ``calls``, in input order.
-
-    Where the process may run on two or more cores, the even-numbered calls
-    run on this thread and the odd-numbered ones on one worker thread:
-    numpy's elementwise loops release the GIL, and a second worker would
-    only add a memory arena.  A call that raises ends the run with the first
-    failure in input order, as a sequential loop would."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
-        return [call() for call in calls]
-    worker = ThreadPoolExecutor(1)
-    try:
-        futures = {i: worker.submit(call)
-                   for i, call in enumerate(calls) if i % 2}
-        here, stop, error = {}, len(calls), None
-        for i in range(0, len(calls), 2):
-            try:
-                here[i] = calls[i]()
-            except Exception as exc:
-                stop, error = i, exc
-                break
-        # a failure on the worker before this thread's first one comes first
-        results = [futures[i].result() if i % 2 else here[i]
-                   for i in range(stop)]
-        if error is not None:
-            raise error
-        return results
-    finally:
-        worker.shutdown(cancel_futures=True)
-
-
 def _weight_change_cell(p, form, grid):
     return weight_change_residuals(bergman_evaluator(p, form, grid))
 
@@ -348,7 +314,7 @@ def cmd_identities(cfg, out_dir):
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
     tol = cfg["tolerance"]
     cells = [(form, p) for form in forms for p in cfg["p_list"]]
-    residuals = _in_order([
+    residuals = in_order([
         functools.partial(_weight_change_cell, p, form, grid)
         for form, p in cells])
     rows = []

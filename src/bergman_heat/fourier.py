@@ -3,7 +3,11 @@
 Weight functions on the product grid are handled as colatitude profiles of
 their longitude modes (``grid_to_modes``); ``moment_matrices`` folds them
 into section moment matrices (the Gram, and the input side of the smoothing
-operator), with the modes laid out as (mode, node, batch item).
+operator).  It takes a batch in factored form, node modes laid out as
+(sign, node, mode) times colatitude rows laid out as (node, row), so the
+products of a density with every degree of one harmonic order are formed a
+mode at a time, and only at the modes kept; a plain batch is one sign and
+one row of ones.
 ``product_grams`` gives the quadrature norms of the longitude modes of
 section quadratic forms, whose grid values are evaluated at the nodes, and
 ``diagonal_index`` lays out their coefficient matrices' lower diagonals.
@@ -63,42 +67,60 @@ def profile_products(profiles):
     return [profiles[:, d:] * profiles[:, :dim - d] for d in range(dim)]
 
 
-def moment_matrices(modes, w_theta, profiles, mode_tol, out=None,
+def moment_matrices(modes, rows, w_theta, profiles, mode_tol, out=None,
                     parity=None, products=None):
-    """Section moment matrices of a batch of weight functions.
+    """Section moment matrices of a batch of weight functions, given in
+    factored form.
 
-    ``modes[d, i, b]`` holds longitude mode d >= 0 of weight function b at
-    colatitude node i.  Returns the Hermitian batch T of shape (n, P, P) with
+    Item b = l S + s of the batch, for the S = ``modes.shape[0]`` signs s
+    and the columns l of ``rows``, has longitude mode d >= 0
+    ``modes[s, i, d] * rows[i, l]`` at colatitude node i: node modes shared
+    by a set of items, times each item's own colatitude row.  A plain batch
+    of one weight function is one sign and one row of ones.  Returns the
+    Hermitian batch T of shape (n, P, P) with
 
-        T[b, k+d, k] = sum_i w_theta[i] modes[d, i, b] a_{k+d}(theta_i) a_k(theta_i),
+        T[b, k+d, k] = sum_i w_theta[i] modes[s, i, d] rows[i, l] a_{k+d} a_k (theta_i),
 
     i.e. the quadrature of weight b against conj(s_{k+d}) s_k.  Real
     ``modes`` are those of functions even (``parity`` +1) or, divided by i,
     odd (-1) in phi, whose T is real symmetric or i times real
     antisymmetric; the real matrices are returned.  Diagonals whose mode is
     at most ``mode_tol`` times the largest mode, over the whole batch, are
-    skipped (``mode_tol=0`` skips exact zeros only).  ``out``, if given, is
-    a flat buffer that holds the batch.  ``products``, if given, holds the
-    profile products (``profile_products``); else each is made in turn.
+    skipped (``mode_tol=0`` skips exact zeros only), and their items' modes
+    never formed.  ``out``, if given, is a flat buffer that holds the
+    batch.  ``products``, if given, holds the profile products
+    (``profile_products``); else each is made in turn.
     """
-    n_modes, _, n = modes.shape
+    n_signs, n_theta, n_modes = modes.shape
+    n = n_signs * rows.shape[1]
     dim = profiles.shape[1]
-    # one mode at a time, so no copy of the whole batch is held
-    mags = np.array([np.abs(mode).max() for mode in modes])
+    # the largest |mode * row| at a node is the largest |mode| times the
+    # largest |row| there: rounding is monotone, so for real modes this is
+    # the batch's largest product modulus exactly (complex ones may differ
+    # in the last ulp, as the modulus of a rounded product)
+    mags = (np.abs(modes).max(axis=0)
+            * np.abs(rows).max(axis=1)[:, None]).max(axis=0)
     cut = mode_tol * mags.max()
     if out is None:
         T = np.zeros((n, dim, dim), dtype=modes.dtype)
     else:
         T = out[:n * dim * dim].reshape(n, dim, dim)
         T.fill(0.0)
+    # item l S + s in column l S + s; one sign at a time keeps the rows l
+    # in the inner loop
+    items = np.empty((n_theta, rows.shape[1], n_signs), modes.dtype)
+    weighted = items.reshape(n_theta, n)
     for d in range(min(dim, n_modes)):
         if d > 0 and mags[d] <= cut:
             continue
-        # the complex array's float view interleaves real and imaginary
-        # parts, so one real product folds both
-        weighted = np.ascontiguousarray(modes[d] * w_theta[:, None])
+        # each item's mode, then its weight
+        for s, sign_modes in enumerate(modes):
+            np.multiply(rows, sign_modes[:, d, None], out=items[:, :, s])
+        weighted *= w_theta[:, None]
         prod = (profiles[:, d:] * profiles[:, :dim - d] if products is None
                 else products[d])
+        # the complex array's float view interleaves real and imaginary
+        # parts, so one real product folds both
         _set_diagonal(T, d, (prod.T @ weighted.view(float)).view(
             modes.dtype).T, parity)
     return T

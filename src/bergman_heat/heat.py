@@ -162,19 +162,20 @@ class SphericalHarmonicTransform:
     def n_coeffs(self):
         return (self.l_max + 1) ** 2
 
-    def order_products(self, mode_table, k, degrees, n_modes, out):
-        """Longitude modes of (grid function) * Y_lm for the slots (l, m) of
-        the orders m = +-k and the ``degrees`` l >= k, degree by degree in
-        their given order and -k before +k, written into the flat buffer
-        ``out``.
+    def order_modes(self, mode_table, k, n_modes):
+        """Longitude modes 0..``n_modes``-1 of (grid function) * Y_lm over
+        the order-k Legendre profile, for the orders m = -k and +k (k alone
+        for k = 0), shape (S, n_theta, n_modes), sign by node by mode.
 
         ``mode_table`` holds the function's full DFT modes per colatitude
-        node, shape (n_theta, n_phi).  Returns a view of ``out`` of shape
-        (n_modes, n_theta, n_cols), mode by node by column: mode d of a grid
-        product is the wrapped convolution of the table with the harmonic's
-        two modes +-k, which every degree of the order shares.  A real table
-        is that of a function even in phi; a sine slot's modes are then i
-        times the real ones returned (``real_factors``).
+        node, shape (n_theta, n_phi).  Mode d of a grid product is the
+        wrapped convolution of the table with the harmonic's two modes +-k,
+        which every degree l of the order shares: mode d of the product with
+        Y_lm at node i is the returned ``modes[s, i, d]`` times
+        ``legendre[k, l, i]``, the factored batch of
+        ``fourier.moment_matrices``.  A real table is that of a function
+        even in phi; a sine slot's modes are then i times the real ones
+        returned (``real_factors``).
         """
         ds = np.arange(n_modes)
         lo, hi = (mode_table[:, (ds + s) % self.grid.n_phi] for s in (-k, k))
@@ -192,14 +193,7 @@ class SphericalHarmonicTransform:
         modes = factors[:, None, None] * lo
         if k:
             modes += conjugates[:, None, None] * hi
-        shape = (n_modes, self.grid.n_theta, len(degrees), len(slots))
-        view = out[:math.prod(shape)].reshape(shape)
-        legendre = self.legendre[k, degrees].T
-        # one sign at a time keeps the degrees in the inner loop
-        for sign, sign_modes in enumerate(modes):
-            np.multiply(sign_modes.T[:, :, None], legendre,
-                        out=view[..., sign])
-        return view.reshape(n_modes, self.grid.n_theta, -1)
+        return modes
 
     def packed(self, proj, slots):
         """Real coefficients at the packed ``slots`` from the projections

@@ -111,8 +111,9 @@ def gram_matrix(basis, form, grid):
         raise ConfigError(
             f"grid exactness {grid.exactness_degree} below 2p+band ="
             f" {2 * p + form.phi_band}")
-    H = moment_matrices(form.density_modes.T[:, :, None], grid.w_theta,
-                        basis.theta_profiles(grid.theta), mode_tol=0.0)[0]
+    H = moment_matrices(form.density_modes[None], np.ones((grid.n_theta, 1)),
+                        grid.w_theta, basis.theta_profiles(grid.theta),
+                        mode_tol=0.0)[0]
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
         raise InvalidRunError(

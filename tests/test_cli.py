@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bergman_heat import cli, config, flat_model
+from bergman_heat import bench, cli, config, flat_model
 from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
@@ -716,6 +716,18 @@ def _cells(cfg):
             for p in cfg["p_list"]]
 
 
+def _run_on_cpus(tmp_path, monkeypatch, cpus, command, cfg):
+    """Run ``command`` on ``cfg`` as a process whose affinity mask holds
+    ``cpus`` CPUs, into ``tmp_path / str(cpus)``."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    out = tmp_path / str(cpus)
+    out.mkdir()
+    path = out / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run([command, "--config", str(path), "--out", str(out)])
+
+
 class TestIdentityWorkers:
     """identities runs its (form, p) cells on this thread and, where the
     process may use two cores, one worker; the outputs are the same."""
@@ -736,13 +748,7 @@ class TestIdentityWorkers:
 
     @staticmethod
     def _run(tmp_path, monkeypatch, cpus, cfg):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        out = tmp_path / str(cpus)
-        out.mkdir()
-        path = out / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return run(["identities", "--config", str(path), "--out", str(out)])
+        return _run_on_cpus(tmp_path, monkeypatch, cpus, "identities", cfg)
 
     def test_outputs_byte_identical_on_one_and_two_cpus(
             self, tmp_path, monkeypatch, record):
@@ -810,3 +816,62 @@ class TestIdentityWorkers:
         assert set(range(first + 1)) <= set(ran)
         assert all((thread is threading.main_thread()) == (i % 2 == 0)
                    for i, thread in ran.items())
+
+
+# SMALL_CONVERGE and a mirror-symmetric form, whose blocks are wide enough
+# for the Lanczos solve
+LANE_CONVERGE = dict(SMALL_CONVERGE, volume_forms=SMALL_CONVERGE[
+    "volume_forms"] + [{"id": "tilted",
+                        "coefficients": {"1,1": 0.1, "2,1": 0.05}}])
+
+
+class TestConvergeNormLanes:
+    """converge takes each cell's norm1 on this thread and, where the
+    process may use two cores, its norm2 on one worker; the outputs are the
+    same."""
+
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """The (norm, thread, live thread count) of every norm solve, in
+        order of start."""
+        seen = []
+
+        def recording(name, solve):
+            def call(*args):
+                seen.append((name, threading.current_thread(),
+                             threading.active_count()))
+                return solve(*args)
+            return call
+        for name in ("spectral_norm_with_mode", "spectral_norm"):
+            monkeypatch.setattr(bench, name,
+                                recording(name, getattr(bench, name)))
+        return seen
+
+    def test_outputs_byte_identical_on_one_and_two_cpus(
+            self, tmp_path, monkeypatch, record):
+        outputs = {}
+        for cpus in (1, 2):
+            assert _run_on_cpus(tmp_path, monkeypatch, cpus, "converge",
+                                LANE_CONVERGE) == EXIT_OK
+            outputs[cpus] = [(tmp_path / str(cpus) / name).read_bytes()
+                             for name in ("converge.csv",
+                                          "converge_summary.json")]
+        assert outputs[1] == outputs[2]
+        cells = len(_cells(LANE_CONVERGE))
+        assert sorted(name for name, _, _ in record) == sorted(
+            ["spectral_norm", "spectral_norm_with_mode"] * 2 * cells)
+
+    def test_norm2_on_the_worker(self, tmp_path, monkeypatch, record):
+        main = threading.main_thread()
+        for cpus in (1, 2):
+            record.clear()
+            before = threading.active_count()
+            assert _run_on_cpus(tmp_path, monkeypatch, cpus, "converge",
+                                LANE_CONVERGE) == EXIT_OK
+            assert len(record) == 2 * len(_cells(LANE_CONVERGE))
+            assert max(count for _, _, count in record) <= before + cpus - 1
+            for name, thread, _ in record:
+                assert (thread is main) == (
+                    cpus == 1 or name == "spectral_norm_with_mode")
+            # no worker outlives the command
+            assert threading.active_count() == before

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from bergman_heat import section_basis
-from bergman_heat.fourier import (diagonal_index, grid_to_modes,
-                                  moment_matrices, profile_products)
+from bergman_heat import SphericalHarmonicTransform, VolumeForm, section_basis
+from bergman_heat.bergman import MODE_TOL
+from bergman_heat.fourier import (_set_diagonal, diagonal_index,
+                                  grid_to_modes, moment_matrices,
+                                  profile_products)
 from bergman_heat.harmonics import real_sph_harm
 
 # float64 roundoff on O(1) sums over a few thousand nodes
@@ -22,6 +24,42 @@ def weights(grid):
     ])
 
 
+def plain(grid, functions):
+    """The factored batch of grid functions, each its own sign with one row
+    of ones: the layout the Gram and ``SmoothingOperator.apply`` pass."""
+    modes = np.stack([grid_to_modes(f, grid.n_phi // 2) for f in functions])
+    return modes, np.ones((grid.n_theta, 1))
+
+
+def explicit_batch(modes, rows):
+    """The batch formed item by item, ``batch[d, i, l S + s]`` =
+    ``modes[s, i, d] * rows[i, l]``."""
+    n_signs, n_theta, n_modes = modes.shape
+    batch = np.empty((n_modes, n_theta, rows.shape[1], n_signs), modes.dtype)
+    for s, sign_modes in enumerate(modes):
+        np.multiply(sign_modes.T[:, :, None], rows, out=batch[..., s])
+    return batch.reshape(n_modes, n_theta, -1)
+
+
+def explicit_moment_matrices(batch, w_theta, profiles, mode_tol, parity):
+    """Moment matrices of an explicit batch ``batch[d, i, b]``, with the
+    mode magnitudes scanned over the whole batch: the reference of the
+    factored routine."""
+    n_modes, _, n = batch.shape
+    dim = profiles.shape[1]
+    mags = np.array([np.abs(mode).max() for mode in batch])
+    cut = mode_tol * mags.max()
+    T = np.zeros((n, dim, dim), dtype=batch.dtype)
+    for d in range(min(dim, n_modes)):
+        if d > 0 and mags[d] <= cut:
+            continue
+        weighted = np.ascontiguousarray(batch[d] * w_theta[:, None])
+        prod = profiles[:, d:] * profiles[:, :dim - d]
+        _set_diagonal(T, d, (prod.T @ weighted.view(float)).view(
+            batch.dtype).T, parity)
+    return T
+
+
 def node_sum(basis, grid, f):
     """sum over all nodes of w * f * conj(s_k) s_k', one longitude at a time."""
     out = np.zeros((basis.p + 1, basis.p + 1), dtype=complex)
@@ -35,9 +73,7 @@ def node_sum(basis, grid, f):
 class TestMomentMatrices:
     def test_batch_matches_node_sum(self, grid, weights):
         basis = section_basis(9)
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
-                          for f in weights], axis=2)
-        batch = moment_matrices(modes, grid.w_theta,
+        batch = moment_matrices(*plain(grid, weights), grid.w_theta,
                                 basis.theta_profiles(grid.theta), 1e-16)
         for f, T in zip(weights, batch):
             assert np.abs(T - node_sum(basis, grid, f)).max() < TOL
@@ -46,21 +82,21 @@ class TestMomentMatrices:
         # the mode cut is batch-wide, so batching keeps some modes that a
         # single constant weight would drop; they are roundoff either way
         profiles = section_basis(9).theta_profiles(grid.theta)
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
-                          for f in weights], axis=2)
-        batch = moment_matrices(modes, grid.w_theta, profiles, 1e-16)
+        modes, ones = plain(grid, weights)
+        batch = moment_matrices(modes, ones, grid.w_theta, profiles, 1e-16)
         for b, T in enumerate(batch):
-            single = moment_matrices(modes[:, :, b:b + 1], grid.w_theta,
+            single = moment_matrices(modes[b:b + 1], ones, grid.w_theta,
                                      profiles, 1e-16)[0]
             assert np.abs(T - single).max() < TOL
 
     def test_mode_cut_is_relative_to_largest_mode(self, grid):
         profiles = section_basis(5).theta_profiles(grid.theta)
-        modes = np.zeros((6, grid.n_theta, 1), dtype=complex)
+        modes = np.zeros((1, grid.n_theta, 6), dtype=complex)
         modes[0, :, 0] = 1.0
-        modes[3, :, 0] = 1e-30
-        kept = moment_matrices(modes, grid.w_theta, profiles, 0.0)[0]
-        cut = moment_matrices(modes, grid.w_theta, profiles, 1e-16)[0]
+        modes[0, :, 3] = 1e-30
+        ones = np.ones((grid.n_theta, 1))
+        kept = moment_matrices(modes, ones, grid.w_theta, profiles, 0.0)[0]
+        cut = moment_matrices(modes, ones, grid.w_theta, profiles, 1e-16)[0]
         assert np.all(np.diagonal(kept, offset=-3) != 0.0)
         assert np.all(np.diagonal(cut, offset=-3) == 0.0)
         assert np.array_equal(kept, kept.conj().T)
@@ -69,12 +105,47 @@ class TestMomentMatrices:
         # a Q assembly hands its one list of profile products to every
         # batch; the sums are the same, term by term
         profiles = section_basis(9).theta_profiles(grid.theta)
-        modes = np.stack([grid_to_modes(f, grid.n_phi // 2).T
-                          for f in weights], axis=2)
-        made = moment_matrices(modes, grid.w_theta, profiles, 1e-16)
-        shared = moment_matrices(modes, grid.w_theta, profiles, 1e-16,
+        modes, ones = plain(grid, weights)
+        made = moment_matrices(modes, ones, grid.w_theta, profiles, 1e-16)
+        shared = moment_matrices(modes, ones, grid.w_theta, profiles, 1e-16,
                                  products=profile_products(profiles))
         assert np.array_equal(made, shared)
+
+    def test_plain_batch_matches_explicit_batch_exactly(self, grid,
+                                                        weights):
+        # one row of ones changes no bit of the weighted modes
+        profiles = section_basis(9).theta_profiles(grid.theta)
+        modes, ones = plain(grid, weights)
+        assert np.array_equal(
+            moment_matrices(modes, ones, grid.w_theta, profiles, 1e-16),
+            explicit_moment_matrices(explicit_batch(modes, ones),
+                                     grid.w_theta, profiles, 1e-16, None))
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 20])
+    def test_factored_order_batch_matches_explicit_batch(self, grid, k):
+        # a Q assembly's order batch at p = 16: the same bits from a real
+        # table, where the factored mode magnitudes are exact, and rounding
+        # from a complex one, whose magnitudes may move in the last ulp
+        sht = SphericalHarmonicTransform(grid, 20)
+        profiles = section_basis(16).theta_profiles(grid.theta)
+        rows = sht.legendre[k, k:].T
+        for coefficients, exact in (({(1, 1): 0.2, (2, 1): 0.1}, True),
+                                    ({(1, 1): 0.2, (2, -1): 0.1}, False)):
+            table = VolumeForm(grid, coefficients, "f").density_modes
+            assert np.isrealobj(table) == exact
+            modes = sht.order_modes(table, k, 17)
+            parity = (np.tile([-1.0, 1.0] if k else [1.0], len(rows.T))
+                      if exact else None)
+            factored = moment_matrices(modes, rows, grid.w_theta, profiles,
+                                       MODE_TOL, parity=parity)
+            explicit = explicit_moment_matrices(
+                explicit_batch(modes, rows), grid.w_theta, profiles,
+                MODE_TOL, parity)
+            if exact:
+                assert np.array_equal(factored, explicit)
+            else:
+                assert (np.abs(factored - explicit).max()
+                        < TOL * np.abs(explicit).max())
 
 
 def test_diagonal_index_lays_out_the_lower_diagonals():

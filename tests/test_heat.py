@@ -100,33 +100,28 @@ class TestTransform:
             SphericalHarmonicTransform(g, 10)
 
     @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
-    def test_order_products_match_grid_products(self, grid, sht, tilted_form,
-                                                m):
-        # one array holds the slots of both orders +-|m|, degree by degree
-        # in the order given, here every other degree first; those of order
-        # m against the product formed on the grid
+    def test_order_modes_match_grid_products(self, grid, sht, tilted_form,
+                                             m):
+        # the node modes of both orders +-|m| times the order's Legendre
+        # rows, here of every other degree first; those of order m against
+        # the product formed on the grid
         values = tilted_form.density
         table = np.fft.fft(values, axis=1) / grid.n_phi
         n = 30
         k = abs(m)
         degrees = np.arange(k, sht.l_max + 1)
         degrees = np.concatenate([degrees[0::2], degrees[1::2]])
-        slots = coeff_index(degrees[:, None],
-                            np.array([-k, k] if k else [0])).ravel()
-        buffer = np.empty((n + 1) * grid.n_theta * len(slots), complex)
-        out = sht.order_products(table, k, degrees, n + 1, buffer)
-        assert out.shape == (n + 1, grid.n_theta, len(slots))
-        assert np.shares_memory(out, buffer)
-        for col, slot in enumerate(slots):
-            if sht.orders[slot] != m:
-                continue
-            oracle = grid_to_modes(values * sht.basis_function(
-                sht.degrees[slot], m), n)
-            assert np.abs(out[:, :, col].T - oracle).max() < 1e-14
+        modes = sht.order_modes(table, k, n + 1)
+        assert modes.shape == (2 if k else 1, grid.n_theta, n + 1)
+        rows = sht.legendre[k, degrees].T
+        sign = int(m > 0)
+        for l, row in zip(degrees, rows.T):
+            oracle = grid_to_modes(values * sht.basis_function(l, m), n)
+            assert np.abs(modes[sign] * row[:, None] - oracle).max() < 1e-14
 
     @pytest.mark.parametrize("m", [0, 1, -1, 20, -20])
-    def test_real_order_products_of_an_even_function(self, grid, sht,
-                                                     tilted_form, m):
+    def test_real_order_modes_of_an_even_function(self, grid, sht,
+                                                  tilted_form, m):
         # tilted's density is even in phi, so its modes are real and even;
         # from the real table, a cosine slot's product modes come real and
         # a sine slot's as i times the real numbers returned
@@ -135,17 +130,14 @@ class TestTransform:
         assert np.abs(table.imag).max() < 1e-15 * np.abs(table).max()
         n = 30
         k = abs(m)
-        slots = np.flatnonzero(np.abs(sht.orders) == k)
-        buffer = np.empty((n + 1) * grid.n_theta * len(slots))
-        out = sht.order_products(np.ascontiguousarray(table.real), k,
-                                 np.arange(k, sht.l_max + 1), n + 1, buffer)
-        for col, slot in enumerate(slots):
-            if sht.orders[slot] != m:
-                continue
-            oracle = grid_to_modes(values * sht.basis_function(
-                sht.degrees[slot], m), n)
-            modes = out[:, :, col].T * (1j if m < 0 else 1.0)
-            assert np.abs(modes - oracle).max() < 1e-14
+        modes = sht.order_modes(np.ascontiguousarray(table.real), k, n + 1)
+        assert np.isrealobj(modes)
+        sign = int(m > 0)
+        for l in range(k, sht.l_max + 1):
+            oracle = grid_to_modes(values * sht.basis_function(l, m), n)
+            product = modes[sign] * sht.legendre[k, l][:, None]
+            assert np.abs(product * (1j if m < 0 else 1.0)
+                          - oracle).max() < 1e-14
 
 
 class TestQuarterTurn:
