@@ -6,8 +6,8 @@ into section moment matrices (the Gram, and the input side of the smoothing
 operator).  It takes a batch in factored form, node modes laid out as
 (sign, node, mode) times colatitude rows laid out as (node, row), so the
 products of a density with every degree of one harmonic order are formed a
-mode at a time, and only at the modes kept; a plain batch is one sign and
-one row of ones.
+mode at a time, and only at the modes kept; a plain batch is one sign per
+function and one row of ones.
 ``product_grams`` gives the quadrature norms of the longitude modes of
 section quadratic forms, whose grid values are evaluated at the nodes, and
 ``diagonal_index`` lays out their coefficient matrices' lower diagonals.
@@ -76,7 +76,7 @@ def moment_matrices(modes, rows, w_theta, profiles, mode_tol, out=None,
     and the columns l of ``rows``, has longitude mode d >= 0
     ``modes[s, i, d] * rows[i, l]`` at colatitude node i: node modes shared
     by a set of items, times each item's own colatitude row.  A plain batch
-    of one weight function is one sign and one row of ones.  Returns the
+    is one sign per weight function and one row of ones.  Returns the
     Hermitian batch T of shape (n, P, P) with
 
         T[b, k+d, k] = sum_i w_theta[i] modes[s, i, d] rows[i, l] a_{k+d} a_k (theta_i),
