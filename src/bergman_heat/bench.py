@@ -67,9 +67,12 @@ MAX_Q_FLOPS = 10 ** 11
 # ARPACK solve it replaced ran at) and the step bound.  The metric form's
 # top singular value is a (2l+1)-fold cluster split at rounding level,
 # which the tolerance treats as one eigenvalue; the step bound keeps a
-# solve that cannot converge short before it takes the dense path.
+# solve that cannot converge short before it takes the dense path.  The
+# Krylov basis starts at ``LANCZOS_ROWS`` rows and doubles when full: the
+# benchmark's converge solves take 8 to 36 steps.
 LANCZOS_TOL = 1e-10
 LANCZOS_STEPS = 300
+LANCZOS_ROWS = 32
 
 # widest block whose top singular pair comes from the dense solve; wider
 # ones take the Lanczos solve.  A random square block's dense solve took
@@ -369,12 +372,16 @@ def _lanczos_top_pair(normal, n):
     ``LANCZOS_STEPS`` steps.  No restart: every step widens the Krylov
     space, which any restarted space of as many products lies in."""
     steps = min(n, LANCZOS_STEPS)
-    basis = np.empty((steps, n))
+    basis = np.empty((min(steps, LANCZOS_ROWS), n))
     alpha, beta = np.zeros(steps), np.zeros(steps)
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     floor = np.finfo(float).eps ** (2.0 / 3.0)
     for k in range(steps):
+        if k == len(basis):
+            grown = np.empty((min(2 * k, steps), n))
+            grown[:k] = basis
+            basis = grown
         basis[k] = q
         w = normal(q)
         # classical Gram-Schmidt twice against every earlier vector

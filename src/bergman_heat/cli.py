@@ -22,11 +22,10 @@ import sys
 import numpy as np
 
 from . import flat_model
-from .bench import check_sweep_cost, in_order, rate_fit, sweep_form
+from .bench import in_order, rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
-from .config import (DEFAULTS, default_l_max, grid_for, load_config,
-                     parse_form_spec, read_form_spec)
+from .config import DEFAULTS, grid_for, load_config, parse_form_spec
 from .errors import ConfigError, InvalidRunError
 from .geometry import SpherePoint
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
@@ -81,18 +80,8 @@ def _finish(out_dir, name, criteria, extra=None, exit_code=None):
 def cmd_converge(cfg, out_dir):
     p_list = cfg["p_list"]
     l_max = cfg["l_max"]
-    if l_max is None:
-        l_max = default_l_max(max(p_list))
-    # checks that need no grid come before it is built
-    coefficients = dict(read_form_spec(spec) for spec in cfg["volume_forms"])
-    if "fs" not in coefficients:
-        raise ConfigError("converge requires the 'fs' form in volume_forms")
     family_ids = cfg["uniformity_family"]
-    missing = [fid for fid in family_ids if fid not in coefficients]
-    if missing:
-        raise ConfigError(f"uniformity family members missing: {missing}")
-    check_sweep_cost(max(p_list), l_max, coefficients.values())
-    grid = grid_for(cfg, max(p_list), l_max)
+    grid = grid_for(cfg)
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
     sht = SphericalHarmonicTransform(grid, l_max)
     for form in forms:
@@ -157,8 +146,7 @@ def cmd_converge(cfg, out_dir):
 
 def cmd_decay(cfg, out_dir):
     p_list = cfg["p_list"]
-    read_form_spec(cfg["form"])  # a malformed spec exits before the grid
-    grid = grid_for(cfg, max(p_list))
+    grid = grid_for(cfg)
     form = parse_form_spec(cfg["form"], grid)
     stride_t = max(1, grid.n_theta // cfg["max_sample_per_axis"])
     stride_p = max(1, grid.n_phi // cfg["max_sample_per_axis"])
@@ -193,8 +181,7 @@ def cmd_decay(cfg, out_dir):
 
 def cmd_near_diagonal(cfg, out_dir):
     p_list = cfg["p_list"]
-    read_form_spec(cfg["form"])  # a malformed spec exits before the grid
-    grid = grid_for(cfg, max(p_list))
+    grid = grid_for(cfg)
     form = parse_form_spec(cfg["form"], grid)
     x0 = SpherePoint(cfg["x0"][0], cfg["x0"][1])
     rows = []
@@ -254,7 +241,7 @@ def cmd_model_check(cfg, out_dir):
 
 
 def cmd_heat_check(cfg, out_dir):
-    grid = grid_for(cfg, 16)
+    grid = grid_for(cfg)
     sht = SphericalHarmonicTransform(grid, cfg["l_max"])
     us = np.exp(np.linspace(math.log(cfg["u_min"]), math.log(cfg["u_max"]),
                             cfg["n_u"]))
@@ -308,9 +295,7 @@ def _weight_change_cell(p, form, grid):
 
 
 def cmd_identities(cfg, out_dir):
-    for spec in cfg["volume_forms"]:  # malformed specs exit before the grid
-        read_form_spec(spec)
-    grid = grid_for(cfg, max(cfg["p_list"]))
+    grid = grid_for(cfg)
     forms = [parse_form_spec(spec, grid) for spec in cfg["volume_forms"]]
     tol = cfg["tolerance"]
     cells = [(form, p) for form in forms for p in cfg["p_list"]]

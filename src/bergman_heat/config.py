@@ -1,18 +1,25 @@
-"""Run configuration: defaults, JSON loading and validation.
+"""Run configuration: defaults, JSON loading, and the one gate before the
+grid.
 
 Every subcommand owns a flat JSON config; user files override defaults key
-by key.  Volume forms are specified as ``{"id": ..., "coefficients":
-{"l,m": value}}`` where the density is ``exp`` of the listed harmonic
-combination.
+by key.  ``load_config`` resolves every derived run parameter into the
+config (converge's default ``l_max``, every command's grid size) and
+applies every rule that needs no grid: value types and ranges, each volume
+form spec, converge's 'fs' form, uniformity family and cost budget, the
+grid axis limit, and the probes' separations, windows and heat times.  A
+command starts at its grid.  Volume forms are specified as ``{"id": ...,
+"coefficients": {"l,m": value}}`` where the density is ``exp`` of the
+listed harmonic combination.
 """
 
 import json
 import math
 
+from .bench import check_sweep_cost
 from .errors import ConfigError
 from .flat_model import MAX_QUAD_ORDER
-from .geometry import VolumeForm, build_grid
-from .heat import MAX_L_MAX
+from .geometry import INJECTIVITY_RADIUS, SpherePoint, VolumeForm, build_grid
+from .heat import MAX_L_MAX, MIN_HEAT_TIME
 from .sections import MAX_GRID_AXIS
 
 _BASE_FORMS = [
@@ -122,7 +129,8 @@ def default_l_max(p_max):
 
 
 def load_config(command, path, overrides):
-    """Merge defaults, an optional JSON file and CLI overrides; validate."""
+    """Merge defaults, an optional JSON file and CLI overrides; validate,
+    resolve the auto values and apply every rule that needs no grid."""
     if command not in DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = json.loads(json.dumps(DEFAULTS[command]))
@@ -142,6 +150,7 @@ def load_config(command, path, overrides):
         if value is not None:
             cfg[key] = value
     _validate(command, cfg)
+    _check_run(command, cfg)
     return cfg
 
 
@@ -206,14 +215,14 @@ def _validate(command, cfg):
                 f"insufficient points: {command} needs >= "
                 f"{_MIN_P_VALUES[command]} p values")
     if "l_max" in cfg:
-        l_max, note = cfg["l_max"], ""
-        if l_max is None:  # converge's default grows with p
-            l_max = default_l_max(max(cfg["p_list"]))
+        note = ""
+        if cfg["l_max"] is None:  # converge's default grows with p
+            cfg["l_max"] = default_l_max(max(cfg["p_list"]))
             note = f" (the default at p {max(cfg['p_list'])})"
-        if l_max > MAX_L_MAX:
+        if cfg["l_max"] > MAX_L_MAX:
             raise ConfigError(
-                f"l_max {l_max}{note} is over the limit {MAX_L_MAX}, past "
-                "which the Legendre tables are not checked against lpmv")
+                f"l_max {cfg['l_max']}{note} is over the limit {MAX_L_MAX}, "
+                "past which the Legendre tables are not checked against lpmv")
     for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
                 "invariant_tol", "modulus_tol", "annihilation_fd_tol",
@@ -222,6 +231,50 @@ def _validate(command, cfg):
             raise ConfigError(f"{key} must be positive")
     if "u_min" in cfg and not cfg["u_min"] < cfg["u_max"]:
         raise ConfigError("u_min must be below u_max")
+
+
+def _check_run(command, cfg):
+    """Read each form spec once, size the grid, and apply the rules that
+    need the forms, the grid size or the p values, but not the grid."""
+    specs = cfg.get("volume_forms", [cfg["form"]] if "form" in cfg else [])
+    coefficients = dict(read_form_spec(spec) for spec in specs)
+    if command == "converge":
+        if "fs" not in coefficients:
+            raise ConfigError("converge requires the 'fs' form in volume_forms")
+        missing = [fid for fid in cfg["uniformity_family"]
+                   if fid not in coefficients]
+        if missing:
+            raise ConfigError(f"uniformity family members missing: {missing}")
+        check_sweep_cost(max(cfg["p_list"]), cfg["l_max"],
+                         coefficients.values())
+    if "n_theta" in cfg:
+        # auto sizes n_theta = max(p_max + 24, 2 l_max + 10), n_phi =
+        # 2 n_theta; heat-check and identities pin both
+        n_theta = max(max(cfg.get("p_list", [0])) + 24,
+                      2 * cfg.get("l_max", 0) + 10)
+        cfg["n_phi"] = 2 * n_theta if cfg["n_phi"] is None else cfg["n_phi"]
+        cfg["n_theta"] = n_theta if cfg["n_theta"] is None else cfg["n_theta"]
+        if max(cfg["n_theta"], cfg["n_phi"]) > MAX_GRID_AXIS:
+            raise ConfigError(f"grid {cfg['n_theta']}x{cfg['n_phi']} is over "
+                              f"the limit of {MAX_GRID_AXIS} nodes per axis; "
+                              "pin a smaller grid or lower p")
+    # the probes' own guards, which library callers reach directly
+    if "eps" in cfg and cfg["eps"] >= INJECTIVITY_RADIUS:
+        raise ConfigError(f"eps must lie in (0, {INJECTIVITY_RADIUS:.6f})")
+    if "x0" in cfg:
+        SpherePoint(*cfg["x0"])  # refuses a colatitude outside [0, pi]
+    if "window_constant" in cfg:
+        # the window is widest at the smallest p
+        radius = cfg["window_constant"] / math.sqrt(cfg["p_list"][0])
+        if radius >= INJECTIVITY_RADIUS:
+            raise ConfigError(
+                f"window {radius:.4f} reaches the injectivity radius; raise p")
+    if "u_min" in cfg and cfg["u_min"] < MIN_HEAT_TIME:
+        raise ConfigError("heat_diagonal supports u >= 1e-4")
+    if "slope_range" in cfg and cfg["slope_range"][0] > cfg["slope_range"][1]:
+        # the `in` criterion could never pass
+        raise ConfigError(f"slope_range must list its lower bound first, "
+                          f"got {cfg['slope_range']!r}")
 
 
 def _form_id(spec):
@@ -264,19 +317,6 @@ def parse_form_spec(spec, grid):
     return VolumeForm(grid, coeffs, form_id=form_id)
 
 
-def grid_for(cfg, p_max, l_max=None):
-    """Build the run grid: pinned sizes, else n_theta = max(p_max + 24,
-    2 l_max + 10) and n_phi = 2 n_theta.  Refuses more than ``MAX_GRID_AXIS``
-    nodes along an axis.
-    """
-    n_theta = max(p_max + 24, 2 * (l_max or 0) + 10)
-    n_phi = 2 * n_theta
-    if cfg.get("n_theta") is not None:
-        n_theta = int(cfg["n_theta"])
-    if cfg.get("n_phi") is not None:
-        n_phi = int(cfg["n_phi"])
-    if max(n_theta, n_phi) > MAX_GRID_AXIS:
-        raise ConfigError(
-            f"grid {n_theta}x{n_phi} is over the limit of {MAX_GRID_AXIS} "
-            f"nodes per axis; pin a smaller grid or lower p")
-    return build_grid(n_theta, n_phi)
+def grid_for(cfg):
+    """Build the run grid at the size ``load_config`` resolved."""
+    return build_grid(cfg["n_theta"], cfg["n_phi"])

@@ -24,6 +24,10 @@ from .harmonics import legendre_profiles
 # and MAX_GRID_AXIS a table holds at most 1.5e7 doubles
 MAX_L_MAX = 85
 
+# smallest heat time of ``heat_diagonal``; its spectral sum runs to degrees
+# of order 1/sqrt(u)
+MIN_HEAT_TIME = 1e-4
+
 
 def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l (scalar or array) on the unit-area
@@ -305,11 +309,12 @@ def heat_diagonal(u):
     """On-diagonal heat kernel value, constant over the unit-area sphere.
 
     Spectral sum ``sum_l (2l+1) exp(-4 pi l (l+1) u)`` truncated once terms
-    drop below 1e-16 of the partial sum.  Supported for u >= 1e-4.
+    drop below 1e-16 of the partial sum.  Supported for u >=
+    ``MIN_HEAT_TIME``.
     """
     if u <= 0:
         raise ConfigError("heat time must be positive")
-    if u < 1e-4:
+    if u < MIN_HEAT_TIME:
         raise ConfigError("heat_diagonal supports u >= 1e-4")
     total = 0.0
     l = 0

@@ -267,6 +267,26 @@ class TestSpectralNorm:
         assert bench._top_singular_pair(a, None)[0] == oracle(a)[0]
         assert len(calls) == 1
 
+    def test_basis_growth_leaves_the_pair_unchanged(self, monkeypatch):
+        # squared singular values spread evenly over [0.5, 1] take about 90
+        # steps, so the basis doubles twice; the pair is bit for bit the one
+        # a basis of LANCZOS_STEPS rows from the start gives
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(200, 200)))
+        a = q * np.sqrt(np.linspace(1.0, 0.5, 200))
+        steps = []
+
+        def normal(x):
+            steps.append(1)
+            return a.T @ (a @ x)
+
+        grown = bench._lanczos_top_pair(normal, 200)
+        assert len(steps) > 2 * bench.LANCZOS_ROWS
+        monkeypatch.setattr(bench, "LANCZOS_ROWS", bench.LANCZOS_STEPS)
+        whole = bench._lanczos_top_pair(normal, 200)
+        assert grown[0] == whole[0]
+        assert np.array_equal(grown[1], whole[1])
+        assert grown[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+
     # one column past DENSE_COLUMNS takes Lanczos, DENSE_COLUMNS and 12 the
     # dense path; rows outnumber columns so that a scale applied to the
     # wrong side cannot go unnoticed

@@ -113,6 +113,45 @@ class TestConfig:
         assert default_l_max(128) == max(40, 46)
         assert default_l_max(16) == 40
 
+    @pytest.mark.parametrize("command,overrides,l_max,grid", [
+        ("converge", {}, 46, (152, 304)),
+        # the converge-nonzonal benchmark workload
+        ("converge", {"p_list": [8, 16, 32, 64], "l_max": 46}, 46,
+         (102, 204)),
+        ("decay", {}, None, (280, 560)),
+        ("near-diagonal", {}, None, (280, 560)),
+        ("identities", {}, None, (40, 80)),
+        ("heat-check", {}, 48, (96, 192)),
+    ])
+    def test_gate_resolves_the_run_sizes(self, command, overrides, l_max,
+                                         grid):
+        # the values the commands build: auto n_theta = max(p_max + 24,
+        # 2 l_max + 10), n_phi = 2 n_theta, unless pinned
+        cfg = load_config(command, None, overrides)
+        assert cfg.get("l_max") == l_max
+        assert (cfg["n_theta"], cfg["n_phi"]) == grid
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("converge", {"volume_forms": [{"id": "zonal-full",
+                                        "coefficients": {"1,0": -0.3}}],
+                      "uniformity_family": ["zonal-full"]},
+         "converge requires the 'fs' form in volume_forms"),
+        ("converge", {"uniformity_family": ["fs", "flat"]},
+         "uniformity family members missing: ['flat']"),
+        ("converge", {"p_list": [100, 200, 400, 800], "l_max": 46},
+         "p 800 at l_max 46 needs about 1.14e+12 flops per Q assembly, over "
+         "the limit 1.0e+11; lower p or l_max"),
+        ("decay", {"form": {"id": "fs", "coefficients": {"1,0": "x"}}},
+         "bad coefficient value 'x' for '1,0'"),
+    ])
+    def test_rules_that_need_no_grid_raise_from_load_config(
+            self, tmp_path, command, cfg, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError) as info:
+            load_config(command, path, {})
+        assert str(info.value) == message
+
     def test_import_leaves_sympy_unloaded(self):
         # only model-check's symbolic criterion needs sympy
         code = ("import sys, bergman_heat; a = 'sympy' in sys.modules; "
@@ -245,6 +284,32 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "over the limit" in json.loads(err)["error"]
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("decay", {"eps": 0.9}, "eps must lie in (0, 0.886227)"),
+        ("near-diagonal", {"x0": [-0.5, 0.4]},
+         "colatitude out of range: -0.5"),
+        ("near-diagonal", {"window_constant": 4.0},
+         "window 1.0000 reaches the injectivity radius; raise p"),
+        ("heat-check", {"u_min": 5e-5}, "heat_diagonal supports u >= 1e-4"),
+        # with reversed bounds the `in` criterion can never pass, whatever
+        # the slope
+        ("near-diagonal", {"slope_range": [-0.75, -1.4]},
+         "slope_range must list its lower bound first, got [-0.75, -1.4]"),
+    ])
+    def test_probe_guards_refuse_before_the_grid(
+            self, tmp_path, capsys, monkeypatch, command, cfg, message):
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused run")
+        monkeypatch.setattr(cli, "grid_for", no_grid)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == message
+        assert not list(tmp_path.glob("*_summary.json"))
 
     @pytest.mark.parametrize("command,cfg", [
         ("heat-check", {"l_max": 90, "n_theta": 200, "n_phi": 400}),
