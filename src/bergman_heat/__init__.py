@@ -13,9 +13,10 @@ from .bergman import (DecayProbe, NearDiagonalProbe, SmoothingOperator,
                       near_diagonal_residual, off_diagonal_sup, rank_ratio,
                       weight_change_residuals)
 from .errors import ConfigError, InvalidRunError
-from .flat_model import (bargmann_kernel, bargmann_kernel_expr,
-                         gaussian_laplacian_identity, landau_operator_apply,
-                         landau_operator_symbolic, reproducing_residual)
+from .flat_model import (GaussianPolynomial, bargmann_kernel,
+                         bargmann_kernel_columns, gaussian_laplacian_identity,
+                         landau_operator_apply, landau_operator_symbolic,
+                         reproducing_residual)
 from .geometry import (INJECTIVITY_RADIUS, RADIUS, QuadratureGrid,
                        SpherePoint, VolumeForm, build_grid, exp_map,
                        fubini_study_form, geodesic_distance, integrate,

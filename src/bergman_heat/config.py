@@ -6,10 +6,10 @@ by key.  ``load_config`` resolves every derived run parameter into the
 config (converge's default ``l_max``, every command's grid size) and
 applies every rule that needs no grid: value types and ranges, each volume
 form spec, converge's 'fs' form, uniformity family and cost budget, the
-grid axis limit, and the probes' separations, windows and heat times.  A
-command starts at its grid.  Volume forms are specified as ``{"id": ...,
-"coefficients": {"l,m": value}}`` where the density is ``exp`` of the
-listed harmonic combination.
+grid axis limit, and the probes' separations, windows, pair counts and heat
+times.  A command starts at its grid.  Volume forms are specified as
+``{"id": ..., "coefficients": {"l,m": value}}`` where the density is ``exp``
+of the listed harmonic combination.
 """
 
 import json
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .flat_model import MAX_QUAD_ORDER
 from .geometry import INJECTIVITY_RADIUS, SpherePoint, VolumeForm, build_grid
 from .heat import MAX_L_MAX, MIN_HEAT_TIME
-from .sections import MAX_GRID_AXIS
+from .sections import MAX_GRID_AXIS, check_pair_count
 
 _BASE_FORMS = [
     {"id": "fs", "coefficients": {}},
@@ -268,7 +268,10 @@ def _check_run(command, cfg):
         radius = cfg["window_constant"] / math.sqrt(cfg["p_list"][0])
         if radius >= INJECTIVITY_RADIUS:
             raise ConfigError(
-                f"window {radius:.4f} reaches the injectivity radius; raise p")
+                f"window {radius:.4g} reaches the injectivity radius; raise p")
+    if "n_radial" in cfg:
+        # near-diagonal's window points, compared pairwise
+        check_pair_count(1 + (cfg["n_radial"] - 1) * cfg["n_angular"])
     if "u_min" in cfg and cfg["u_min"] < MIN_HEAT_TIME:
         raise ConfigError("heat_diagonal supports u >= 1e-4")
     if "slope_range" in cfg and cfg["slope_range"][0] > cfg["slope_range"][1]:

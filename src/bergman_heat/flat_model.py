@@ -2,10 +2,10 @@
 complex plane, the Landau-type operator annihilating it, and the Gaussian
 Laplacian closed form used by the rescaling analysis.
 
-Differentiation of closed-form test functions is available symbolically
-(exact); arbitrary callables go through fourth-order central differences.
-Sympy is imported only inside the symbolic functions, so importing the
-package does not load it.
+Functions of the form polynomial times Gaussian, the kernel columns among
+them, are differentiated exactly, as coefficient arrays
+(``GaussianPolynomial``); arbitrary callables go through fourth-order
+central differences.  numpy is the only dependency.
 """
 
 import math
@@ -32,43 +32,123 @@ def bargmann_kernel(z, w):
     return np.exp(expo)
 
 
-def bargmann_kernel_expr(w):
-    """Sympy expression of the kernel z -> K(z, w) in real symbols (x, y);
-    w is a number or an expression in real symbols such as u + I*v."""
-    import sympy as sp
-    x, y = sp.symbols("x y", real=True)
-    w = sp.sympify(w)
-    wc = sp.conjugate(w)
-    z = x + sp.I * y
-    expo = -sp.pi / 2 * (x ** 2 + y ** 2 + w * wc - 2 * z * wc)
-    return sp.exp(expo), (x, y)
+# coefficients of x^i y^j of z = x + i y and of its conjugate
+Z = np.array([[0.0, 1j], [1.0, 0.0]])
+ZBAR = Z.conj()
 
 
-def landau_operator_symbolic(expr, x, y):
-    """Exact application of (-2 d_z + pi conj(z)) (2 d_zbar + pi z).
+def _values(coeffs, x, y):
+    """A coefficient array's polynomial at points (x, y), shape
+    ``x.shape`` + its batch axes."""
+    xs = x[..., None] ** np.arange(coeffs.shape[0])
+    ys = y[..., None] ** np.arange(coeffs.shape[1])
+    return np.tensordot(xs[..., :, None] * ys[..., None, :], coeffs, axes=2)
 
-    ``expr`` is a sympy expression in the real symbols x, y with z = x + i y.
+
+def _derivative(coeffs, axis):
+    """Coefficients of d/dx (axis 0) or d/dy (axis 1); a constant's is 0."""
+    c = np.moveaxis(coeffs, axis, 0)
+    if len(c) == 1:
+        return 0 * coeffs
+    powers = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return np.moveaxis(c[1:] * powers, 0, axis)
+
+
+def _padded(coeffs, shape):
+    out = np.zeros(shape + coeffs.shape[2:], dtype=complex)
+    out[:coeffs.shape[0], :coeffs.shape[1]] = coeffs
+    return out
+
+
+def _product(a, b):
+    """Coefficients of the product of two polynomials in x, y."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
+                   + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=complex)
+    for i, j in np.ndindex(b.shape[:2]):
+        out[i:i + a.shape[0], j:j + a.shape[1]] += a * b[i, j]
+    return out
+
+
+class GaussianPolynomial:
+    """The function P(x, y) exp(E(x, y)) of z = x + i y, with P a polynomial
+    and E a quadratic, in a form closed under differentiation:
+    d_x (P e^E) = (d_x P + P E_x) e^E, and likewise in y.
+
+    ``poly`` and ``expo`` hold the complex coefficients of x^i y^j of P and
+    E on their first two axes.  Further axes, the same on both, are a batch,
+    one function per entry (one kernel point w each), which every operation
+    broadcasts, so one derivation serves the whole batch.  Sums are taken
+    between functions that share their exponent.
     """
-    import sympy as sp
-    z = x + sp.I * y
-    zbar = x - sp.I * y
-    dzbar = (sp.diff(expr, x) + sp.I * sp.diff(expr, y)) / 2
-    inner = 2 * dzbar + sp.pi * z * expr
-    dz_inner = (sp.diff(inner, x) - sp.I * sp.diff(inner, y)) / 2
-    return -2 * dz_inner + sp.pi * zbar * inner
+
+    def __init__(self, poly, expo):
+        self.poly = poly
+        self.expo = expo
+
+    def diff(self, axis):
+        """d/dx (axis 0) or d/dy (axis 1)."""
+        return (GaussianPolynomial(_derivative(self.poly, axis), self.expo)
+                + self.times(_derivative(self.expo, axis)))
+
+    def times(self, coeffs):
+        """The product with the polynomial of a coefficient array."""
+        return GaussianPolynomial(_product(self.poly, coeffs), self.expo)
+
+    def __add__(self, other):
+        if other.expo is not self.expo:
+            raise ValueError("sums need one shared exponent")
+        shape = tuple(np.maximum(self.poly.shape[:2], other.poly.shape[:2]))
+        return GaussianPolynomial(
+            _padded(self.poly, shape) + _padded(other.poly, shape), self.expo)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        return GaussianPolynomial(scalar * self.poly, self.expo)
+
+    def __call__(self, x, y):
+        """Values at real points (x, y), shape ``x.shape`` + the batch."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return _values(self.poly, x, y) * np.exp(_values(self.expo, x, y))
+
+
+def bargmann_kernel_columns(ws):
+    """The kernel columns z -> K(z, w), one per kernel point w of ``ws`` on
+    the batch axis: P = 1 and E = -(pi/2)(|z|^2 + |w|^2) + pi z conj(w)."""
+    wc = np.conj(np.asarray(ws, dtype=complex))
+    expo = np.zeros((3, 3) + wc.shape, dtype=complex)
+    expo[0, 0] = -0.5 * math.pi * np.abs(wc) ** 2
+    # z conj(w) = x conj(w) + y (i conj(w))
+    expo[1, 0] = math.pi * wc
+    expo[0, 1] = 1j * expo[1, 0]
+    expo[2, 0] = expo[0, 2] = -0.5 * math.pi
+    return GaussianPolynomial(np.ones((1, 1) + wc.shape, dtype=complex), expo)
+
+
+def landau_operator_symbolic(f):
+    """Exact application of (-2 d_z + pi conj(z)) (2 d_zbar + pi z) to a
+    ``GaussianPolynomial``; returns one.
+
+    The derivation is coefficient algebra in complex floating point.  On a
+    kernel column every coefficient of the result cancels exactly: the
+    x and y terms of 2 d_zbar K meet pi z K as -pi + pi, and its constant
+    term is pi conj(w) + i (i pi conj(w)) = 0.
+    """
+    dzbar = 0.5 * (f.diff(0) + 1j * f.diff(1))
+    inner = 2 * dzbar + math.pi * f.times(Z)
+    dz_inner = 0.5 * (inner.diff(0) - 1j * inner.diff(1))
+    return -2 * dz_inner + math.pi * inner.times(ZBAR)
 
 
 def landau_kernel_residual(z, ws):
     """Max |L K(., w)| at points z over kernel points ws, from one exact
-    derivation with w = u + i v symbolic, evaluated by broadcasting."""
-    import sympy as sp
-    u, v = sp.symbols("u v", real=True)
-    expr, (x, y) = bargmann_kernel_expr(u + sp.I * v)
-    applied = sp.expand(landau_operator_symbolic(expr, x, y))
-    func = sp.lambdify((x, y, u, v), applied, modules="numpy")
-    z = np.asarray(z, dtype=complex)[:, None]
-    w = np.asarray(ws, dtype=complex)[None, :]
-    return float(np.abs(func(z.real, z.imag, w.real, w.imag)).max())
+    derivation with the points w on the batch axis."""
+    applied = landau_operator_symbolic(bargmann_kernel_columns(ws))
+    z = np.asarray(z, dtype=complex)
+    return float(np.abs(applied(z.real, z.imag)).max())
 
 
 _D1_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from bergman_heat import (SphericalHarmonicTransform, VolumeForm, build_grid,
-                          fubini_study_form)
+                          flat_model, fubini_study_form)
 
 
 @pytest.fixture(scope="session")
@@ -38,12 +40,11 @@ def rng():
 
 @pytest.fixture(scope="session")
 def landau_without_field_term():
-    """The model operator with the ``pi * z * expr`` term of its inner factor
-    dropped: a broken operator that does not annihilate the kernel."""
-    import sympy as sp
-
-    def operator(expr, x, y):
-        inner = sp.diff(expr, x) + sp.I * sp.diff(expr, y)
-        dz_inner = (sp.diff(inner, x) - sp.I * sp.diff(inner, y)) / 2
-        return -2 * dz_inner + sp.pi * (x - sp.I * y) * inner
+    """The model operator with the ``pi * z * f`` term of its inner factor
+    dropped: a broken operator that does not annihilate the kernel.  The
+    same operator in sympy is ``sympy_oracle.landau_without_field_term``."""
+    def operator(f):
+        inner = f.diff(0) + 1j * f.diff(1)
+        dz_inner = 0.5 * (inner.diff(0) - 1j * inner.diff(1))
+        return -2 * dz_inner + math.pi * inner.times(flat_model.ZBAR)
     return operator

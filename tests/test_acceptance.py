@@ -14,17 +14,16 @@ import pytest
 import sympy as sp
 
 from bergman_heat import (SmoothingOperator, SpherePoint, VolumeForm,
-                          bargmann_kernel, bargmann_kernel_expr,
-                          bergman_evaluator, build_grid, fubini_study_form,
-                          gaussian_laplacian_identity, heat_apply,
-                          heat_diagonal, landau_operator_symbolic,
-                          near_diagonal_residual, off_diagonal_sup,
-                          rank_ratio, rate_fit, reproducing_residual,
-                          semigroup_derivative_residual, sweep_form,
-                          weight_change_residuals)
+                          bargmann_kernel, bergman_evaluator, build_grid,
+                          fubini_study_form, gaussian_laplacian_identity,
+                          heat_apply, heat_diagonal, near_diagonal_residual,
+                          off_diagonal_sup, rank_ratio, rate_fit,
+                          reproducing_residual, semigroup_derivative_residual,
+                          sweep_form, weight_change_residuals)
 from bergman_heat.bench import smoothing_operator_matrix
 from bergman_heat.config import DEFAULTS
 from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
+from sympy_oracle import bargmann_kernel_expr, landau_operator_symbolic
 from test_bench import dense
 from test_bergman import funk_hecke_eigenvalue
 

@@ -153,7 +153,7 @@ class TestConfig:
         assert str(info.value) == message
 
     def test_import_leaves_sympy_unloaded(self):
-        # only model-check's symbolic criterion needs sympy
+        # sympy serves the tests' oracles only
         code = ("import sys, bergman_heat; a = 'sympy' in sys.modules; "
                 "import bergman_heat.cli; print(a, 'sympy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -161,6 +161,18 @@ class TestConfig:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_model_check_leaves_sympy_unloaded(self, tmp_path):
+        # model-check's exact derivation is numpy coefficient algebra
+        code = ("import sys; from bergman_heat.cli import run; "
+                f"code = run(['model-check', '--out', {str(tmp_path)!r}]); "
+                "print(code, 'sympy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=_subprocess_env(), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), "False"]
+        assert (tmp_path / "model_check_summary.json").is_file()
 
     def test_import_leaves_scipy_unloaded(self):
         # scipy serves the tests' oracles only
@@ -290,7 +302,12 @@ class TestExitCodes:
         ("near-diagonal", {"x0": [-0.5, 0.4]},
          "colatitude out of range: -0.5"),
         ("near-diagonal", {"window_constant": 4.0},
-         "window 1.0000 reaches the injectivity radius; raise p"),
+         "window 1 reaches the injectivity radius; raise p"),
+        ("near-diagonal", {"window_constant": 1e300},
+         "window 2.5e+299 reaches the injectivity radius; raise p"),
+        ("near-diagonal", {"n_radial": 101, "n_angular": 100},
+         "10001 points make 100020001 node pairs, over the limit 1e+08; use "
+         "fewer points"),
         ("heat-check", {"u_min": 5e-5}, "heat_diagonal supports u >= 1e-4"),
         # with reversed bounds the `in` criterion can never pass, whatever
         # the slope

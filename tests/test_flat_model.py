@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+import sympy_oracle
+from sympy_oracle import bargmann_kernel_expr
 
-from bergman_heat import (ConfigError, bargmann_kernel, bargmann_kernel_expr,
-                          gaussian_laplacian_identity, landau_operator_apply,
-                          landau_operator_symbolic, reproducing_residual)
+from bergman_heat import (ConfigError, GaussianPolynomial, bargmann_kernel,
+                          bargmann_kernel_columns, gaussian_laplacian_identity,
+                          landau_operator_apply, landau_operator_symbolic,
+                          reproducing_residual)
 from bergman_heat import flat_model
 from bergman_heat.config import DEFAULTS
 
@@ -44,6 +47,13 @@ class TestBargmannKernel:
             assert complex(expr.subs({x: z.real, y: z.imag})) \
                 == pytest.approx(k, abs=1e-12)
 
+    def test_columns_match_numeric_kernel(self, rng):
+        zs = rng.normal(size=6) + 1j * rng.normal(size=6)
+        ws = rng.normal(size=4) + 1j * rng.normal(size=4)
+        columns = bargmann_kernel_columns(ws)(zs.real, zs.imag)
+        assert columns.shape == (6, 4)
+        assert np.abs(columns - bargmann_kernel(zs[:, None], ws)).max() < 1e-12
+
     def test_modulus_depends_only_on_separation(self, rng):
         base = rng.normal(size=5) + 1j * rng.normal(size=5)
         sep = 0.37 - 0.21j
@@ -79,41 +89,59 @@ class TestReproducing:
             reproducing_residual(z, w, 400)
 
 
-class TestLandauOperator:
-    def test_annihilates_kernel_columns_symbolically(self, rng):
-        x, y = sp.symbols("x y", real=True)
-        for _ in range(20):
-            w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            expr, (x, y) = bargmann_kernel_expr(w)
-            applied = sp.expand(landau_operator_symbolic(expr, x, y))
-            func = sp.lambdify((x, y), applied, modules="numpy")
-            probe = np.linspace(-1.2, 1.2, 5)
-            vals = np.asarray(func(probe[:, None], probe[None, :]),
-                              dtype=complex)
-            assert np.abs(vals).max() < 1e-8
+def _ground_state():
+    """exp(-pi |z|^2 / 2), the kernel column at w = 0."""
+    expo = np.zeros((3, 3), dtype=complex)
+    expo[2, 0] = expo[0, 2] = -0.5 * math.pi
+    return GaussianPolynomial(np.ones((1, 1), dtype=complex), expo)
 
-    def test_one_derivation_matches_per_w_route(
+
+def _sympy_residual(operator, zs, w):
+    """Max |operator K(., w)| at the points zs, derived by sympy."""
+    expr, (x, y) = bargmann_kernel_expr(w)
+    func = sp.lambdify((x, y), sp.expand(operator(expr, x, y)),
+                       modules="numpy")
+    return float(np.abs(np.broadcast_to(
+        np.asarray(func(zs.real, zs.imag), dtype=complex), zs.shape)).max())
+
+
+class TestLandauOperator:
+    def test_annihilates_kernel_columns_exactly(self, rng):
+        # the coefficients cancel in floating point, so the residual is 0.0
+        probe = np.linspace(-1.2, 1.2, 5)
+        zs = (probe[:, None] + 1j * probe[None, :]).ravel()
+        for _ in range(5):
+            ws = rng.uniform(-1.5, 1.5, 20) + 1j * rng.uniform(-1.5, 1.5, 20)
+            assert flat_model.landau_kernel_residual(zs, ws) == 0.0
+            applied = landau_operator_symbolic(bargmann_kernel_columns(ws))
+            assert not applied.poly.any()
+
+    def test_sympy_oracle_annihilates_kernel_columns(self, rng):
+        probe = np.linspace(-1.2, 1.2, 5)
+        zs = (probe[:, None] + 1j * probe[None, :]).ravel()
+        for _ in range(3):
+            w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            assert _sympy_residual(sympy_oracle.landau_operator_symbolic,
+                                   zs, w) < 1e-8
+
+    def test_broken_operator_matches_sympy(
             self, rng, monkeypatch, landau_without_field_term):
-        # a broken operator leaves an O(1) residual, so agreement checks that
-        # the symbolic kernel point reproduces each numeric one
+        # a broken operator leaves an O(1) residual, so agreement checks the
+        # derivation term by term, for one w at a time and for a batch
         probe = np.linspace(-1.2, 1.2, 5)
         zs = (probe[:, None] + 1j * probe[None, :]).ravel()
         ws = rng.uniform(-1.5, 1.5, 3) + 1j * rng.uniform(-1.5, 1.5, 3)
-        for operator in (landau_operator_symbolic, landau_without_field_term):
-            monkeypatch.setattr(flat_model, "landau_operator_symbolic",
-                                operator)
-            per_w = []
-            for w in ws:
-                expr, (x, y) = bargmann_kernel_expr(w)
-                func = sp.lambdify((x, y), sp.expand(operator(expr, x, y)),
-                                   modules="numpy")
-                per_w.append(np.abs(np.asarray(func(zs.real, zs.imag),
-                                               dtype=complex)).max())
-                assert flat_model.landau_kernel_residual(zs, [w]) \
-                    == pytest.approx(per_w[-1], rel=1e-10, abs=1e-8)
-            for batch in (ws, ws[::-1]):
-                assert flat_model.landau_kernel_residual(zs, batch) \
-                    == pytest.approx(max(per_w), rel=1e-10, abs=1e-8)
+        monkeypatch.setattr(flat_model, "landau_operator_symbolic",
+                            landau_without_field_term)
+        per_w = []
+        for w in ws:
+            per_w.append(_sympy_residual(
+                sympy_oracle.landau_without_field_term, zs, w))
+            assert flat_model.landau_kernel_residual(zs, [w]) \
+                == pytest.approx(per_w[-1], rel=1e-10)
+        for batch in (ws, ws[::-1]):
+            assert flat_model.landau_kernel_residual(zs, batch) \
+                == pytest.approx(max(per_w), rel=1e-10)
         assert min(per_w) > 1.0
 
     def test_annihilates_kernel_columns_fd(self, rng):
@@ -123,27 +151,40 @@ class TestLandauOperator:
             assert np.abs(vals).max() < 1e-6
 
     def test_ground_state_annihilated(self):
-        x, y = sp.symbols("x y", real=True)
-        expr = sp.exp(-sp.pi * (x ** 2 + y ** 2) / 2)
-        assert sp.simplify(landau_operator_symbolic(expr, x, y)) == 0
+        applied = landau_operator_symbolic(_ground_state())
+        assert not applied.poly.any()
 
     def test_first_landau_level(self):
-        # conj(z) times the ground state has eigenvalue 4*pi
-        x, y = sp.symbols("x y", real=True)
-        f = (x - sp.I * y) * sp.exp(-sp.pi * (x ** 2 + y ** 2) / 2)
-        applied = landau_operator_symbolic(f, x, y)
-        assert sp.simplify(applied - 4 * sp.pi * f) == 0
+        # conj(z) times the ground state has eigenvalue 4*pi, coefficient
+        # for coefficient
+        f = _ground_state().times(flat_model.ZBAR)
+        applied = landau_operator_symbolic(f)
+        assert applied.expo is f.expo
+        assert not (applied - 4 * math.pi * f).poly.any()
+
+    def test_sums_need_a_shared_exponent(self):
+        with pytest.raises(ValueError):
+            _ground_state() + _ground_state()
 
     def test_fd_matches_symbolic_on_smooth_probe(self):
+        # (1 + x + y^2) exp(-(x^2 + y^2) / 3), off the kernel's form
         x, y = sp.symbols("x y", real=True)
         expr = sp.exp(-(x ** 2 + y ** 2) / 3) * (1 + x + y ** 2)
-        exact = sp.lambdify((x, y), landau_operator_symbolic(expr, x, y),
-                            modules="numpy")
+        exact = sp.lambdify(
+            (x, y), sympy_oracle.landau_operator_symbolic(expr, x, y),
+            modules="numpy")
         func = sp.lambdify((x, y), expr, modules="numpy")
         zs = np.array([0.2 + 0.1j, -0.5 + 0.4j, 0.9 - 0.3j])
-        vals = landau_operator_apply(lambda z: func(z.real, z.imag), zs)
         target = np.asarray(exact(zs.real, zs.imag), dtype=complex)
+        vals = landau_operator_apply(lambda z: func(z.real, z.imag), zs)
         assert np.abs(vals - target).max() < 1e-7
+        poly = np.zeros((2, 3), dtype=complex)
+        poly[0, 0] = poly[1, 0] = poly[0, 2] = 1.0
+        expo = np.zeros((3, 3), dtype=complex)
+        expo[2, 0] = expo[0, 2] = -1.0 / 3.0
+        applied = landau_operator_symbolic(GaussianPolynomial(poly, expo))
+        assert np.abs(applied(zs.real, zs.imag) - target).max() \
+            <= 1e-12 * np.abs(target).max()
 
 
 class TestGaussianLaplacian:
