@@ -21,7 +21,6 @@ from .fourier import grid_to_modes, moment_matrices
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
 from .heat import HarmonicCoeffs, SphericalHarmonicTransform
-from .sections import PAIR_BLOCK_ROWS
 
 # smoothing-input longitude modes at most this fraction of the largest are skipped
 MODE_TOL = 1e-16
@@ -201,50 +200,26 @@ def weight_change_residuals(evaluator):
     direct = np.zeros_like(probes)
     factored = np.zeros_like(probes)
     out = {}
-    # scratch for the per-tile checks, allocated once per pass and viewed
-    # at each tile's shape
-    size = min(PAIR_BLOCK_ROWS, len(tt)) ** 2
-    ref_buf, abs_buf, outer_buf, resid_buf = np.empty((4, size))
-    conj_buf = np.empty(size, dtype=complex)
-    inverse_eta = {}
-
-    def tile(buf, shape):
-        return buf[:shape[0] * shape[1]].reshape(shape)
-
-    def inverse(nodes, eta):
-        # 1/eta is taken once per node: the tiles share their node ranges
-        if nodes.start not in inverse_eta:
-            inverse_eta[nodes.start] = 1.0 / eta
-        return inverse_eta[nodes.start]
 
     def track(key, residual):
-        largest = max(residual.max(), -residual.min())
-        out[key] = max(out.get(key, 0.0), float(largest))
+        out[key] = max(out.get(key, 0.0), float(np.abs(residual).max()))
 
     for rows, cols, blk, mirror in evaluator.kernel_tiles(tt, pp):
-        shape = blk.modulus.shape
-        r = tile(resid_buf, shape)
-        outer = tile(outer_buf, shape)
-        k_ref = np.square(blk.modulus, out=tile(ref_buf, shape))
-        k_metric = blk.omega_kernel
-        omega_abs = np.abs(blk.omega_coefficient, out=tile(abs_buf, shape))
-        np.multiply(blk.eta_y, omega_abs, out=r)
-        track("kernel_eta", np.subtract(blk.modulus, r, out=r))
-        np.multiply(blk.eta_x[:, None], blk.eta_y, out=outer)
-        np.multiply(outer, k_metric, out=r)
-        track("density_eta", np.subtract(k_ref, r, out=r))
-        np.multiply(inverse(rows, blk.eta_x)[:, None], blk.eta_y, out=outer)
-        np.multiply(np.square(omega_abs, out=omega_abs), outer, out=r)
-        track("frame_factor", np.subtract(k_metric, r, out=r))
+        k_ref = blk.modulus ** 2
+        k_metric = blk.omega_modulus ** 2
+        omega_abs = np.abs(blk.omega_coefficient)
+        track("kernel_eta", blk.modulus - blk.eta_y * omega_abs)
+        track("density_eta",
+              k_ref - (blk.eta_x[:, None] * blk.eta_y) * k_metric)
+        track("frame_factor",
+              k_metric - omega_abs ** 2 * (1.0 / blk.eta_x[:, None]
+                                           * blk.eta_y))
         # a - b = -(b - a) exactly, so the (cols, rows) tile would give the
         # same two maxima bit for bit: one orientation is checked
         if rows.start <= cols.start:
-            track("metric_symmetry",
-                  np.subtract(k_metric, mirror.omega_kernel.T, out=r))
-            diff = np.conjugate(mirror.coefficient.T,
-                                out=tile(conj_buf, shape))
-            np.subtract(blk.coefficient, diff, out=diff)
-            track("hermitian_symmetry", np.abs(diff, out=r))
+            track("metric_symmetry", k_metric - mirror.omega_modulus.T ** 2)
+            track("hermitian_symmetry",
+                  blk.coefficient - mirror.coefficient.T.conj())
         # the two quadrature routes of the smoothing operator share the tiles
         direct[rows] += k_ref @ w_nu_probes[cols]
         factored[rows] += blk.eta_x[:, None] * (k_metric @ w_probes[cols])

@@ -25,7 +25,8 @@ from . import flat_model
 from .bench import in_order, rate_fit, sweep_form
 from .bergman import (near_diagonal_residual, off_diagonal_sup,
                       weight_change_residuals)
-from .config import DEFAULTS, grid_for, load_config, parse_form_spec
+from .config import (DEFAULTS, grid_for, load_config, parse_form_spec,
+                     sample_strides)
 from .errors import ConfigError, InvalidRunError
 from .geometry import SpherePoint
 from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
@@ -148,8 +149,7 @@ def cmd_decay(cfg, out_dir):
     p_list = cfg["p_list"]
     grid = grid_for(cfg)
     form = parse_form_spec(cfg["form"], grid)
-    stride_t = max(1, grid.n_theta // cfg["max_sample_per_axis"])
-    stride_p = max(1, grid.n_phi // cfg["max_sample_per_axis"])
+    stride_t, stride_p = sample_strides(cfg)
     rows = []
     sups = []
     for p in p_list:
@@ -407,7 +407,11 @@ def run(argv=None):
                  "l_max": getattr(args, "lmax", None)}
     try:
         cfg = load_config(args.command, args.config, overrides)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {args.out}: {exc}") from exc
         with _one_blas_thread():
             return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:

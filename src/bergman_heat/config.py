@@ -269,8 +269,14 @@ def _check_run(command, cfg):
         if radius >= INJECTIVITY_RADIUS:
             raise ConfigError(
                 f"window {radius:.4g} reaches the injectivity radius; raise p")
+    # the points that each pair pass compares pairwise
+    if command == "identities":
+        check_pair_count(cfg["n_theta"] * cfg["n_phi"])
+    if "max_sample_per_axis" in cfg:
+        stride_t, stride_p = sample_strides(cfg)
+        check_pair_count(len(range(0, cfg["n_theta"], stride_t))
+                         * len(range(0, cfg["n_phi"], stride_p)))
     if "n_radial" in cfg:
-        # near-diagonal's window points, compared pairwise
         check_pair_count(1 + (cfg["n_radial"] - 1) * cfg["n_angular"])
     if "u_min" in cfg and cfg["u_min"] < MIN_HEAT_TIME:
         raise ConfigError("heat_diagonal supports u >= 1e-4")
@@ -278,6 +284,13 @@ def _check_run(command, cfg):
         # the `in` criterion could never pass
         raise ConfigError(f"slope_range must list its lower bound first, "
                           f"got {cfg['slope_range']!r}")
+
+
+def sample_strides(cfg):
+    """decay's node strides (theta, phi): n // ``max_sample_per_axis`` on
+    an axis of n nodes, and at least 1."""
+    return tuple(max(1, cfg[key] // cfg["max_sample_per_axis"])
+                 for key in ("n_theta", "n_phi"))
 
 
 def _form_id(spec):

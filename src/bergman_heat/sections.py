@@ -173,13 +173,6 @@ class KernelBlock:
         return self.modulus * (self.eta_x[:, None] ** -0.5
                                * self.eta_y ** -0.5)
 
-    @cached_property
-    def omega_kernel(self):
-        """K_metric = omega_modulus ** 2, the metric-convention squared kernel
-        modulus.  Computed once per block, so the check of a tile against its
-        mirror reuses the mirror's."""
-        return self.omega_modulus ** 2
-
 
 class BergmanEvaluator:
     """Evaluates the Bergman projection kernel of a (basis, form, grid) triple."""

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bergman_heat import (RADIUS, BergmanEvaluator, ConfigError,
-                          HarmonicCoeffs, KernelBlock, SmoothingOperator,
-                          SphericalHarmonicTransform, SpherePoint, VolumeForm,
-                          bergman_evaluator, build_grid, integrate,
+                          KernelBlock, SmoothingOperator, SpherePoint,
+                          VolumeForm, bergman_evaluator, build_grid,
                           near_diagonal_residual, off_diagonal_sup,
                           rank_ratio, weight_change_residuals)
 from bergman_heat.config import DEFAULTS
@@ -204,71 +203,7 @@ class TestWeightChange:
         assert res[key] > 1e-8
 
 
-def _weight_change_reference(evaluator):
-    """``weight_change_residuals`` with every per-tile check out of place,
-    one fresh array per operation and an abs pass per maximum: the
-    reference its in-place checks match bit for bit."""
-    grid = evaluator.grid
-    form = evaluator.form
-    tt = grid.theta_mesh.ravel()
-    pp = grid.phi_mesh.ravel()
-    op = SmoothingOperator(evaluator)
-    sht = SphericalHarmonicTransform(grid, min(6, grid.exactness_degree // 2))
-    rng = np.random.default_rng(20240811)
-    probes = np.stack([
-        sht.synthesize(HarmonicCoeffs(
-            sht.l_max, rng.normal(scale=1.0 / (1 + sht.degrees)))).ravel()
-        for _ in range(4)], axis=1)
-    w_probes = grid.node_weights.reshape(-1, 1) * probes / op.rank_ratio
-    w_nu_probes = form.density.reshape(-1, 1) * w_probes
-    direct = np.zeros_like(probes)
-    factored = np.zeros_like(probes)
-    out = {}
-
-    def track(key, residual):
-        out[key] = max(out.get(key, 0.0), float(np.abs(residual).max()))
-
-    for rows, cols, blk, mirror in evaluator.kernel_tiles(tt, pp):
-        k_ref = blk.modulus ** 2
-        k_metric = blk.omega_modulus ** 2
-        omega_abs = np.abs(blk.omega_coefficient)
-        track("kernel_eta", blk.modulus - blk.eta_y * omega_abs)
-        track("density_eta",
-              k_ref - (blk.eta_x[:, None] * blk.eta_y) * k_metric)
-        track("frame_factor",
-              k_metric - omega_abs ** 2 * (1.0 / blk.eta_x[:, None]
-                                           * blk.eta_y))
-        if rows.start <= cols.start:
-            track("metric_symmetry", k_metric - mirror.omega_modulus.T ** 2)
-            track("hermitian_symmetry",
-                  blk.coefficient - mirror.coefficient.T.conj())
-        direct[rows] += k_ref @ w_nu_probes[cols]
-        factored[rows] += blk.eta_x[:, None] * (k_metric @ w_probes[cols])
-    resid = float(np.abs(direct - factored).max())
-    for probe, row in zip(probes.T, direct.T):
-        fast = op.apply(probe.reshape(grid.n_theta, grid.n_phi))
-        resid = max(resid, float(np.abs(row - fast.ravel()).max()))
-    out["operator_factorization"] = resid
-    repro = evaluator.reproduce_sections(tt[::97], pp[::97])
-    target = evaluator.section_matrix(tt[::97], pp[::97])
-    out["reproducing"] = float(np.abs(repro - target).max())
-    trace = integrate(evaluator.diagonal_on_grid(), grid, form)
-    out["projection_trace"] = abs(trace - (evaluator.p + 1))
-    return out
-
-
 class TestPairTiles:
-    @pytest.mark.parametrize("p", [4, 8])
-    def test_in_place_checks_match_the_reference(self, p):
-        # 20 x 40 = 800 nodes: four full tiles a side and an edge tile of 32
-        small = build_grid(20, 40)
-        assert small.n_theta * small.n_phi % PAIR_BLOCK_ROWS != 0
-        for form in (VolumeForm(small, {}, form_id="fs"),
-                     VolumeForm(small, {(1, 1): 0.2, (2, 1): 0.1},
-                                form_id="tilted")):
-            ev = bergman_evaluator(p, form, small)
-            assert weight_change_residuals(ev) == _weight_change_reference(ev)
-
     @pytest.mark.parametrize("probe,n", [
         (lambda ev: off_diagonal_sup(ev, 0.2, 1, 1), 1152),
         # 1 + 29 * 30 = 871 window points

@@ -308,6 +308,13 @@ class TestExitCodes:
         ("near-diagonal", {"n_radial": 101, "n_angular": 100},
          "10001 points make 100020001 node pairs, over the limit 1e+08; use "
          "fewer points"),
+        ("identities", {"n_theta": 120, "n_phi": 240},
+         "28800 points make 829440000 node pairs, over the limit 1e+08; use "
+         "fewer points"),
+        # stride 1 on the default 280 x 560 grid samples every node
+        ("decay", {"max_sample_per_axis": 100000},
+         "156800 points make 24586240000 node pairs, over the limit 1e+08; "
+         "use fewer points"),
         ("heat-check", {"u_min": 5e-5}, "heat_diagonal supports u >= 1e-4"),
         # with reversed bounds the `in` criterion can never pass, whatever
         # the slope
@@ -327,6 +334,21 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == message
         assert not list(tmp_path.glob("*_summary.json"))
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_output_path_through_a_file_is_config_error(self, tmp_path,
+                                                         capsys, sub):
+        # an existing file, or a directory below one, cannot hold the outputs
+        target = tmp_path / "taken"
+        target.write_text("")
+        out = target / sub if sub else target
+        code = run(["model-check", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].startswith(
+            f"cannot create output directory {out}: ")
+        assert target.read_text() == ""
 
     @pytest.mark.parametrize("command,cfg", [
         ("heat-check", {"l_max": 90, "n_theta": 200, "n_phi": 400}),
