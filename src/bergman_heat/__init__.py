@@ -22,9 +22,8 @@ from .geometry import (INJECTIVITY_RADIUS, RADIUS, QuadratureGrid,
                        fubini_study_form, geodesic_distance, integrate,
                        log_map)
 from .harmonics import real_sph_harm
-from .heat import (HarmonicCoeffs, SphericalHarmonicTransform, heat_apply,
-                   heat_diagonal, laplace_eigenvalue,
-                   semigroup_derivative_residual)
+from .heat import (SphericalHarmonicTransform, heat_diagonal,
+                   laplace_eigenvalue, semigroup_derivative_residual)
 from .sections import (BergmanEvaluator, GramMatrix, KernelBlock, SectionBasis,
                        bergman_evaluator, gram_matrix, section_basis)
 

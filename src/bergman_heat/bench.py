@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import SmoothingOperator
-from .errors import ConfigError, InvalidRunError
+from .errors import ConfigError, InvalidRunError, count_text
 from .fourier import diagonal_index, product_grams, profile_products
-from .geometry import VolumeForm, is_zonal
-from .heat import coeff_index, heat_apply, pole_turn, quarter_turn
+from .geometry import VolumeForm, integrate, is_zonal
+from .heat import coeff_index, pole_turn, quarter_turn
 from .sections import bergman_evaluator
 
 # largest accepted sweep with a non-zonal form, checked before any table is
@@ -124,8 +124,9 @@ def check_sweep_cost(p_max, l_max, coefficient_maps):
     flops = (p_max + 1) ** 3 * (l_max + 1) ** 2
     if flops > MAX_Q_FLOPS:
         raise ConfigError(
-            f"p {p_max} at l_max {l_max} needs about {flops:.2e} flops per Q "
-            f"assembly, over the limit {MAX_Q_FLOPS:.1e}; lower p or l_max")
+            f"p {count_text(p_max)} at l_max {l_max} needs about "
+            f"{count_text(flops)} flops per Q assembly, over the limit "
+            f"{MAX_Q_FLOPS:.1e}; lower p or l_max")
 
 
 def _tail(kept, col_norm, tail_bound):
@@ -165,8 +166,8 @@ def operator_matrix(op, sht):
     matrix, col_norm = np.zeros((n, n)), np.zeros(n)
     for idx in range(n):
         values = op(sht.basis_function(sht.degrees[idx], sht.orders[idx]))
-        matrix[:, idx] = sht.analyze(values).values
-        col_norm[idx] = sht.grid_norm_sq(values)
+        matrix[:, idx] = sht.analyze(values)
+        col_norm[idx] = integrate(np.square(values), sht.grid)
     return _checked_matrix([(matrix, np.arange(n)[None])], col_norm, sht)
 
 
@@ -474,8 +475,7 @@ def heat_side_matrix(mult, sht, p, tail_bound):
     ``mult``, and its kept mass and quadrature norm are those of ``mult``
     times the factor squared; no matrix is formed.
     """
-    u = 1.0 / (4.0 * math.pi * p)
-    factors = np.exp(-sht.eigenvalues * u)
+    factors = sht.heat_factors(1.0 / (4.0 * math.pi * p))
     return factors, _tail(mult.column_kept * factors ** 2,
                           mult.column_norm_sq * factors ** 2, tail_bound)
 
@@ -672,10 +672,10 @@ def matrix_free_norm(p, form, sht):
     evaluator = bergman_evaluator(p, form, grid)
     smoother = SmoothingOperator(evaluator)
     ratio = form.volume
-    u_time = 1.0 / (4.0 * math.pi * p)
+    heat_factors = sht.heat_factors(1.0 / (4.0 * math.pi * p))
 
     def apply_diff(f):
-        heat_part = sht.synthesize(heat_apply(sht.analyze(f), u_time))
+        heat_part = sht.synthesize(heat_factors * sht.analyze(f))
         return smoother.apply(f) - ratio * form.eta * heat_part
 
     def apply_adjoint(g):

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .fourier import grid_to_modes, moment_matrices
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
-from .heat import HarmonicCoeffs, SphericalHarmonicTransform
+from .heat import SphericalHarmonicTransform
 
 # smoothing-input longitude modes at most this fraction of the largest are skipped
 MODE_TOL = 1e-16
@@ -192,8 +192,7 @@ def weight_change_residuals(evaluator):
     sht = SphericalHarmonicTransform(grid, min(6, grid.exactness_degree // 2))
     rng = np.random.default_rng(20240811)
     probes = np.stack([
-        sht.synthesize(HarmonicCoeffs(
-            sht.l_max, rng.normal(scale=1.0 / (1 + sht.degrees)))).ravel()
+        sht.synthesize(rng.normal(scale=1.0 / (1 + sht.degrees))).ravel()
         for _ in range(4)], axis=1)
     w_probes = grid.node_weights.reshape(-1, 1) * probes / op.rank_ratio
     w_nu_probes = form.density.reshape(-1, 1) * w_probes

@@ -14,6 +14,7 @@ of the listed harmonic combination.
 
 import json
 import math
+import sys
 
 from .bench import check_sweep_cost
 from .errors import ConfigError
@@ -51,6 +52,7 @@ DEFAULTS = {
         "form": {"id": "fs", "coefficients": {}},
         "n_theta": None,
         "n_phi": None,
+        # sets a stride: an axis keeps up to 2 * 36 - 1 nodes (sample_strides)
         "max_sample_per_axis": 36,
         "r2_threshold": 0.95,
         "power_weight": 5,
@@ -138,7 +140,9 @@ def load_config(command, path, overrides):
         try:
             with open(path) as handle:
                 user = json.load(handle, object_pairs_hook=_unique_keys)
-        except (OSError, json.JSONDecodeError) as exc:
+        except ConfigError:
+            raise
+        except (OSError, ValueError) as exc:  # bad JSON, UTF-8 or int digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -166,8 +170,9 @@ def _unique_keys(pairs):
 
 
 def _is_number(value, kinds=(int, float)):
+    # finite: NaN fails the comparison, and so does an int past the floats
     return (not isinstance(value, bool) and isinstance(value, kinds)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _validate(command, cfg):
@@ -287,8 +292,8 @@ def _check_run(command, cfg):
 
 
 def sample_strides(cfg):
-    """decay's node strides (theta, phi): n // ``max_sample_per_axis`` on
-    an axis of n nodes, and at least 1."""
+    """decay's node strides (theta, phi): n // max_sample_per_axis on an axis
+    of n nodes, at least 1; the axis keeps up to 2 max_sample_per_axis - 1."""
     return tuple(max(1, cfg[key] // cfg["max_sample_per_axis"])
                  for key in ("n_theta", "n_phi"))
 

@@ -7,7 +7,6 @@ time-stepping error.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +32,6 @@ def laplace_eigenvalue(l):
     """Laplace eigenvalue of degree l (scalar or array) on the unit-area
     round sphere."""
     return 4.0 * math.pi * l * (l + 1.0)
-
-
-def degree_vector(l_max):
-    """Degree l of every packed coefficient slot, shape ((l_max+1)^2,)."""
-    return np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
 
 
 def coeff_index(l, m):
@@ -100,28 +94,9 @@ def quarter_turn(l, beta):
     return (X[:, up] * f + X[:, down] * g).real @ pole_turn(l, beta)
 
 
-@dataclass
-class HarmonicCoeffs:
-    """Real spherical-harmonic coefficients packed degree-major."""
-
-    l_max: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.l_max + 1) ** 2
-        if self.values.shape != (expected,):
-            raise ConfigError(
-                f"expected {expected} coefficients, got {self.values.shape}")
-
-    def copy_with(self, values):
-        return HarmonicCoeffs(self.l_max, values)
-
-    def norm_sq(self):
-        return float(np.sum(self.values ** 2))
-
-
 class SphericalHarmonicTransform:
-    """Forward/inverse transform between grid values and harmonic coefficients.
+    """Forward/inverse transform between grid values and harmonic
+    coefficients (float arrays packed by ``coeff_index``), and their spectrum.
 
     Exact (round-trip and Parseval to roundoff) for band-limited functions
     once ``2*l_max`` is within the grid's exactness degree.
@@ -134,9 +109,10 @@ class SphericalHarmonicTransform:
                 f"{grid.exactness_degree}")
         self.grid = grid
         self.l_max = int(l_max)
+        size = self.l_max + 1
+        self.n_coeffs = size ** 2
         # legendre[m, l, i] = normalized Legendre profile of degree l, order
         # m at node i; zero for l < m
-        size = self.l_max + 1
         self.legendre = np.zeros((size, size, grid.n_theta))
         for m in range(size):
             for l, row in zip(range(m, size),
@@ -145,7 +121,7 @@ class SphericalHarmonicTransform:
         # degree and order of every packed coefficient slot, and the factor
         # of the exp(i|m|phi) mode of Y_lm over its Legendre profile
         # (``mode_factors``)
-        self.degrees = degree_vector(self.l_max)
+        self.degrees = np.repeat(np.arange(size), 2 * np.arange(size) + 1)
         self.orders = np.arange(self.n_coeffs) - coeff_index(self.degrees, 0)
         # slot_profiles[i, s]: the Legendre profile of slot s at node i
         self.slot_profiles = self.legendre[np.abs(self.orders), self.degrees].T
@@ -162,9 +138,11 @@ class SphericalHarmonicTransform:
             * np.exp(1j * np.abs(ms) * grid.phi)).real
         self.eigenvalues = laplace_eigenvalue(self.degrees)
 
-    @property
-    def n_coeffs(self):
-        return (self.l_max + 1) ** 2
+    def heat_factors(self, u):
+        """Per-slot factors exp(-4*pi*l*(l+1)*u) of the heat flow at u >= 0."""
+        if u < 0:
+            raise ConfigError("heat time must be nonnegative")
+        return np.exp(-self.eigenvalues * u)
 
     def order_modes(self, mode_table, k, n_modes):
         """Longitude modes 0..``n_modes``-1 of (grid function) * Y_lm over
@@ -277,32 +255,19 @@ class SphericalHarmonicTransform:
         wd = np.ascontiguousarray(
             self.grid.w_theta * grid_to_modes(values, self.l_max).T)
         proj = (self.legendre @ wd[:, :, None].view(float)).view(complex)
-        return HarmonicCoeffs(self.l_max,
-                              self.packed(proj, np.arange(self.n_coeffs))[:, 0])
+        return self.packed(proj, np.arange(self.n_coeffs))[:, 0]
 
     def synthesize(self, coeffs):
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""
-        if coeffs.l_max != self.l_max:
-            raise ConfigError("coefficient band does not match the transform")
-        return ((self.slot_profiles * coeffs.values)
+        if np.shape(coeffs) != (self.n_coeffs,):
+            raise ConfigError(f"expected {self.n_coeffs} coefficients")
+        return ((self.slot_profiles * coeffs)
                 @ self.trig[self.orders + self.l_max])
 
     def basis_function(self, l, m):
         """Grid values of the (l, m) harmonic, from the cached profiles."""
         return np.outer(self.slot_profiles[:, coeff_index(l, m)],
                         self.trig[m + self.l_max])
-
-    def grid_norm_sq(self, values):
-        """Quadrature of f^2 against the metric volume form."""
-        return float(np.sum(self.grid.node_weights * np.square(values)))
-
-
-def heat_apply(coeffs, u):
-    """Heat semigroup at time u >= 0: slots scale by exp(-4*pi*l*(l+1)*u)."""
-    if u < 0:
-        raise ConfigError("heat time must be nonnegative")
-    lam = laplace_eigenvalue(degree_vector(coeffs.l_max))
-    return coeffs.copy_with(np.exp(-lam * u) * coeffs.values)
 
 
 def heat_diagonal(u):
@@ -329,15 +294,16 @@ def heat_diagonal(u):
     return total
 
 
-def semigroup_derivative_residual(coeffs, u, h):
-    """L2 residual of (Laplacian + d/du) applied to the heat flow of coeffs.
+def semigroup_derivative_residual(eigenvalues, coeffs, u, h):
+    """L2 residual of (Laplacian + d/du) on the heat flow of coeffs, whose
+    slots have the Laplace ``eigenvalues``.
 
     The u-derivative uses a centered difference, so the residual is O(h^2)
     with a spectral constant; the identity is exact mode-wise.
     """
     if u <= 0:
         raise ConfigError("heat time must be positive")
-    lam = laplace_eigenvalue(degree_vector(coeffs.l_max))
-    exact = lam * np.exp(-lam * u) * coeffs.values
-    fd = (np.exp(-lam * (u + h)) - np.exp(-lam * (u - h))) / (2.0 * h) * coeffs.values
+    exact = eigenvalues * np.exp(-eigenvalues * u) * coeffs
+    fd = (np.exp(-eigenvalues * (u + h)) - np.exp(-eigenvalues * (u - h))) \
+        / (2.0 * h) * coeffs
     return float(np.sqrt(np.sum((exact + fd) ** 2)))

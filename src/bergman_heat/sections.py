@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRunError
+from .errors import ConfigError, InvalidRunError, count_text
 from .fourier import moment_matrices
 
 # points per side of the square node-pair tiles: a complex 192^2 tile is
@@ -140,8 +140,8 @@ def check_pair_count(n):
     """Refuse an all-pairs pass over ``n`` points above ``MAX_PAIRS`` pairs."""
     if n * n > MAX_PAIRS:
         raise ConfigError(
-            f"{n} points make {n * n} node pairs, over the limit "
-            f"{MAX_PAIRS:.0e}; use fewer points")
+            f"{count_text(n)} points make {count_text(n * n)} node pairs, "
+            f"over the limit {MAX_PAIRS:.0e}; use fewer points")
 
 
 class KernelBlock:

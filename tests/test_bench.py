@@ -8,7 +8,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from bergman_heat import (ConfigError, SmoothingOperator, bergman_evaluator,
-                          build_grid, comparison_norms, heat_apply,
+                          build_grid, comparison_norms, laplace_eigenvalue,
                           matrix_free_norm, operator_matrix, rate_fit,
                           sweep_form)
 from bergman_heat import bench, geometry
@@ -18,7 +18,7 @@ from bergman_heat.bench import (fast_multiplication_matrix,
                                 multiplication_matrix,
                                 smoothing_operator_matrix)
 from bergman_heat.errors import InvalidRunError
-from bergman_heat.heat import HarmonicCoeffs, SphericalHarmonicTransform
+from bergman_heat.heat import SphericalHarmonicTransform
 from bergman_heat.geometry import VolumeForm, fubini_study_form
 from test_bergman import funk_hecke_eigenvalue
 from test_geometry import _load_workloads, _seeded_coefficients
@@ -87,7 +87,7 @@ class TestOperatorMatrix:
         u = 0.01
         mat = operator_matrix(
             lambda f: bench_sht.synthesize(
-                heat_apply(bench_sht.analyze(f), u)), bench_sht)
+                bench_sht.heat_factors(u) * bench_sht.analyze(f)), bench_sht)
         degs = bench_sht.degrees
         target = np.diag(np.exp(-4 * math.pi * degs * (degs + 1) * u))
         assert np.abs(dense(mat, bench_sht) - target).max() < 1e-10
@@ -447,8 +447,8 @@ def _generic_oracle(p, form, sht):
     smoother = SmoothingOperator(bergman_evaluator(p, form, sht.grid))
     q = operator_matrix(smoother.apply, sht)
     eta = multiplication_matrix(form.eta, sht)
-    ones = HarmonicCoeffs(sht.l_max, np.ones(sht.n_coeffs))
-    factors = heat_apply(ones, 1.0 / (4.0 * math.pi * p)).values
+    factors = np.exp(-laplace_eigenvalue(sht.degrees)
+                     * (1.0 / (4.0 * math.pi * p)))
     heat = dense(eta, sht) * factors
     diff = dense(q, sht) - form.volume * heat
     norm1, vec = bench._dense_top_singular_pair(diff)

@@ -66,8 +66,7 @@ class TestSmoothingOperator:
         op = SmoothingOperator(bergman_evaluator(6, tilted_form, grid))
         c1 = rng.normal(size=sht.n_coeffs) / (1.0 + sht.degrees) ** 2
         c2 = rng.normal(size=sht.n_coeffs) / (1.0 + sht.degrees) ** 2
-        f = sht.synthesize(sht.analyze(np.zeros_like(op.form.density)).copy_with(c1))
-        g = sht.synthesize(sht.analyze(np.zeros_like(op.form.density)).copy_with(c2))
+        f, g = sht.synthesize(c1), sht.synthesize(c2)
         w_nu = grid.node_weights * tilted_form.density
         lhs = np.sum(w_nu * op.apply(f) * g)
         rhs = np.sum(w_nu * f * op.apply(g))

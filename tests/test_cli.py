@@ -13,7 +13,8 @@ from bergman_heat import bench, cli, config, flat_model
 from bergman_heat.bench import check_sweep_cost, rate_fit
 from bergman_heat.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INVALID_RUN,
                               EXIT_OK, run)
-from bergman_heat.config import DEFAULTS, default_l_max, load_config
+from bergman_heat.config import (DEFAULTS, default_l_max, load_config,
+                                 sample_strides)
 from bergman_heat.errors import ConfigError, InvalidRunError
 
 
@@ -43,9 +44,10 @@ SMALL_CONVERGE = {
 
 
 # one bad value of each kind: wrong type, bool, null, NaN, +-Infinity,
-# negative, zero, huge, empty list, nested object
+# negative, zero, huge, an int past the float range, empty list, nested
+# object
 BAD_VALUES = ["x", True, None, math.nan, math.inf, -math.inf, -1, -0.5, 0,
-              10 ** 30, 1e300, [], {"a": 1}]
+              10 ** 30, 10 ** 400, 1e300, [], {"a": 1}]
 
 # coefficient keys that do not spell a pair f"{l},{m}", or spell one that
 # no harmonic has
@@ -108,6 +110,18 @@ class TestConfig:
         path.write_text('{"p_list": [16, 8, 32, 64]}')
         with pytest.raises(ConfigError):
             load_config("converge", path, {})
+
+    def test_decay_sample_keeps_up_to_twice_the_maximum_per_axis(self):
+        # the stride n // max_sample_per_axis keeps up to 2 max - 1 nodes of
+        # an axis: 40 x 38 at the default 36 on the default 280 x 560 grid
+        cfg = load_config("decay", None, {})
+        kept = [len(range(0, cfg[key], stride))
+                for key, stride in zip(("n_theta", "n_phi"),
+                                       sample_strides(cfg))]
+        assert (cfg["n_theta"], cfg["n_phi"], cfg["max_sample_per_axis"]) \
+            == (280, 560, 36)
+        assert kept == [40, 38]
+        assert max(kept) <= 2 * cfg["max_sample_per_axis"] - 1
 
     def test_l_max_default_tracks_p(self):
         assert default_l_max(128) == max(40, 46)
@@ -278,6 +292,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["converge", "--lmax", "400"],
         ["converge", "--p", "100", "200", "400", "800", "--lmax", "46"],
+        # a flop count past the float range
+        ["converge", "--lmax", "46", "--p", "8", "16", "32", str(10 ** 200)],
     ])
     def test_oversized_sweep_is_refused_up_front(self, tmp_path, capsys,
                                                  monkeypatch, argv):
@@ -314,6 +330,14 @@ class TestExitCodes:
         # stride 1 on the default 280 x 560 grid samples every node
         ("decay", {"max_sample_per_axis": 100000},
          "156800 points make 24586240000 node pairs, over the limit 1e+08; "
+         "use fewer points"),
+        # counts past 12 digits go to three significant ones, even past the
+        # float range
+        ("near-diagonal", {"n_radial": 10 ** 30},
+         "1.70e+31 points make 2.89e+62 node pairs, over the limit 1e+08; "
+         "use fewer points"),
+        ("near-diagonal", {"n_radial": 10 ** 300},
+         "1.70e+301 points make 2.89e+602 node pairs, over the limit 1e+08; "
          "use fewer points"),
         ("heat-check", {"u_min": 5e-5}, "heat_diagonal supports u >= 1e-4"),
         # with reversed bounds the `in` criterion can never pass, whatever
@@ -507,6 +531,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == f"config repeats the key {key!r}"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("data", [
+        b'{"p_list": [4, 8',
+        # bytes that are not UTF-8
+        b'\xff\xfe{}',
+        # an int past Python's 4300-digit limit for int conversion
+        b'{"n_radial": ' + b"1" * 5000 + b"}",
+    ], ids=["truncated", "not-utf8", "digit-limit"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        code = run(["near-diagonal", "--config", str(path),
+                    "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].startswith("cannot read config")
 
     @pytest.mark.parametrize("key", [" 1,0 ", "+1,0", "01,0", "1_0,0",
                                      "1,-0"])

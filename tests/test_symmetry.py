@@ -68,7 +68,7 @@ def quarter_turn_map(coeffs):
     theta, phi = np.arccos(np.clip(y, -1.0, 1.0)), np.arctan2(-z, x)
     values = sum(c * real_sph_harm(l, m, theta, phi)
                  for (l, m), c in coeffs.items())
-    turned = sht.analyze(values).values
+    turned = sht.analyze(values)
     keep = np.abs(turned) > 1e-14 * np.abs(turned).max()
     return {(int(l), int(m)): float(turned[coeff_index(l, m)])
             for l, m in zip(sht.degrees[keep], sht.orders[keep])}
