@@ -44,7 +44,7 @@ import numpy as np
 
 from .bergman import SmoothingOperator
 from .errors import ConfigError, InvalidRunError, count_text
-from .fourier import diagonal_index, product_grams, profile_products
+from .fourier import product_grams, profile_products
 from .geometry import VolumeForm, integrate, is_zonal
 from .heat import coeff_index, pole_turn, quarter_turn
 from .sections import bergman_evaluator
@@ -217,8 +217,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     per-column small matrix products run as batched BLAS calls, and their
     section coefficient matrices A = M T M / R go straight to harmonic
     coefficients and quadrature norms through the section-harmonic moment
-    tables (``sht.analyze_diagonals``, from A's lower diagonals in one
-    gather): no output longitude modes and no per-column grids.  The batch
+    tables (``sht.analyze_diagonals``, which reads A's lower diagonals in
+    place): no output longitude modes and no per-column grids.  The batch
     arrays are allocated once, for the widest batch, and reused, and the
     section-profile products are made once (``profile_products``).  A
     mirror-symmetric form is built in real arithmetic from its real inverse
@@ -234,7 +234,6 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     moments = sht.section_moments(products, w_theta)
     grams = product_grams(products, w_theta)
     size = smoother.p + 1
-    gather = diagonal_index(size)
     spans = _spans(sht, smoother.form)
     block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
     for b, span in enumerate(spans):
@@ -266,10 +265,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         A = smoother.coefficient_matrices(
             sht.order_modes(table, k, size), sht.legendre[k, degrees].T,
             parity, (batch, work), products)
-        # the lower diagonals in one gather, into one (L, n) array
-        diagonals = A.reshape(len(slots), -1).T[gather]
-        proj_k, col_norm[slots] = sht.analyze_diagonals(diagonals, moments,
-                                                        grams, work)
+        proj_k, col_norm[slots] = sht.analyze_diagonals(A, moments, grams,
+                                                        work)
         for b in np.unique(block_of[slots]):
             cols = np.flatnonzero(block_of[slots] == b)
             # a block holds one sign of the order, and a flip block one
@@ -391,13 +388,9 @@ def _lanczos_top_pair(normal, n):
             w -= h @ basis[:k + 1]
             alpha[k] += h[k]
         beta[k] = np.linalg.norm(w)
-        # T_k in one array, its three diagonals written through flat
-        # strided views
-        tridiagonal = np.zeros((k + 1, k + 1))
-        flat = tridiagonal.reshape(-1)
-        flat[::k + 2] = alpha[:k + 1]
-        flat[1::k + 2] = flat[k + 1::k + 2] = beta[:k]
-        theta, s = np.linalg.eigh(tridiagonal)
+        theta, s = np.linalg.eigh(np.diag(alpha[:k + 1])
+                                  + np.diag(beta[:k], 1)
+                                  + np.diag(beta[:k], -1))
         if beta[k] * abs(s[-1, -1]) <= LANCZOS_TOL * max(floor,
                                                          abs(theta[-1])):
             return float(math.sqrt(max(theta[-1], 0.0))), (

@@ -17,7 +17,7 @@ import math
 import sys
 
 from .bench import check_sweep_cost
-from .errors import ConfigError
+from .errors import ConfigError, count_text, value_text
 from .flat_model import MAX_QUAD_ORDER
 from .geometry import INJECTIVITY_RADIUS, SpherePoint, VolumeForm, build_grid
 from .heat import MAX_L_MAX, MIN_HEAT_TIME
@@ -148,7 +148,8 @@ def load_config(command, path, overrides):
             raise ConfigError("config root must be a JSON object")
         for key, value in user.items():
             if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r} for {command}")
+                raise ConfigError(f"unknown config key {value_text(key)} "
+                                  f"for {command}")
             cfg[key] = value
     for key, value in overrides.items():
         if value is not None:
@@ -164,7 +165,7 @@ def _unique_keys(pairs):
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ConfigError(f"config repeats the key {key!r}")
+            raise ConfigError(f"config repeats the key {value_text(key)}")
         out[key] = value
     return out
 
@@ -186,28 +187,33 @@ def _validate(command, cfg):
         else:
             continue
         if not _is_number(value, kinds):
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
+            raise ConfigError(f"{key} must be {what}, got {value_text(value)}")
     for key in [k for k in ("x0", "slope_range") if k in cfg]:
         pair = cfg[key]
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(_is_number(v) for v in pair)):
-            raise ConfigError(f"{key} must be two finite numbers, got {pair!r}")
+            raise ConfigError(f"{key} must be two finite numbers, "
+                              f"got {value_text(pair)}")
     for key in [k for k in ("volume_forms", "uniformity_family") if k in cfg]:
         if not isinstance(cfg[key], list) or not cfg[key]:
-            raise ConfigError(f"{key} must be a nonempty list, got {cfg[key]!r}")
+            raise ConfigError(f"{key} must be a nonempty list, "
+                              f"got {value_text(cfg[key])}")
     ids = [_form_id(spec) for spec in cfg.get("volume_forms", [])
            if isinstance(spec, dict)]
     repeated = sorted({fid for fid in ids if ids.count(fid) > 1})
     if repeated:
-        raise ConfigError(f"volume_forms repeat the form id(s) {repeated}")
+        raise ConfigError(
+            f"volume_forms repeat the form id(s) {value_text(repeated)}")
     if not all(isinstance(fid, str) for fid in cfg.get("uniformity_family", [])):
         raise ConfigError("uniformity_family must list form ids")
     for key, minimum in _MINIMUMS.items():
         if cfg.get(key) is not None and cfg[key] < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {cfg[key]}")
+            raise ConfigError(f"{key} must be at least {minimum}, "
+                              f"got {value_text(cfg[key])}")
     for key, maximum in _MAXIMUMS.items():
         if key in cfg and cfg[key] > maximum:
-            raise ConfigError(f"{key} must be at most {maximum}, got {cfg[key]}")
+            raise ConfigError(f"{key} must be at most {maximum}, "
+                              f"got {value_text(cfg[key])}")
     if "p_list" in cfg:
         ps = cfg["p_list"]
         if (not isinstance(ps, list) or not ps
@@ -226,8 +232,9 @@ def _validate(command, cfg):
             note = f" (the default at p {max(cfg['p_list'])})"
         if cfg["l_max"] > MAX_L_MAX:
             raise ConfigError(
-                f"l_max {cfg['l_max']}{note} is over the limit {MAX_L_MAX}, "
-                "past which the Legendre tables are not checked against lpmv")
+                f"l_max {count_text(cfg['l_max'])}{note} is over the limit "
+                f"{MAX_L_MAX}, past which the Legendre tables are not checked "
+                "against lpmv")
     for key in ("tolerance", "tail_bound", "eps", "coefficient_rtol", "u_min",
                 "reproducing_tol", "annihilation_tol", "laplacian_tol",
                 "invariant_tol", "modulus_tol", "annihilation_fd_tol",
@@ -249,7 +256,8 @@ def _check_run(command, cfg):
         missing = [fid for fid in cfg["uniformity_family"]
                    if fid not in coefficients]
         if missing:
-            raise ConfigError(f"uniformity family members missing: {missing}")
+            raise ConfigError(
+                f"uniformity family members missing: {value_text(missing)}")
         check_sweep_cost(max(cfg["p_list"]), cfg["l_max"],
                          coefficients.values())
     if "n_theta" in cfg:
@@ -260,7 +268,8 @@ def _check_run(command, cfg):
         cfg["n_phi"] = 2 * n_theta if cfg["n_phi"] is None else cfg["n_phi"]
         cfg["n_theta"] = n_theta if cfg["n_theta"] is None else cfg["n_theta"]
         if max(cfg["n_theta"], cfg["n_phi"]) > MAX_GRID_AXIS:
-            raise ConfigError(f"grid {cfg['n_theta']}x{cfg['n_phi']} is over "
+            raise ConfigError(f"grid {count_text(cfg['n_theta'])}x"
+                              f"{count_text(cfg['n_phi'])} is over "
                               f"the limit of {MAX_GRID_AXIS} nodes per axis; "
                               "pin a smaller grid or lower p")
     # the probes' own guards, which library callers reach directly
@@ -288,7 +297,7 @@ def _check_run(command, cfg):
     if "slope_range" in cfg and cfg["slope_range"][0] > cfg["slope_range"][1]:
         # the `in` criterion could never pass
         raise ConfigError(f"slope_range must list its lower bound first, "
-                          f"got {cfg['slope_range']!r}")
+                          f"got {value_text(cfg['slope_range'])}")
 
 
 def sample_strides(cfg):
@@ -301,7 +310,8 @@ def sample_strides(cfg):
 def _form_id(spec):
     form_id = spec.get("id", "custom")
     if not (isinstance(form_id, str) and form_id):
-        raise ConfigError(f"form id must be a nonempty string, got {form_id!r}")
+        raise ConfigError(
+            f"form id must be a nonempty string, got {value_text(form_id)}")
     return form_id
 
 
@@ -319,16 +329,17 @@ def read_form_spec(spec):
         try:
             l, m = (int(part) for part in str(key).split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad coefficient key {key!r}") from exc
+            raise ConfigError(f"bad coefficient key {value_text(key)}") from exc
         if key != f"{l},{m}":
-            raise ConfigError(f"bad coefficient key {key!r}; write it "
-                              f"'{l},{m}'")
+            raise ConfigError(f"bad coefficient key {value_text(key)}; "
+                              f"write it {value_text(f'{l},{m}')}")
         # the upper bound on l is the grid's, checked by ``VolumeForm``
         if not abs(m) <= l:
-            raise ConfigError(f"bad harmonic index ({l},{m}): needs "
-                              "|m| <= l")
+            raise ConfigError(f"bad harmonic index ({value_text(l)},"
+                              f"{value_text(m)}): needs |m| <= l")
         if not _is_number(value):
-            raise ConfigError(f"bad coefficient value {value!r} for {key!r}")
+            raise ConfigError(f"bad coefficient value {value_text(value)} "
+                              f"for {value_text(key)}")
         coeffs[(l, m)] = float(value)
     return _form_id(spec), coeffs
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and how messages print counts."""
+"""Exception types shared across the package, and how messages print values."""
 
 
 class ConfigError(ValueError):
@@ -17,3 +17,10 @@ def count_text(n):
         return str(n)
     import decimal  # refusals alone print such counts; no load at each start
     return f"{decimal.Decimal(n):.3g}"
+
+
+def value_text(value):
+    """``repr(value)``, cut to 40 characters ending in '...', so that a
+    refusal echoes a config value, key or id of any length in a line."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."

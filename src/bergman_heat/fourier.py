@@ -9,8 +9,7 @@ products of a density with every degree of one harmonic order are formed a
 mode at a time, and only at the modes kept; a plain batch is one sign per
 function and one row of ones.
 ``product_grams`` gives the quadrature norms of the longitude modes of
-section quadratic forms, whose grid values are evaluated at the nodes, and
-``diagonal_index`` lays out their coefficient matrices' lower diagonals.
+section quadratic forms, whose grid values are evaluated at the nodes.
 ``moment_matrices`` and ``product_grams`` read the section-profile products
 a_{k+d} a_k, which a Q assembly makes once (``profile_products``) and
 shares with the harmonic transform's moment tables.
@@ -137,13 +136,3 @@ def product_grams(products, w_theta):
     colatitude quadrature d^H G_mu d of its squared modulus.
     """
     return [prod.T @ (w_theta[:, None] * prod) for prod in products]
-
-
-def diagonal_index(dim):
-    """Row-major flat positions of the lower diagonals of a (dim, dim)
-    matrix, diagonal -mu after diagonal -(mu-1), mu = 0..dim-1, each from
-    entry [mu, 0] to [dim-1, dim-1-mu]."""
-    mu = np.repeat(np.arange(dim), dim - np.arange(dim))
-    start = mu * dim - mu * (mu - 1) // 2
-    k = np.arange(len(mu)) - start
-    return (k + mu) * dim + k

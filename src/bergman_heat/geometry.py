@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRunError
+from .errors import ConfigError, InvalidRunError, value_text
 from .fourier import phi_band
 from .harmonics import real_sph_harm
 
@@ -224,14 +224,15 @@ class VolumeForm:
         for (l, m), _ in self.coefficients.items():
             if not abs(m) <= l <= grid.exactness_degree:
                 raise ConfigError(
-                    f"bad harmonic index ({l},{m}): needs |m| <= l <= "
+                    f"bad harmonic index ({value_text(l)},{value_text(m)}): "
+                    "needs |m| <= l <= "
                     f"{grid.exactness_degree}, the grid's exactness degree")
         with np.errstate(over="ignore"):
             self.density = np.exp(self.log_density_at(grid.theta_mesh,
                                                       grid.phi_mesh))
         if not (np.isfinite(self.density).all() and self.density.min() > 0.0):
-            raise ConfigError(f"form {self.form_id}: density is not finite "
-                              "and positive at every node")
+            raise ConfigError(f"form {value_text(self.form_id)}: density is "
+                              "not finite and positive at every node")
         self.eta = 1.0 / self.density
         self.volume = integrate(self.density, grid)
         self.density_inf = float(self.density.min())
@@ -248,8 +249,8 @@ class VolumeForm:
             half = modes[:, :grid.n_phi // 2 + 1]
             if np.abs(half.imag).max() > MIRROR_IMAG_TOL * np.abs(half).max():
                 raise InvalidRunError(
-                    f"form {self.form_id}: density modes not real; the form "
-                    "is not symmetric under phi -> -phi on the grid")
+                    f"form {value_text(self.form_id)}: density modes not real; "
+                    "the form is not symmetric under phi -> -phi on the grid")
             wrapped = np.arange(grid.n_phi)
             modes = half.real[:, np.minimum(wrapped, grid.n_phi - wrapped)]
         self.density_modes = modes

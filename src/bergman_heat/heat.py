@@ -210,36 +210,32 @@ class SphericalHarmonicTransform:
         return [(self.legendre[mu, mu:] * weights) @ products[mu]
                 for mu in range(min(self.l_max + 1, len(products)))]
 
-    def analyze_diagonals(self, diagonals, moments, grams, proj):
-        """Projections and quadrature norms of real functions given by the
-        lower diagonals of their section coefficient matrices, without their
-        longitude modes.
+    def analyze_diagonals(self, A, moments, grams, proj):
+        """Projections and quadrature norms of real functions given by
+        their section coefficient matrices, without their longitude modes.
 
-        Item b is the function x -> sigma(x)^T A_b conj(sigma(x)) of a
-        Hermitian (P, P) matrix A_b, whose longitude mode mu is
-        sum_k A_b[k+mu, k] a_{k+mu} a_k (``fourier.profile_products``).
-        ``diagonals`` has one column per item and holds its diagonals -mu,
-        mu = 0..P-1, one after the other (``fourier.diagonal_index``); real
-        ones are those of symmetric matrices and of antisymmetric ones, i
-        times which are Hermitian.  Diagonal -mu, d, gives the order-mu
+        Item b is the function x -> sigma(x)^T A[b] conj(sigma(x)) of a
+        Hermitian (P, P) matrix A[b], whose longitude mode mu is
+        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.profile_products``), so
+        only A's lower diagonals are read, where they lie; a real batch
+        holds symmetric matrices and antisymmetric ones, i times which are
+        Hermitian.  Diagonal -mu, d, gives the order-mu
         projections ``moments[mu] @ d`` (``section_moments`` at weights
         ``w_theta``) and the mode's quadrature d^H G_mu d (``grams[mu]``,
         ``fourier.product_grams``).  Fills the flat buffer ``proj`` with the
         projections ``proj[mu, l, b]`` (``packed`` turns them into
         coefficients) and returns that view and the quadrature norms.
         """
-        n = diagonals.shape[1]
+        n = A.shape[0]
         size = (self.l_max + 1) ** 2 * n
         proj = proj[:size].reshape(self.l_max + 1, self.l_max + 1, n)
         proj.fill(0.0)
         # the float views hold real and imaginary parts side by side, so
         # each real product serves both
-        diagonals, flat = diagonals.view(float), proj.view(float)
-        quads = np.empty((len(grams), diagonals.shape[1]))
-        stop = 0
+        flat = proj.view(float)
+        quads = np.empty((len(grams), flat.shape[2]))
         for mu, gram in enumerate(grams):
-            start, stop = stop, stop + len(grams) - mu
-            d = diagonals[start:stop]
+            d = np.ascontiguousarray(np.diagonal(A, -mu, 1, 2).T).view(float)
             np.sum(d * (gram @ d), axis=0, out=quads[mu])
             if mu < len(moments):
                 np.matmul(moments[mu], d, out=flat[mu, mu:])

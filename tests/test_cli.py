@@ -89,6 +89,18 @@ def _malformed_configs():
                     yield command, {key: default + [spec]}
 
 
+def _edge_configs():
+    """(command, config) pairs that load_config accepts: each command's
+    defaults, and each key at the least and the most it accepts, in each
+    command that has it."""
+    for command, defaults in DEFAULTS.items():
+        yield command, {}
+        for bounds in (config._MINIMUMS, config._MAXIMUMS):
+            for key, bound in bounds.items():
+                if key in defaults:
+                    yield command, {key: bound}
+
+
 class _Reached(Exception):
     """Raised where a run would start its numerical work."""
 
@@ -588,9 +600,10 @@ class TestExitCodes:
             capsys.readouterr().err)["error"]
 
     def test_malformed_config_sweep(self, tmp_path, capsys, monkeypatch):
-        # every malformed config exits 2 or reaches the numerical work,
-        # which the stubs stop: grids for five commands, the flat model's
-        # quadrature for model-check
+        # every malformed config exits 2, with a message of a line or two
+        # whatever the value it refuses, or reaches the numerical work, which
+        # the stubs stop: grids for five commands, the flat model's
+        # quadrature for model-check; every edge config reaches it
         def reached(*args):
             raise _Reached
 
@@ -602,7 +615,9 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         path = tmp_path / "cfg.json"
         outcomes = {}
-        for command, cfg in _malformed_configs():
+        cases = ([(False, case) for case in _malformed_configs()]
+                 + [(True, case) for case in _edge_configs()])
+        for edge, (command, cfg) in cases:
             path.write_text(json.dumps(cfg))
             try:
                 outcome = run([command, "--config", str(path),
@@ -612,8 +627,12 @@ class TestExitCodes:
             except Exception as exc:
                 pytest.fail(f"{command} {cfg!r} raised {exc!r}")
             assert outcome in (EXIT_CONFIG, "reached"), (command, cfg)
+            assert outcome == "reached" or not edge, (command, cfg)
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if outcome == EXIT_CONFIG:
+                assert len(json.loads(err)["error"]) <= 200, (command, cfg)
         assert min(outcomes.values()) >= 100, outcomes
 
     def test_acceptance_failure_exit(self, tmp_path):

@@ -3,9 +3,8 @@ import pytest
 
 from bergman_heat import SphericalHarmonicTransform, VolumeForm, section_basis
 from bergman_heat.bergman import MODE_TOL
-from bergman_heat.fourier import (_set_diagonal, diagonal_index,
-                                  grid_to_modes, moment_matrices,
-                                  profile_products)
+from bergman_heat.fourier import (_set_diagonal, grid_to_modes,
+                                  moment_matrices, profile_products)
 from bergman_heat.harmonics import real_sph_harm
 
 # float64 roundoff on O(1) sums over a few thousand nodes
@@ -146,10 +145,3 @@ class TestMomentMatrices:
             else:
                 assert (np.abs(factored - explicit).max()
                         < TOL * np.abs(explicit).max())
-
-
-def test_diagonal_index_lays_out_the_lower_diagonals():
-    dim = 5
-    matrix = np.arange(dim * dim).reshape(dim, dim)
-    assert (diagonal_index(dim) == np.concatenate(
-        [np.diagonal(matrix, -mu) for mu in range(dim)])).all()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from bergman_heat import (ConfigError, SphericalHarmonicTransform, build_grid,
+from bergman_heat import (ConfigError, SphericalHarmonicTransform,
+                          bergman_evaluator, build_grid, fubini_study_form,
                           heat_diagonal, integrate, laplace_eigenvalue,
                           real_sph_harm, semigroup_derivative_residual)
-from bergman_heat.fourier import grid_to_modes
+from bergman_heat.fourier import grid_to_modes, product_grams, profile_products
 from bergman_heat.harmonics import legendre_profiles
 from bergman_heat.heat import MAX_L_MAX, coeff_index, pole_turn, quarter_turn
 
@@ -142,6 +143,45 @@ class TestTransform:
             product = modes[sign] * sht.legendre[k, l][:, None]
             assert np.abs(product * (1j if m < 0 else 1.0)
                           - oracle).max() < 1e-14
+
+
+class TestAnalyzeDiagonals:
+    @pytest.mark.parametrize("batch", ["hermitian", "real"])
+    def test_matches_the_grid_values(self, batch):
+        # p = 4 on 32 x 64 at l_max 8, with the section moment tables and
+        # product Grams that a Q assembly builds: each item's projections
+        # against the transform of its values on the grid, and its
+        # quadrature norm against their quadrature
+        grid = build_grid(32, 64)
+        sht = SphericalHarmonicTransform(grid, 8)
+        ev = bergman_evaluator(4, fubini_study_form(grid), grid)
+        products = profile_products(ev.profiles)
+        moments = sht.section_moments(products, grid.w_theta)
+        grams = product_grams(products, grid.w_theta)
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(4, 5, 5))
+        if batch == "hermitian":
+            A = x + 1j * rng.normal(size=x.shape)
+            A += A.conj().transpose(0, 2, 1)
+            forms, outputs = A, [np.arange(sht.n_coeffs)] * len(A)
+        else:
+            # symmetric items, with cosine outputs, and antisymmetric ones,
+            # i times which are Hermitian, with sine outputs
+            parity = np.array([1.0, -1.0, 1.0, -1.0])
+            A = x + parity[:, None, None] * x.transpose(0, 2, 1)
+            forms = np.where(parity > 0, 1.0, 1j)[:, None, None] * A
+            outputs = [np.flatnonzero((sht.orders >= 0) == (s > 0))
+                       for s in parity]
+        proj, norms = sht.analyze_diagonals(
+            A, moments, grams, np.empty(sht.n_coeffs * len(A), A.dtype))
+        for b, (form, slots) in enumerate(zip(forms, outputs)):
+            values = ev.hermitian_form_on_grid(form)
+            expected = sht.analyze(values)
+            got = sht.packed(proj[:, :, b:b + 1], slots)[:, 0]
+            assert (np.abs(got - expected[slots]).max()
+                    <= 1e-13 * np.abs(expected).max()), b
+            assert norms[b] == pytest.approx(integrate(values ** 2, grid),
+                                             rel=1e-13)
 
 
 class TestQuarterTurn:
