@@ -235,7 +235,7 @@ class SphericalHarmonicTransform:
         flat = proj.view(float)
         quads = np.empty((len(grams), flat.shape[2]))
         for mu, gram in enumerate(grams):
-            d = np.ascontiguousarray(np.diagonal(A, -mu, 1, 2).T).view(float)
+            d = np.ascontiguousarray(A.diagonal(-mu, 1, 2).T).view(float)
             np.sum(d * (gram @ d), axis=0, out=quads[mu])
             if mu < len(moments):
                 np.matmul(moments[mu], d, out=flat[mu, mu:])
