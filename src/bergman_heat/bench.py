@@ -218,29 +218,41 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     section coefficient matrices A = M T M / R go straight to harmonic
     coefficients and quadrature norms through the section-harmonic moment
     tables (``sht.analyze_diagonals``, which reads A's lower diagonals in
-    place): no output longitude modes and no per-column grids.  The batch
-    arrays are allocated once, for the widest batch, and reused, and the
-    section-profile products are made once (``profile_products``).  A
-    mirror-symmetric form is built in real arithmetic from its real inverse
-    Gram and density modes (``VolumeForm.density_modes``): cosine columns
-    give real symmetric A with cosine outputs, sine columns i times real
-    antisymmetric A with sine outputs.  Matches the generic path to
-    roundoff.
+    place): no output longitude modes and no per-column grids.  Only what
+    can be nonzero in exact arithmetic is formed.  A batch forms the
+    diagonals of T that the density's band reaches (``sht.order_band``), so
+    the orders past p + ``phi_band`` are skipped, their columns and column
+    norms left 0; and Q's range has degree at most p, so the moment tables,
+    projections and block rows stop at degree min(p, l_max), the rows above
+    it left 0.  The batch arrays are allocated once, for the widest batch,
+    and reused, the section-profile products are made once
+    (``profile_products``), and each block's packing map once
+    (``sht.packing``).  A mirror-symmetric form is built in real arithmetic
+    from its real inverse Gram and density modes
+    (``VolumeForm.density_modes``): cosine columns give real symmetric A
+    with cosine outputs, sine columns i times real antisymmetric A with
+    sine outputs.  Matches the generic path to roundoff.
     """
-    table = smoother.form.density_modes
+    form = smoother.form
+    table = form.density_modes
     mirror = np.isrealobj(table)
     w_theta = sht.grid.w_theta
     products = profile_products(smoother.evaluator.profiles)
-    moments = sht.section_moments(products, w_theta)
+    top = min(smoother.p, sht.l_max)
+    moments = sht.section_moments(products, w_theta, top)
     grams = product_grams(products, w_theta)
     size = smoother.p + 1
-    spans = _spans(sht, smoother.form)
+    spans = _spans(sht, form)
     block_of, position = np.zeros((2, sht.n_coeffs), dtype=int)
     for b, span in enumerate(spans):
         block_of[span], position[span] = b, np.arange(span.shape[1])
     # one order's columns sit 2l+1 apart; column-major storage keeps each
     # column write contiguous
     blocks = [np.zeros((span.shape[1],) * 2, order="F") for span in spans]
+    # a span's slots ascend in degree, so its rows of degree <= top lead
+    rows = [np.count_nonzero(sht.degrees[span[0]] <= top) for span in spans]
+    maps = [sht.packing(span[0][:n_rows], top + 1, mirror)
+            for span, n_rows in zip(spans, rows)]
     col_norm = np.zeros(sht.n_coeffs)
     # one batch and one work buffer, sized for the widest batch (order 1,
     # or 0 at l_max 0) and kept across the batches; the work buffer holds the
@@ -253,6 +265,11 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
     work = np.empty(width * max(size * size, (sht.l_max + 1) ** 2),
                     table.dtype)
     for k in range(sht.l_max + 1):
+        # modes 0..p fit the grid: the Gram exactness check forces
+        # n_phi >= 2p + 1
+        diagonals = sht.order_band(form.phi_band, k, size)
+        if not len(diagonals):
+            continue
         degrees = np.arange(k, sht.l_max + 1)
         # the batch alternates sine (-k) and cosine (+k) columns, degree by
         # degree; order 0 has cosine columns alone
@@ -260,11 +277,9 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
         slots = coeff_index(degrees[:, None], orders).ravel()
         parity = (np.where(sht.orders[slots] < 0, -1.0, 1.0) if mirror
                   else None)
-        # modes 0..p fit the grid: the Gram exactness check forces
-        # n_phi >= 2p + 1
         A = smoother.coefficient_matrices(
             sht.order_modes(table, k, size), sht.legendre[k, degrees].T,
-            parity, (batch, work), products)
+            diagonals, parity, (batch, work), products)
         proj_k, col_norm[slots] = sht.analyze_diagonals(A, moments, grams,
                                                         work)
         for b in np.unique(block_of[slots]):
@@ -273,8 +288,8 @@ def _assembled_q_matrix(smoother, sht, tail_bound):
             # parity of l as well, so its columns are evenly spaced in the
             # batch, and a slice views their projections without a copy
             step = cols[1] - cols[0] if len(cols) > 1 else 1
-            blocks[b][:, position[slots[cols]]] = sht.packed(
-                proj_k[:, :, cols[0]:cols[-1] + 1:step], spans[b][0])
+            blocks[b][:rows[b], position[slots[cols]]] = sht.packed(
+                proj_k[:, :, cols[0]:cols[-1] + 1:step], maps[b])
     return _checked_matrix(list(zip(blocks, spans)), col_norm, sht,
                            tail_bound)
 
@@ -302,9 +317,10 @@ def _zonal_q_matrix(smoother, sht, tail_bound):
     spans = _spans(sht, smoother.form)
     blocks, col_norm = [], np.zeros(sht.n_coeffs)
     for m, (lam, lam_rho) in enumerate(zip(
-            sht.section_moments(products, w_theta),
+            sht.section_moments(products, w_theta, sht.l_max),
             sht.section_moments(products,
-                                w_theta * smoother.form.density[:, 0]))):
+                                w_theta * smoother.form.density[:, 0],
+                                sht.l_max))):
         scale = m_diag[m:] * m_diag[:len(m_diag) - m] / smoother.rank_ratio
         d = scale[:, None] * lam_rho.T
         blocks.append((lam @ d, spans[m]))

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import grid_to_modes, moment_matrices
+from .fourier import grid_to_modes, kept_modes, moment_matrices
 from .geometry import (INJECTIVITY_RADIUS, exp_map, integrate,
                        pairwise_distances, unit_vectors)
 from .heat import SphericalHarmonicTransform
 
-# smoothing-input longitude modes at most this fraction of the largest are skipped
+# longitude modes of ``SmoothingOperator.apply``'s input at most this
+# fraction of the largest are skipped; a Q assembly forms its batches' modes
+# by the density's band instead (``SphericalHarmonicTransform.order_band``)
 MODE_TOL = 1e-16
 
 
@@ -41,44 +43,50 @@ class SmoothingOperator:
         self.p = evaluator.p
         self.rank_ratio = rank_ratio(self.p, self.form)
 
-    def coefficient_matrices(self, modes, rows, parity=None, out=None,
-                             products=None):
+    def coefficient_matrices(self, modes, rows, diagonals, parity=None,
+                             out=None, products=None):
         """Section coefficient matrices of the operator's outputs for a batch
-        of inputs.
+        of inputs, item index last.
 
         ``modes`` and ``rows`` give the nonnegative longitude modes of
         ``density * f`` for each input f in the factored form of
         ``fourier.moment_matrices``: node modes of shape (S, n_theta,
         n_modes) times colatitude rows of shape (n_theta, n_rows), for
-        n = S n_rows inputs.  The inputs are folded into section moment
-        matrices and conjugated by the inverse Gram; output b is
-        x -> sigma(x)^T A[b] conj(sigma(x)) for the returned (n, p+1, p+1)
-        batch A.  Real modes, those of a form symmetric under phi -> -phi,
-        whose inverse Gram is real, come with their ``parity``.  ``out``, if
-        given, is a pair of flat buffers that hold the batch and the half
-        product M T, so that a loop of batches reuses their pages.
+        n = S n_rows inputs, of which the modes ``diagonals`` are read.  The
+        inputs are folded into section moment matrices and conjugated by
+        the inverse Gram M; output b is x -> sigma(x)^T A[:, :, b]
+        conj(sigma(x)) for the returned (p+1, p+1, n) batch A = M T M / R:
+        M T is one product over all items' columns, and its products with M
+        one per row.  Real modes, those of a form symmetric under
+        phi -> -phi, whose inverse Gram is real, come with their ``parity``.
+        ``out``, if given, is a pair of flat buffers that hold the batch and
+        the half product M T, so that a loop of batches reuses their pages.
         ``products``, if given, are the section-profile products
         (``fourier.profile_products``) that a Q assembly shares.
         """
         ev = self.evaluator
         batch, spare = (None, None) if out is None else out
         T = moment_matrices(modes, rows, self.grid.w_theta, ev.profiles,
-                            MODE_TOL, batch, parity, products)
+                            diagonals, batch, parity, products)
+        dim = T.shape[0]
         half = (np.empty_like(T) if out is None
                 else spare.view(T.dtype)[:T.size].reshape(T.shape))
-        np.matmul(ev.kernel_matrix / self.rank_ratio, T, out=half)
-        # T is not read again, so the product reuses its pages
-        return np.matmul(half, ev.kernel_matrix, out=T)
+        np.matmul(ev.kernel_matrix / self.rank_ratio, T.reshape(dim, -1),
+                  out=half.reshape(dim, -1))
+        # (M T M)[i] = M^T (M T)[i]; T is not read again, so the product
+        # reuses its pages
+        return np.matmul(ev.kernel_matrix.T, half, out=T)
 
     def apply(self, values):
         """Apply the operator to real grid values; returns real grid values."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ConfigError("input values do not match the grid")
-        modes = grid_to_modes(self.form.density * values, self.grid.n_phi // 2)
-        A = self.coefficient_matrices(modes[None],
-                                      np.ones((self.grid.n_theta, 1)))
-        return self.evaluator.hermitian_form_on_grid(A[0])
+        modes = grid_to_modes(self.form.density * values,
+                              self.grid.n_phi // 2)[None]
+        A = self.coefficient_matrices(modes, np.ones((self.grid.n_theta, 1)),
+                                      kept_modes(modes, MODE_TOL, self.p + 1))
+        return self.evaluator.hermitian_form_on_grid(A[:, :, 0])
 
 
 @dataclass

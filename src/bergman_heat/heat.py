@@ -177,66 +177,92 @@ class SphericalHarmonicTransform:
             modes += conjugates[:, None, None] * hi
         return modes
 
-    def packed(self, proj, slots):
-        """Real coefficients at the packed ``slots`` from the projections
-        ``proj[|m|, l, col]`` of each column's +|m| longitude mode on the
-        order-|m| Legendre profiles.
+    def order_band(self, band, k, n_modes):
+        """The modes d = 0..``n_modes``-1 of ``order_modes`` that a function
+        of longitude band ``band`` (``fourier.phi_band``) reaches: those
+        whose table modes (d - k) or (d + k) mod n_phi lie within ``band``
+        of mode 0 by wrapped distance.  The other modes are formed from
+        table modes at most ``fourier.BAND_TOL`` times the largest alone; an
+        order k past ``n_modes`` - 1 + ``band`` reaches none, unless its
+        modes wrap past n_phi."""
+        n_phi = self.grid.n_phi
+        ds = np.arange(n_modes)
+        near = [np.minimum((ds + s) % n_phi, (-ds - s) % n_phi) <= band
+                for s in (-k, k)]
+        return ds[near[0] | near[1]]
+
+    def packing(self, slots, n_degrees, real):
+        """The map by which ``packed`` takes projections to the coefficients
+        at the packed ``slots``: each slot's flat row |m| ``n_degrees`` + l
+        in projections laid out (|m|, l, col), ``n_degrees`` of each, and
+        its real factor.
 
         <f, Y_lm> is Re(conj(factor) * mode) summed over the conjugate modes
-        +-|m|: twice the +|m| term unless m = 0.  Real projections are those
-        of functions whose sine modes are i times real numbers, and take the
-        real factors.
+        +-|m|: twice the +|m| term unless m = 0.  ``real`` projections are
+        those of functions whose sine modes are i times real numbers, and
+        take the real factors.
         """
-        scale = np.where(self.orders[slots] == 0, 1.0, 2.0)
-        rows = proj[np.abs(self.orders[slots]), self.degrees[slots]]
-        if np.iscomplexobj(proj):
-            return ((scale * self.factors[slots].conj())[:, None] * rows).real
-        return (scale * self.real_factors[slots])[:, None] * rows
+        orders = self.orders[slots]
+        scale = np.where(orders == 0, 1.0, 2.0)
+        return (np.abs(orders) * n_degrees + self.degrees[slots],
+                scale * (self.real_factors[slots] if real
+                         else self.factors[slots].conj()))
 
-    def section_moments(self, products, weights):
+    def packed(self, proj, packing):
+        """Real coefficients, one row per slot of a ``packing`` map, from
+        the projections ``proj[|m|, l, col]`` of each column's +|m|
+        longitude mode on the order-|m| Legendre profiles."""
+        index, factor = packing
+        return (factor[:, None]
+                * proj.reshape(-1, proj.shape[-1])[index]).real
+
+    def section_moments(self, products, weights, top):
         """Section-harmonic moment tables of the section profiles a_k.
 
-        One table per order mu = 0..min(l_max, P-1), from the products
+        One table per order mu = 0..min(``top``, P-1), from the products
         ``products[mu]`` = a_{k+mu} a_k (``fourier.profile_products``):
 
             table[mu][l - mu, k]
                 = sum_i weights[i] P_l^mu(theta_i) a_{k+mu}(theta_i) a_k(theta_i)
 
-        for the degrees l = mu..l_max.  A longitude mode
+        for the degrees l = mu..``top`` (at most l_max).  A longitude mode
         sum_k d_k a_{k+mu}(theta) a_k(theta) projects on the order-mu Legendre
         profiles as ``table[mu] @ d`` (weights ``w_theta``); with weights
         ``w_theta * rho`` the table folds a colatitude density in.
         """
-        return [(self.legendre[mu, mu:] * weights) @ products[mu]
-                for mu in range(min(self.l_max + 1, len(products)))]
+        return [(self.legendre[mu, mu:top + 1] * weights) @ products[mu]
+                for mu in range(min(top + 1, len(products)))]
 
     def analyze_diagonals(self, A, moments, grams, proj):
         """Projections and quadrature norms of real functions given by
         their section coefficient matrices, without their longitude modes.
 
-        Item b is the function x -> sigma(x)^T A[b] conj(sigma(x)) of a
-        Hermitian (P, P) matrix A[b], whose longitude mode mu is
-        sum_k A[b, k+mu, k] a_{k+mu} a_k (``fourier.profile_products``), so
-        only A's lower diagonals are read, where they lie; a real batch
-        holds symmetric matrices and antisymmetric ones, i times which are
-        Hermitian.  Diagonal -mu, d, gives the order-mu
-        projections ``moments[mu] @ d`` (``section_moments`` at weights
-        ``w_theta``) and the mode's quadrature d^H G_mu d (``grams[mu]``,
+        Item b is the function x -> sigma(x)^T A[:, :, b] conj(sigma(x)) of
+        the Hermitian (P, P) matrix A[:, :, b], item index last, whose
+        longitude mode mu is sum_k A[k+mu, k, b] a_{k+mu} a_k
+        (``fourier.profile_products``), so only A's lower diagonals are
+        read; a real batch holds symmetric matrices and antisymmetric ones,
+        i times which are Hermitian.  Diagonal -mu of every item is one
+        strided (P-mu, n) view, d, that goes to both products in place: the
+        order-mu projections ``moments[mu] @ d`` (``section_moments`` at
+        weights ``w_theta``, whose tables set the degrees projected on) and
+        the mode's quadrature d^H G_mu d (``grams[mu]``,
         ``fourier.product_grams``).  Fills the flat buffer ``proj`` with the
-        projections ``proj[mu, l, b]`` (``packed`` turns them into
-        coefficients) and returns that view and the quadrature norms.
+        projections ``proj[mu, l, b]`` for mu, l up to the tables' top
+        degree (``packed`` turns them into coefficients) and returns that
+        view and the quadrature norms.
         """
-        n = A.shape[0]
-        size = (self.l_max + 1) ** 2 * n
-        proj = proj[:size].reshape(self.l_max + 1, self.l_max + 1, n)
+        n = A.shape[2]
+        size = len(moments[0])
+        proj = proj[:size * size * n].reshape(size, size, n)
         proj.fill(0.0)
         # the float views hold real and imaginary parts side by side, so
         # each real product serves both
         flat = proj.view(float)
         quads = np.empty((len(grams), flat.shape[2]))
         for mu, gram in enumerate(grams):
-            d = np.ascontiguousarray(A.diagonal(-mu, 1, 2).T).view(float)
-            np.sum(d * (gram @ d), axis=0, out=quads[mu])
+            d = A.diagonal(-mu).T.view(float)
+            np.einsum("kb,kb->b", d, gram @ d, out=quads[mu])
             if mu < len(moments):
                 np.matmul(moments[mu], d, out=flat[mu, mu:])
         # modes +-mu both count, except mode 0; modes 0..P-1 stay below
@@ -251,7 +277,8 @@ class SphericalHarmonicTransform:
         wd = np.ascontiguousarray(
             self.grid.w_theta * grid_to_modes(values, self.l_max).T)
         proj = (self.legendre @ wd[:, :, None].view(float)).view(complex)
-        return self.packed(proj, np.arange(self.n_coeffs))[:, 0]
+        return self.packed(proj, self.packing(np.arange(self.n_coeffs),
+                                              self.l_max + 1, False))[:, 0]
 
     def synthesize(self, coeffs):
         """Coefficients -> grid values (inverse of :meth:`analyze`)."""

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, InvalidRunError, count_text
-from .fourier import moment_matrices
+from .fourier import kept_modes, moment_matrices
 
 # points per side of the square node-pair tiles: a complex 192^2 tile is
 # 0.59 MB, but a weight-change tile's live arrays take about 3.5 MB, more
@@ -111,9 +111,10 @@ def gram_matrix(basis, form, grid):
         raise ConfigError(
             f"grid exactness {grid.exactness_degree} below 2p+band ="
             f" {2 * p + form.phi_band}")
-    H = moment_matrices(form.density_modes[None], np.ones((grid.n_theta, 1)),
-                        grid.w_theta, basis.theta_profiles(grid.theta),
-                        mode_tol=0.0)[0]
+    modes = form.density_modes[None]
+    H = moment_matrices(modes, np.ones((grid.n_theta, 1)), grid.w_theta,
+                        basis.theta_profiles(grid.theta),
+                        kept_modes(modes, 0.0, p + 1))[:, :, 0]
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
         raise InvalidRunError(

@@ -114,6 +114,8 @@ class TestOperatorMatrix:
             # carries modes 0..4 only, so the orders 5..l_max of every
             # column come out zero
             (bench_sht, {(2, -2): 0.15, (1, 1): 0.1}, 4),
+            # tilted at p = 4: the orders past p + band = 7 are skipped
+            (bench_sht, {(1, 1): 0.1, (2, 1): 0.05}, 4),
             # an odd longitude grid, which has no Nyquist mode
             (SphericalHarmonicTransform(build_grid(24, 47), 11),
              {(1, 0): -0.3, (2, 2): 0.1}, 10),
@@ -132,6 +134,15 @@ class TestOperatorMatrix:
             assert np.abs(dense(fast, sht) - dense(slow, sht)).max() < 1e-12
             assert np.abs(fast.column_norm_sq
                           - slow.column_norm_sq).max() < 1e-12
+            if not form.is_zonal:
+                # an assembled Q forms nothing that is zero in exact
+                # arithmetic: no column of an order past p + band, which
+                # meets the sections only through density modes outside
+                # the band, and no row of degree past p
+                skipped = np.abs(sht.orders) > p + form.phi_band
+                assert (dense(fast, sht)[:, skipped] == 0.0).all()
+                assert (fast.column_norm_sq[skipped] == 0.0).all()
+                assert (dense(fast, sht)[sht.degrees > p] == 0.0).all()
             mf = fast_multiplication_matrix(form, sht)
             ms = multiplication_matrix(form.eta, sht)
             assert np.abs(dense(mf, sht) - dense(ms, sht)).max() < 1e-12

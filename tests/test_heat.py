@@ -156,7 +156,7 @@ class TestAnalyzeDiagonals:
         sht = SphericalHarmonicTransform(grid, 8)
         ev = bergman_evaluator(4, fubini_study_form(grid), grid)
         products = profile_products(ev.profiles)
-        moments = sht.section_moments(products, grid.w_theta)
+        moments = sht.section_moments(products, grid.w_theta, sht.l_max)
         grams = product_grams(products, grid.w_theta)
         rng = np.random.default_rng(35)
         x = rng.normal(size=(4, 5, 5))
@@ -172,12 +172,15 @@ class TestAnalyzeDiagonals:
             forms = np.where(parity > 0, 1.0, 1j)[:, None, None] * A
             outputs = [np.flatnonzero((sht.orders >= 0) == (s > 0))
                        for s in parity]
+        # item index last
         proj, norms = sht.analyze_diagonals(
-            A, moments, grams, np.empty(sht.n_coeffs * len(A), A.dtype))
+            np.ascontiguousarray(A.transpose(1, 2, 0)), moments, grams,
+            np.empty(sht.n_coeffs * len(A), A.dtype))
         for b, (form, slots) in enumerate(zip(forms, outputs)):
             values = ev.hermitian_form_on_grid(form)
             expected = sht.analyze(values)
-            got = sht.packed(proj[:, :, b:b + 1], slots)[:, 0]
+            got = sht.packed(proj[:, :, b:b + 1], sht.packing(
+                slots, sht.l_max + 1, batch == "real"))[:, 0]
             assert (np.abs(got - expected[slots]).max()
                     <= 1e-13 * np.abs(expected).max()), b
             assert norms[b] == pytest.approx(integrate(values ** 2, grid),
